@@ -66,7 +66,8 @@ def enumerate_branches(label: Iterable[Concept]) -> Iterator[Branch]:
 
     Choices run depth-first over or-nodes in canonical child order, so the
     sequence is deterministic.  Disjuncts equal as sets are yielded once.
-    Clashed disjuncts are not filtered here.
+    A partial disjunct that takes bottom or a complementary pair is dropped,
+    since every extension of it clashes too.
     """
     items = tuple(sorted_concepts(set(label)))
     seen: set[Branch] = set()
@@ -79,6 +80,8 @@ def enumerate_branches(label: Iterable[Concept]) -> Iterator[Branch]:
             elif isinstance(head, Or):
                 for part in head.parts:
                     yield from walk((part,) + work, acc)
+                return
+            elif isinstance(head, Bottom) or negate(head) in acc:
                 return
             else:
                 acc = acc | {head}

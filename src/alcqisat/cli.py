@@ -1,13 +1,16 @@
 """Command-line front door.
 
 Exit codes: 0 satisfiable, 1 unsatisfiable, 2 usage or parse error,
-3 resource limit.  The verdict is the first line on standard output;
-diagnostics, including the rule trace, go to standard error.
+3 resource limit, 4 internal error (nothing on standard output).  The verdict
+is the first line on standard output; diagnostics, including the rule trace,
+go to standard error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
 import time
 
@@ -21,6 +24,7 @@ EXIT_SAT = 0
 EXIT_UNSAT = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
@@ -51,9 +55,19 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_arg_parser()
-    args = parser.parse_args(argv)
+    args = _build_arg_parser().parse_args(argv)
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = _run(args)
+    except Exception as exc:  # a bug, never a verdict: keep stdout empty
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    sys.stdout.write(out.getvalue())
+    return code
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.file and args.concept:
         print("error: give either a problem file or --concept, not both", file=sys.stderr)
         return EXIT_USAGE

@@ -3,17 +3,19 @@
 The procedure builds a labeled tree top-down.  Each node picks one
 propositional branch of its label, adjusts bounds against its parent, and
 turns each role's number restrictions into an integer feasibility system
-whose solution spawns the children.  Failures are cached as nogood triples
-(context cut-set, incoming role, concept set); every newly learned triple
-aborts the current tree, clears the blocking store, and restarts.  The run
-answers unsatisfiable when a triple subsumes the root label, satisfiable
-when a tree completes without learning anything new.
+whose solution spawns the children.  The branch walk prunes clashed
+disjuncts, and a branch that clashes only after the bound adjustment is
+skipped; such local clashes are never cached.  Failures are cached as nogood
+triples (context cut-set, incoming role, concept set); every newly learned
+triple aborts the current tree, clears the blocking store, and restarts.
+The run answers unsatisfiable when a triple subsumes the root label,
+satisfiable when a tree completes without learning anything new.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .branch import (
@@ -145,9 +147,6 @@ class Node:
     edge: Role | None
     branch: Branch | None = None
     tuned: Branch | None = None
-    systems: dict = field(default_factory=dict)     # Role -> LiiSystem
-    solutions: dict = field(default_factory=dict)   # Role -> Solution
-    children: list = field(default_factory=list)    # (Role, atom mask, Node)
 
 
 class _RestartRequested(Exception):
@@ -215,6 +214,7 @@ class Tableau:
         """Store a triple; any genuinely new inconsistency aborts the tree."""
         triple = NogoodTriple(cut, edge, self._strip(body))
         if self.nogoods.add(triple):
+            self.stats.nogoods = len(self.nogoods)
             self._say(
                 f"NOGOOD cut={_fmt_cut(triple.cut)} edge={_fmt_edge(triple.edge)} "
                 f"body={_fmt_set(triple.body)}"
@@ -236,7 +236,6 @@ class Tableau:
         try:
             for _ in range(self.limits.nogood_capacity + 2):
                 if self.nogoods.hit(EMPTY_CUT_SET, None, root_body):
-                    self.stats.nogoods = len(self.nogoods)
                     return Verdict(satisfiable=False, stats=self.stats)
                 self.witnesses.clear()
                 self._tree_nodes = 0
@@ -251,7 +250,6 @@ class Tableau:
                     self._say(f"RESTART {self.stats.restarts}")
                     continue
                 if blocking is None:
-                    self.stats.nogoods = len(self.nogoods)
                     return Verdict(satisfiable=True, stats=self.stats)
                 # the root label itself is cached as dead; the next pass
                 # check turns this into the unsatisfiable verdict
@@ -283,16 +281,11 @@ class Tableau:
         for index, branch in enumerate(enumerate_branches(node.label)):
             tuned = fine_tune(branch, node.cut, node.edge)
             if (
-                self.nogoods.hit_wildcard(branch)
+                primitive_clash(tuned)
+                or self.nogoods.hit_wildcard(branch)
                 or self.nogoods.hit_wildcard(tuned)
                 or self.nogoods.hit_exact(node.cut, node.edge, branch)
             ):
-                continue
-            if primitive_clash(branch):
-                self._record(EMPTY_CUT_SET, None, branch)
-                continue
-            if primitive_clash(tuned):
-                self._record(EMPTY_CUT_SET, None, tuned)
                 continue
             self._say(f"PB node={node.id} branch={index}")
             node.branch = branch
@@ -373,7 +366,6 @@ class Tableau:
                     # cached set must carry the branch's filler commitments
                     body = restrictions | child_cut.choice_literals()
                 self._record(EMPTY_CUT_SET, None, body)
-                node.systems[role] = system
                 return False
 
             failed = False
@@ -385,7 +377,6 @@ class Tableau:
                     continue
                 child_label = atom.literals() | self._core_label
                 child = self._make_node(child_label, child_cut, role)
-                node.children.append((role, mask, child))
                 blocking = self._expand(child)
                 if blocking is None:
                     completed.add(mask)
@@ -396,8 +387,6 @@ class Tableau:
                 failed = True
                 break
             if not failed:
-                node.systems[role] = system
-                node.solutions[role] = solution
                 return True
 
 

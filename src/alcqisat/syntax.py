@@ -126,8 +126,6 @@ class AtLeast(Concept):
 TOP = Top()
 BOTTOM = Bottom()
 
-MODAL_TYPES = (AtMost, AtLeast)
-
 
 @lru_cache(maxsize=None)
 def concept_key(c: Concept) -> tuple:
@@ -189,11 +187,6 @@ def disj(parts: Iterable[Concept]) -> Concept:
     if len(flat) == 1:
         return flat[0]
     return Or(tuple(flat))
-
-
-def is_literal(c: Concept) -> bool:
-    """True for the shapes a propositional branch may contain."""
-    return isinstance(c, (Top, Bottom, Atom, NegAtom, AtMost, AtLeast))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from alcqisat import (
     conj,
     disj,
 )
+from alcqisat.syntax import sorted_concepts
 
 
 def random_raw_concept(rng: random.Random, depth: int, atoms=("A", "B", "C"), roles=("R", "S")):
@@ -90,6 +91,29 @@ def brute_force_feasible(system: LiiSystem, cap: int | None = None) -> dict | No
         return None
 
     return search(0, {})
+
+
+def unpruned_branches(label):
+    """DNF disjuncts of the label with clashed ones kept, in the order and
+    with the set dedup of `enumerate_branches`.  Reference for its pruning."""
+    seen = set()
+
+    def walk(work, acc):
+        while work:
+            head, work = work[0], work[1:]
+            if isinstance(head, And):
+                work = head.parts + work
+            elif isinstance(head, Or):
+                for part in head.parts:
+                    yield from walk((part,) + work, acc)
+                return
+            else:
+                acc = acc | {head}
+        if acc not in seen:
+            seen.add(acc)
+            yield acc
+
+    return walk(tuple(sorted_concepts(set(label))), frozenset())
 
 
 def propositional_skeleton(concept):

@@ -23,7 +23,7 @@ from alcqisat import (
     primitive_clash,
     to_nnf,
 )
-from conftest import propositional_skeleton, random_raw_concept
+from conftest import propositional_skeleton, random_raw_concept, unpruned_branches
 
 A, B, C, D = Atom("A"), Atom("B"), Atom("C"), Atom("D")
 R = Role("R")
@@ -44,9 +44,17 @@ def test_distribution():
     assert got == [frozenset({A, B}), frozenset({A, modal})]
 
 
-def test_clashed_disjunct_still_enumerated():
+def test_clashed_disjunct_pruned():
     got = branches({A, disj([NegAtom("A"), B])})
-    assert got == [frozenset({A, NegAtom("A")}), frozenset({A, B})]
+    assert got == [frozenset({A, B})]
+
+
+def test_pruned_walk_is_filtered_reference_walk():
+    rng = random.Random(43)
+    for _ in range(300):
+        label = {to_nnf(random_raw_concept(rng, rng.randint(0, 4))) for _ in range(rng.randint(1, 3))}
+        want = [br for br in unpruned_branches(label) if not primitive_clash(br)]
+        assert list(enumerate_branches(label)) == want
 
 
 def test_duplicate_sets_skipped():

@@ -1,7 +1,8 @@
 import subprocess
 import sys
 
-from alcqisat.cli import main
+from alcqisat import cli
+from alcqisat.cli import EXIT_INTERNAL, main
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +109,27 @@ def test_resource_limit_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, path, "--node-budget", "1")
     assert code == 3
     assert "resource limit" in err
+
+
+def test_deep_concept_is_internal_error_not_verdict(capsys):
+    # nesting this deep overflows the recursive concept hashing
+    concept = "(atleast 1 R " * 600 + "A" + ")" * 600
+    code, out, err = run_cli(capsys, "--concept", concept)
+    assert code == EXIT_INTERNAL == 4
+    assert out == ""
+    assert err.startswith("error: internal: RecursionError")
+
+
+def test_internal_error_keeps_stdout_empty(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "find_model", broken)
+    path = write(tmp_path, "p.dl", "sat A\n")
+    code, out, err = run_cli(capsys, path, "--oracle-check", "2")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "error: internal: KeyError: 'boom'\n"
 
 
 def test_byte_identical_output(tmp_path, capsys):

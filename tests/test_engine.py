@@ -4,6 +4,7 @@ import pytest
 
 from alcqisat import (
     Atom,
+    CorpusProfile,
     EMPTY_CUT_SET,
     Interpretation,
     Limits,
@@ -18,7 +19,9 @@ from alcqisat import (
     conj,
     decide,
     find_model,
+    generate_corpus,
     parse_concept,
+    primitive_clash,
 )
 from alcqisat.branch import CutSet
 
@@ -149,8 +152,6 @@ def test_wildcard_matches_any_context():
 
 def test_verdicts_and_stats_deterministic():
     rng = random.Random(59)
-    from alcqisat import generate_corpus
-
     for pf in generate_corpus(seed=3, count=15):
         p1 = build_problem(pf.query, pf.tbox)
         p2 = build_problem(pf.query, pf.tbox)
@@ -240,11 +241,42 @@ def test_stored_wildcard_bodies_are_unsatisfiable():
 
 
 def test_oracle_agreement_on_small_batch():
-    from alcqisat import generate_corpus
-
     for pf in generate_corpus(seed=5, count=40):
         problem = build_problem(pf.query, pf.tbox)
         verdict = decide(problem)
         found = find_model(problem.goal, problem.axiom)
         if isinstance(found, Interpretation):
             assert verdict.satisfiable, pf.to_text()
+
+
+def test_deep_instances_decide_without_clash_nogoods():
+    # deep-profile #64 and #106 used to learn one nogood per clashed root
+    # disjunct and restart each time, running out of any small store
+    profile = CorpusProfile(max_depth=5, max_bound=5, max_roles=3, max_atoms=4, max_gcis=3)
+    corpus = generate_corpus(seed=7, count=150, profile=profile)
+    for index in (64, 106):
+        problem = build_problem(corpus[index].query, corpus[index].tbox)
+        verdict = decide(problem, Limits(nogood_capacity=20))
+        assert verdict.satisfiable
+
+
+def test_primitive_clashes_never_stored():
+    # a clashed branch is skipped, never cached; a clashed body can only be
+    # a root label that is itself a clash, such as the goal bottom
+    for pf in generate_corpus(seed=20260809, count=200):
+        problem = build_problem(pf.query, pf.tbox)
+        tableau = Tableau(problem)
+        tableau.decide()
+        clashed = [t.body for t in tableau.nogoods if primitive_clash(t.body)]
+        assert clashed in ([], [frozenset({problem.goal})]), pf.to_text()
+
+
+def test_nogood_count_is_live_when_store_overflows():
+    # deciding this takes three nogoods, so a store of two aborts the run
+    problem = build_problem(
+        parse_concept("(and (atleast 3 R (or A B)) (atmost 1 R A) (atmost 1 R B))")
+    )
+    tableau = Tableau(problem, Limits(nogood_capacity=2))
+    with pytest.raises(ResourceLimitError):
+        tableau.decide()
+    assert tableau.stats.nogoods == len(tableau.nogoods) == 2
