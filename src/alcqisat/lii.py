@@ -6,11 +6,19 @@ irrelevant, no restriction counts it).  Each combination is an unknown
 non-negative integer multiplicity; each restriction becomes a subset-sum
 inequality over the combinations containing its filler positively.
 Feasibility of the system decides local consistency of the restrictions.
+
+`feasible` decides it by an iterative depth-first search that returns the
+lexicographically smallest solution.  Rows bounding the same sum are merged
+into one interval first, so contradictory bounds are refuted before any
+search step; each atom is capped by the bounds of the rows covering it; and
+failed search states are memoized, so a subtree already proven empty is
+entered once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .syntax import (
     AtLeast,
@@ -90,11 +98,12 @@ class Solution:
 
     values: tuple  # tuple[tuple[int, int], ...] of (mask, value), value > 0
 
+    @cached_property
+    def _by_mask(self) -> dict[int, int]:
+        return dict(self.values)
+
     def value(self, mask: int) -> int:
-        for m, v in self.values:
-            if m == mask:
-                return v
-        return 0
+        return self._by_mask.get(mask, 0)
 
     def positive_masks(self) -> tuple[int, ...]:
         return tuple(m for m, v in self.values if v > 0)
@@ -163,80 +172,136 @@ def zero_column(system: LiiSystem, atom_mask: int) -> LiiSystem:
 def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> Solution | None:
     """Find a non-negative integer solution, or None when infeasible.
 
-    Depth-first over atoms in ascending mask order, smallest value first, so
-    the solution returned is deterministic.  Each variable is capped at the
-    sum of the at-least bounds: at-most rows never force a value up, so a
-    solution inside that box exists whenever any does.  Per-variable value
-    ranges come from the rows, arithmetic on bounds rather than unary
-    counting, which keeps large bounds cheap.
+    Depth-first over atoms in ascending mask order, smallest value first,
+    so the solution returned is the lexicographically smallest one: every
+    pruning below only skips subtrees that hold no solution or only
+    solutions after it.  Per-variable value ranges come from the rows,
+    arithmetic on bounds rather than unary counting, which keeps large
+    bounds cheap.
+
+    - Interval pre-check: rows with the same coefficients bound one sum, so
+      they merge into one interval [largest at-least, smallest at-most]; an
+      empty interval refutes the system before any search step.
+    - Per-atom cap: each atom is capped at the smallest at-most bound
+      covering it, and at the largest at-least bound covering it (0 when
+      none does): a value above the latter could be lowered to it without
+      breaking a row, giving a smaller solution.  The caps bound what later
+      atoms can still add to each at-least sum.
+    - Memo: a state is a position and the sums so far, with each at-least
+      sum clamped at its bound since no later check tells larger sums
+      apart.  A state whose subtree failed is stored and skipped on entry;
+      the memo holds at most one state per step.
+    - Explicit stack: no recursion, whatever the number of atoms.
+
+    One step is one search node entered, so the search takes no more steps
+    than it would without these prunings; more than max_steps raises
+    SolverLimitError.
     """
+    bounds: dict[int, list] = {}  # coeff_mask -> [at-least, at-most or None]
     for row in system.rows:
         if row.bound < 0:
             raise ValueError("negative row bound; clash detection should run first")
+        interval = bounds.setdefault(row.coeff_mask, [0, None])
+        if not row.is_at_most:
+            if row.bound > interval[0]:
+                interval[0] = row.bound
+        elif interval[1] is None or row.bound < interval[1]:
+            interval[1] = row.bound
+    intervals = []
+    for coeff, (lo, hi) in bounds.items():
+        if hi is not None and lo > hi:
+            return None
+        intervals.append((coeff, lo, hi))
 
     masks = [m for m in system.atom_masks() if m not in system.zeroed]
-    cap = sum(row.bound for row in system.rows if not row.is_at_most)
-    rows = system.rows
-    n_rows = len(rows)
-    # max the atoms after position i can still add to each row
-    suffix_cap = [[0] * n_rows for _ in range(len(masks) + 1)]
-    for i in range(len(masks) - 1, -1, -1):
+    n = len(masks)
+    # per position, built back to front: the atom's cap; the at-least sums
+    # it adds to, each with its bound less what later atoms can still add;
+    # the at-most sums it adds to, with their bound; the other at-least
+    # sums that can still fall short, with that shortfall; and the sums its
+    # value goes to, with their clamp (an at-most sum never passes its bound)
+    caps = [0] * n
+    raising, limiting, short, adding = [()] * n, [()] * n, [()] * n, [()] * n
+    reach = [0] * len(intervals)
+    for i in range(n - 1, -1, -1):
         bit = 1 << (masks[i] - 1)
-        for r in range(n_rows):
-            extra = cap if (rows[r].coeff_mask & bit) else 0
-            suffix_cap[i][r] = suffix_cap[i + 1][r] + extra
+        cap, limit = 0, None
+        raise_, limit_, short_, add_ = [], [], [], []
+        for g, (coeff, lo, hi) in enumerate(intervals):
+            if coeff & bit:
+                if lo > cap:
+                    cap = lo
+                if lo > reach[g]:
+                    raise_.append((g, lo - reach[g]))
+                if hi is None:
+                    add_.append((g, lo))
+                else:
+                    if limit is None or hi < limit:
+                        limit = hi
+                    limit_.append((g, hi))
+                    add_.append((g, hi))
+            elif lo > reach[g]:
+                short_.append((g, lo - reach[g]))
+        if limit is not None and limit < cap:
+            cap = limit
+        caps[i], raising[i], limiting[i], short[i], adding[i] = cap, raise_, limit_, short_, add_
+        for g, _ in add_:
+            reach[g] += cap
 
-    sums = [0] * n_rows
-    chosen: dict[int, int] = {}
+    failed: dict[int, set] = {}  # position -> states whose subtree failed
+    entered: list = [None] * n   # state on entry, per position on the stack
+    chosen = [0] * n
+    highest = [0] * n
+    state = (0,) * len(intervals)
     steps = 0
-
-    def assign(i: int) -> bool:
-        nonlocal steps
+    i = 0
+    while True:
         steps += 1
         if steps > max_steps:
             raise SolverLimitError(f"feasibility search exceeded {max_steps} steps")
-        if i == len(masks):
-            return all(
-                (s <= r.bound) if r.is_at_most else (s >= r.bound)
-                for s, r in zip(sums, rows)
-            )
-        bit = 1 << (masks[i] - 1)
-        lo, hi = 0, cap
-        for r in range(n_rows):
-            row = rows[r]
-            if row.is_at_most:
-                if row.coeff_mask & bit:
-                    hi = min(hi, row.bound - sums[r])
-                elif sums[r] > row.bound:
-                    return False
-            else:
-                reachable = sums[r] + suffix_cap[i + 1][r]
-                if row.coeff_mask & bit:
-                    lo = max(lo, row.bound - reachable)
-                elif reachable < row.bound:
-                    return False
-        if lo > hi:
-            return False
-        for value in range(lo, hi + 1):
-            if value:
-                for r in range(n_rows):
-                    if rows[r].coeff_mask & bit:
-                        sums[r] += value
-            chosen[masks[i]] = value
-            if assign(i + 1):
-                return True
-            if value:
-                for r in range(n_rows):
-                    if rows[r].coeff_mask & bit:
-                        sums[r] -= value
-        del chosen[masks[i]]
-        return False
+        if i == n:
+            if all(s >= lo for s, (_, lo, _) in zip(state, intervals)):
+                break
+        elif state not in failed.get(i, ()) and (
+            not short[i] or all(state[g] >= need for g, need in short[i])
+        ):
+            lo, hi = 0, caps[i]
+            for g, need in raising[i]:
+                if need - state[g] > lo:
+                    lo = need - state[g]
+            for g, top in limiting[i]:
+                if top - state[g] < hi:
+                    hi = top - state[g]
+            if lo <= hi:
+                entered[i], chosen[i], highest[i] = state, lo, hi
+                if lo:
+                    state = _add(state, adding[i], lo)
+                i += 1
+                continue
+        # backtrack to the deepest position with a value left to try
+        while True:
+            i -= 1
+            if i < 0:
+                return None
+            if chosen[i] < highest[i]:
+                chosen[i] += 1
+                state = _add(entered[i], adding[i], chosen[i])
+                i += 1
+                break
+            failed.setdefault(i, set()).add(entered[i])
 
-    if not assign(0):
-        return None
-    solution = Solution(values=tuple((m, v) for m, v in sorted(chosen.items()) if v > 0))
+    solution = Solution(values=tuple((m, v) for m, v in zip(masks, chosen) if v))
     _validate(system, solution)
     return solution
+
+
+def _add(state: tuple, updates: tuple, value: int) -> tuple:
+    """The state after adding value to the sums in updates, each clamped."""
+    out = list(state)
+    for g, clamp in updates:
+        total = out[g] + value
+        out[g] = total if total < clamp else clamp
+    return tuple(out)
 
 
 def _validate(system: LiiSystem, solution: Solution) -> None:

@@ -14,6 +14,8 @@ from alcqisat import (
     Not,
     Or,
     Role,
+    Solution,
+    SolverLimitError,
     TOP,
     conj,
     disj,
@@ -91,6 +93,77 @@ def brute_force_feasible(system: LiiSystem, cap: int | None = None) -> dict | No
         return None
 
     return search(0, {})
+
+
+def reference_feasible(system: LiiSystem, max_steps: int = 2_000_000) -> Solution | None:
+    """The plain recursive search `lii.feasible` replaced: every variable
+    capped at the sum of the at-least bounds, no interval pre-check, no
+    memo.  Reference for the solution `feasible` must return."""
+    for row in system.rows:
+        if row.bound < 0:
+            raise ValueError("negative row bound; clash detection should run first")
+
+    masks = [m for m in system.atom_masks() if m not in system.zeroed]
+    cap = sum(row.bound for row in system.rows if not row.is_at_most)
+    rows = system.rows
+    n_rows = len(rows)
+    # max the atoms after position i can still add to each row
+    suffix_cap = [[0] * n_rows for _ in range(len(masks) + 1)]
+    for i in range(len(masks) - 1, -1, -1):
+        bit = 1 << (masks[i] - 1)
+        for r in range(n_rows):
+            extra = cap if (rows[r].coeff_mask & bit) else 0
+            suffix_cap[i][r] = suffix_cap[i + 1][r] + extra
+
+    sums = [0] * n_rows
+    chosen: dict[int, int] = {}
+    steps = 0
+
+    def assign(i: int) -> bool:
+        nonlocal steps
+        steps += 1
+        if steps > max_steps:
+            raise SolverLimitError(f"feasibility search exceeded {max_steps} steps")
+        if i == len(masks):
+            return all(
+                (s <= r.bound) if r.is_at_most else (s >= r.bound)
+                for s, r in zip(sums, rows)
+            )
+        bit = 1 << (masks[i] - 1)
+        lo, hi = 0, cap
+        for r in range(n_rows):
+            row = rows[r]
+            if row.is_at_most:
+                if row.coeff_mask & bit:
+                    hi = min(hi, row.bound - sums[r])
+                elif sums[r] > row.bound:
+                    return False
+            else:
+                reachable = sums[r] + suffix_cap[i + 1][r]
+                if row.coeff_mask & bit:
+                    lo = max(lo, row.bound - reachable)
+                elif reachable < row.bound:
+                    return False
+        if lo > hi:
+            return False
+        for value in range(lo, hi + 1):
+            if value:
+                for r in range(n_rows):
+                    if rows[r].coeff_mask & bit:
+                        sums[r] += value
+            chosen[masks[i]] = value
+            if assign(i + 1):
+                return True
+            if value:
+                for r in range(n_rows):
+                    if rows[r].coeff_mask & bit:
+                        sums[r] -= value
+        del chosen[masks[i]]
+        return False
+
+    if not assign(0):
+        return None
+    return Solution(values=tuple((m, v) for m, v in sorted(chosen.items()) if v > 0))
 
 
 def unpruned_branches(label):

@@ -280,3 +280,13 @@ def test_nogood_count_is_live_when_store_overflows():
     with pytest.raises(ResourceLimitError):
         tableau.decide()
     assert tableau.stats.nogoods == len(tableau.nogoods) == 2
+
+
+def test_contradictory_counting_instance_decides_within_small_budget():
+    # counting corpus #138 used to run the solver to its step limit
+    v = decide_text(
+        "(and (atmost 6 R (not A0)) (atmost 3 R (not A1)) (atleast 3 R A2) "
+        "(atmost 5 R A3) (atleast 9 R A3) (atmost 2 (inv R) (not A0)))",
+        limits=Limits(solver_max_steps=1000),
+    )
+    assert not v.satisfiable

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 
 import pytest
@@ -10,6 +11,7 @@ from alcqisat import (
     LiiSystem,
     NegAtom,
     Role,
+    Solution,
     SolverLimitError,
     TOP,
     atomic_decomposition,
@@ -20,7 +22,7 @@ from alcqisat import (
     zero_column,
 )
 from alcqisat.lii import Row
-from conftest import brute_force_feasible
+from conftest import brute_force_feasible, reference_feasible
 
 A, B = Atom("A"), Atom("B")
 C, C1, C2, C3 = Atom("C"), Atom("C1"), Atom("C2"), Atom("C3")
@@ -154,7 +156,11 @@ def test_shared_successors_take_the_joint_atom():
     # fillers are (top, A, B); mask 7 is the all-positive combination
     assert sys_.fillers == (TOP, A, B)
     assert sol.value(7) == 2
+    assert sol.value(1) == 0
     assert sol.positive_masks() == (7,)
+    # the lookup table is not part of the value
+    assert sol == Solution(values=sol.values)
+    assert hash(sol) == hash(Solution(values=sol.values))
 
 
 def test_complementary_fillers_cannot_share():
@@ -164,8 +170,8 @@ def test_complementary_fillers_cannot_share():
     assert feasible(sys_) is None
 
 
-def random_system(rng):
-    width = rng.randint(1, 3)
+def random_system(rng, max_width=3, max_bound=4):
+    width = rng.randint(1, max_width)
     fillers = tuple(Atom(f"F{i}") for i in range(width))
     rows = []
     for _ in range(rng.randint(1, 4)):
@@ -178,7 +184,7 @@ def random_system(rng):
             Row(
                 coeff_mask=coeff,
                 is_at_most=rng.random() < 0.5,
-                bound=rng.randint(0, 4),
+                bound=rng.randint(0, max_bound),
                 source=fillers[k],
             )
         )
@@ -223,6 +229,61 @@ def test_solver_deterministic():
     for _ in range(50):
         sys_ = random_system(rng)
         assert feasible(sys_) == feasible(sys_)
+
+
+def test_solver_returns_the_reference_solution():
+    # the solver must return exactly what the plain search returns, so the
+    # tableau's children, traces and verdicts do not move
+    rng = random.Random(59)
+    compared = 0
+    for _ in range(1200):
+        sys_ = random_system(rng, max_width=5, max_bound=10)
+        try:
+            want = reference_feasible(sys_, max_steps=20_000)
+        except SolverLimitError:
+            continue
+        assert feasible(sys_, max_steps=20_000) == want, sys_.describe()
+        compared += 1
+    assert compared >= 1000
+
+
+def test_contradictory_rows_refuted_before_search():
+    # counting corpus #138: at least 9 and at most 5 successors in A3
+    b = frozenset({
+        AtMost(6, R, NegAtom("A0")),
+        AtMost(3, R, NegAtom("A1")),
+        AtLeast(3, R, Atom("A2")),
+        AtMost(5, R, Atom("A3")),
+        AtLeast(9, R, Atom("A3")),
+        AtMost(2, Role("R", inverted=True), NegAtom("A0")),
+    })
+    assert feasible(build_lii(b, R), max_steps=1) is None
+
+
+def test_unbounded_atoms_stay_small():
+    # counting corpus #219's system; the plain search needs over 30,000
+    # steps because it lets every atom reach the sum of the at-least bounds
+    b = frozenset({
+        AtLeast(10, R, Atom("A0")),
+        AtLeast(7, R, Atom("A1")),
+        AtMost(3, R, Atom("A2")),
+        AtMost(5, R, NegAtom("A3")),
+    })
+    sol = feasible(build_lii(b, R), max_steps=25_000)
+    assert sol == Solution(values=((3, 2), (7, 3), (11, 5)))
+
+
+def test_wide_system_needs_no_recursion():
+    # ten fillers give 1,023 atoms, deeper than the default recursion limit
+    fillers = [Atom(f"F{i}") for i in range(10)]
+    b = frozenset({AtMost(0, R, f) for f in fillers[:9]} | {AtLeast(1, R, fillers[9])})
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        sol = feasible(build_lii(b, R))
+    finally:
+        sys.setrecursionlimit(old_limit)
+    assert sol == Solution(values=((512, 1),))
 
 
 def test_large_bounds_solve_instantly():
