@@ -77,6 +77,9 @@ def _run(args: argparse.Namespace) -> int:
     if args.file and args.tbox:
         print("error: --tbox only combines with --concept", file=sys.stderr)
         return EXIT_USAGE
+    if args.oracle_check is not None and args.oracle_check < 1:
+        print("error: --oracle-check needs a domain size of at least 1", file=sys.stderr)
+        return EXIT_USAGE
 
     try:
         if args.file:

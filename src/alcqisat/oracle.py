@@ -1,9 +1,12 @@
-"""Bounded-domain brute-force model finder.
+"""Bounded-domain model finder.
 
 Ground-truth semantics for tests: interprets concepts over explicit finite
-structures and searches all interpretations up to a small domain size.  A
-negative answer is never a proof of unsatisfiability; the result type says
-how far the search went.
+structures and searches all interpretations up to a small domain size, in a
+fixed candidate order.  The search compiles goal and axiom once into bitmask
+ops, evaluates each op at the loop that fixes its value, and skips every
+candidate below a loop value that already fails, so it returns the model a
+plain enumeration of the same order returns.  A negative answer is never a
+proof of unsatisfiability; the result type says how far the search went.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from .syntax import (
 
 
 class OracleLimitError(RuntimeError):
-    """Search-space guard exceeded; the caller asked for more than the
-    brute-force search is willing to enumerate."""
+    """Search-space guard exceeded; the caller asked for a larger signature
+    or domain than the bounded search is willing to cover."""
 
 
 @dataclass(frozen=True)
@@ -99,64 +102,170 @@ def evaluate(interp: Interpretation, c: Concept, element: int) -> bool:
 # search
 # ---------------------------------------------------------------------------
 
-
-def _collect_nodes(c: Concept, acc: list[Concept]) -> None:
-    if c not in acc:
-        if isinstance(c, (And, Or)):
-            for p in c.parts:
-                _collect_nodes(p, acc)
-        elif isinstance(c, Not):
-            _collect_nodes(c.sub, acc)
-        elif isinstance(c, (AtMost, AtLeast)):
-            _collect_nodes(c.filler, acc)
-        acc.append(c)
+# opcodes of a compiled subterm
+_TOP, _BOTTOM, _ATOM, _NEG_ATOM, _NOT, _AND, _OR, _AT_MOST, _AT_LEAST = range(9)
 
 
-def _extension_masks(
-    nodes: list[Concept],
-    goal: Concept,
-    axiom: Concept,
-    n: int,
-    atom_masks: dict[str, int],
-    fwd: dict[str, list[int]],
-    bwd: dict[str, list[int]],
-) -> tuple[int, int]:
-    """Bitmask extensions of goal and axiom over domain {0..n-1}, computed
-    bottom-up over the shared sub-term list."""
-    full = (1 << n) - 1
-    ext: dict[Concept, int] = {}
-    for c in nodes:
-        if isinstance(c, Top):
-            ext[c] = full
-        elif isinstance(c, Bottom):
-            ext[c] = 0
-        elif isinstance(c, Atom):
-            ext[c] = atom_masks.get(c.name, 0)
-        elif isinstance(c, NegAtom):
-            ext[c] = full & ~atom_masks.get(c.name, 0)
-        elif isinstance(c, Not):
-            ext[c] = full & ~ext[c.sub]
-        elif isinstance(c, And):
-            m = full
-            for p in c.parts:
-                m &= ext[p]
-            ext[c] = m
-        elif isinstance(c, Or):
-            m = 0
-            for p in c.parts:
-                m |= ext[p]
-            ext[c] = m
+@dataclass
+class _Program:
+    """Goal and axiom compiled to slot ops, staged by the sweep depth at
+    which their value is fixed (see `_compile`)."""
+
+    stages: list[list[tuple]]  # ops per depth, children before parents
+    axiom_parts: list[list[int]]  # slots per depth that must be full
+    goal_parts: list[list[int]]  # slots per depth whose meet must be non-empty
+    n_slots: int
+
+
+def _compile(goal: Concept, axiom: Concept, atom_list: list[str], role_list: list[str]) -> _Program:
+    """One walk over goal and axiom.
+
+    Every subterm becomes an op `(opcode, slot, *args)`; its slot will hold
+    the subterm's extension as a bitmask.  A subterm object met twice keeps
+    its first slot.  An op's depth is 0 when it depends on the atoms only,
+    else `len(role_list) - k` for the smallest index k of a role it counts
+    over: role k's loop sits at that depth of the sweep.
+    """
+    atom_index = {name: i for i, name in enumerate(atom_list)}
+    role_index = {name: k for k, name in enumerate(role_list)}
+    n_roles = len(role_list)
+    stages: list[list[tuple]] = [[] for _ in range(n_roles + 1)]
+    depths: list[int] = []
+    seen: dict[int, int] = {}
+
+    def visit(c: Concept) -> int:
+        slot = seen.get(id(c))
+        if slot is not None:
+            return slot
+        kind = type(c)
+        if kind is AtMost or kind is AtLeast:
+            filler = visit(c.filler)
+            k = role_index[c.role.base]
+            code = _AT_MOST if kind is AtMost else _AT_LEAST
+            args: tuple = (filler, k, c.role.inverted, c.bound)
+            depth = max(depths[filler], n_roles - k)
+        elif kind is And or kind is Or:
+            parts = tuple([visit(p) for p in c.parts])
+            code, args, depth = (_AND if kind is And else _OR), (parts,), 0
+            for p in parts:
+                depth = max(depth, depths[p])
+        elif kind is Not:
+            sub = visit(c.sub)
+            code, args, depth = _NOT, (sub,), depths[sub]
+        elif kind is Atom or kind is NegAtom:
+            code = _ATOM if kind is Atom else _NEG_ATOM
+            args, depth = (atom_index[c.name],), 0
+        elif kind is Top or kind is Bottom:
+            code, args, depth = (_TOP if kind is Top else _BOTTOM), (), 0
         else:
-            neigh = bwd[c.role.base] if c.role.inverted else fwd[c.role.base]
-            filler = ext[c.filler]
-            m = 0
-            for x in range(n):
-                count = (neigh[x] & filler).bit_count()
-                ok = count <= c.bound if isinstance(c, AtMost) else count >= c.bound
-                if ok:
-                    m |= 1 << x
-            ext[c] = m
-    return ext[goal], ext[axiom]
+            raise TypeError(f"unknown concept node: {c!r}")
+        seen[id(c)] = slot = len(depths)
+        depths.append(depth)
+        stages[depth].append((code, slot) + args)
+        return slot
+
+    def conjuncts(c: Concept) -> list[list[int]]:
+        by_depth: list[list[int]] = [[] for _ in range(n_roles + 1)]
+        for part in c.parts if isinstance(c, And) else (c,):
+            slot = visit(part)
+            by_depth[depths[slot]].append(slot)
+        return by_depth
+
+    goal_parts = conjuncts(goal)
+    return _Program(stages, conjuncts(axiom), goal_parts, len(depths))
+
+
+def _sweep(program: _Program, n: int, n_atoms: int, n_roles: int) -> tuple[list[int], list[int]] | None:
+    """The first candidate over domain {0..n-1} that is a model, as its
+    (atom masks, role masks), or None.
+
+    Candidates run in `find_model`'s order: the atom bits outermost, then
+    one loop per role, the last sorted role outermost and role 0 innermost.
+    Entering a value at a depth evaluates that depth's ops, checks that the
+    axiom conjuncts fixed there are full and that the goal conjuncts fixed
+    so far still meet; a failed check skips every candidate below, since
+    none of them can change the failed values.
+    """
+    full = (1 << n) - 1
+    ext = [0] * program.n_slots
+    atom_masks = [0] * n_atoms
+    role_masks = [0] * n_roles
+    stages, axiom_parts, goal_parts = program.stages, program.axiom_parts, program.goal_parts
+    # meet of the goal conjuncts fixed down to each depth
+    goal_meet = [full] * (n_roles + 1)
+    # number restriction results per (slot, role mask, filler mask), and
+    # neighbour rows per (role mask, inverted), built when first asked for
+    counted: dict[tuple[int, int, int], int] = {}
+    rows_of: dict[tuple[int, bool], list[int]] = {}
+
+    def holds(depth: int) -> bool:
+        for op in stages[depth]:
+            code = op[0]
+            if code >= _AT_MOST:
+                _, slot, filler, k, inverted, bound = op
+                role, fill = role_masks[k], ext[filler]
+                key = (slot, role, fill)
+                mask = counted.get(key)
+                if mask is None:
+                    rows = rows_of.get((role, inverted))
+                    if rows is None:
+                        rows = rows_of[role, inverted] = _neighbour_rows(n, role, inverted)
+                    mask = 0
+                    for x, row in enumerate(rows):
+                        count = (row & fill).bit_count()
+                        if (count <= bound) if code == _AT_MOST else (count >= bound):
+                            mask |= 1 << x
+                    counted[key] = mask
+            elif code == _AND:
+                mask = full
+                for p in op[2]:
+                    mask &= ext[p]
+            elif code == _OR:
+                mask = 0
+                for p in op[2]:
+                    mask |= ext[p]
+            elif code == _ATOM:
+                mask = atom_masks[op[2]]
+            elif code == _NEG_ATOM:
+                mask = full & ~atom_masks[op[2]]
+            elif code == _NOT:
+                mask = full & ~ext[op[2]]
+            else:
+                mask = full if code == _TOP else 0
+            ext[op[1]] = mask
+        for slot in axiom_parts[depth]:
+            if ext[slot] != full:
+                return False
+        meet = goal_meet[depth - 1] if depth else full
+        for slot in goal_parts[depth]:
+            meet &= ext[slot]
+        goal_meet[depth] = meet
+        return meet != 0
+
+    def descend(depth: int) -> bool:
+        k = n_roles - depth
+        for mask in range(1 << (n * n)):
+            role_masks[k] = mask
+            if holds(depth) and (k == 0 or descend(depth + 1)):
+                return True
+        return False
+
+    for atom_bits in range(1 << (n * n_atoms)):
+        for i in range(n_atoms):
+            atom_masks[i] = (atom_bits >> (i * n)) & full
+        if holds(0) and (n_roles == 0 or descend(1)):
+            return atom_masks, role_masks
+    return None
+
+
+def _neighbour_rows(n: int, mask: int, inverted: bool) -> list[int]:
+    """Row x holds x's neighbours, as a bitmask, under the role whose pairs
+    (x, y) are the bits x*n + y of mask, or under its inverse."""
+    full = (1 << n) - 1
+    rows = [(mask >> (x * n)) & full for x in range(n)]
+    if inverted:
+        rows = [sum(((rows[x] >> y) & 1) << x for x in range(n)) for y in range(n)]
+    return rows
 
 
 def find_model(
@@ -176,6 +285,14 @@ def find_model(
     sorted), so the first model found is reproducible.  Returns NoneFound
     with the largest fully searched size when the search space for the next
     size would blow the candidate budget.
+
+    The search is a staged sweep over that same order (`_sweep`): goal and
+    axiom are compiled once into bitmask ops, each evaluated once per value
+    of the innermost loop it depends on, and a loop value that empties the
+    goal or leaves an axiom conjunct short of the whole domain skips all the
+    candidates nested inside it.  It returns the model the plain enumeration
+    would.  The budget still counts each size's whole candidate space,
+    skipped candidates included.
     """
     atoms, roles = signature_of(goal, axiom)
     if len(atoms) > max_atoms or len(roles) > max_roles:
@@ -188,9 +305,7 @@ def find_model(
 
     atom_list = sorted(atoms)
     role_list = sorted(roles)
-    nodes: list[Concept] = []
-    _collect_nodes(goal, nodes)
-    _collect_nodes(axiom, nodes)
+    program = _compile(goal, axiom, atom_list, role_list)
     spent = 0
     searched = 0
     for n in range(1, max_domain + 1):
@@ -198,46 +313,23 @@ def find_model(
         if spent + space > budget:
             return NoneFound(searched_max_domain=searched)
         spent += space
-        n_atom_combos = 1 << (n * len(atom_list))
-        pair_bits = n * n
-        n_role_combos = 1 << (pair_bits * len(role_list))
-        for atom_bits in range(n_atom_combos):
-            atom_masks = {
-                name: (atom_bits >> (i * n)) & ((1 << n) - 1)
-                for i, name in enumerate(atom_list)
-            }
-            for role_bits in range(n_role_combos):
-                fwd: dict[str, list[int]] = {}
-                bwd: dict[str, list[int]] = {}
-                for i, name in enumerate(role_list):
-                    mask = (role_bits >> (i * pair_bits)) & ((1 << pair_bits) - 1)
-                    f = [(mask >> (x * n)) & ((1 << n) - 1) for x in range(n)]
-                    b = [0] * n
-                    for x in range(n):
-                        for y in range(n):
-                            if (f[x] >> y) & 1:
-                                b[y] |= 1 << x
-                    fwd[name] = f
-                    bwd[name] = b
-                goal_ext, axiom_ext = _extension_masks(
-                    nodes, goal, axiom, n, atom_masks, fwd, bwd
-                )
-                if goal_ext != 0 and axiom_ext == (1 << n) - 1:
-                    return _materialize(n, atom_masks, fwd)
+        found = _sweep(program, n, len(atom_list), len(role_list))
+        if found is not None:
+            return _materialize(n, dict(zip(atom_list, found[0])), dict(zip(role_list, found[1])))
         searched = n
     return NoneFound(searched_max_domain=searched)
 
 
-def _materialize(n: int, atom_masks: dict[str, int], fwd: dict[str, list[int]]) -> Interpretation:
+def _materialize(n: int, atom_masks: dict[str, int], role_masks: dict[str, int]) -> Interpretation:
     concept_ext = {
         name: frozenset(x for x in range(n) if (mask >> x) & 1)
         for name, mask in atom_masks.items()
     }
     role_ext = {
         name: frozenset(
-            (x, y) for x in range(n) for y in range(n) if (rows[x] >> y) & 1
+            (x, y) for x in range(n) for y in range(n) if (mask >> (x * n + y)) & 1
         )
-        for name, rows in fwd.items()
+        for name, mask in role_masks.items()
     }
     return Interpretation(
         domain_size=n,

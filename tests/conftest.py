@@ -11,7 +11,9 @@ from alcqisat import (
     Atom,
     Interpretation,
     LiiSystem,
+    NoneFound,
     Not,
+    OracleLimitError,
     Or,
     Role,
     Solution,
@@ -20,7 +22,7 @@ from alcqisat import (
     conj,
     disj,
 )
-from alcqisat.syntax import sorted_concepts
+from alcqisat.syntax import Bottom, Concept, NegAtom, Top, signature_of, sorted_concepts
 
 
 def random_raw_concept(rng: random.Random, depth: int, atoms=("A", "B", "C"), roles=("R", "S")):
@@ -192,8 +194,6 @@ def unpruned_branches(label):
 def propositional_skeleton(concept):
     """Distinct leaf propositions of a concept, treating number restrictions
     as opaque.  Negated atoms map to their positive atom."""
-    from alcqisat import Bottom, NegAtom, Top
-
     leaves = set()
 
     def walk(c):
@@ -209,3 +209,153 @@ def propositional_skeleton(concept):
 
     walk(concept)
     return sorted(leaves, key=lambda x: str(x))
+
+
+def _collect_nodes(c: Concept, acc: list[Concept]) -> None:
+    if c not in acc:
+        if isinstance(c, (And, Or)):
+            for p in c.parts:
+                _collect_nodes(p, acc)
+        elif isinstance(c, Not):
+            _collect_nodes(c.sub, acc)
+        elif isinstance(c, (AtMost, AtLeast)):
+            _collect_nodes(c.filler, acc)
+        acc.append(c)
+
+
+def _extension_masks(
+    nodes: list[Concept],
+    goal: Concept,
+    axiom: Concept,
+    n: int,
+    atom_masks: dict[str, int],
+    fwd: dict[str, list[int]],
+    bwd: dict[str, list[int]],
+) -> tuple[int, int]:
+    """Bitmask extensions of goal and axiom over domain {0..n-1}, computed
+    bottom-up over the shared sub-term list."""
+    full = (1 << n) - 1
+    ext: dict[Concept, int] = {}
+    for c in nodes:
+        if isinstance(c, Top):
+            ext[c] = full
+        elif isinstance(c, Bottom):
+            ext[c] = 0
+        elif isinstance(c, Atom):
+            ext[c] = atom_masks.get(c.name, 0)
+        elif isinstance(c, NegAtom):
+            ext[c] = full & ~atom_masks.get(c.name, 0)
+        elif isinstance(c, Not):
+            ext[c] = full & ~ext[c.sub]
+        elif isinstance(c, And):
+            m = full
+            for p in c.parts:
+                m &= ext[p]
+            ext[c] = m
+        elif isinstance(c, Or):
+            m = 0
+            for p in c.parts:
+                m |= ext[p]
+            ext[c] = m
+        else:
+            neigh = bwd[c.role.base] if c.role.inverted else fwd[c.role.base]
+            filler = ext[c.filler]
+            m = 0
+            for x in range(n):
+                count = (neigh[x] & filler).bit_count()
+                ok = count <= c.bound if isinstance(c, AtMost) else count >= c.bound
+                if ok:
+                    m |= 1 << x
+            ext[c] = m
+    return ext[goal], ext[axiom]
+
+
+def reference_find_model(
+    goal: Concept,
+    axiom: Concept = TOP,
+    *,
+    max_domain: int = 3,
+    max_atoms: int = 3,
+    max_roles: int = 2,
+    budget: int = 2_000_000,
+) -> Interpretation | NoneFound:
+    """The brute-force search `oracle.find_model` replaced, copied verbatim:
+    every candidate of every domain size in order, each subterm evaluated
+    afresh per candidate.  Reference for the result `find_model` must return.
+
+    Search for an interpretation where every element satisfies the axiom
+    and some element satisfies the goal.
+
+    Domain sizes ascend; within a size, candidates run in lexicographic order
+    over the concatenated extension bitmaps (atoms first, then roles, names
+    sorted), so the first model found is reproducible.  Returns NoneFound
+    with the largest fully searched size when the search space for the next
+    size would blow the candidate budget.
+    """
+    atoms, roles = signature_of(goal, axiom)
+    if len(atoms) > max_atoms or len(roles) > max_roles:
+        raise OracleLimitError(
+            f"signature too large for brute-force search: "
+            f"{len(atoms)} atoms, {len(roles)} roles"
+        )
+    if max_domain > 3:
+        raise OracleLimitError(f"max_domain {max_domain} exceeds the search guard of 3")
+
+    atom_list = sorted(atoms)
+    role_list = sorted(roles)
+    nodes: list[Concept] = []
+    _collect_nodes(goal, nodes)
+    _collect_nodes(axiom, nodes)
+    spent = 0
+    searched = 0
+    for n in range(1, max_domain + 1):
+        space = (1 << (n * len(atom_list))) * (1 << (n * n * len(role_list)))
+        if spent + space > budget:
+            return NoneFound(searched_max_domain=searched)
+        spent += space
+        n_atom_combos = 1 << (n * len(atom_list))
+        pair_bits = n * n
+        n_role_combos = 1 << (pair_bits * len(role_list))
+        for atom_bits in range(n_atom_combos):
+            atom_masks = {
+                name: (atom_bits >> (i * n)) & ((1 << n) - 1)
+                for i, name in enumerate(atom_list)
+            }
+            for role_bits in range(n_role_combos):
+                fwd: dict[str, list[int]] = {}
+                bwd: dict[str, list[int]] = {}
+                for i, name in enumerate(role_list):
+                    mask = (role_bits >> (i * pair_bits)) & ((1 << pair_bits) - 1)
+                    f = [(mask >> (x * n)) & ((1 << n) - 1) for x in range(n)]
+                    b = [0] * n
+                    for x in range(n):
+                        for y in range(n):
+                            if (f[x] >> y) & 1:
+                                b[y] |= 1 << x
+                    fwd[name] = f
+                    bwd[name] = b
+                goal_ext, axiom_ext = _extension_masks(
+                    nodes, goal, axiom, n, atom_masks, fwd, bwd
+                )
+                if goal_ext != 0 and axiom_ext == (1 << n) - 1:
+                    return _materialize(n, atom_masks, fwd)
+        searched = n
+    return NoneFound(searched_max_domain=searched)
+
+
+def _materialize(n: int, atom_masks: dict[str, int], fwd: dict[str, list[int]]) -> Interpretation:
+    concept_ext = {
+        name: frozenset(x for x in range(n) if (mask >> x) & 1)
+        for name, mask in atom_masks.items()
+    }
+    role_ext = {
+        name: frozenset(
+            (x, y) for x in range(n) for y in range(n) if (rows[x] >> y) & 1
+        )
+        for name, rows in fwd.items()
+    }
+    return Interpretation(
+        domain_size=n,
+        concept_extensions=concept_ext,
+        role_extensions=role_ext,
+    )

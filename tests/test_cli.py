@@ -96,6 +96,15 @@ def test_oracle_check_agreement(tmp_path, capsys):
     assert "oracle: agreement ok" in out
 
 
+def test_oracle_check_needs_a_positive_domain(capsys):
+    # a search up to size 0 or below checks nothing, so it cannot agree
+    for size in ("0", "-1"):
+        code, out, err = run_cli(capsys, "--concept", "(and A (not A))", "--oracle-check", size)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --oracle-check needs a domain size of at least 1\n"
+
+
 def test_dump_lii_flag(tmp_path, capsys):
     path = write(tmp_path, "p.dl", "sat (and (atleast 2 R A) (atmost 3 R top))\n")
     code, out, err = run_cli(capsys, path, "--dump-lii")

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,12 +14,15 @@ from alcqisat import (
     TOP,
     build_problem,
     conj,
+    disj,
     evaluate,
     find_model,
+    generate_corpus,
     parse_concept,
     to_nnf,
 )
-from conftest import random_interpretation, random_raw_concept
+from alcqisat.syntax import signature_of
+from conftest import random_interpretation, random_raw_concept, reference_find_model
 
 A = Atom("A")
 R = Role("R")
@@ -87,11 +91,23 @@ def test_find_model_deterministic():
 
 
 def test_signature_guard():
-    goal = conj(Atom(f"N{i}") for i in range(4))
-    with pytest.raises(OracleLimitError):
-        find_model(goal)
-    with pytest.raises(OracleLimitError):
-        find_model(A, max_domain=4)
+    # refused exactly where the plain enumeration refuses
+    too_many_atoms = conj(Atom(f"N{i}") for i in range(4))
+    three_roles = conj(AtLeast(1, Role(name), A) for name in ("P", "R", "S"))
+    for goal, options in [
+        (too_many_atoms, {}),
+        (A, {"max_domain": 4}),
+        (three_roles, {"max_domain": 1}),
+        (A, {"max_atoms": 0}),
+    ]:
+        with pytest.raises(OracleLimitError):
+            reference_find_model(goal, **options)
+        with pytest.raises(OracleLimitError):
+            find_model(goal, **options)
+    # widened guards search the same space
+    assert find_model(three_roles, max_roles=3, max_domain=1) == reference_find_model(
+        three_roles, max_roles=3, max_domain=1
+    )
 
 
 def test_budget_reports_searched_sizes():
@@ -129,3 +145,69 @@ def test_evaluate_respects_de_morgan():
         for x in range(i.domain_size):
             both = evaluate(i, conj([c, d]), x)
             assert both == (evaluate(i, c, x) and evaluate(i, d, x))
+
+
+def _budget_stopping_after(goal, axiom, domain):
+    """The budget that covers the candidate spaces of sizes 1..domain and no
+    more, so a search finding no model stops after that size."""
+    atoms, roles = signature_of(goal, axiom)
+    return sum(1 << (n * len(atoms) + n * n * len(roles)) for n in range(1, domain + 1))
+
+
+def test_find_model_matches_reference():
+    # the staged sweep returns what the plain enumeration returns: the same
+    # first model, or NoneFound with the same searched size
+    for pf in generate_corpus(seed=20260809, count=200):
+        problem = build_problem(pf.query, pf.tbox)
+        expected = reference_find_model(problem.goal, problem.axiom, max_domain=2)
+        assert find_model(problem.goal, problem.axiom, max_domain=2) == expected, pf.to_text()
+
+    # random pairs.  A quarter conjoin an at-least 2 or 3, so that larger
+    # models occur; a quarter conjoin a choice between an R- and an
+    # S-successor, so that the role loops' nesting decides the first model.
+    # The budgets stop the search after size 0, 1 or 2, or admit size 3 for
+    # one atom and one role (its 4,164 candidates)
+    rng = random.Random(47)
+    stops = (0, 1, 1, 2, 2, 2, 3, 3, 3, 3)
+    outcomes = Counter()
+    for i in range(600):
+        counting, choice = i % 4 == 1, i % 4 == 3
+        atoms = ("A", "B", "C")[: 1 if choice else rng.randint(1, 2 if counting else 3)]
+        roles = ("R", "S")[: 2 if choice else rng.randint(1, 2)]
+        goal = random_raw_concept(rng, rng.randint(1, 3), atoms, roles)
+        if counting:
+            role = Role(rng.choice(roles), rng.random() < 0.3)
+            filler = random_raw_concept(rng, rng.randint(0, 1), atoms, roles)
+            goal = conj([goal, AtLeast(rng.randint(2, 3), role, filler)])
+        if choice:
+            options = [
+                AtLeast(1, Role(name, rng.random() < 0.3), random_raw_concept(rng, rng.randint(0, 1), atoms, roles))
+                for name in roles
+            ]
+            goal = conj([goal, disj(options)])
+        axiom = TOP if rng.random() < 0.3 else random_raw_concept(rng, rng.randint(1, 2), atoms, roles)
+        stop = stops[i % len(stops)]
+        budget = _budget_stopping_after(goal, axiom, stop) if stop < 3 else 6_000
+        expected = reference_find_model(goal, axiom, max_domain=3, budget=budget)
+        assert find_model(goal, axiom, max_domain=3, budget=budget) == expected, (goal, axiom, budget)
+        if isinstance(expected, Interpretation):
+            outcomes[f"model {expected.domain_size}"] += 1
+        else:
+            outcomes[f"none {expected.searched_max_domain}"] += 1
+    # every stopping point and model size occurs
+    assert all(outcomes[f"none {d}"] >= 30 for d in range(4)), outcomes
+    assert all(outcomes[f"model {d}"] >= 5 for d in range(1, 4)), outcomes
+
+
+def test_find_model_returns_first_model_in_candidate_order():
+    # several one-element models; the first in candidate order puts A (the
+    # lower atom bits) before B and R (the lower role bits) before S
+    goal = parse_concept("(and (or A B) (or (atleast 1 R top) (atleast 1 S top)))")
+    result = find_model(goal)
+    assert result == reference_find_model(goal)
+    assert result == interp(1, concepts={"A": {0}, "B": set()}, roles={"R": {(0, 0)}, "S": set()})
+    # on two elements a role loop runs over its pair bits (0,0), (0,1), (1,0), (1,1)
+    goal = parse_concept("(and A (atleast 1 R (not A)) (atmost 0 (inv S) A))")
+    result = find_model(goal)
+    assert result == reference_find_model(goal)
+    assert result == interp(2, concepts={"A": {0}}, roles={"R": {(0, 1)}, "S": set()})
