@@ -65,9 +65,7 @@ from .syntax import (
     TOP,
     Top,
     build_problem,
-    concept_to_text,
     conj,
-    cut_formulae,
     cut_table,
     disj,
     internalize,

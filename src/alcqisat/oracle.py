@@ -121,10 +121,11 @@ def _compile(goal: Concept, axiom: Concept, atom_list: list[str], role_list: lis
     """One walk over goal and axiom.
 
     Every subterm becomes an op `(opcode, slot, *args)`; its slot will hold
-    the subterm's extension as a bitmask.  A subterm object met twice keeps
-    its first slot.  An op's depth is 0 when it depends on the atoms only,
-    else `len(role_list) - k` for the smallest index k of a role it counts
-    over: role k's loop sits at that depth of the sweep.
+    the subterm's extension as a bitmask.  Concepts are hash-consed, so
+    equal subterms are one object and share the slot of the first visit.
+    An op's depth is 0 when it depends on the atoms only, else
+    `len(role_list) - k` for the smallest index k of a role it counts over:
+    role k's loop sits at that depth of the sweep.
     """
     atom_index = {name: i for i, name in enumerate(atom_list)}
     role_index = {name: k for k, name in enumerate(role_list)}

@@ -66,7 +66,9 @@ def _parse_concepts_on_line(rest: str, count: int, line_no: int, offset: int) ->
     return out
 
 
-def parse_problem_text(text: str) -> ProblemFile:
+def _read(text: str, with_query: bool) -> tuple[tuple[tuple[Concept, Concept], ...], Concept | None]:
+    """The axioms and the query of a problem file, line by line.  Without
+    with_query, a sat line is an error."""
     tbox: list[tuple[Concept, Concept]] = []
     query: Concept | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -82,38 +84,27 @@ def parse_problem_text(text: str) -> ProblemFile:
         elif head == "axiom":
             (rhs,) = _parse_concepts_on_line(rest, 1, line_no, offset)
             tbox.append((TOP, rhs))
+        elif head == "sat" and not with_query:
+            raise ProblemFileError("sat line not allowed in an axioms-only file", line_no, 1)
         elif head == "sat":
             if query is not None:
                 raise ProblemFileError("more than one sat line", line_no, 1)
             (query,) = _parse_concepts_on_line(rest, 1, line_no, offset)
         else:
             raise ProblemFileError(f"unknown directive '{head}'", line_no, 1)
+    return tuple(tbox), query
+
+
+def parse_problem_text(text: str) -> ProblemFile:
+    tbox, query = _read(text, with_query=True)
     if query is None:
         raise ProblemFileError("missing sat line", max(1, text.count("\n") + 1), 1)
-    return ProblemFile(tbox=tuple(tbox), query=query)
+    return ProblemFile(tbox=tbox, query=query)
 
 
 def parse_tbox_text(text: str) -> tuple[tuple[Concept, Concept], ...]:
     """Axiom-only file: gci and axiom lines, no sat line."""
-    tbox: list[tuple[Concept, Concept]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        indent = len(line) - len(line.lstrip())
-        head, _, rest = line.lstrip().partition(" ")
-        offset = indent + len(head) + 1
-        if head == "gci":
-            lhs, rhs = _parse_concepts_on_line(rest, 2, line_no, offset)
-            tbox.append((lhs, rhs))
-        elif head == "axiom":
-            (rhs,) = _parse_concepts_on_line(rest, 1, line_no, offset)
-            tbox.append((TOP, rhs))
-        elif head == "sat":
-            raise ProblemFileError("sat line not allowed in an axioms-only file", line_no, 1)
-        else:
-            raise ProblemFileError(f"unknown directive '{head}'", line_no, 1)
-    return tuple(tbox)
+    return _read(text, with_query=False)[0]
 
 
 # ---------------------------------------------------------------------------

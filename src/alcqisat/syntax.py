@@ -1,6 +1,9 @@
 """Concept syntax for ALCQI: AST, parsing, NNF, negation, axiom internalization.
 
-Concepts are immutable and compare structurally.  And/Or nodes keep their
+Concepts are hash-consed: constructing a node looks up its class and fields
+in one table and returns the node already there, so equal concepts are one
+object and compare by identity.  Each node computes its hash and its order
+key once, from its children's, so neither recurses.  And/Or nodes keep their
 children flattened, deduplicated and sorted under a fixed total order, so a
 set of concepts behaves like a set in every cache and comparison downstream.
 """
@@ -9,7 +12,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 
@@ -35,19 +37,47 @@ class Role:
         return f"(inv {self.base})" if self.inverted else self.base
 
 
+# every concept node ever built, keyed by (class, *fields)
+_NODES: dict[tuple, "Concept"] = {}
+
+
 class Concept:
-    """Base class for all concept nodes."""
+    """Base class for all concept nodes.  Fields are given positionally."""
 
-    __slots__ = ()
+    __slots__ = ("_hash", "_key")
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _NODES.get(key)
+        if node is None:
+            names = cls.__dataclass_fields__
+            if len(fields) != len(names):
+                raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(fields)}")
+            node = object.__new__(cls)
+            for name, value in zip(names, fields):
+                object.__setattr__(node, name, value)
+            # a frozen dataclass's hash of its fields, from the children's cached ones
+            object.__setattr__(node, "_hash", hash(fields))
+            object.__setattr__(node, "_key", _order_key(node))
+            _NODES[key] = node
+        return node
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    # fields are set once, in Concept.__new__; equality stays identity
+    return dataclass(frozen=True, eq=False, init=False, slots=True)(cls)
+
+
+@_node
 class Top(Concept):
     def __str__(self) -> str:
         return "top"
 
 
-@dataclass(frozen=True)
+@_node
 class Bottom(Concept):
     """The negation of top; the only non-atomic negation kept in NNF."""
 
@@ -55,7 +85,7 @@ class Bottom(Concept):
         return "bottom"
 
 
-@dataclass(frozen=True)
+@_node
 class Atom(Concept):
     name: str
 
@@ -63,7 +93,7 @@ class Atom(Concept):
         return self.name
 
 
-@dataclass(frozen=True)
+@_node
 class NegAtom(Concept):
     name: str
 
@@ -71,7 +101,7 @@ class NegAtom(Concept):
         return f"(not {self.name})"
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Concept):
     """Unrestricted negation; appears only before NNF conversion."""
 
@@ -81,7 +111,7 @@ class Not(Concept):
         return f"(not {self.sub})"
 
 
-@dataclass(frozen=True)
+@_node
 class And(Concept):
     parts: tuple[Concept, ...]
 
@@ -89,7 +119,7 @@ class And(Concept):
         return "(and " + " ".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Concept):
     parts: tuple[Concept, ...]
 
@@ -97,7 +127,7 @@ class Or(Concept):
         return "(or " + " ".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
+@_node
 class AtMost(Concept):
     """Upper cardinality bound on role neighbors satisfying the filler.
 
@@ -113,7 +143,7 @@ class AtMost(Concept):
         return f"(atmost {self.bound} {self.role} {self.filler})"
 
 
-@dataclass(frozen=True)
+@_node
 class AtLeast(Concept):
     bound: int
     role: Role
@@ -123,15 +153,7 @@ class AtLeast(Concept):
         return f"(atleast {self.bound} {self.role} {self.filler})"
 
 
-TOP = Top()
-BOTTOM = Bottom()
-
-
-@lru_cache(maxsize=None)
-def concept_key(c: Concept) -> tuple:
-    """Total order key.  Atoms and negated atoms interleave by name so that
-    A < (not A) < B; quantified constraints order by role, sense, bound,
-    then filler."""
+def _order_key(c: Concept) -> tuple:
     if isinstance(c, Top):
         return (0,)
     if isinstance(c, Bottom):
@@ -141,23 +163,34 @@ def concept_key(c: Concept) -> tuple:
     if isinstance(c, NegAtom):
         return (2, c.name, 1)
     if isinstance(c, AtMost):
-        return (3, c.role.base, c.role.inverted, concept_key(c.filler), 0, c.bound)
+        return (3, c.role.base, c.role.inverted, c.filler._key, 0, c.bound)
     if isinstance(c, AtLeast):
-        return (3, c.role.base, c.role.inverted, concept_key(c.filler), 1, c.bound)
+        return (3, c.role.base, c.role.inverted, c.filler._key, 1, c.bound)
     if isinstance(c, And):
-        return (4, tuple(concept_key(p) for p in c.parts))
+        return (4, tuple(p._key for p in c.parts))
     if isinstance(c, Or):
-        return (5, tuple(concept_key(p) for p in c.parts))
+        return (5, tuple(p._key for p in c.parts))
     if isinstance(c, Not):
-        return (6, concept_key(c.sub))
+        return (6, c.sub._key)
     raise TypeError(f"unknown concept node: {c!r}")
+
+
+def concept_key(c: Concept) -> tuple:
+    """Total order key.  Atoms and negated atoms interleave by name so that
+    A < (not A) < B; quantified constraints order by role, sense, bound,
+    then filler.  Computed once, when the node is built."""
+    return c._key
+
+
+TOP = Top()
+BOTTOM = Bottom()
 
 
 def sorted_concepts(concepts: Iterable[Concept]) -> list[Concept]:
     return sorted(concepts, key=concept_key)
 
 
-def _gather(parts: Iterable[Concept], cls: type) -> list[Concept]:
+def _junction(parts: Iterable[Concept], cls: type, unit: Concept) -> Concept:
     out: list[Concept] = []
     for p in parts:
         if isinstance(p, cls):
@@ -165,28 +198,21 @@ def _gather(parts: Iterable[Concept], cls: type) -> list[Concept]:
         else:
             out.append(p)
     # dedupe, then canonical order
-    return sorted_concepts(set(out))
+    flat = sorted_concepts(set(out))
+    if not flat:
+        return unit
+    return flat[0] if len(flat) == 1 else cls(tuple(flat))
 
 
 def conj(parts: Iterable[Concept]) -> Concept:
     """Conjunction with flattening, deduplication and canonical ordering.
     Empty conjunction is top; a singleton collapses to its element."""
-    flat = _gather(parts, And)
-    if not flat:
-        return TOP
-    if len(flat) == 1:
-        return flat[0]
-    return And(tuple(flat))
+    return _junction(parts, And, TOP)
 
 
 def disj(parts: Iterable[Concept]) -> Concept:
     """Disjunction, same normalization as conj.  Empty disjunction is bottom."""
-    flat = _gather(parts, Or)
-    if not flat:
-        return BOTTOM
-    if len(flat) == 1:
-        return flat[0]
-    return Or(tuple(flat))
+    return _junction(parts, Or, BOTTOM)
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +224,10 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _KEYWORDS = {"top", "bottom", "not", "and", "or", "atleast", "atmost", "inv"}
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = [(m.group(0), m.start()) for m in _TOKEN_RE.finditer(text)]
-    return tokens
-
-
 class _TokenStream:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = [(m.group(0), m.start()) for m in _TOKEN_RE.finditer(text)]
         self.pos = 0
 
     def peek(self) -> tuple[str, int] | None:
@@ -228,51 +249,26 @@ class _TokenStream:
 
 
 def _parse_role(ts: _TokenStream) -> Role:
-    tok, at = ts.next()
-    if tok == "(":
-        ts2, at2 = ts.next()
-        if ts2 != "inv":
-            raise ConceptSyntaxError(f"expected 'inv', found '{ts2}'", at2)
-        nxt = ts.peek()
-        if nxt is not None and nxt[0] == "(":
-            inner = _parse_role_group(ts)
-        else:
-            name, nat = ts.next()
-            if not _NAME_RE.match(name):
-                raise ConceptSyntaxError(f"invalid role name '{name}'", nat)
-            inner = Role(name)
-        ts.next(")")
-        return inner.inverse()
-    if not _NAME_RE.match(tok):
-        raise ConceptSyntaxError(f"invalid role name '{tok}'", at)
-    return Role(tok)
-
-
-def _parse_role_group(ts: _TokenStream) -> Role:
     # nested (inv (inv R)) normalizes through Role.inverse
-    ts.next("(")
+    tok, at = ts.next()
+    if tok != "(":
+        if not _NAME_RE.match(tok):
+            raise ConceptSyntaxError(f"invalid role name '{tok}'", at)
+        return Role(tok)
     tok, at = ts.next()
     if tok != "inv":
         raise ConceptSyntaxError(f"expected 'inv', found '{tok}'", at)
-    nxt = ts.peek()
-    if nxt is not None and nxt[0] == "(":
-        inner = _parse_role_group(ts)
-    else:
-        name, nat = ts.next()
-        if not _NAME_RE.match(name):
-            raise ConceptSyntaxError(f"invalid role name '{name}'", nat)
-        inner = Role(name)
+    inner = _parse_role(ts)
     ts.next(")")
     return inner.inverse()
 
 
 def _parse_bound(ts: _TokenStream) -> int:
     tok, at = ts.next()
-    if tok.lstrip("-").isdigit():
-        value = int(tok)
-        if value < 0:
-            raise ConceptSyntaxError("number restriction bound must be non-negative", at)
-        return value
+    if tok.isascii() and tok.isdigit():
+        return int(tok)
+    if tok[0] == "-" and tok[1:].isascii() and tok[1:].isdigit():
+        raise ConceptSyntaxError("number restriction bound must be non-negative", at)
     raise ConceptSyntaxError(f"expected a non-negative integer, found '{tok}'", at)
 
 
@@ -299,14 +295,9 @@ def _parse_expr(ts: _TokenStream) -> Concept:
         return Not(sub)
     if head in ("and", "or"):
         parts = []
-        while True:
-            nxt = ts.peek()
-            if nxt is None:
-                raise ConceptSyntaxError("unexpected end of input", len(ts.text))
-            if nxt[0] == ")":
-                ts.next()
-                break
+        while (nxt := ts.peek()) is not None and nxt[0] != ")":
             parts.append(_parse_expr(ts))
+        ts.next(")")  # at the end of input: "unexpected end of input"
         if len(parts) < 2:
             raise ConceptSyntaxError(f"'{head}' needs at least two arguments", hat)
         return conj(parts) if head == "and" else disj(parts)
@@ -329,10 +320,6 @@ def parse_concept(text: str) -> Concept:
         tok, at = ts.tokens[ts.pos]
         raise ConceptSyntaxError(f"trailing input '{tok}'", at)
     return c
-
-
-def concept_to_text(c: Concept) -> str:
-    return str(c)
 
 
 # ---------------------------------------------------------------------------
@@ -407,28 +394,32 @@ def internalize(axioms: list[tuple[Concept, Concept]]) -> Concept:
 # ---------------------------------------------------------------------------
 
 
+def walk_concepts(*concepts: Concept) -> Iterator[Concept]:
+    """Yield every node of the concepts' ASTs in preorder: parents before
+    children, children left to right, a repeated subterm once per
+    occurrence.  Iterative, so depth is bounded by memory only."""
+    stack = list(reversed(concepts))
+    while stack:
+        c = stack.pop()
+        yield c
+        kind = type(c)
+        if kind is And or kind is Or:
+            stack.extend(reversed(c.parts))
+        elif kind is AtMost or kind is AtLeast:
+            stack.append(c.filler)
+        elif kind is Not:
+            stack.append(c.sub)
+
+
 def modal_subformulae(*concepts: Concept) -> frozenset[tuple[Role, Concept, str, int]]:
     """Every at-most/at-least subterm, recursively including those nested in
     fillers.  Entries are (role, filler, sense, bound) with sense 'atmost' or
     'atleast'."""
-    found: set[tuple[Role, Concept, str, int]] = set()
-
-    def walk(c: Concept) -> None:
-        if isinstance(c, (And, Or)):
-            for p in c.parts:
-                walk(p)
-        elif isinstance(c, Not):
-            walk(c.sub)
-        elif isinstance(c, AtMost):
-            found.add((c.role, c.filler, "atmost", c.bound))
-            walk(c.filler)
-        elif isinstance(c, AtLeast):
-            found.add((c.role, c.filler, "atleast", c.bound))
-            walk(c.filler)
-
-    for c in concepts:
-        walk(c)
-    return frozenset(found)
+    return frozenset(
+        (c.role, c.filler, "atmost" if isinstance(c, AtMost) else "atleast", c.bound)
+        for c in walk_concepts(*concepts)
+        if isinstance(c, (AtMost, AtLeast))
+    )
 
 
 @dataclass(frozen=True)
@@ -455,10 +446,6 @@ def cut_table(goal: Concept, axiom: Concept) -> tuple[CutFormula, ...]:
     return tuple(entries)
 
 
-def cut_formulae(goal: Concept, axiom: Concept) -> frozenset[Concept]:
-    return frozenset(cf.formula for cf in cut_table(goal, axiom))
-
-
 # ---------------------------------------------------------------------------
 # problems
 # ---------------------------------------------------------------------------
@@ -468,21 +455,11 @@ def signature_of(*concepts: Concept) -> tuple[frozenset[str], frozenset[str]]:
     """Atomic concept names and role base names occurring in the concepts."""
     atoms: set[str] = set()
     roles: set[str] = set()
-
-    def walk(c: Concept) -> None:
+    for c in walk_concepts(*concepts):
         if isinstance(c, (Atom, NegAtom)):
             atoms.add(c.name)
-        elif isinstance(c, Not):
-            walk(c.sub)
-        elif isinstance(c, (And, Or)):
-            for p in c.parts:
-                walk(p)
         elif isinstance(c, (AtMost, AtLeast)):
             roles.add(c.role.base)
-            walk(c.filler)
-
-    for c in concepts:
-        walk(c)
     return frozenset(atoms), frozenset(roles)
 
 
@@ -508,14 +485,3 @@ def build_problem(goal: Concept, axioms: Iterable[tuple[Concept, Concept]] = ())
     atoms, roles = signature_of(e, g)
     return Problem(goal=e, axiom=g, cuts=cut_table(e, g), atom_names=atoms, role_names=roles)
 
-
-def walk_concepts(c: Concept) -> Iterator[Concept]:
-    """Yield every node of the AST, parents before children."""
-    yield c
-    if isinstance(c, (And, Or)):
-        for p in c.parts:
-            yield from walk_concepts(p)
-    elif isinstance(c, Not):
-        yield from walk_concepts(c.sub)
-    elif isinstance(c, (AtMost, AtLeast)):
-        yield from walk_concepts(c.filler)

@@ -66,6 +66,26 @@ def test_concept_parse_error(capsys):
     assert "non-negative" in err
 
 
+def test_malformed_bound_is_a_parse_error(capsys):
+    # neither is an ASCII digit string, so neither may reach int()
+    for bound in ("--1", "\u00b2"):
+        code, out, err = run_cli(capsys, "--concept", f"(atleast {bound} R A)")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: --concept: expected a non-negative integer, found '{bound}' (at position 9)\n"
+        )
+
+
+def test_malformed_bound_in_file_names_line_and_column(tmp_path, capsys):
+    for bound in ("--1", "\u00b2"):
+        path = write(tmp_path, "p.dl", f"sat A\ngci A (atleast {bound} R B)\n")
+        code, out, err = run_cli(capsys, path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}:2:16: ")
+
+
 def test_stats_block(tmp_path, capsys):
     path = write(tmp_path, "p.dl", "sat A\n")
     code, out, _ = run_cli(capsys, path, "--stats")
@@ -121,8 +141,8 @@ def test_resource_limit_exit_code(tmp_path, capsys):
 
 
 def test_deep_concept_is_internal_error_not_verdict(capsys):
-    # nesting this deep overflows the recursive concept hashing
-    concept = "(atleast 1 R " * 600 + "A" + ")" * 600
+    # nesting this deep overflows the recursive descent parser
+    concept = "(atleast 1 R " * 3000 + "A" + ")" * 3000
     code, out, err = run_cli(capsys, "--concept", concept)
     assert code == EXIT_INTERNAL == 4
     assert out == ""

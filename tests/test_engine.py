@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from alcqisat import (
     find_model,
     generate_corpus,
     parse_concept,
+    parse_problem_text,
     primitive_clash,
 )
 from alcqisat.branch import CutSet
@@ -290,3 +292,28 @@ def test_contradictory_counting_instance_decides_within_small_budget():
         limits=Limits(solver_max_steps=1000),
     )
     assert not v.satisfiable
+
+
+# sha256 over every deep-profile instance's trace lines, verdict and RunStats;
+# a change to the search that alters any of them must update it on purpose,
+# to the value deep_traces_digest() then returns
+DEEP_TRACES_DIGEST = "5e2ac503a74d65435ab5c4222d15eed06016384f75ccf94836a814cf1572d358"
+
+
+def deep_traces_digest() -> str:
+    profile = CorpusProfile(max_depth=5, max_bound=5, max_roles=3, max_atoms=4, max_gcis=3)
+    digest = hashlib.sha256()
+    for index, generated in enumerate(generate_corpus(seed=7, count=150, profile=profile)):
+        pf = parse_problem_text(generated.to_text())
+        lines = []
+        tableau = Tableau(
+            build_problem(pf.query, pf.tbox), Limits(nogood_capacity=250), trace=lines.append
+        )
+        verdict = tableau.decide()
+        lines.append(f"#{index} {'SAT' if verdict.satisfiable else 'UNSAT'} {verdict.stats}")
+        digest.update("\n".join(lines).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_deep_corpus_traces_are_pinned():
+    assert deep_traces_digest() == DEEP_TRACES_DIGEST

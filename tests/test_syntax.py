@@ -8,23 +8,24 @@ from alcqisat import (
     Atom,
     BOTTOM,
     ConceptSyntaxError,
+    CorpusProfile,
     NegAtom,
     Not,
     Role,
     TOP,
     build_problem,
-    concept_to_text,
     conj,
-    cut_formulae,
     cut_table,
     disj,
     evaluate,
+    generate_corpus,
     internalize,
     modal_subformulae,
     negate,
     parse_concept,
     to_nnf,
 )
+from alcqisat.syntax import signature_of, walk_concepts
 from conftest import random_interpretation, random_raw_concept
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
@@ -59,6 +60,9 @@ def test_parse_top_bottom_names():
     "text",
     [
         "(atleast -1 R C)",
+        "(atleast --1 R C)",
+        "(atleast \u00b2 R C)",
+        "(atleast -\u00b2 R C)",
         "(and A)",
         "(foo A B)",
         "(atleast x R C)",
@@ -184,12 +188,12 @@ def test_modal_subformulae_shared_pair():
 
 def test_cut_formula_shape():
     e = AtLeast(2, R, C)
-    cuts = cut_formulae(e, TOP)
+    cuts = build_problem(e).cut_concepts
     assert cuts == {disj([AtMost(0, Role("R", True), TOP), C, NegAtom("C")])}
 
 
 def test_cut_formulae_vacuous():
-    assert cut_formulae(A, TOP) == frozenset()
+    assert build_problem(A).cut_concepts == frozenset()
 
 
 def test_cut_formula_guard_uses_inverse_of_inverse():
@@ -206,18 +210,61 @@ def test_cut_count_bounded_by_distinct_pairs():
     for _ in range(100):
         e = to_nnf(random_raw_concept(rng, 3))
         g = to_nnf(random_raw_concept(rng, 2))
-        pairs = {(r, f) for r, f, _, _ in modal_subformulae(e, g)}
-        assert len(cut_formulae(e, g)) <= len(pairs)
+        p = build_problem(e, [(TOP, g)])
+        pairs = {(r, f) for r, f, _, _ in modal_subformulae(p.goal, p.axiom)}
+        assert len(p.cut_concepts) <= len(pairs)
 
 
 def test_round_trip_printing():
     rng = random.Random(19)
     for _ in range(200):
         c = to_nnf(random_raw_concept(rng, rng.randint(0, 4)))
-        assert parse_concept(concept_to_text(c)) == c
+        assert parse_concept(str(c)) == c
 
 
 def test_build_problem_signature():
     p = build_problem(parse_concept("(and A (atleast 1 R (not B)))"))
     assert p.atom_names == {"A", "B"}
     assert p.role_names == {"R"}
+
+
+def test_deep_chain_needs_no_recursion():
+    # far past the recursion limit: hashing, equality, interning and the
+    # walkers all work on the cached fields of each node
+    depth = 5000
+
+    def chain():
+        c = A
+        for _ in range(depth):
+            c = AtLeast(1, R, c)
+        return c
+
+    c = chain()
+    rebuilt = chain()
+    assert rebuilt is c
+    assert rebuilt == c
+    assert hash(rebuilt) == hash(c)
+    assert rebuilt in {c}
+    assert len(list(walk_concepts(c))) == depth + 1
+    assert len(modal_subformulae(c)) == depth
+    assert signature_of(c) == (frozenset({"A"}), frozenset({"R"}))
+
+
+def corpus_concepts():
+    deep = CorpusProfile(max_depth=5, max_bound=5, max_roles=3, max_atoms=4, max_gcis=3)
+    corpus = generate_corpus(seed=20260809, count=200) + generate_corpus(
+        seed=7, count=150, profile=deep
+    )
+    for pf in corpus:
+        problem = build_problem(pf.query, pf.tbox)
+        yield from (pf.query, problem.goal, problem.axiom)
+        for lhs, rhs in pf.tbox:
+            yield from (lhs, rhs)
+
+
+def test_equal_concepts_are_one_object():
+    for c in corpus_concepts():
+        assert parse_concept(str(c)) is c
+        n = to_nnf(c)
+        assert to_nnf(n) is n
+        assert negate(negate(n)) is n
