@@ -22,9 +22,7 @@ from .engine import (
     decide,
 )
 from .lii import (
-    AtomSet,
     LiiSystem,
-    Solution,
     SolverLimitError,
     atomic_decomposition,
     build_lii,

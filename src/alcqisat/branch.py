@@ -151,16 +151,14 @@ def fine_tune(branch: Branch, cut: CutSet, edge_role: Role | None) -> Branch:
 
 
 def primitive_clash(branch: Branch) -> ClashKind | None:
-    """First clash among: bottom present, a complementary literal pair, an
-    at-most with a negative bound.  None when clash-free."""
-    ordered = sorted_concepts(branch)
-    for lit in ordered:
-        if isinstance(lit, Bottom):
-            return ClashKind.FALSUM
-    for lit in ordered:
-        if negate(lit) in branch:
-            return ClashKind.COMPLEMENT
-    for lit in ordered:
-        if isinstance(lit, AtMost) and lit.bound < 0:
-            return ClashKind.NEGATIVE_AT_MOST
+    """First clash kind present, in this priority: bottom, a complementary
+    literal pair, an at-most with a negative bound.  Each kind is checked
+    over the whole set, so the order of the set does not matter.  None when
+    clash-free."""
+    if any(isinstance(lit, Bottom) for lit in branch):
+        return ClashKind.FALSUM
+    if any(negate(lit) in branch for lit in branch):
+        return ClashKind.COMPLEMENT
+    if any(isinstance(lit, AtMost) and lit.bound < 0 for lit in branch):
+        return ClashKind.NEGATIVE_AT_MOST
     return None

@@ -45,10 +45,10 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="also run the bounded model search up to domain size N and report agreement",
     )
-    parser.add_argument("--lambda-max", type=int, default=10, metavar="K",
-                        help="most distinct fillers per role before giving up (default 10)")
-    parser.add_argument("--node-budget", type=int, default=1_000_000, metavar="N",
-                        help="most node expansions per tree (default 1000000)")
+    parser.add_argument("--lambda-max", type=int, default=Limits.lambda_max, metavar="K",
+                        help="most distinct fillers per role before giving up (default %(default)s)")
+    parser.add_argument("--node-budget", type=int, default=Limits.node_budget, metavar="N",
+                        help="most node expansions per tree (default %(default)s)")
     parser.add_argument("--strict-blocking", action="store_true",
                         help="include the cut-set context in the blocking key")
     return parser
@@ -68,13 +68,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
-    if args.file and args.concept:
+    # an option given as '' is present: test for None, never truthiness
+    if args.file is not None and args.concept is not None:
         print("error: give either a problem file or --concept, not both", file=sys.stderr)
         return EXIT_USAGE
-    if not args.file and not args.concept:
+    if args.file is None and args.concept is None:
         print("error: a problem file or --concept is required", file=sys.stderr)
         return EXIT_USAGE
-    if args.file and args.tbox:
+    if args.file is not None and args.tbox is not None:
         print("error: --tbox only combines with --concept", file=sys.stderr)
         return EXIT_USAGE
     if args.oracle_check is not None and args.oracle_check < 1:
@@ -82,7 +83,7 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     try:
-        if args.file:
+        if args.file is not None:
             try:
                 with open(args.file, "r", encoding="utf-8") as fh:
                     text = fh.read()
@@ -102,7 +103,7 @@ def _run(args: argparse.Namespace) -> int:
                 print(f"error: --concept: {exc}", file=sys.stderr)
                 return EXIT_USAGE
             tbox = ()
-            if args.tbox:
+            if args.tbox is not None:
                 try:
                     with open(args.tbox, "r", encoding="utf-8") as fh:
                         tbox_text = fh.read()

@@ -137,18 +137,6 @@ class NogoodStore:
         return None
 
 
-@dataclass
-class Node:
-    """One tableau node.  id follows expansion order across the whole run."""
-
-    id: int
-    label: frozenset
-    cut: CutSet
-    edge: Role | None
-    branch: Branch | None = None
-    tuned: Branch | None = None
-
-
 class _RestartRequested(Exception):
     pass
 
@@ -241,8 +229,7 @@ class Tableau:
                 self._tree_nodes = 0
                 before = len(self.nogoods)
                 try:
-                    root = self._make_node(root_label, EMPTY_CUT_SET, None)
-                    blocking = self._expand(root)
+                    blocking = self._expand(root_label, EMPTY_CUT_SET, None)
                 except _RestartRequested:
                     if len(self.nogoods) <= before:
                         raise AssertionError("restart without a new nogood")
@@ -259,44 +246,41 @@ class Tableau:
 
     # -- expansion ---------------------------------------------------------
 
-    def _make_node(self, label: frozenset, cut: CutSet, edge: Role | None) -> Node:
-        node = Node(id=self._next_id, label=label, cut=cut, edge=edge)
+    def _expand(self, label: frozenset, cut: CutSet, edge: Role | None) -> NogoodTriple | None:
+        """Expand a new node with the label, reached over edge with the
+        parent's filler decisions cut; ids follow expansion order across the
+        whole run.  None when its subtree completed, otherwise the stored
+        triple that already rules its label out."""
+        node_id = self._next_id
         self._next_id += 1
-        return node
-
-    def _expand(self, node: Node) -> NogoodTriple | None:
-        """Expand a node; None when its subtree completed, otherwise the
-        stored triple that already rules its label out."""
         self.stats.nodes += 1
         self._tree_nodes += 1
         if self._tree_nodes > self.limits.node_budget:
             raise ResourceLimitError(
                 f"node budget of {self.limits.node_budget} exceeded in one tree"
             )
-        label_body = self._strip(node.label)
-        hit = self.nogoods.hit(node.cut, node.edge, label_body)
+        label_body = self._strip(label)
+        hit = self.nogoods.hit(cut, edge, label_body)
         if hit is not None:
             return hit
 
-        for index, branch in enumerate(enumerate_branches(node.label)):
-            tuned = fine_tune(branch, node.cut, node.edge)
+        for index, branch in enumerate(enumerate_branches(label)):
+            tuned = fine_tune(branch, cut, edge)
             if (
                 primitive_clash(tuned)
                 or self.nogoods.hit_wildcard(branch)
                 or self.nogoods.hit_wildcard(tuned)
-                or self.nogoods.hit_exact(node.cut, node.edge, branch)
+                or self.nogoods.hit_exact(cut, edge, branch)
             ):
                 continue
-            self._say(f"PB node={node.id} branch={index}")
-            node.branch = branch
-            node.tuned = tuned
+            self._say(f"PB node={node_id} branch={index}")
 
-            key = self._witness_key(branch, tuned, node.cut, node.edge)
+            key = self._witness_key(branch, tuned, cut, edge)
             blocker = self.witnesses.get(key)
             if blocker is not None:
-                self._say(f"BLOCKED node={node.id} by={blocker}")
+                self._say(f"BLOCKED node={node_id} by={blocker}")
                 return None
-            self.witnesses[key] = node.id
+            self.witnesses[key] = node_id
 
             roles = sorted(
                 {
@@ -306,57 +290,50 @@ class Tableau:
                 },
                 key=lambda r: (r.base, r.inverted),
             )
-            done = True
             for role in roles:
-                if not self._apply_lii(node, role):
-                    done = False
+                if not self._apply_lii(node_id, branch, tuned, role):
                     break
-            if done:
+            else:
                 return None
             del self.witnesses[key]
 
-        self._record(node.cut, node.edge, node.label)
-        return self.nogoods.hit(node.cut, node.edge, label_body)
+        self._record(cut, edge, label)
+        return self.nogoods.hit(cut, edge, label_body)
 
-    def _apply_lii(self, node: Node, role: Role) -> bool:
+    def _apply_lii(self, node_id: int, branch: Branch, tuned: Branch, role: Role) -> bool:
         """Decompose the role's restrictions, solve, expand the children.
 
         A child that hits a cached nogood zeroes its column and the system is
         re-solved; a fresh child failure aborts the tree through the restart
         machinery before this returns.  True when the role completed, False
         when the restrictions are infeasible (branch fails)."""
-        assert node.branch is not None and node.tuned is not None
-        fillers = collect_fillers(node.tuned, role)
+        fillers = collect_fillers(tuned, role)
         width = len(fillers)
         if width > self.limits.lambda_max:
             raise ResourceLimitError(
-                f"node {node.id} role {role}: {width} distinct fillers exceed "
+                f"node {node_id} role {role}: {width} distinct fillers exceed "
                 f"lambda_max={self.limits.lambda_max}"
             )
         self.stats.max_lambda = max(self.stats.max_lambda, width)
         atoms = atomic_decomposition(fillers, self.limits.lambda_max)
-        system = build_lii(node.tuned, role)
-        for atom in atoms:
-            if primitive_clash(atom.literals()):
-                system = zero_column(system, atom.mask)
-        child_cut = cut_set_for_child(node.branch, role, self.problem.cuts)
-        restrictions = frozenset(
-            lit
-            for lit in node.tuned
-            if isinstance(lit, (AtMost, AtLeast)) and lit.role == role
-        )
+        system = build_lii(tuned, role)
+        restrictions = frozenset(row.source for row in system.rows)
+        for mask, literals in enumerate(atoms, 1):
+            if primitive_clash(literals):
+                system = zero_column(system, mask)
+        child_cut = cut_set_for_child(branch, role, self.problem.cuts)
 
         completed: set[int] = set()
         context_zeroing = False
         while True:
             if self.dump_systems is not None:
                 self.dump_systems(
-                    f"lii node={node.id} role={role}\n{system.describe()}"
+                    f"lii node={node_id} role={role}\n{system.describe()}"
                 )
             self.stats.lii_solves += 1
             solution = feasible(system, self.limits.solver_max_steps)
             self._say(
-                f"LII node={node.id} role={role} atoms={len(atoms)} "
+                f"LII node={node_id} role={role} atoms={len(atoms)} "
                 f"verdict={'feasible' if solution is not None else 'infeasible'}"
             )
             if solution is None:
@@ -368,25 +345,18 @@ class Tableau:
                 self._record(EMPTY_CUT_SET, None, body)
                 return False
 
-            failed = False
-            for atom in atoms:
-                mask = atom.mask
-                if mask in system.zeroed or mask in completed:
+            for mask in solution:
+                if mask in completed:
                     continue
-                if solution.value(mask) == 0:
-                    continue
-                child_label = atom.literals() | self._core_label
-                child = self._make_node(child_label, child_cut, role)
-                blocking = self._expand(child)
+                blocking = self._expand(atoms[mask - 1] | self._core_label, child_cut, role)
                 if blocking is None:
                     completed.add(mask)
                     continue
                 system = zero_column(system, mask)
                 if not blocking.is_wildcard():
                     context_zeroing = True
-                failed = True
                 break
-            if not failed:
+            else:
                 return True
 
 

@@ -1,11 +1,15 @@
 """Successor arithmetic for one (node, role) pair.
 
 The distinct fillers of the role's number restrictions split the possible
-successors into 2^n - 1 sign-complete combinations (the all-negative one is
-irrelevant, no restriction counts it).  Each combination is an unknown
-non-negative integer multiplicity; each restriction becomes a subset-sum
-inequality over the combinations containing its filler positively.
-Feasibility of the system decides local consistency of the restrictions.
+successors into 2^n - 1 sign-complete combinations, the atoms (the
+all-negative one is irrelevant, no restriction counts it).  An atom is a
+bit mask over the filler list: bit k set means filler k holds, clear means
+its negation does.  Each atom is an unknown non-negative integer
+multiplicity; each restriction becomes a subset-sum inequality over the
+atoms containing its filler positively.  Feasibility of the system decides
+local consistency of the restrictions.  Atoms, zeroed columns and solutions
+are plain values: a list of literal sets indexed by mask - 1, a frozenset of
+masks and a {mask: multiplicity} dict.
 
 `feasible` decides it by an iterative depth-first search that returns the
 lexicographically smallest solution.  Rows bounding the same sum are merged
@@ -18,7 +22,6 @@ entered once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .syntax import (
     AtLeast,
@@ -32,27 +35,6 @@ from .syntax import (
 
 class SolverLimitError(RuntimeError):
     """The feasibility search exceeded its step budget."""
-
-
-@dataclass(frozen=True)
-class AtomSet:
-    """One sign assignment over the ordered filler list: bit k of mask set
-    means filler k appears positively, clear means negated.  mask is never
-    zero."""
-
-    mask: int
-    fillers: tuple[Concept, ...]
-
-    def literals(self) -> frozenset:
-        out = []
-        for k, f in enumerate(self.fillers):
-            out.append(f if (self.mask >> k) & 1 else negate(f))
-        return frozenset(out)
-
-    def concept(self) -> Concept:
-        from .syntax import conj
-
-        return conj(self.literals())
 
 
 @dataclass(frozen=True)
@@ -92,23 +74,6 @@ class LiiSystem:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class Solution:
-    """Non-negative multiplicities per atom mask; absent masks are zero."""
-
-    values: tuple  # tuple[tuple[int, int], ...] of (mask, value), value > 0
-
-    @cached_property
-    def _by_mask(self) -> dict[int, int]:
-        return dict(self.values)
-
-    def value(self, mask: int) -> int:
-        return self._by_mask.get(mask, 0)
-
-    def positive_masks(self) -> tuple[int, ...]:
-        return tuple(m for m, v in self.values if v > 0)
-
-
 def collect_fillers(branch: frozenset, role: Role) -> list[Concept]:
     """Distinct fillers of the restrictions on role in the branch, in first
     occurrence order under the canonical branch ordering."""
@@ -120,8 +85,10 @@ def collect_fillers(branch: frozenset, role: Role) -> list[Concept]:
     return out
 
 
-def atomic_decomposition(fillers: list[Concept], lambda_max: int = 10) -> list[AtomSet]:
-    """All 2^n - 1 sign-complete combinations, ascending by mask."""
+def atomic_decomposition(fillers: list[Concept], lambda_max: int = 10) -> list[frozenset]:
+    """The literal sets of all 2^n - 1 atoms, ascending by mask: entry
+    mask - 1 holds filler k where bit k of mask is set and its negation
+    where it is clear.  Each filler is negated once."""
     n = len(fillers)
     if n < 1:
         raise ValueError("need at least one filler")
@@ -129,8 +96,11 @@ def atomic_decomposition(fillers: list[Concept], lambda_max: int = 10) -> list[A
         raise SolverLimitError(
             f"{n} distinct fillers exceed the decomposition limit of {lambda_max}"
         )
-    tup = tuple(fillers)
-    return [AtomSet(mask, tup) for mask in range(1, 1 << n)]
+    signs = [(f, negate(f)) for f in fillers]
+    return [
+        frozenset(pos if (mask >> k) & 1 else neg for k, (pos, neg) in enumerate(signs))
+        for mask in range(1, 1 << n)
+    ]
 
 
 def build_lii(branch: frozenset, role: Role) -> LiiSystem:
@@ -169,8 +139,10 @@ def zero_column(system: LiiSystem, atom_mask: int) -> LiiSystem:
     )
 
 
-def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> Solution | None:
-    """Find a non-negative integer solution, or None when infeasible.
+def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | None:
+    """Find a non-negative integer solution, or None when infeasible.  The
+    solution maps each atom mask with a positive multiplicity to it, in
+    ascending mask order; zeroed and zero-valued atoms are absent.
 
     Depth-first over atoms in ascending mask order, smallest value first,
     so the solution returned is the lexicographically smallest one: every
@@ -290,7 +262,7 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> Solution | None:
                 break
             failed.setdefault(i, set()).add(entered[i])
 
-    solution = Solution(values=tuple((m, v) for m, v in zip(masks, chosen) if v))
+    solution = {m: v for m, v in zip(masks, chosen) if v}
     _validate(system, solution)
     return solution
 
@@ -304,13 +276,12 @@ def _add(state: tuple, updates: tuple, value: int) -> tuple:
     return tuple(out)
 
 
-def _validate(system: LiiSystem, solution: Solution) -> None:
-    for mask in system.zeroed:
-        if solution.value(mask) != 0:
-            raise AssertionError("solution assigns a zeroed atom")
+def _validate(system: LiiSystem, solution: dict[int, int]) -> None:
+    if not system.zeroed.isdisjoint(solution):
+        raise AssertionError("solution assigns a zeroed atom")
     for row in system.rows:
         total = sum(
-            v for m, v in solution.values if (row.coeff_mask >> (m - 1)) & 1
+            v for m, v in solution.items() if (row.coeff_mask >> (m - 1)) & 1
         )
         ok = total <= row.bound if row.is_at_most else total >= row.bound
         if not ok:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 
 from alcqisat import (
     And,
@@ -16,13 +18,23 @@ from alcqisat import (
     OracleLimitError,
     Or,
     Role,
-    Solution,
     SolverLimitError,
     TOP,
     conj,
     disj,
 )
-from alcqisat.syntax import Bottom, Concept, NegAtom, Top, signature_of, sorted_concepts
+from alcqisat import ClashKind
+from alcqisat.syntax import Bottom, Concept, NegAtom, Top, negate, signature_of, sorted_concepts
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_module(name: str):
+    """bench/<name>.py, imported without putting bench/ on sys.path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_raw_concept(rng: random.Random, depth: int, atoms=("A", "B", "C"), roles=("R", "S")):
@@ -97,7 +109,7 @@ def brute_force_feasible(system: LiiSystem, cap: int | None = None) -> dict | No
     return search(0, {})
 
 
-def reference_feasible(system: LiiSystem, max_steps: int = 2_000_000) -> Solution | None:
+def reference_feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | None:
     """The plain recursive search `lii.feasible` replaced: every variable
     capped at the sum of the at-least bounds, no interval pre-check, no
     memo.  Reference for the solution `feasible` must return."""
@@ -165,7 +177,23 @@ def reference_feasible(system: LiiSystem, max_steps: int = 2_000_000) -> Solutio
 
     if not assign(0):
         return None
-    return Solution(values=tuple((m, v) for m, v in sorted(chosen.items()) if v > 0))
+    return {m: v for m, v in sorted(chosen.items()) if v > 0}
+
+
+def reference_primitive_clash(branch) -> ClashKind | None:
+    """`branch.primitive_clash` as it was before it dropped the sort: each
+    kind checked in canonical literal order.  Reference for its result."""
+    ordered = sorted_concepts(branch)
+    for lit in ordered:
+        if isinstance(lit, Bottom):
+            return ClashKind.FALSUM
+    for lit in ordered:
+        if negate(lit) in branch:
+            return ClashKind.COMPLEMENT
+    for lit in ordered:
+        if isinstance(lit, AtMost) and lit.bound < 0:
+            return ClashKind.NEGATIVE_AT_MOST
+    return None
 
 
 def unpruned_branches(label):

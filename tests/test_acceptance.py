@@ -56,7 +56,7 @@ def test_criterion_1_atomic_decomposition_example():
         _timed(lambda: atomic_decomposition(fillers))[0] for _ in range(5)
     )
     atoms = atomic_decomposition(fillers)
-    realized = {a.concept() for a in atoms}
+    realized = {conj(literals) for literals in atoms}
     expected = {
         conj([c1, c2, c3]),
         conj([c1, c2, n3]),

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 from alcqisat import (
     AtLeast,
@@ -23,7 +24,12 @@ from alcqisat import (
     primitive_clash,
     to_nnf,
 )
-from conftest import propositional_skeleton, random_raw_concept, unpruned_branches
+from conftest import (
+    propositional_skeleton,
+    random_raw_concept,
+    reference_primitive_clash,
+    unpruned_branches,
+)
 
 A, B, C, D = Atom("A"), Atom("B"), Atom("C"), Atom("D")
 R = Role("R")
@@ -218,6 +224,21 @@ def test_primitive_clash_bottom():
 
 def test_primitive_clash_clean():
     assert primitive_clash(frozenset({A, B, AtLeast(2, R, C)})) is None
+
+
+def test_primitive_clash_matches_sorted_reference():
+    # several clash kinds in one set: the priority must not depend on order
+    pool = [TOP, BOTTOM, A, B, NegAtom("A"), NegAtom("B"), conj([A, B]), disj([NegAtom("A"), NegAtom("B")])]
+    pool += [AtMost(b, R, f) for b in (-1, 0, 1) for f in (C, TOP)]
+    pool += [AtLeast(b, R, f) for b in (0, 1, 2) for f in (C, TOP)]
+    rng = random.Random(61)
+    kinds = Counter()
+    for _ in range(3000):
+        lits = frozenset(rng.sample(pool, rng.randint(0, 7)))
+        got = primitive_clash(lits)
+        assert got == reference_primitive_clash(lits), sorted(map(str, lits))
+        kinds[got] += 1
+    assert set(kinds) == {None, *ClashKind}
 
 
 def test_branch_satisfies_complex_filler():

@@ -177,3 +177,29 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "SAT"
+
+
+def test_empty_concept_with_file_is_a_usage_error(tmp_path, capsys):
+    path = write(tmp_path, "p.dl", "sat A\n")
+    code, out, err = run_cli(capsys, path, "--concept", "")
+    assert (code, out) == (2, "")
+    assert err == "error: give either a problem file or --concept, not both\n"
+
+
+def test_empty_tbox_with_concept_is_read(capsys):
+    code, out, err = run_cli(capsys, "--concept", "A", "--tbox", "")
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 2] No such file or directory: ''\n"
+
+
+def test_empty_tbox_with_file_is_a_usage_error(tmp_path, capsys):
+    path = write(tmp_path, "p.dl", "sat A\n")
+    code, out, err = run_cli(capsys, path, "--tbox", "")
+    assert (code, out) == (2, "")
+    assert err == "error: --tbox only combines with --concept\n"
+
+
+def test_empty_concept_is_parsed(capsys):
+    code, out, err = run_cli(capsys, "--concept", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --concept: ")

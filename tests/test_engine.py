@@ -1,8 +1,13 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import alcqisat
 from alcqisat import (
     Atom,
     CorpusProfile,
@@ -26,6 +31,7 @@ from alcqisat import (
     primitive_clash,
 )
 from alcqisat.branch import CutSet
+from conftest import bench_module
 
 A, B = Atom("A"), Atom("B")
 R = Role("R")
@@ -317,3 +323,48 @@ def deep_traces_digest() -> str:
 
 def test_deep_corpus_traces_are_pinned():
     assert deep_traces_digest() == DEEP_TRACES_DIGEST
+
+
+# the same over all 300 counting-workload instances, with every inequality
+# system --dump-lii prints: the workload where clash zeroing runs
+COUNTING_TRACES_DIGEST = "3327eaeb30b865d3b77fd19535890be35f507d611b41731cc980832dbcddb357"
+
+
+def counting_traces_digest() -> str:
+    corpora = bench_module("corpora")
+    generated = corpora.counting_corpus(
+        corpora.COUNTING_SEED, corpora.COUNTS["counting"], corpora.COUNTING_MAX_BOUND
+    )
+    digest = hashlib.sha256()
+    for index, instance in enumerate(generated):
+        pf = parse_problem_text(instance.to_text())
+        lines = []
+        tableau = Tableau(
+            build_problem(pf.query, pf.tbox),
+            Limits(nogood_capacity=250),
+            trace=lines.append,
+            dump_systems=lines.append,
+        )
+        verdict = tableau.decide()
+        lines.append(f"#{index} {'SAT' if verdict.satisfiable else 'UNSAT'} {verdict.stats}")
+        digest.update("\n".join(lines).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_counting_corpus_traces_are_pinned():
+    assert counting_traces_digest() == COUNTING_TRACES_DIGEST
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "5"])
+def test_counting_traces_do_not_depend_on_the_hash_seed(hash_seed):
+    tests = Path(__file__).resolve().parent
+    src = Path(alcqisat.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from test_engine import counting_traces_digest as d; print(d())"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == COUNTING_TRACES_DIGEST

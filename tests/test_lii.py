@@ -11,7 +11,6 @@ from alcqisat import (
     LiiSystem,
     NegAtom,
     Role,
-    Solution,
     SolverLimitError,
     TOP,
     atomic_decomposition,
@@ -19,6 +18,7 @@ from alcqisat import (
     collect_fillers,
     conj,
     feasible,
+    negate,
     zero_column,
 )
 from alcqisat.lii import Row
@@ -46,7 +46,7 @@ def test_collect_fillers_filters_roles():
 def test_atomic_decomposition_three_fillers():
     atoms = atomic_decomposition([C1, C2, C3])
     assert len(atoms) == 7
-    realized = {a.concept() for a in atoms}
+    realized = {conj(literals) for literals in atoms}
     n1, n2, n3 = NegAtom("C1"), NegAtom("C2"), NegAtom("C3")
     assert realized == {
         conj([C1, C2, C3]),
@@ -60,18 +60,36 @@ def test_atomic_decomposition_three_fillers():
 
 
 def test_atomic_decomposition_single():
-    (atom,) = atomic_decomposition([C])
-    assert atom.mask == 1
-    assert atom.literals() == frozenset({C})
+    assert atomic_decomposition([C]) == [frozenset({C})]
 
 
 def test_atomic_decomposition_pair():
     atoms = atomic_decomposition([A, B])
-    assert [a.literals() for a in atoms] == [
+    assert atoms == [
         frozenset({A, NegAtom("B")}),
         frozenset({NegAtom("A"), B}),
         frozenset({A, B}),
     ]
+
+
+def test_atomic_decomposition_negates_each_filler_once(monkeypatch):
+    import alcqisat.lii as lii
+
+    calls = []
+
+    def counted_negate(c):
+        calls.append(c)
+        return negate(c)
+
+    monkeypatch.setattr(lii, "negate", counted_negate)
+    fillers = [Atom(f"F{i}") for i in range(4)]
+    atoms = atomic_decomposition(fillers)
+    assert calls == fillers
+    # entry mask - 1: filler k where bit k is set, its negation where clear
+    for mask, literals in enumerate(atoms, 1):
+        assert literals == frozenset(
+            f if (mask >> k) & 1 else negate(f) for k, f in enumerate(fillers)
+        )
 
 
 def test_atomic_decomposition_counts():
@@ -104,9 +122,9 @@ def test_build_two_fillers():
 def zero_clashed_atoms(sys_):
     from alcqisat import primitive_clash
 
-    for atom in atomic_decomposition(list(sys_.fillers)):
-        if primitive_clash(atom.literals()):
-            sys_ = zero_column(sys_, atom.mask)
+    for mask, literals in enumerate(atomic_decomposition(list(sys_.fillers)), 1):
+        if primitive_clash(literals):
+            sys_ = zero_column(sys_, mask)
     return sys_
 
 
@@ -155,12 +173,7 @@ def test_shared_successors_take_the_joint_atom():
     assert sol is not None
     # fillers are (top, A, B); mask 7 is the all-positive combination
     assert sys_.fillers == (TOP, A, B)
-    assert sol.value(7) == 2
-    assert sol.value(1) == 0
-    assert sol.positive_masks() == (7,)
-    # the lookup table is not part of the value
-    assert sol == Solution(values=sol.values)
-    assert hash(sol) == hash(Solution(values=sol.values))
+    assert sol == {7: 2}
 
 
 def test_complementary_fillers_cannot_share():
@@ -210,8 +223,7 @@ def test_solution_respects_zeroed_columns():
         sol = feasible(sys_)
         if sol is None:
             continue
-        for mask in sys_.zeroed:
-            assert sol.value(mask) == 0
+        assert sys_.zeroed.isdisjoint(sol)
 
 
 def test_zeroing_is_monotone():
@@ -242,7 +254,9 @@ def test_solver_returns_the_reference_solution():
             want = reference_feasible(sys_, max_steps=20_000)
         except SolverLimitError:
             continue
-        assert feasible(sys_, max_steps=20_000) == want, sys_.describe()
+        got = feasible(sys_, max_steps=20_000)
+        # equal values, and the same masks in the same ascending order
+        assert got == want and list(got or ()) == list(want or ()), sys_.describe()
         compared += 1
     assert compared >= 1000
 
@@ -270,7 +284,7 @@ def test_unbounded_atoms_stay_small():
         AtMost(5, R, NegAtom("A3")),
     })
     sol = feasible(build_lii(b, R), max_steps=25_000)
-    assert sol == Solution(values=((3, 2), (7, 3), (11, 5)))
+    assert list(sol.items()) == [(3, 2), (7, 3), (11, 5)]
 
 
 def test_wide_system_needs_no_recursion():
@@ -283,7 +297,7 @@ def test_wide_system_needs_no_recursion():
         sol = feasible(build_lii(b, R))
     finally:
         sys.setrecursionlimit(old_limit)
-    assert sol == Solution(values=((512, 1),))
+    assert sol == {512: 1}
 
 
 def test_large_bounds_solve_instantly():
