@@ -1,4 +1,5 @@
-"""Propositional branches of a node label, and their bound adjustment.
+"""Propositional branches of a node label, their bound adjustment, and
+primitive clashes, on literal sets and on the masks of a sign decomposition.
 
 A branch is one disjunct of the label's disjunctive normal form, with number
 restrictions treated as opaque propositions.  Branches are plain frozensets
@@ -68,28 +69,38 @@ def enumerate_branches(label: Iterable[Concept]) -> Iterator[Branch]:
     sequence is deterministic.  Disjuncts equal as sets are yielded once.
     A partial disjunct that takes bottom or a complementary pair is dropped,
     since every extension of it clashes too.
-    """
-    items = tuple(sorted_concepts(set(label)))
-    seen: set[Branch] = set()
 
-    def walk(work: tuple[Concept, ...], acc: frozenset) -> Iterator[Branch]:
-        while work:
-            head, work = work[0], work[1:]
-            if isinstance(head, And):
-                work = head.parts + work
-            elif isinstance(head, Or):
-                for part in head.parts:
-                    yield from walk((part,) + work, acc)
-                return
-            elif isinstance(head, Bottom) or negate(head) in acc:
-                return
+    One loop over an explicit stack of (work, partial disjunct) pairs, so
+    nesting depth is bounded by memory, not by the recursion limit.  The
+    work list is a cons list of (head, rest) pairs: taking its head and
+    sharing its rest between the alternatives of an or-node copy nothing.
+    """
+    work = None
+    for c in reversed(sorted_concepts(set(label))):
+        work = (c, work)
+    seen: set[Branch] = set()
+    stack = [(work, frozenset())]
+    while stack:
+        work, acc = stack.pop()
+        while work is not None:
+            head, work = work
+            kind = type(head)
+            if kind is And:
+                for part in reversed(head.parts):
+                    work = (part, work)
+            elif kind is Or:
+                # the first part on top, so it is explored first
+                for part in reversed(head.parts):
+                    stack.append(((part, work), acc))
+                break
+            elif kind is Bottom or negate(head) in acc:
+                break
             else:
                 acc = acc | {head}
-        if acc not in seen:
-            seen.add(acc)
-            yield acc
-
-    return walk(items, frozenset())
+        else:
+            if acc not in seen:
+                seen.add(acc)
+                yield acc
 
 
 def branch_satisfies(branch: Branch, c: Concept) -> bool:
@@ -152,13 +163,55 @@ def fine_tune(branch: Branch, cut: CutSet, edge_role: Role | None) -> Branch:
 
 def primitive_clash(branch: Branch) -> ClashKind | None:
     """First clash kind present, in this priority: bottom, a complementary
-    literal pair, an at-most with a negative bound.  Each kind is checked
-    over the whole set, so the order of the set does not matter.  None when
-    clash-free."""
-    if any(isinstance(lit, Bottom) for lit in branch):
-        return ClashKind.FALSUM
-    if any(negate(lit) in branch for lit in branch):
-        return ClashKind.COMPLEMENT
-    if any(isinstance(lit, AtMost) and lit.bound < 0 for lit in branch):
-        return ClashKind.NEGATIVE_AT_MOST
-    return None
+    literal pair, an at-most with a negative bound.  One pass over the set
+    keeps the highest kind seen, so the order of the set does not matter.
+    None when clash-free."""
+    found = None
+    for lit in branch:
+        kind = type(lit)
+        if kind is Bottom:
+            return ClashKind.FALSUM
+        if found is ClashKind.COMPLEMENT:
+            continue
+        if negate(lit) in branch:
+            found = ClashKind.COMPLEMENT
+        elif found is None and kind is AtMost and lit.bound < 0:
+            found = ClashKind.NEGATIVE_AT_MOST
+    return found
+
+
+def clashed_masks(fillers: list[Concept]) -> list[int]:
+    """The atom masks of the fillers' sign decomposition whose literal set
+    is a primitive clash, ascending: exactly the masks m with
+    primitive_clash(atomic_decomposition(fillers)[m - 1]), without building
+    or testing any literal set.
+
+    A literal set clashes when one of its literals clashes on its own, or
+    when it holds a literal and that literal's negation.  Each literal is
+    filler k taken with one sign, so each such cause is a condition
+    (care, value) on masks: a signed filler that clashes on its own fixes
+    bit k, and two signed fillers at k != j, the second the negation of the
+    first, fix bits k and j.  A mask clashes when it meets a condition.
+    """
+    signed: dict[Concept, list[tuple[int, int]]] = {}  # literal -> (bit, value)
+    for k, f in enumerate(fillers):
+        bit = 1 << k
+        signed.setdefault(f, []).append((bit, bit))
+        signed.setdefault(negate(f), []).append((bit, 0))
+    conditions = set()
+    for lit, places in signed.items():
+        alone = primitive_clash(frozenset((lit,))) is not None
+        partners = signed.get(negate(lit), ())
+        for bit, value in places:
+            if alone:
+                conditions.add((bit, value))
+            for other, other_value in partners:
+                if other != bit:
+                    conditions.add((bit | other, value | other_value))
+    if not conditions:
+        return []
+    return [
+        mask
+        for mask in range(1, 1 << len(fillers))
+        if any(mask & care == value for care, value in conditions)
+    ]

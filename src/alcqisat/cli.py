@@ -2,8 +2,9 @@
 
 Exit codes: 0 satisfiable, 1 unsatisfiable, 2 usage or parse error,
 3 resource limit, 4 internal error (nothing on standard output).  The verdict
-is the first line on standard output; diagnostics, including the rule trace,
-go to standard error.
+is the first line on standard output; diagnostics, including the rule trace
+and the partial --stats of a run stopped by a resource limit, go to standard
+error.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import contextlib
 import io
 import sys
 import time
+from dataclasses import asdict
 
-from .engine import Limits, ResourceLimitError, decide
+from .engine import Limits, ResourceLimitError, RunStats, decide
 from .lii import SolverLimitError
 from .oracle import Interpretation, NoneFound, OracleLimitError, find_model
 from .problems import ProblemFileError, parse_problem_text, parse_tbox_text
@@ -81,6 +83,14 @@ def _run(args: argparse.Namespace) -> int:
     if args.oracle_check is not None and args.oracle_check < 1:
         print("error: --oracle-check needs a domain size of at least 1", file=sys.stderr)
         return EXIT_USAGE
+    # a limit no run can meet is a usage error, not a resource limit; 0
+    # fillers still decides every concept without number restrictions
+    if args.lambda_max < 0:
+        print("error: --lambda-max needs a filler count of at least 0", file=sys.stderr)
+        return EXIT_USAGE
+    if args.node_budget < 1:
+        print("error: --node-budget needs a budget of at least 1", file=sys.stderr)
+        return EXIT_USAGE
 
     try:
         if args.file is not None:
@@ -133,22 +143,25 @@ def _run(args: argparse.Namespace) -> int:
         wall_ms = int((time.perf_counter() - started) * 1000)
     except (ResourceLimitError, SolverLimitError) as exc:
         print(f"error: resource limit: {exc}", file=sys.stderr)
+        # decide raised it: the aborted run's partial stats, off the verdict stream
+        if args.stats:
+            wall_ms = int((time.perf_counter() - started) * 1000)
+            _print_stats(exc.stats, wall_ms, sys.stderr)
         return EXIT_RESOURCE
 
     print("SAT" if verdict.satisfiable else "UNSAT")
     if args.stats:
-        s = verdict.stats
-        print(f"restarts={s.restarts}")
-        print(f"nodes={s.nodes}")
-        print(f"nogoods={s.nogoods}")
-        print(f"lii_solves={s.lii_solves}")
-        print(f"max_lambda={s.max_lambda}")
-        print(f"wall_ms={wall_ms}")
+        _print_stats(verdict.stats, wall_ms, sys.stdout)
 
     if args.oracle_check is not None:
         _report_oracle(problem, verdict.satisfiable, args.oracle_check)
 
     return EXIT_SAT if verdict.satisfiable else EXIT_UNSAT
+
+
+def _print_stats(stats: RunStats, wall_ms: int, file) -> None:
+    for name, value in {**asdict(stats), "wall_ms": wall_ms}.items():
+        print(f"{name}={value}", file=file)
 
 
 def _report_oracle(problem, engine_sat: bool, max_domain: int) -> None:

@@ -22,12 +22,14 @@ from .branch import (
     Branch,
     CutSet,
     EMPTY_CUT_SET,
+    clashed_masks,
     cut_set_for_child,
     enumerate_branches,
     fine_tune,
     primitive_clash,
 )
 from .lii import (
+    SolverLimitError,
     atomic_decomposition,
     build_lii,
     collect_fillers,
@@ -47,7 +49,8 @@ from .syntax import (
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured budget was exceeded; never a verdict."""
+    """A configured budget was exceeded; never a verdict.  Raised out of
+    Tableau.decide, it carries the run's partial RunStats as `stats`."""
 
 
 @dataclass(frozen=True)
@@ -241,6 +244,9 @@ class Tableau:
                 # the root label itself is cached as dead; the next pass
                 # check turns this into the unsatisfiable verdict
             raise ResourceLimitError("pass count exceeded the nogood capacity")
+        except (ResourceLimitError, SolverLimitError) as exc:
+            exc.stats = self.stats
+            raise
         finally:
             sys.setrecursionlimit(old_limit)
 
@@ -318,9 +324,8 @@ class Tableau:
         atoms = atomic_decomposition(fillers, self.limits.lambda_max)
         system = build_lii(tuned, role)
         restrictions = frozenset(row.source for row in system.rows)
-        for mask, literals in enumerate(atoms, 1):
-            if primitive_clash(literals):
-                system = zero_column(system, mask)
+        for mask in clashed_masks(fillers):
+            system = zero_column(system, mask)
         child_cut = cut_set_for_child(branch, role, self.problem.cuts)
 
         completed: set[int] = set()

@@ -34,7 +34,8 @@ from .syntax import (
 
 
 class SolverLimitError(RuntimeError):
-    """The feasibility search exceeded its step budget."""
+    """The feasibility search exceeded its step budget.  Raised out of
+    Tableau.decide, it carries the run's partial RunStats as `stats`."""
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ _NODES: dict[tuple, "Concept"] = {}
 class Concept:
     """Base class for all concept nodes.  Fields are given positionally."""
 
-    __slots__ = ("_hash", "_key")
+    __slots__ = ("_hash", "_key", "_neg")
 
     def __new__(cls, *fields):
         key = (cls, *fields)
@@ -59,6 +59,7 @@ class Concept:
             # a frozen dataclass's hash of its fields, from the children's cached ones
             object.__setattr__(node, "_hash", hash(fields))
             object.__setattr__(node, "_key", _order_key(node))
+            object.__setattr__(node, "_neg", None)  # filled in by negate
             _NODES[key] = node
         return node
 
@@ -329,7 +330,16 @@ def parse_concept(text: str) -> Concept:
 
 def negate(c: Concept) -> Concept:
     """Negation of an NNF concept, in NNF.  Structural dual: top/bottom swap,
-    atom polarity flips, De Morgan on and/or, bounds shift on at-most/at-least."""
+    atom polarity flips, De Morgan on and/or, bounds shift on at-most/at-least.
+    Computed once per node and cached on it; later calls read the cache."""
+    neg = c._neg
+    if neg is None:
+        neg = _negate(c)
+        object.__setattr__(c, "_neg", neg)
+    return neg
+
+
+def _negate(c: Concept) -> Concept:
     if isinstance(c, Top):
         return BOTTOM
     if isinstance(c, Bottom):

@@ -24,7 +24,7 @@ from alcqisat import (
     disj,
 )
 from alcqisat import ClashKind
-from alcqisat.syntax import Bottom, Concept, NegAtom, Top, negate, signature_of, sorted_concepts
+from alcqisat.syntax import BOTTOM, Bottom, Concept, NegAtom, Top, negate, signature_of, sorted_concepts
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -194,6 +194,43 @@ def reference_primitive_clash(branch) -> ClashKind | None:
         if isinstance(lit, AtMost) and lit.bound < 0:
             return ClashKind.NEGATIVE_AT_MOST
     return None
+
+
+def reference_negate(c: Concept) -> Concept:
+    """`syntax.negate` recomputed from the structure on every call, never
+    reading the negation cached on a node.  Reference for that cache."""
+    if isinstance(c, Top):
+        return BOTTOM
+    if isinstance(c, Bottom):
+        return TOP
+    if isinstance(c, Atom):
+        return NegAtom(c.name)
+    if isinstance(c, NegAtom):
+        return Atom(c.name)
+    if isinstance(c, And):
+        return disj(reference_negate(p) for p in c.parts)
+    if isinstance(c, Or):
+        return conj(reference_negate(p) for p in c.parts)
+    if isinstance(c, AtMost):
+        return AtLeast(c.bound + 1, c.role, c.filler)
+    if isinstance(c, AtLeast):
+        return BOTTOM if c.bound == 0 else AtMost(c.bound - 1, c.role, c.filler)
+    assert isinstance(c, Not)
+    return _reference_nnf(c.sub)
+
+
+def _reference_nnf(c: Concept) -> Concept:
+    if isinstance(c, Not):
+        return reference_negate(_reference_nnf(c.sub))
+    if isinstance(c, And):
+        return conj(_reference_nnf(p) for p in c.parts)
+    if isinstance(c, Or):
+        return disj(_reference_nnf(p) for p in c.parts)
+    if isinstance(c, AtLeast):
+        return TOP if c.bound == 0 else AtLeast(c.bound, c.role, _reference_nnf(c.filler))
+    if isinstance(c, AtMost):
+        return AtMost(c.bound, c.role, _reference_nnf(c.filler))
+    return c
 
 
 def unpruned_branches(label):

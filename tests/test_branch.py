@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from collections import Counter
 
 from alcqisat import (
@@ -13,6 +14,7 @@ from alcqisat import (
     NegAtom,
     Role,
     TOP,
+    atomic_decomposition,
     branch_satisfies,
     conj,
     cut_set_for_child,
@@ -24,6 +26,7 @@ from alcqisat import (
     primitive_clash,
     to_nnf,
 )
+from alcqisat.branch import clashed_masks
 from conftest import (
     propositional_skeleton,
     random_raw_concept,
@@ -61,6 +64,25 @@ def test_pruned_walk_is_filtered_reference_walk():
         label = {to_nnf(random_raw_concept(rng, rng.randint(0, 4))) for _ in range(rng.randint(1, 3))}
         want = [br for br in unpruned_branches(label) if not primitive_clash(br)]
         assert list(enumerate_branches(label)) == want
+
+
+def test_walk_needs_no_recursion():
+    # an or/and chain far past the recursion limit; the first branch takes
+    # the deep alternative at every level
+    depth = 5000
+    c = Atom("base")
+    for i in range(depth):
+        c = disj([conj([Atom(f"A{i}"), c]), conj([Atom(f"B{i}"), Atom(f"C{i}")])])
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        first = list(itertools.islice(enumerate_branches({c}), 3))
+    finally:
+        sys.setrecursionlimit(old_limit)
+    chain = {Atom(f"A{i}") for i in range(depth)}
+    assert first[0] == frozenset(chain | {Atom("base")})
+    assert first[1] == frozenset(chain - {Atom("A0")} | {Atom("B0"), Atom("C0")})
+    assert first[2] == frozenset(chain - {Atom("A0"), Atom("A1")} | {Atom("B1"), Atom("C1")})
 
 
 def test_duplicate_sets_skipped():
@@ -248,3 +270,22 @@ def test_branch_satisfies_complex_filler():
     assert branch_satisfies(frozenset({NegAtom("A"), NegAtom("B")}), negate(filler))
     assert not branch_satisfies(frozenset({NegAtom("A")}), filler)
     assert branch_satisfies(frozenset(), TOP)
+
+
+def test_clashed_masks_match_the_decomposition():
+    # every mask whose atom's literal set clashes, and only those
+    lits = [A, B, C, NegAtom("A"), NegAtom("B"), TOP, BOTTOM]
+    lits += [conj([A, B]), disj([NegAtom("A"), NegAtom("B")])]  # each the other's negation
+    lits += [disj([A, C]), conj([NegAtom("A"), NegAtom("C")])]
+    lits += [AtMost(b, R, f) for b in (-1, 0, 1) for f in (C, TOP, disj([A, B]))]
+    lits += [AtLeast(b, R, f) for b in (0, 1, 2) for f in (C, TOP, disj([A, B]))]
+    lits += [AtLeast(1, R_INV, AtMost(0, R, NegAtom("A"))), AtMost(0, R_INV, AtMost(0, R, NegAtom("A")))]
+    rng = random.Random(67)
+    kinds = Counter()
+    for _ in range(1500):
+        fillers = rng.sample(lits, rng.randint(1, 6))
+        atoms = atomic_decomposition(fillers)
+        want = [mask for mask, atom in enumerate(atoms, 1) if primitive_clash(atom)]
+        assert clashed_masks(fillers) == want, [str(f) for f in fillers]
+        kinds.update(primitive_clash(atom) for atom in atoms)
+    assert set(kinds) == {None, *ClashKind}

@@ -140,6 +140,39 @@ def test_resource_limit_exit_code(tmp_path, capsys):
     assert "resource limit" in err
 
 
+def test_node_budget_below_one_is_a_usage_error(capsys):
+    # no run fits in fewer than one node, so it is not a resource limit
+    for budget in ("0", "-5"):
+        code, out, err = run_cli(capsys, "--concept", "(atleast 1 R A)", "--node-budget", budget)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --node-budget needs a budget of at least 1\n"
+
+
+def test_negative_lambda_max_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "--concept", "(atleast 1 R A)", "--lambda-max", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --lambda-max needs a filler count of at least 0\n"
+    # zero fillers still decides a concept without number restrictions
+    code, out, _ = run_cli(capsys, "--concept", "(and A B)", "--lambda-max", "0")
+    assert (code, out) == (0, "SAT\n")
+
+
+def test_stats_on_resource_limit_go_to_stderr(capsys):
+    code, out, err = run_cli(capsys, "--concept", "(atleast 1 R A)", "--node-budget", "1", "--stats")
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[0] == "error: resource limit: node budget of 1 exceeded in one tree"
+    assert lines[1:-1] == ["restarts=0", "nodes=2", "nogoods=0", "lii_solves=1", "max_lambda=1"]
+    assert lines[-1].startswith("wall_ms=")
+    # without --stats the error line stands alone
+    code, out, err = run_cli(capsys, "--concept", "(atleast 1 R A)", "--node-budget", "1")
+    assert (code, out) == (3, "")
+    assert err == "error: resource limit: node budget of 1 exceeded in one tree\n"
+
+
 def test_deep_concept_is_internal_error_not_verdict(capsys):
     # nesting this deep overflows the recursive descent parser
     concept = "(atleast 1 R " * 3000 + "A" + ")" * 3000

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import alcqisat
+import alcqisat.engine as engine
 from alcqisat import (
     Atom,
     CorpusProfile,
@@ -19,8 +20,11 @@ from alcqisat import (
     NogoodTriple,
     ResourceLimitError,
     Role,
+    RunStats,
+    SolverLimitError,
     TOP,
     Tableau,
+    atomic_decomposition,
     build_problem,
     conj,
     decide,
@@ -288,6 +292,57 @@ def test_nogood_count_is_live_when_store_overflows():
     with pytest.raises(ResourceLimitError):
         tableau.decide()
     assert tableau.stats.nogoods == len(tableau.nogoods) == 2
+
+
+def test_limit_errors_carry_the_partial_stats():
+    problem = build_problem(
+        parse_concept("(and (atleast 3 R (or A B)) (atmost 1 R A) (atmost 1 R B))")
+    )
+    tableau = Tableau(problem, Limits(nogood_capacity=2))
+    with pytest.raises(ResourceLimitError) as info:
+        tableau.decide()
+    assert info.value.stats is tableau.stats
+    assert info.value.stats.nogoods == len(tableau.nogoods) == 2
+    problem = build_problem(parse_concept("(atleast 1 R A)"))
+    with pytest.raises(ResourceLimitError) as info:
+        Tableau(problem, Limits(node_budget=1)).decide()
+    assert info.value.stats == RunStats(nodes=2, lii_solves=1, max_lambda=1)
+    # the solver needs more than one step for any restriction
+    with pytest.raises(SolverLimitError) as info:
+        Tableau(problem, Limits(solver_max_steps=1)).decide()
+    assert info.value.stats == RunStats(nodes=1, lii_solves=1, max_lambda=1)
+
+
+def test_apply_lii_zeroes_exactly_the_clashed_atoms(monkeypatch):
+    # the first solve of each system sees the clash zeroing and nothing else
+    unsolved, first_solves = [], []
+    build_lii, feasible = engine.build_lii, engine.feasible
+
+    def record_build(*args):
+        system = build_lii(*args)
+        unsolved.append(system)
+        return system
+
+    def record_solve(system, *rest):
+        if unsolved:
+            first_solves.append((unsolved.pop().fillers, system.zeroed))
+        return feasible(system, *rest)
+
+    monkeypatch.setattr(engine, "build_lii", record_build)
+    monkeypatch.setattr(engine, "feasible", record_solve)
+    corpora = bench_module("corpora")
+    corpus = corpora.generate("counting") + generate_corpus(seed=20260809, count=200)
+    for pf in corpus:
+        try:
+            Tableau(build_problem(pf.query, pf.tbox), Limits(nogood_capacity=250)).decide()
+        except ResourceLimitError:
+            pass
+    clashed = 0
+    for fillers, zeroed in first_solves:
+        atoms = atomic_decomposition(list(fillers))
+        assert zeroed == {m for m, atom in enumerate(atoms, 1) if primitive_clash(atom)}
+        clashed += bool(zeroed)
+    assert clashed > 0
 
 
 def test_contradictory_counting_instance_decides_within_small_budget():

@@ -26,7 +26,7 @@ from alcqisat import (
     to_nnf,
 )
 from alcqisat.syntax import signature_of, walk_concepts
-from conftest import random_interpretation, random_raw_concept
+from conftest import random_interpretation, random_raw_concept, reference_negate
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 R = Role("R")
@@ -268,3 +268,22 @@ def test_equal_concepts_are_one_object():
         n = to_nnf(c)
         assert to_nnf(n) is n
         assert negate(negate(n)) is n
+
+
+def test_cached_negation_is_the_structural_one():
+    for c in corpus_concepts():
+        for sub in walk_concepts(c, to_nnf(c)):
+            neg = negate(sub)
+            assert neg is reference_negate(sub)
+            assert sub._neg is neg
+            assert negate(sub) is neg
+
+
+def test_negation_cache_points_one_way():
+    # negate is not an involution off NNF: the cache must not assume it
+    assert negate(Not(A)) is A
+    assert negate(A) is NegAtom("A")
+    assert Not(A)._neg is A and A._neg is NegAtom("A")
+    at_least_zero = AtLeast(0, R, A)
+    assert negate(at_least_zero) is BOTTOM
+    assert negate(BOTTOM) is TOP
