@@ -1,5 +1,4 @@
-"""Propositional branches of a node label, their bound adjustment, and
-primitive clashes, on literal sets and on the masks of a sign decomposition.
+"""Propositional branches of a node label, and their bound adjustment.
 
 A branch is one disjunct of the label's disjunctive normal form, with number
 restrictions treated as opaque propositions.  Branches are plain frozensets
@@ -179,39 +178,3 @@ def primitive_clash(branch: Branch) -> ClashKind | None:
             found = ClashKind.NEGATIVE_AT_MOST
     return found
 
-
-def clashed_masks(fillers: list[Concept]) -> list[int]:
-    """The atom masks of the fillers' sign decomposition whose literal set
-    is a primitive clash, ascending: exactly the masks m with
-    primitive_clash(atomic_decomposition(fillers)[m - 1]), without building
-    or testing any literal set.
-
-    A literal set clashes when one of its literals clashes on its own, or
-    when it holds a literal and that literal's negation.  Each literal is
-    filler k taken with one sign, so each such cause is a condition
-    (care, value) on masks: a signed filler that clashes on its own fixes
-    bit k, and two signed fillers at k != j, the second the negation of the
-    first, fix bits k and j.  A mask clashes when it meets a condition.
-    """
-    signed: dict[Concept, list[tuple[int, int]]] = {}  # literal -> (bit, value)
-    for k, f in enumerate(fillers):
-        bit = 1 << k
-        signed.setdefault(f, []).append((bit, bit))
-        signed.setdefault(negate(f), []).append((bit, 0))
-    conditions = set()
-    for lit, places in signed.items():
-        alone = primitive_clash(frozenset((lit,))) is not None
-        partners = signed.get(negate(lit), ())
-        for bit, value in places:
-            if alone:
-                conditions.add((bit, value))
-            for other, other_value in partners:
-                if other != bit:
-                    conditions.add((bit | other, value | other_value))
-    if not conditions:
-        return []
-    return [
-        mask
-        for mask in range(1, 1 << len(fillers))
-        if any(mask & care == value for care, value in conditions)
-    ]

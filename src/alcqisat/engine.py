@@ -22,7 +22,6 @@ from .branch import (
     Branch,
     CutSet,
     EMPTY_CUT_SET,
-    clashed_masks,
     cut_set_for_child,
     enumerate_branches,
     fine_tune,
@@ -324,8 +323,9 @@ class Tableau:
         atoms = atomic_decomposition(fillers, self.limits.lambda_max)
         system = build_lii(tuned, role)
         restrictions = frozenset(row.source for row in system.rows)
-        for mask in clashed_masks(fillers):
-            system = zero_column(system, mask)
+        for mask, literals in enumerate(atoms, 1):
+            if primitive_clash(literals):
+                system = zero_column(system, mask)
         child_cut = cut_set_for_child(branch, role, self.problem.cuts)
 
         completed: set[int] = set()

@@ -14,7 +14,6 @@ from alcqisat import (
     NegAtom,
     Role,
     TOP,
-    atomic_decomposition,
     branch_satisfies,
     conj,
     cut_set_for_child,
@@ -26,7 +25,6 @@ from alcqisat import (
     primitive_clash,
     to_nnf,
 )
-from alcqisat.branch import clashed_masks
 from conftest import (
     propositional_skeleton,
     random_raw_concept,
@@ -271,21 +269,3 @@ def test_branch_satisfies_complex_filler():
     assert not branch_satisfies(frozenset({NegAtom("A")}), filler)
     assert branch_satisfies(frozenset(), TOP)
 
-
-def test_clashed_masks_match_the_decomposition():
-    # every mask whose atom's literal set clashes, and only those
-    lits = [A, B, C, NegAtom("A"), NegAtom("B"), TOP, BOTTOM]
-    lits += [conj([A, B]), disj([NegAtom("A"), NegAtom("B")])]  # each the other's negation
-    lits += [disj([A, C]), conj([NegAtom("A"), NegAtom("C")])]
-    lits += [AtMost(b, R, f) for b in (-1, 0, 1) for f in (C, TOP, disj([A, B]))]
-    lits += [AtLeast(b, R, f) for b in (0, 1, 2) for f in (C, TOP, disj([A, B]))]
-    lits += [AtLeast(1, R_INV, AtMost(0, R, NegAtom("A"))), AtMost(0, R_INV, AtMost(0, R, NegAtom("A")))]
-    rng = random.Random(67)
-    kinds = Counter()
-    for _ in range(1500):
-        fillers = rng.sample(lits, rng.randint(1, 6))
-        atoms = atomic_decomposition(fillers)
-        want = [mask for mask, atom in enumerate(atoms, 1) if primitive_clash(atom)]
-        assert clashed_masks(fillers) == want, [str(f) for f in fillers]
-        kinds.update(primitive_clash(atom) for atom in atoms)
-    assert set(kinds) == {None, *ClashKind}
