@@ -3,6 +3,14 @@
 A branch is one disjunct of the label's disjunctive normal form, with number
 restrictions treated as opaque propositions.  Branches are plain frozensets
 of literal concepts, so equality and subset tests are set semantics.
+
+The walk that yields them is DPLL-style: it skips disjunctions the partial
+disjunct already satisfies, drops the parts that clash with it before
+branching (taking a lone survivor without a choice point), and keeps the
+partial disjunct on a trail that choice points rewind.  So not every
+clash-free disjunct is yielded, but each contains one that is.  The
+definite literals of a label, those every branch holds, let the engine skip
+the walk for a label a nogood already kills.
 """
 
 from __future__ import annotations
@@ -62,25 +70,40 @@ EMPTY_CUT_SET = CutSet(frozenset())
 
 
 def enumerate_branches(label: Iterable[Concept]) -> Iterator[Branch]:
-    """Lazily yield the DNF disjuncts of the conjunction of the label.
+    """Lazily yield the DNF disjuncts of the conjunction of the label that
+    the walk below does not prove redundant.
 
-    Choices run depth-first over or-nodes in canonical child order, so the
-    sequence is deterministic.  Disjuncts equal as sets are yielded once.
-    A partial disjunct that takes bottom or a complementary pair is dropped,
-    since every extension of it clashes too.
+    Every yielded set is a clash-free disjunct, and every clash-free
+    disjunct contains a yielded set, so the yielded sets cover the same
+    models.  Choices run depth-first over or-nodes in canonical child order,
+    so the sequence is deterministic; sets equal to an earlier one are not
+    yielded again.
 
-    One loop over an explicit stack of (work, partial disjunct) pairs, so
-    nesting depth is bounded by memory, not by the recursion limit.  The
-    work list is a cons list of (head, rest) pairs: taking its head and
-    sharing its rest between the alternatives of an or-node copy nothing.
+    The walk is DPLL-style.  An or-node with a part already in the partial
+    disjunct is satisfied and not branched on: every set another part would
+    give is a superset of one still yielded.  Parts that are bottom or whose
+    negation is in the partial disjunct are dropped before branching; a lone
+    surviving part is taken without a choice point, and none left prunes
+    the partial disjunct with all its extensions.
+
+    The partial disjunct lives on a trail, a list of the literals added so
+    far plus a membership set; a choice point records the trail length to
+    return to, so building one set of n literals costs O(n).  Pending work
+    is a cons list of (head, rest) pairs shared between the alternatives of
+    an or-node, and choice points sit on an explicit stack, so nesting depth
+    is bounded by memory, not by the recursion limit.
     """
     work = None
     for c in reversed(sorted_concepts(set(label))):
         work = (c, work)
+    trail: list[Concept] = []
+    members: set[Concept] = set()
     seen: set[Branch] = set()
-    stack = [(work, frozenset())]
+    stack = [(work, 0)]
     while stack:
-        work, acc = stack.pop()
+        work, mark = stack.pop()
+        while len(trail) > mark:
+            members.discard(trail.pop())
         while work is not None:
             head, work = work
             kind = type(head)
@@ -88,18 +111,54 @@ def enumerate_branches(label: Iterable[Concept]) -> Iterator[Branch]:
                 for part in reversed(head.parts):
                     work = (part, work)
             elif kind is Or:
+                if not members.isdisjoint(head.parts):
+                    continue  # satisfied
+                live = []
+                for part in head.parts:
+                    kind = type(part)
+                    if kind is And or kind is Or:
+                        live.append(part)
+                    elif kind is not Bottom and negate(part) not in members:
+                        live.append(part)
+                if not live:
+                    break
                 # the first part on top, so it is explored first
-                for part in reversed(head.parts):
-                    stack.append(((part, work), acc))
+                for part in reversed(live[1:]):
+                    stack.append(((part, work), len(trail)))
+                part = live[0]
+                kind = type(part)
+                if kind is And or kind is Or:
+                    work = (part, work)
+                else:  # checked above: new to the trail and clash-free
+                    trail.append(part)
+                    members.add(part)
+            elif kind is Bottom or negate(head) in members:
                 break
-            elif kind is Bottom or negate(head) in acc:
-                break
-            else:
-                acc = acc | {head}
+            elif head not in members:
+                trail.append(head)
+                members.add(head)
         else:
-            if acc not in seen:
-                seen.add(acc)
-                yield acc
+            # a copy of the set reuses its stored hashes
+            branch = frozenset(members)
+            if branch not in seen:
+                seen.add(branch)
+                yield branch
+
+
+def definite_literals(label: Iterable[Concept]) -> frozenset:
+    """The literals reachable from the label through and-nodes alone.  The
+    walk adds them to every partial disjunct, so each yielded set contains
+    them."""
+    found = set()
+    todo = list(label)
+    while todo:
+        c = todo.pop()
+        kind = type(c)
+        if kind is And:
+            todo.extend(c.parts)
+        elif kind is not Or:
+            found.add(c)
+    return frozenset(found)
 
 
 def branch_satisfies(branch: Branch, c: Concept) -> bool:

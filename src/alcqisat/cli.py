@@ -1,10 +1,11 @@
 """Command-line front door.
 
 Exit codes: 0 satisfiable, 1 unsatisfiable, 2 usage or parse error,
-3 resource limit, 4 internal error (nothing on standard output).  The verdict
-is the first line on standard output; diagnostics, including the rule trace
-and the partial --stats of a run stopped by a resource limit, go to standard
-error.
+3 resource limit, 4 internal error (nothing on standard output), which
+includes an UNSAT verdict that the --oracle-check model search contradicts.
+The verdict is the first line on standard output; diagnostics, including the
+rule trace, the partial --stats of a run stopped by a resource limit and the
+model behind an oracle mismatch, go to standard error.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # a bug, never a verdict: keep stdout empty
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    if code == EXIT_INTERNAL:  # a verdict the oracle refutes is no verdict
+        return code
     sys.stdout.write(out.getvalue())
     return code
 
@@ -154,7 +157,8 @@ def _run(args: argparse.Namespace) -> int:
         _print_stats(verdict.stats, wall_ms, sys.stdout)
 
     if args.oracle_check is not None:
-        _report_oracle(problem, verdict.satisfiable, args.oracle_check)
+        if not _report_oracle(problem, verdict.satisfiable, args.oracle_check):
+            return EXIT_INTERNAL
 
     return EXIT_SAT if verdict.satisfiable else EXIT_UNSAT
 
@@ -164,24 +168,31 @@ def _print_stats(stats: RunStats, wall_ms: int, file) -> None:
         print(f"{name}={value}", file=file)
 
 
-def _report_oracle(problem, engine_sat: bool, max_domain: int) -> None:
+def _report_oracle(problem, engine_sat: bool, max_domain: int) -> bool:
+    """Print the model search's report; False when it found a model of an
+    UNSAT verdict, after the error line and the model went to stderr."""
     try:
         result = find_model(problem.goal, problem.axiom, max_domain=max_domain)
     except OracleLimitError as exc:
         print(f"oracle: refused ({exc})")
-        return
+        return True
     if isinstance(result, Interpretation):
+        if not engine_sat:
+            print(
+                "error: internal: oracle mismatch: the engine said UNSAT but a "
+                f"model of domain size {result.domain_size} exists:",
+                file=sys.stderr,
+            )
+            print(result.dump(), file=sys.stderr)
+            return False
         print(f"oracle: model found (domain size {result.domain_size})")
-        if engine_sat:
-            print("oracle: agreement ok")
-        else:
-            print("oracle: MISMATCH, engine said UNSAT but a model exists:")
-            print(result.dump())
+        print("oracle: agreement ok")
     else:
         assert isinstance(result, NoneFound)
         print(f"oracle: no model up to domain size {result.searched_max_domain}")
         print("oracle: agreement ok" if not engine_sat else
               "oracle: inconclusive (bounded search cannot confirm SAT)")
+    return True
 
 
 if __name__ == "__main__":

@@ -4,10 +4,13 @@ The procedure builds a labeled tree top-down.  Each node picks one
 propositional branch of its label, adjusts bounds against its parent, and
 turns each role's number restrictions into an integer feasibility system
 whose solution spawns the children.  The branch walk prunes clashed
-disjuncts, and a branch that clashes only after the bound adjustment is
-skipped; such local clashes are never cached.  Failures are cached as nogood
-triples (context cut-set, incoming role, concept set); every newly learned
-triple aborts the current tree, clears the blocking store, and restarts.
+disjuncts and never branches on a satisfied disjunction, and a branch that
+clashes only after the bound adjustment is skipped; such local clashes are
+never cached.  Failures are cached as nogood triples (context cut-set,
+incoming role, concept set); every newly learned triple aborts the current
+tree, clears the blocking store, and restarts.  A node whose definite
+literals (those every branch of its label holds) a stored triple already
+covers would skip every branch, so it fails without walking its label.
 The run answers unsatisfiable when a triple subsumes the root label,
 satisfiable when a tree completes without learning anything new.
 """
@@ -23,6 +26,7 @@ from .branch import (
     CutSet,
     EMPTY_CUT_SET,
     cut_set_for_child,
+    definite_literals,
     enumerate_branches,
     fine_tune,
     primitive_clash,
@@ -268,6 +272,11 @@ class Tableau:
         hit = self.nogoods.hit(cut, edge, label_body)
         if hit is not None:
             return hit
+        # every branch holds the definite literals; when a stored triple
+        # covers them, the checks below would skip every branch
+        if self.nogoods and self.nogoods.hit(cut, edge, definite_literals(label)) is not None:
+            self._record(cut, edge, label)
+            return self.nogoods.hit(cut, edge, label_body)
 
         for index, branch in enumerate(enumerate_branches(label)):
             tuned = fine_tune(branch, cut, edge)

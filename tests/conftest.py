@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import random
 from pathlib import Path
 
@@ -81,32 +82,28 @@ def random_interpretation(rng: random.Random, max_domain=3, atoms=("A", "B", "C"
 
 def brute_force_feasible(system: LiiSystem, cap: int | None = None) -> dict | None:
     """Exhaustive search over all assignments with each variable bounded by
-    the sum of the at-least bounds.  Reference for the solver."""
+    the sum of the at-least bounds.  Reference for the solver.  Candidates
+    run in lexicographic order, the first variable slowest."""
     masks = [m for m in system.atom_masks() if m not in system.zeroed]
     if cap is None:
         cap = sum(r.bound for r in system.rows if not r.is_at_most)
-
-    def rows_ok(values: dict) -> bool:
-        for row in system.rows:
-            total = sum(v for m, v in values.items() if (row.coeff_mask >> (m - 1)) & 1)
-            if row.is_at_most and total > row.bound:
-                return False
-            if not row.is_at_most and total < row.bound:
-                return False
-        return True
-
-    def search(i: int, values: dict):
-        if i == len(masks):
-            return dict(values) if rows_ok(values) else None
-        for v in range(cap + 1):
-            values[masks[i]] = v
-            found = search(i + 1, values)
-            if found is not None:
-                return found
-        del values[masks[i]]
-        return None
-
-    return search(0, {})
+    # per row: the positions of the variables it sums, its bound and kind
+    rows = [
+        (
+            [i for i, m in enumerate(masks) if (row.coeff_mask >> (m - 1)) & 1],
+            row.bound,
+            row.is_at_most,
+        )
+        for row in system.rows
+    ]
+    for values in itertools.product(range(cap + 1), repeat=len(masks)):
+        for columns, bound, is_at_most in rows:
+            total = sum(values[i] for i in columns)
+            if total > bound if is_at_most else total < bound:
+                break
+        else:
+            return dict(zip(masks, values))
+    return None
 
 
 def reference_feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | None:

@@ -56,31 +56,57 @@ def test_clashed_disjunct_pruned():
     assert got == [frozenset({A, B})]
 
 
-def test_pruned_walk_is_filtered_reference_walk():
+def test_pruned_walk_covers_the_clash_free_reference_disjuncts():
+    # sound: every yielded set is a clash-free disjunct; complete: every
+    # clash-free disjunct contains a yielded set; and none is yielded twice
     rng = random.Random(43)
     for _ in range(300):
         label = {to_nnf(random_raw_concept(rng, rng.randint(0, 4))) for _ in range(rng.randint(1, 3))}
-        want = [br for br in unpruned_branches(label) if not primitive_clash(br)]
-        assert list(enumerate_branches(label)) == want
+        want = {br for br in unpruned_branches(label) if not primitive_clash(br)}
+        got = list(enumerate_branches(label))
+        assert len(got) == len(set(got))
+        assert set(got) <= want
+        assert all(any(br <= full for br in got) for full in want)
 
 
-def test_walk_needs_no_recursion():
-    # an or/and chain far past the recursion limit; the first branch takes
-    # the deep alternative at every level
-    depth = 5000
+def test_satisfied_clause_is_not_branched():
+    assert branches({A, disj([A, B])}) == [frozenset({A})]
+
+
+def or_and_chain(depth):
+    # the first branch takes the deep alternative (A_i and the rest) at
+    # every level; the next ones take (B_i and C_i) at level 0, then 1
     c = Atom("base")
     for i in range(depth):
         c = disj([conj([Atom(f"A{i}"), c]), conj([Atom(f"B{i}"), Atom(f"C{i}")])])
+    return c
+
+
+def first_branches(label, count):
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        first = list(itertools.islice(enumerate_branches({c}), 3))
+        return list(itertools.islice(enumerate_branches(label), count))
     finally:
         sys.setrecursionlimit(old_limit)
+
+
+def test_walk_needs_no_recursion():
+    # an or/and chain far past the recursion limit
+    depth = 5000
+    first = first_branches({or_and_chain(depth)}, 3)
     chain = {Atom(f"A{i}") for i in range(depth)}
     assert first[0] == frozenset(chain | {Atom("base")})
     assert first[1] == frozenset(chain - {Atom("A0")} | {Atom("B0"), Atom("C0")})
     assert first[2] == frozenset(chain - {Atom("A0"), Atom("A1")} | {Atom("B1"), Atom("C1")})
+
+
+def test_deep_first_branch():
+    # the trail adds each literal once, without copying the partial
+    # disjunct, so one branch of n literals is built in O(n) steps
+    depth = 20_000
+    (first,) = first_branches({or_and_chain(depth)}, 1)
+    assert first == frozenset({Atom(f"A{i}") for i in range(depth)} | {Atom("base")})
 
 
 def test_duplicate_sets_skipped():

@@ -1,7 +1,7 @@
 import subprocess
 import sys
 
-from alcqisat import cli
+from alcqisat import RunStats, Verdict, cli
 from alcqisat.cli import EXIT_INTERNAL, main
 
 
@@ -192,6 +192,23 @@ def test_internal_error_keeps_stdout_empty(tmp_path, capsys, monkeypatch):
     assert code == EXIT_INTERNAL
     assert out == ""
     assert err == "error: internal: KeyError: 'boom'\n"
+
+
+def test_oracle_mismatch_is_an_internal_error(capsys, monkeypatch):
+    # a model of an UNSAT verdict means the engine is wrong: no verdict
+    def wrong(problem, *args, **kwargs):
+        return Verdict(satisfiable=False, stats=RunStats())
+
+    monkeypatch.setattr(cli, "decide", wrong)
+    code, out, err = run_cli(capsys, "--concept", "A", "--oracle-check", "2", "--stats")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[0] == (
+        "error: internal: oracle mismatch: the engine said UNSAT but a "
+        "model of domain size 1 exists:"
+    )
+    assert lines[1:] == ["domain: [0]", "concept A: [0]"]
 
 
 def test_byte_identical_output(tmp_path, capsys):

@@ -355,10 +355,48 @@ def test_contradictory_counting_instance_decides_within_small_budget():
     assert not v.satisfiable
 
 
+def test_dead_label_skips_the_walk(monkeypatch):
+    # a label whose definite literals a stored triple covers goes straight
+    # to the nogood; with definite_literals patched to return the label,
+    # the short-circuit only repeats the label test made before it, so the
+    # engine walks as it did without it
+    corpora = bench_module("corpora")
+    walk = engine.enumerate_branches
+    calls = 0
+
+    def counted(label):
+        nonlocal calls
+        calls += 1
+        return walk(label)
+
+    def run(problem):
+        nonlocal calls
+        calls = 0
+        verdict = Tableau(problem, Limits(nogood_capacity=250)).decide()
+        return verdict, calls
+
+    monkeypatch.setattr(engine, "enumerate_branches", counted)
+    with_skip, without = [], []
+    for pf in corpora.generate("counting"):
+        problem = build_problem(pf.query, pf.tbox)
+        verdict, walks = run(problem)
+        if verdict.satisfiable:
+            continue
+        with_skip.append((verdict, walks))
+        with monkeypatch.context() as m:
+            m.setattr(engine, "definite_literals", lambda label: label)
+            without.append(run(problem))
+    assert len(with_skip) == 68
+    assert [v for v, _ in with_skip] == [v for v, _ in without]
+    # 141 walks is what the engine made before the short-circuit existed
+    assert sum(n for _, n in without) == 141
+    assert sum(n for _, n in with_skip) < 141
+
+
 # sha256 over every deep-profile instance's trace lines, verdict and RunStats;
 # a change to the search that alters any of them must update it on purpose,
 # to the value deep_traces_digest() then returns
-DEEP_TRACES_DIGEST = "5e2ac503a74d65435ab5c4222d15eed06016384f75ccf94836a814cf1572d358"
+DEEP_TRACES_DIGEST = "80d8fd28b7c943a27734d7fee2b6dd108b1f3a2b231882901ba9cd159727a1cb"
 
 
 def deep_traces_digest() -> str:
