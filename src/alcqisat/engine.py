@@ -276,7 +276,7 @@ class Tableau:
         # covers them, the checks below would skip every branch
         if self.nogoods and self.nogoods.hit(cut, edge, definite_literals(label)) is not None:
             self._record(cut, edge, label)
-            return self.nogoods.hit(cut, edge, label_body)
+            raise AssertionError("dead label's triple was already stored but missed the label test")
 
         for index, branch in enumerate(enumerate_branches(label)):
             tuned = fine_tune(branch, cut, edge)
@@ -311,8 +311,10 @@ class Tableau:
                 return None
             del self.witnesses[key]
 
+        # the label test above missed and a triple added during the walk
+        # restarts the tree, so this triple is new and `_record` raises
         self._record(cut, edge, label)
-        return self.nogoods.hit(cut, edge, label_body)
+        raise AssertionError("failed label's triple was already stored but missed the label test")
 
     def _apply_lii(self, node_id: int, branch: Branch, tuned: Branch, role: Role) -> bool:
         """Decompose the role's restrictions, solve, expand the children.

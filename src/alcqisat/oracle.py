@@ -2,11 +2,15 @@
 
 Ground-truth semantics for tests: interprets concepts over explicit finite
 structures and searches all interpretations up to a small domain size, in a
-fixed candidate order.  The search compiles goal and axiom once into bitmask
-ops, evaluates each op at the loop that fixes its value, and skips every
-candidate below a loop value that already fails, so it returns the model a
-plain enumeration of the same order returns.  A negative answer is never a
-proof of unsatisfiability; the result type says how far the search went.
+fixed candidate order.  For each domain size n the search compiles goal and
+axiom into bitmask ops, folding every number restriction whose value n
+decides (an at-least above n, an at-most of n or more) to a constant; it
+evaluates each op at the loop that fixes its value, and skips every
+candidate below a loop value that already fails.  A folded op has the value
+the restriction has on every size-n candidate, and a skipped candidate
+fails a check it cannot change, so the search returns the model a plain
+enumeration of the same order returns.  A negative answer is never a proof
+of unsatisfiability; the result type says how far the search went.
 """
 
 from __future__ import annotations
@@ -108,8 +112,8 @@ _TOP, _BOTTOM, _ATOM, _NEG_ATOM, _NOT, _AND, _OR, _AT_MOST, _AT_LEAST = range(9)
 
 @dataclass
 class _Program:
-    """Goal and axiom compiled to slot ops, staged by the sweep depth at
-    which their value is fixed (see `_compile`)."""
+    """Goal and axiom compiled for one domain size to slot ops, staged by
+    the sweep depth at which their value is fixed (see `_compile`)."""
 
     stages: list[list[tuple]]  # ops per depth, children before parents
     axiom_parts: list[list[int]]  # slots per depth that must be full
@@ -117,8 +121,10 @@ class _Program:
     n_slots: int
 
 
-def _compile(goal: Concept, axiom: Concept, atom_list: list[str], role_list: list[str]) -> _Program:
-    """One walk over goal and axiom.
+def _compile(
+    goal: Concept, axiom: Concept, atom_list: list[str], role_list: list[str], n: int
+) -> _Program:
+    """One walk over goal and axiom for the candidates over domain {0..n-1}.
 
     Every subterm becomes an op `(opcode, slot, *args)`; its slot will hold
     the subterm's extension as a bitmask.  Concepts are hash-consed, so
@@ -126,6 +132,13 @@ def _compile(goal: Concept, axiom: Concept, atom_list: list[str], role_list: lis
     An op's depth is 0 when it depends on the atoms only, else
     `len(role_list) - k` for the smallest index k of a role it counts over:
     role k's loop sits at that depth of the sweep.
+
+    A subterm whose extension is the same on every size-n candidate folds
+    to a `_TOP` or `_BOTTOM` op at depth 0: an at-least above n or an
+    at-most of n or more, a restriction over a bottom filler, and the
+    junctions and negations these make constant.  A junction keeps its
+    other parts, and one left with a single part is that part, so a
+    conjunct whose deep parts fold away is checked at a shallower loop.
     """
     atom_index = {name: i for i, name in enumerate(atom_list)}
     role_index = {name: k for k, name in enumerate(role_list)}
@@ -133,37 +146,68 @@ def _compile(goal: Concept, axiom: Concept, atom_list: list[str], role_list: lis
     stages: list[list[tuple]] = [[] for _ in range(n_roles + 1)]
     depths: list[int] = []
     seen: dict[int, int] = {}
+    # slot of the folded constant, by truth value
+    constant: dict[bool, int] = {}
 
-    def visit(c: Concept) -> int:
-        slot = seen.get(id(c))
-        if slot is not None:
-            return slot
-        kind = type(c)
-        if kind is AtMost or kind is AtLeast:
-            filler = visit(c.filler)
-            k = role_index[c.role.base]
-            code = _AT_MOST if kind is AtMost else _AT_LEAST
-            args: tuple = (filler, k, c.role.inverted, c.bound)
-            depth = max(depths[filler], n_roles - k)
-        elif kind is And or kind is Or:
-            parts = tuple([visit(p) for p in c.parts])
-            code, args, depth = (_AND if kind is And else _OR), (parts,), 0
-            for p in parts:
-                depth = max(depth, depths[p])
-        elif kind is Not:
-            sub = visit(c.sub)
-            code, args, depth = _NOT, (sub,), depths[sub]
-        elif kind is Atom or kind is NegAtom:
-            code = _ATOM if kind is Atom else _NEG_ATOM
-            args, depth = (atom_index[c.name],), 0
-        elif kind is Top or kind is Bottom:
-            code, args, depth = (_TOP if kind is Top else _BOTTOM), (), 0
-        else:
-            raise TypeError(f"unknown concept node: {c!r}")
-        seen[id(c)] = slot = len(depths)
+    def emit(code: int, args: tuple, depth: int) -> int:
+        slot = len(depths)
         depths.append(depth)
         stages[depth].append((code, slot) + args)
         return slot
+
+    def fold(value: bool) -> int:
+        slot = constant.get(value)
+        if slot is None:
+            slot = constant[value] = emit(_TOP if value else _BOTTOM, (), 0)
+        return slot
+
+    def visit(c: Concept) -> int:
+        slot = seen.get(id(c))
+        if slot is None:
+            seen[id(c)] = slot = build(c)
+        return slot
+
+    def build(c: Concept) -> int:
+        kind = type(c)
+        if kind is AtMost or kind is AtLeast:
+            at_most = kind is AtMost
+            # bounds first: an at-most -1 is bottom even over a bottom filler
+            if c.bound >= n if at_most else c.bound <= 0:
+                return fold(True)
+            if c.bound < 0 if at_most else c.bound > n:
+                return fold(False)
+            filler = visit(c.filler)
+            if filler == constant.get(False):
+                return fold(at_most)
+            k = role_index[c.role.base]
+            args: tuple = (filler, k, c.role.inverted, c.bound)
+            return emit(_AT_MOST if at_most else _AT_LEAST, args, max(depths[filler], n_roles - k))
+        if kind is And or kind is Or:
+            # the junction's unit drops out, its negation decides it
+            unit = kind is And
+            parts = []
+            for p in c.parts:
+                slot = visit(p)
+                if slot == constant.get(not unit):
+                    return slot
+                if slot != constant.get(unit):
+                    parts.append(slot)
+            if not parts:
+                return fold(unit)
+            if len(parts) == 1:
+                return parts[0]
+            return emit(_AND if unit else _OR, (tuple(parts),), max(depths[p] for p in parts))
+        if kind is Not:
+            sub = visit(c.sub)
+            for value in (True, False):
+                if sub == constant.get(value):
+                    return fold(not value)
+            return emit(_NOT, (sub,), depths[sub])
+        if kind is Atom or kind is NegAtom:
+            return emit(_ATOM if kind is Atom else _NEG_ATOM, (atom_index[c.name],), 0)
+        if kind is Top or kind is Bottom:
+            return fold(kind is Top)
+        raise TypeError(f"unknown concept node: {c!r}")
 
     def conjuncts(c: Concept) -> list[list[int]]:
         by_depth: list[list[int]] = [[] for _ in range(n_roles + 1)]
@@ -287,13 +331,18 @@ def find_model(
     with the largest fully searched size when the search space for the next
     size would blow the candidate budget.
 
-    The search is a staged sweep over that same order (`_sweep`): goal and
-    axiom are compiled once into bitmask ops, each evaluated once per value
-    of the innermost loop it depends on, and a loop value that empties the
-    goal or leaves an axiom conjunct short of the whole domain skips all the
-    candidates nested inside it.  It returns the model the plain enumeration
-    would.  The budget still counts each size's whole candidate space,
-    skipped candidates included.
+    The search is a staged sweep over that same order (`_sweep`): for each
+    size n, goal and axiom are compiled into bitmask ops (`_compile`), with
+    every subterm that has one value on all size-n candidates folded to a
+    constant: at-least bounds above n, at-most bounds of n or more,
+    restrictions over a bottom filler, and what these make constant.  Each
+    op is evaluated once per value of the innermost loop it depends on, and
+    a loop value that empties the goal or leaves an axiom conjunct short of
+    the whole domain skips all the candidates nested inside it.  Folding
+    changes no op's value on any candidate and skipping drops only
+    candidates that fail, so the first model is the one the plain
+    enumeration returns.  The budget still counts each size's whole
+    candidate space, skipped candidates included.
     """
     atoms, roles = signature_of(goal, axiom)
     if len(atoms) > max_atoms or len(roles) > max_roles:
@@ -306,7 +355,6 @@ def find_model(
 
     atom_list = sorted(atoms)
     role_list = sorted(roles)
-    program = _compile(goal, axiom, atom_list, role_list)
     spent = 0
     searched = 0
     for n in range(1, max_domain + 1):
@@ -314,6 +362,7 @@ def find_model(
         if spent + space > budget:
             return NoneFound(searched_max_domain=searched)
         spent += space
+        program = _compile(goal, axiom, atom_list, role_list, n)
         found = _sweep(program, n, len(atom_list), len(role_list))
         if found is not None:
             return _materialize(n, dict(zip(atom_list, found[0])), dict(zip(role_list, found[1])))

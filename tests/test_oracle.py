@@ -21,7 +21,8 @@ from alcqisat import (
     parse_concept,
     to_nnf,
 )
-from alcqisat.syntax import signature_of
+from alcqisat.oracle import _AT_LEAST, _compile
+from alcqisat.syntax import BOTTOM, Not, signature_of
 from conftest import random_interpretation, random_raw_concept, reference_find_model
 
 A = Atom("A")
@@ -211,3 +212,64 @@ def test_find_model_returns_first_model_in_candidate_order():
     result = find_model(goal)
     assert result == reference_find_model(goal)
     assert result == interp(2, concepts={"A": {0}}, roles={"R": {(0, 1)}, "S": set()})
+
+
+def random_bounded_concept(rng, depth, n, atoms, roles):
+    """Concept whose restrictions have bounds from 0 to n + 1 (at-most from
+    -1, which bound adjustment constructs), under negations, junctions and
+    other restrictions, with top and bottom among the leaves."""
+    if depth <= 0:
+        pick = rng.randrange(8)
+        if pick < 2:
+            return (TOP, BOTTOM)[pick]
+        atom = Atom(rng.choice(atoms))
+        return atom if pick < 5 else Not(atom)
+    pick = rng.randrange(10)
+    if pick < 4:
+        role = Role(rng.choice(roles), rng.random() < 0.4)
+        filler = random_bounded_concept(rng, depth - 1, n, atoms, roles)
+        if pick < 2:
+            return AtLeast(rng.randint(0, n + 1), role, filler)
+        return AtMost(rng.randint(-1, n + 1), role, filler)
+    if pick < 6:
+        return conj(random_bounded_concept(rng, depth - 1, n, atoms, roles) for _ in range(2))
+    if pick < 8:
+        return disj(random_bounded_concept(rng, depth - 1, n, atoms, roles) for _ in range(2))
+    return Not(random_bounded_concept(rng, depth - 1, n, atoms, roles))
+
+
+def test_folded_restrictions_keep_the_first_model():
+    # bounds reach past each domain size the search completes, so every
+    # folding rule fires at sizes 1, 2 and 3; size 3 is searched for one
+    # atom and one role only, the inverse included
+    rng = random.Random(53)
+    outcomes = Counter()
+    for i in range(450):
+        stop = 1 + i % 3
+        atoms, roles = (("A",), ("R",)) if stop == 3 else (("A", "B"), ("R", "S"))
+        goal = random_bounded_concept(rng, rng.randint(1, 3), stop, atoms, roles)
+        axiom = TOP if rng.random() < 0.4 else random_bounded_concept(rng, rng.randint(1, 2), stop, atoms, roles)
+        budget = _budget_stopping_after(goal, axiom, stop)
+        expected = reference_find_model(goal, axiom, max_domain=3, budget=budget)
+        assert find_model(goal, axiom, max_domain=3, budget=budget) == expected, (goal, axiom, budget)
+        if isinstance(expected, Interpretation):
+            outcomes[f"model {expected.domain_size}"] += 1
+        else:
+            outcomes[f"none {expected.searched_max_domain}"] += 1
+    assert all(outcomes[f"none {d}"] >= 10 for d in range(1, 4)), outcomes
+    assert all(outcomes[f"model {d}"] >= 5 for d in range(1, 4)), outcomes
+
+
+def test_restriction_beyond_the_domain_folds():
+    # at size 2 no element has 3 R-neighbours: the restriction is a
+    # constant, so no op waits for the role loop and the goal fails at
+    # the atom loop; at size 3 it is counted in R's loop
+    goal = parse_concept("(and A (atleast 3 R B))")
+    folded = _compile(goal, TOP, ["A", "B"], ["R"], 2)
+    assert folded.stages[1] == []
+    assert len(folded.goal_parts[0]) == 2 and folded.goal_parts[1] == []
+    counted = _compile(goal, TOP, ["A", "B"], ["R"], 3)
+    assert [op[0] for op in counted.stages[1]] == [_AT_LEAST]
+    assert len(counted.goal_parts[1]) == 1
+    assert find_model(goal, max_domain=2) == NoneFound(searched_max_domain=2)
+    assert find_model(goal) == reference_find_model(goal)
