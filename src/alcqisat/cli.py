@@ -49,7 +49,8 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         help="also run the bounded model search up to domain size N and report agreement",
     )
     parser.add_argument("--lambda-max", type=int, default=Limits.lambda_max, metavar="K",
-                        help="most distinct fillers per role before giving up (default %(default)s)")
+                        help="most distinct fillers per solved role, one with a positive at-least, "
+                             "before giving up (default %(default)s)")
     parser.add_argument("--node-budget", type=int, default=Limits.node_budget, metavar="N",
                         help="most node expansions per tree (default %(default)s)")
     parser.add_argument("--strict-blocking", action="store_true",

@@ -2,13 +2,15 @@
 
 The procedure builds a labeled tree top-down.  Each node picks one
 propositional branch of its label, adjusts bounds against its parent, and
-turns each role's number restrictions into an integer feasibility system
-whose solution spawns the children.  The branch walk prunes clashed
-disjuncts and never branches on a satisfied disjunction, and a branch that
-clashes only after the bound adjustment is skipped; such local clashes are
-never cached.  Failures are cached as nogood triples (context cut-set,
-incoming role, concept set); every newly learned triple aborts the current
-tree, clears the blocking store, and restarts.  A node whose definite
+turns the number restrictions of each role with a positive at-least into an
+integer feasibility system whose solution spawns the children.  A role with
+no positive at-least spawns no child and builds no system: the all-zero
+vector meets its rows and is their smallest solution.  The branch walk
+prunes clashed disjuncts and never branches on a satisfied disjunction, and
+a branch that clashes only after the bound adjustment is skipped; such
+local clashes are never cached.  Failures are cached as nogood triples
+(context cut-set, incoming role, concept set); every newly learned triple
+aborts the current tree, clears the blocking store, and restarts.  A node whose definite
 literals (those every branch of its label holds) a stored triple already
 covers would skip every branch, so it fails without walking its label.
 The run answers unsatisfiable when a triple subsumes the root label,
@@ -41,7 +43,6 @@ from .lii import (
 )
 from .syntax import (
     AtLeast,
-    AtMost,
     Concept,
     Problem,
     Role,
@@ -197,10 +198,6 @@ class Tableau:
 
     # -- helpers ----------------------------------------------------------
 
-    def _say(self, line: str) -> None:
-        if self.trace is not None:
-            self.trace(line)
-
     def _strip(self, body: frozenset) -> frozenset:
         return body - self._core_label
 
@@ -209,10 +206,11 @@ class Tableau:
         triple = NogoodTriple(cut, edge, self._strip(body))
         if self.nogoods.add(triple):
             self.stats.nogoods = len(self.nogoods)
-            self._say(
-                f"NOGOOD cut={_fmt_cut(triple.cut)} edge={_fmt_edge(triple.edge)} "
-                f"body={_fmt_set(triple.body)}"
-            )
+            if self.trace is not None:
+                self.trace(
+                    f"NOGOOD cut={_fmt_cut(triple.cut)} edge={_fmt_edge(triple.edge)} "
+                    f"body={_fmt_set(triple.body)}"
+                )
             raise _RestartRequested()
 
     def _witness_key(self, branch: Branch, tuned: Branch, cut: CutSet, edge: Role | None):
@@ -240,7 +238,8 @@ class Tableau:
                     if len(self.nogoods) <= before:
                         raise AssertionError("restart without a new nogood")
                     self.stats.restarts += 1
-                    self._say(f"RESTART {self.stats.restarts}")
+                    if self.trace is not None:
+                        self.trace(f"RESTART {self.stats.restarts}")
                     continue
                 if blocking is None:
                     return Verdict(satisfiable=True, stats=self.stats)
@@ -287,21 +286,21 @@ class Tableau:
                 or self.nogoods.hit_exact(cut, edge, branch)
             ):
                 continue
-            self._say(f"PB node={node_id} branch={index}")
+            if self.trace is not None:
+                self.trace(f"PB node={node_id} branch={index}")
 
             key = self._witness_key(branch, tuned, cut, edge)
             blocker = self.witnesses.get(key)
             if blocker is not None:
-                self._say(f"BLOCKED node={node_id} by={blocker}")
+                if self.trace is not None:
+                    self.trace(f"BLOCKED node={node_id} by={blocker}")
                 return None
             self.witnesses[key] = node_id
 
+            # only an at-least with a positive bound forces a successor; on
+            # any other role the all-zero vector is the smallest solution
             roles = sorted(
-                {
-                    lit.role
-                    for lit in tuned
-                    if isinstance(lit, (AtMost, AtLeast))
-                },
+                {lit.role for lit in tuned if type(lit) is AtLeast and lit.bound > 0},
                 key=lambda r: (r.base, r.inverted),
             )
             for role in roles:
@@ -348,10 +347,11 @@ class Tableau:
                 )
             self.stats.lii_solves += 1
             solution = feasible(system, self.limits.solver_max_steps)
-            self._say(
-                f"LII node={node_id} role={role} atoms={len(atoms)} "
-                f"verdict={'feasible' if solution is not None else 'infeasible'}"
-            )
+            if self.trace is not None:
+                self.trace(
+                    f"LII node={node_id} role={role} atoms={len(atoms)} "
+                    f"verdict={'feasible' if solution is not None else 'infeasible'}"
+                )
             if solution is None:
                 body = restrictions
                 if context_zeroing:

@@ -75,15 +75,17 @@ class LiiSystem:
         return "\n".join(lines)
 
 
+def _restrictions(branch: frozenset, role: Role) -> list[Concept]:
+    """The restrictions on role in the branch, in canonical order."""
+    return sorted_concepts(
+        lit for lit in branch if isinstance(lit, (AtMost, AtLeast)) and lit.role == role
+    )
+
+
 def collect_fillers(branch: frozenset, role: Role) -> list[Concept]:
     """Distinct fillers of the restrictions on role in the branch, in first
     occurrence order under the canonical branch ordering."""
-    out: list[Concept] = []
-    for lit in sorted_concepts(branch):
-        if isinstance(lit, (AtMost, AtLeast)) and lit.role == role:
-            if lit.filler not in out:
-                out.append(lit.filler)
-    return out
+    return list(dict.fromkeys(lit.filler for lit in _restrictions(branch, role)))
 
 
 def atomic_decomposition(fillers: list[Concept], lambda_max: int = 10) -> list[frozenset]:
@@ -106,27 +108,25 @@ def atomic_decomposition(fillers: list[Concept], lambda_max: int = 10) -> list[f
 
 def build_lii(branch: frozenset, role: Role) -> LiiSystem:
     """One row per restriction on the role; coefficients select the atoms
-    containing the row's filler positively.  Nothing zeroed yet."""
-    fillers = collect_fillers(branch, role)
-    index = {f: k for k, f in enumerate(fillers)}
-    rows = []
-    for lit in sorted_concepts(branch):
-        if not isinstance(lit, (AtMost, AtLeast)) or lit.role != role:
-            continue
-        k = index[lit.filler]
-        coeff = 0
-        for mask in range(1, 1 << len(fillers)):
-            if (mask >> k) & 1:
-                coeff |= 1 << (mask - 1)
-        rows.append(
-            Row(
-                coeff_mask=coeff,
-                is_at_most=isinstance(lit, AtMost),
-                bound=lit.bound,
-                source=lit,
-            )
+    containing the row's filler positively.  Nothing zeroed yet.  Fillers
+    are indexed on first occurrence, as collect_fillers lists them."""
+    restrictions = _restrictions(branch, role)
+    index: dict[Concept, int] = {}
+    for lit in restrictions:
+        index.setdefault(lit.filler, len(index))
+    # one coefficient mask per filler, shared by the rows over it
+    masks = range(1, 1 << len(index))
+    coeffs = [sum(1 << (m - 1) for m in masks if (m >> k) & 1) for k in range(len(index))]
+    rows = tuple(
+        Row(
+            coeff_mask=coeffs[index[lit.filler]],
+            is_at_most=type(lit) is AtMost,
+            bound=lit.bound,
+            source=lit,
         )
-    return LiiSystem(fillers=tuple(fillers), rows=tuple(rows))
+        for lit in restrictions
+    )
+    return LiiSystem(fillers=tuple(index), rows=rows)
 
 
 def zero_column(system: LiiSystem, atom_mask: int) -> LiiSystem:

@@ -2,8 +2,8 @@
 
 Concepts are hash-consed: constructing a node looks up its class and fields
 in one table and returns the node already there, so equal concepts are one
-object and compare by identity.  Each node computes its hash and its order
-key once, from its children's, so neither recurses.  And/Or nodes keep their
+object and compare and hash by identity.  Each node computes its order key
+once, from its children's, so it never recurses.  And/Or nodes keep their
 children flattened, deduplicated and sorted under a fixed total order, so a
 set of concepts behaves like a set in every cache and comparison downstream.
 """
@@ -23,15 +23,37 @@ class ConceptSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Role:
-    """A role name with an inversion marker.  inverse() is an involution."""
+# every role ever built, keyed by (base, inverted)
+_ROLES: dict[tuple, "Role"] = {}
 
-    base: str
-    inverted: bool = False
+
+class Role:
+    """A role name with an inversion marker.  inverse() is an involution.
+
+    Roles are interned like concepts: constructing one returns the object
+    already built for its base and marker, so equal roles are one object
+    and compare and hash by identity."""
+
+    __slots__ = ("base", "inverted")
+
+    def __new__(cls, base: str, inverted: bool = False):
+        key = (base, bool(inverted))
+        role = _ROLES.get(key)
+        if role is None:
+            role = object.__new__(cls)
+            object.__setattr__(role, "base", key[0])
+            object.__setattr__(role, "inverted", key[1])
+            _ROLES[key] = role
+        return role
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
 
     def inverse(self) -> "Role":
         return Role(self.base, not self.inverted)
+
+    def __repr__(self) -> str:
+        return f"Role(base={self.base!r}, inverted={self.inverted!r})"
 
     def __str__(self) -> str:
         return f"(inv {self.base})" if self.inverted else self.base
@@ -44,7 +66,7 @@ _NODES: dict[tuple, "Concept"] = {}
 class Concept:
     """Base class for all concept nodes.  Fields are given positionally."""
 
-    __slots__ = ("_hash", "_key", "_neg")
+    __slots__ = ("_key", "_neg")
 
     def __new__(cls, *fields):
         key = (cls, *fields)
@@ -56,15 +78,10 @@ class Concept:
             node = object.__new__(cls)
             for name, value in zip(names, fields):
                 object.__setattr__(node, name, value)
-            # a frozen dataclass's hash of its fields, from the children's cached ones
-            object.__setattr__(node, "_hash", hash(fields))
             object.__setattr__(node, "_key", _order_key(node))
             object.__setattr__(node, "_neg", None)  # filled in by negate
             _NODES[key] = node
         return node
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 def _node(cls):

@@ -133,6 +133,16 @@ def test_dump_lii_flag(tmp_path, capsys):
     assert ">= 2" in err
 
 
+def test_roles_without_an_at_least_are_not_solved(capsys):
+    # eleven fillers on R would exceed lambda_max=10, but only S is solved
+    atmosts = " ".join(f"(atmost 0 R A{i})" for i in range(11))
+    code, out, err = run_cli(capsys, "--concept", f"(and {atmosts} (atleast 1 S B))", "--stats")
+    lines = out.splitlines()
+    assert code == 0, err
+    assert lines[0] == "SAT"
+    assert "lii_solves=1" in lines and "max_lambda=1" in lines
+
+
 def test_resource_limit_exit_code(tmp_path, capsys):
     path = write(tmp_path, "p.dl", "gci top (atleast 1 R (atleast 1 S top))\nsat A\n")
     code, _, err = run_cli(capsys, path, "--node-budget", "1")

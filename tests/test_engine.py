@@ -345,6 +345,46 @@ def test_apply_lii_zeroes_exactly_the_clashed_atoms(monkeypatch):
     assert clashed > 0
 
 
+def test_roles_without_an_at_least_are_not_solved():
+    # R has eleven fillers, one over lambda_max, but no at-least on R forces
+    # a successor, so only S's system is built and solved
+    atmosts = " ".join(f"(atmost 0 R A{i})" for i in range(11))
+    v = decide_text(f"(and {atmosts} (atleast 1 S B))")
+    assert v.satisfiable
+    assert (v.stats.lii_solves, v.stats.max_lambda) == (1, 1)
+
+
+def test_at_least_zero_forces_no_successor():
+    # the parent is the child's one qualifying (inv R)-neighbour, so the
+    # child's (atleast 1 (inv R) A) drops to at-least 0; the root's guard
+    # (atmost 0 (inv R) top) is an at-most alone: only the root's R is solved
+    trace = []
+    v = decide_text("(atleast 1 R (atleast 1 (inv R) A))", trace=trace.append)
+    assert v.satisfiable and v.stats.lii_solves == 1
+    assert [line.split()[2] for line in trace if line.startswith("LII")] == ["role=R"]
+
+
+def test_every_solved_system_has_a_positive_at_least(monkeypatch):
+    solve = engine.feasible
+    solved = []
+
+    def record(system, *rest):
+        solved.append(system)
+        return solve(system, *rest)
+
+    monkeypatch.setattr(engine, "feasible", record)
+    corpora = bench_module("corpora")
+    for workload in ("deep", "counting", "oracle"):  # oracle: the acceptance corpus
+        for pf in corpora.generate(workload):
+            try:
+                Tableau(build_problem(pf.query, pf.tbox), Limits(nogood_capacity=250)).decide()
+            except ResourceLimitError:
+                pass
+    assert len(solved) > 500
+    for system in solved:
+        assert any(not row.is_at_most and row.bound > 0 for row in system.rows), system.describe()
+
+
 def test_contradictory_counting_instance_decides_within_small_budget():
     # counting corpus #138 used to run the solver to its step limit
     v = decide_text(
@@ -396,7 +436,7 @@ def test_dead_label_skips_the_walk(monkeypatch):
 # sha256 over every deep-profile instance's trace lines, verdict and RunStats;
 # a change to the search that alters any of them must update it on purpose,
 # to the value deep_traces_digest() then returns
-DEEP_TRACES_DIGEST = "80d8fd28b7c943a27734d7fee2b6dd108b1f3a2b231882901ba9cd159727a1cb"
+DEEP_TRACES_DIGEST = "17f6d7286bb5562daa421310ba746770a0d88a669f6192d7fc167128deb2a5a3"
 
 
 def deep_traces_digest() -> str:
@@ -420,7 +460,7 @@ def test_deep_corpus_traces_are_pinned():
 
 # the same over all 300 counting-workload instances, with every inequality
 # system --dump-lii prints: the workload where clash zeroing runs
-COUNTING_TRACES_DIGEST = "3327eaeb30b865d3b77fd19535890be35f507d611b41731cc980832dbcddb357"
+COUNTING_TRACES_DIGEST = "2944fca62667e756517c13ee9954b6cc90d24ddbde228f0a742e81b6391dfa5f"
 
 
 def counting_traces_digest() -> str:
@@ -448,16 +488,27 @@ def test_counting_corpus_traces_are_pinned():
     assert counting_traces_digest() == COUNTING_TRACES_DIGEST
 
 
-@pytest.mark.parametrize("hash_seed", ["0", "5"])
-def test_counting_traces_do_not_depend_on_the_hash_seed(hash_seed):
+def digest_in_fresh_process(name: str, hash_seed: str) -> str:
     tests = Path(__file__).resolve().parent
     src = Path(alcqisat.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
     proc = subprocess.run(
-        [sys.executable, "-c", "from test_engine import counting_traces_digest as d; print(d())"],
+        [sys.executable, "-c", f"from test_engine import {name} as d; print(d())"],
         env=env,
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == COUNTING_TRACES_DIGEST
+    return proc.stdout.strip()
+
+
+# concepts and roles hash by identity, so set order follows memory addresses
+# as well as the hash seed; the traces may depend on neither
+@pytest.mark.parametrize("hash_seed", ["0", "5"])
+def test_counting_traces_do_not_depend_on_the_hash_seed(hash_seed):
+    assert digest_in_fresh_process("counting_traces_digest", hash_seed) == COUNTING_TRACES_DIGEST
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "5"])
+def test_deep_traces_do_not_depend_on_the_hash_seed(hash_seed):
+    assert digest_in_fresh_process("deep_traces_digest", hash_seed) == DEEP_TRACES_DIGEST

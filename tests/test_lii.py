@@ -22,6 +22,7 @@ from alcqisat import (
     zero_column,
 )
 from alcqisat.lii import Row
+from alcqisat.syntax import sorted_concepts
 from conftest import brute_force_feasible, reference_feasible
 
 A, B = Atom("A"), Atom("B")
@@ -117,6 +118,50 @@ def test_build_two_fillers():
     by_source = {row.source: row for row in sys_.rows}
     assert by_source[AtLeast(2, R, A)].coeff_mask == 0b101
     assert by_source[AtMost(1, R, B)].coeff_mask == 0b110
+
+
+def test_build_matches_the_atom_by_atom_construction():
+    # rows in canonical order, fillers indexed on first occurrence, on
+    # branches that mix roles and share fillers between rows
+    rng = random.Random(7)
+    pool = [TOP, A, NegAtom("A"), B, NegAtom("B"), C, NegAtom("C"), conj([A, B])]
+    for _ in range(300):
+        branch = frozenset(
+            rng.choice((AtMost, AtLeast))(rng.randint(0, 5), rng.choice((R, S)), rng.choice(pool))
+            for _ in range(rng.randint(1, 9))
+        )
+        system = build_lii(branch, R)
+        fillers = collect_fillers(branch, R)
+        assert system.fillers == tuple(fillers)
+        want = []
+        for lit in sorted_concepts(branch):
+            if lit.role != R:
+                continue
+            k = fillers.index(lit.filler)
+            coeff = sum(1 << (m - 1) for m in range(1, 1 << len(fillers)) if (m >> k) & 1)
+            want.append(Row(coeff, isinstance(lit, AtMost), lit.bound, lit))
+        assert system.rows == tuple(want)
+
+
+def test_at_most_rows_alone_solve_to_nothing():
+    # a role with no positive at-least needs no successor: the all-zero
+    # vector meets every at-most row, and it is the smallest solution
+    rng = random.Random(20261018)
+    pool = [TOP, A, NegAtom("A"), B, NegAtom("B"), C, NegAtom("C"), C1, C2, conj([A, B])]
+    widths = set()
+    for _ in range(400):
+        width = rng.randint(1, 6)
+        fillers = rng.sample(pool, width)
+        branch = {AtMost(rng.randint(0, 10), R, f) for f in fillers}
+        branch |= {AtMost(rng.randint(0, 10), R, rng.choice(fillers)) for _ in range(rng.randint(0, 3))}
+        branch |= {AtLeast(0, R, rng.choice(fillers)) for _ in range(rng.randint(0, 2))}
+        branch.add(AtLeast(rng.randint(1, 10), S, rng.choice(pool)))  # another role's
+        system = build_lii(frozenset(branch), R)
+        widths.add(system.width)
+        assert system.width == width
+        assert feasible(system) == {}
+        assert feasible(zero_clashed_atoms(system)) == {}
+    assert widths == set(range(1, 7))
 
 
 def zero_clashed_atoms(sys_):
