@@ -54,7 +54,6 @@ from .syntax import (
     Bottom,
     Concept,
     ConceptSyntaxError,
-    CutFormula,
     NegAtom,
     Not,
     Or,
@@ -64,6 +63,7 @@ from .syntax import (
     Top,
     build_problem,
     conj,
+    cut_formula,
     cut_table,
     disj,
     internalize,

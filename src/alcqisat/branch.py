@@ -15,7 +15,6 @@ the walk for a label a nogood already kills.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -25,7 +24,6 @@ from .syntax import (
     AtMost,
     Bottom,
     Concept,
-    CutFormula,
     Or,
     Role,
     Top,
@@ -42,31 +40,18 @@ class ClashKind(Enum):
     NEGATIVE_AT_MOST = "negative-at-most"   # at-most bound below zero
 
 
-@dataclass(frozen=True)
-class CutSet:
-    """The filler decisions a parent's branch hands to a child across one
-    edge.  Each entry (role, filler, holds) records whether the parent made
-    the filler true (holds) or its negation (not holds).  Pairs where the
-    parent chose the guard disjunct are absent."""
-
-    choices: frozenset  # frozenset[tuple[Role, Concept, bool]]
-
-    def lookup(self, role: Role, filler: Concept) -> bool | None:
-        for r, f, holds in self.choices:
-            if r == role and f == filler:
-                return holds
-        return None
-
-    def choice_literals(self) -> frozenset:
-        """The concepts the parent committed to: filler or negated filler
-        per entry."""
-        return frozenset(f if holds else negate(f) for _, f, holds in self.choices)
-
-    def __bool__(self) -> bool:
-        return bool(self.choices)
+# the filler decisions a parent's branch hands to a child across one edge:
+# each entry (role, filler, holds) records whether the parent made the filler
+# true (holds) or its negation (not holds); pairs where the parent chose the
+# guard disjunct are absent
+CutSet = frozenset  # frozenset[tuple[Role, Concept, bool]]
+EMPTY_CUT_SET: CutSet = frozenset()
 
 
-EMPTY_CUT_SET = CutSet(frozenset())
+def choice_literals(cut: CutSet) -> frozenset:
+    """The concepts the parent committed to: filler or negated filler per
+    entry."""
+    return frozenset(f if holds else negate(f) for _, f, holds in cut)
 
 
 def enumerate_branches(label: Iterable[Concept]) -> Iterator[Branch]:
@@ -174,7 +159,7 @@ def branch_satisfies(branch: Branch, c: Concept) -> bool:
 
 
 def cut_set_for_child(
-    parent_branch: Branch, edge_role: Role, cuts: tuple[CutFormula, ...]
+    parent_branch: Branch, edge_role: Role, cuts: tuple[tuple[Role, Concept], ...]
 ) -> CutSet:
     """Extract the filler decisions relevant to a child reached over
     edge_role.
@@ -185,15 +170,16 @@ def cut_set_for_child(
     the pair is dropped: the guard's zero bound already forbids any child on
     this edge.
     """
+    back = edge_role.inverse()
     choices = set()
-    for cf in cuts:
-        if cf.guard.role != edge_role:
+    for role, filler in cuts:
+        if role is not back:
             continue
-        if branch_satisfies(parent_branch, cf.filler):
-            choices.add((cf.role, cf.filler, True))
-        elif branch_satisfies(parent_branch, negate(cf.filler)):
-            choices.add((cf.role, cf.filler, False))
-    return CutSet(frozenset(choices))
+        if branch_satisfies(parent_branch, filler):
+            choices.add((role, filler, True))
+        elif branch_satisfies(parent_branch, negate(filler)):
+            choices.add((role, filler, False))
+    return frozenset(choices)
 
 
 def fine_tune(branch: Branch, cut: CutSet, edge_role: Role | None) -> Branch:
@@ -204,17 +190,19 @@ def fine_tune(branch: Branch, cut: CutSet, edge_role: Role | None) -> Branch:
     qualifying neighbor, so the children only owe the rest.  An at-most bound
     may reach -1 (a clash); an at-least bound stops at 0.
     """
-    if edge_role is None or not cut:
+    if edge_role is None:
         return branch
     back = edge_role.inverse()
+    held = {f for r, f, holds in cut if holds and r is back}
+    if not held:
+        return branch
     tuned = []
     for lit in branch:
-        if isinstance(lit, (AtMost, AtLeast)) and lit.role == back:
-            if cut.lookup(back, lit.filler) is True:
-                if isinstance(lit, AtMost):
-                    lit = AtMost(lit.bound - 1, lit.role, lit.filler)
-                else:
-                    lit = AtLeast(max(lit.bound - 1, 0), lit.role, lit.filler)
+        if isinstance(lit, (AtMost, AtLeast)) and lit.role is back and lit.filler in held:
+            if isinstance(lit, AtMost):
+                lit = AtMost(lit.bound - 1, lit.role, lit.filler)
+            else:
+                lit = AtLeast(max(lit.bound - 1, 0), lit.role, lit.filler)
         tuned.append(lit)
     return frozenset(tuned)
 

@@ -1,8 +1,9 @@
 """Command-line front door.
 
 Exit codes: 0 satisfiable, 1 unsatisfiable, 2 usage or parse error,
-3 resource limit, 4 internal error (nothing on standard output), which
-includes an UNSAT verdict that the --oracle-check model search contradicts.
+3 resource limit (which includes input nested too deeply for the recursion
+limit), 4 internal error (nothing on standard output), which includes an
+UNSAT verdict that the --oracle-check model search contradicts.
 The verdict is the first line on standard output; diagnostics, including the
 rule trace, the partial --stats of a run stopped by a resource limit and the
 model behind an oracle mismatch, go to standard error.
@@ -53,8 +54,6 @@ def _build_arg_parser() -> argparse.ArgumentParser:
                              "before giving up (default %(default)s)")
     parser.add_argument("--node-budget", type=int, default=Limits.node_budget, metavar="N",
                         help="most node expansions per tree (default %(default)s)")
-    parser.add_argument("--strict-blocking", action="store_true",
-                        help="include the cut-set context in the blocking key")
     return parser
 
 
@@ -64,6 +63,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with contextlib.redirect_stdout(out):
             code = _run(args)
+    except RecursionError:  # deep nesting: a limit, never a verdict
+        print("error: resource limit: concept nesting too deep for the recursion limit",
+              file=sys.stderr)
+        return EXIT_RESOURCE
     except Exception as exc:  # a bug, never a verdict: keep stdout empty
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -98,16 +101,8 @@ def _run(args: argparse.Namespace) -> int:
 
     try:
         if args.file is not None:
-            try:
-                with open(args.file, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-            try:
-                pf = parse_problem_text(text)
-            except ProblemFileError as exc:
-                print(f"error: {args.file}:{exc.line}:{exc.column}: {exc}", file=sys.stderr)
+            pf = _read_parsed(args.file, parse_problem_text)
+            if pf is None:
                 return EXIT_USAGE
             tbox, query = pf.tbox, pf.query
         else:
@@ -118,16 +113,8 @@ def _run(args: argparse.Namespace) -> int:
                 return EXIT_USAGE
             tbox = ()
             if args.tbox is not None:
-                try:
-                    with open(args.tbox, "r", encoding="utf-8") as fh:
-                        tbox_text = fh.read()
-                except OSError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return EXIT_USAGE
-                try:
-                    tbox = parse_tbox_text(tbox_text)
-                except ProblemFileError as exc:
-                    print(f"error: {args.tbox}:{exc.line}:{exc.column}: {exc}", file=sys.stderr)
+                tbox = _read_parsed(args.tbox, parse_tbox_text)
+                if tbox is None:
                     return EXIT_USAGE
 
         problem = build_problem(query, tbox)
@@ -137,13 +124,7 @@ def _run(args: argparse.Namespace) -> int:
         dump = to_stderr if args.dump_lii else None
 
         started = time.perf_counter()
-        verdict = decide(
-            problem,
-            limits,
-            strict_blocking=args.strict_blocking,
-            trace=trace,
-            dump_systems=dump,
-        )
+        verdict = decide(problem, limits, trace=trace, dump_systems=dump)
         wall_ms = int((time.perf_counter() - started) * 1000)
     except (ResourceLimitError, SolverLimitError) as exc:
         print(f"error: resource limit: {exc}", file=sys.stderr)
@@ -162,6 +143,22 @@ def _run(args: argparse.Namespace) -> int:
             return EXIT_INTERNAL
 
     return EXIT_SAT if verdict.satisfiable else EXIT_UNSAT
+
+
+def _read_parsed(path: str, parse):
+    """Read the file and parse its text; None once a read or parse error
+    has gone to stderr."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    try:
+        return parse(text)
+    except ProblemFileError as exc:
+        print(f"error: {path}:{exc.line}:{exc.column}: {exc}", file=sys.stderr)
+        return None
 
 
 def _print_stats(stats: RunStats, wall_ms: int, file) -> None:

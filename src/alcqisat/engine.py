@@ -27,6 +27,7 @@ from .branch import (
     Branch,
     CutSet,
     EMPTY_CUT_SET,
+    choice_literals,
     cut_set_for_child,
     definite_literals,
     enumerate_branches,
@@ -96,31 +97,37 @@ class NogoodTriple:
 class NogoodStore:
     """Monotone store of nogood triples with subset-closure queries: a query
     body hits when a stored body is a subset of it and the stored context is
-    unconditional or equals the query context."""
+    unconditional or equals the query context.
+
+    Bodies are kept per context (cut, edge), in insertion order; the
+    unconditional triples are those of the empty context."""
 
     def __init__(self, capacity: int = 100_000):
         self.capacity = capacity
-        self._all: set[NogoodTriple] = set()
-        self._wildcard: list[frozenset] = []
-        self._keyed: dict[tuple[CutSet, Role | None], list[frozenset]] = {}
+        # every query reads the empty context's bodies, so keep them at hand
+        self._wildcard: dict[frozenset, None] = {}
+        self._bodies: dict[tuple[CutSet, Role | None], dict[frozenset, None]] = {
+            (EMPTY_CUT_SET, None): self._wildcard
+        }
+        self._size = 0
 
     def __len__(self) -> int:
-        return len(self._all)
+        return self._size
 
     def __iter__(self):
-        return iter(self._all)
+        for (cut, edge), bodies in self._bodies.items():
+            for body in bodies:
+                yield NogoodTriple(cut, edge, body)
 
     def add(self, triple: NogoodTriple) -> bool:
         """Insert; True when newly added."""
-        if triple in self._all:
+        bodies = self._bodies.setdefault((triple.cut, triple.edge), {})
+        if triple.body in bodies:
             return False
-        if len(self._all) >= self.capacity:
+        if self._size >= self.capacity:
             raise ResourceLimitError(f"nogood store exceeded {self.capacity} triples")
-        self._all.add(triple)
-        if triple.is_wildcard():
-            self._wildcard.append(triple.body)
-        else:
-            self._keyed.setdefault((triple.cut, triple.edge), []).append(triple.body)
+        bodies[triple.body] = None
+        self._size += 1
         return True
 
     def hit_wildcard(self, body: frozenset) -> NogoodTriple | None:
@@ -130,7 +137,7 @@ class NogoodStore:
         return None
 
     def hit_exact(self, cut: CutSet, edge: Role | None, body: frozenset) -> NogoodTriple | None:
-        for stored in self._keyed.get((cut, edge), ()):
+        for stored in self._bodies.get((cut, edge), ()):
             if stored <= body:
                 return NogoodTriple(cut, edge, stored)
         return None
@@ -154,7 +161,7 @@ def _fmt_set(concepts: Iterable[Concept]) -> str:
 
 def _fmt_cut(cut: CutSet) -> str:
     entries = sorted(
-        cut.choices,
+        cut,
         key=lambda e: (e[0].base, e[0].inverted, concept_key(e[1]), e[2]),
     )
     return "{" + ", ".join(
@@ -175,13 +182,11 @@ class Tableau:
         problem: Problem,
         limits: Limits | None = None,
         *,
-        strict_blocking: bool = False,
         trace: Callable[[str], None] | None = None,
         dump_systems: Callable[[str], None] | None = None,
     ):
         self.problem = problem
         self.limits = limits or Limits()
-        self.strict_blocking = strict_blocking
         self.trace = trace
         self.dump_systems = dump_systems
         self.nogoods = NogoodStore(self.limits.nogood_capacity)
@@ -212,11 +217,6 @@ class Tableau:
                     f"body={_fmt_set(triple.body)}"
                 )
             raise _RestartRequested()
-
-    def _witness_key(self, branch: Branch, tuned: Branch, cut: CutSet, edge: Role | None):
-        if self.strict_blocking:
-            return (branch, tuned, cut, edge)
-        return (branch, tuned)
 
     # -- main loop ---------------------------------------------------------
 
@@ -289,7 +289,10 @@ class Tableau:
             if self.trace is not None:
                 self.trace(f"PB node={node_id} branch={index}")
 
-            key = self._witness_key(branch, tuned, cut, edge)
+            # past the checks above the subtree reads only the tuned branch
+            # (fillers, rows, atoms) and the branch (its children's cut
+            # sets), never (cut, edge): one key, one subtree
+            key = (branch, tuned)
             blocker = self.witnesses.get(key)
             if blocker is not None:
                 if self.trace is not None:
@@ -357,7 +360,7 @@ class Tableau:
                 if context_zeroing:
                     # zeroing relied on context-keyed child failures, so the
                     # cached set must carry the branch's filler commitments
-                    body = restrictions | child_cut.choice_literals()
+                    body = restrictions | choice_literals(child_cut)
                 self._record(EMPTY_CUT_SET, None, body)
                 return False
 
@@ -380,15 +383,8 @@ def decide(
     problem: Problem,
     limits: Limits | None = None,
     *,
-    strict_blocking: bool = False,
     trace: Callable[[str], None] | None = None,
     dump_systems: Callable[[str], None] | None = None,
 ) -> Verdict:
     """Decide satisfiability of the problem's goal against its axiom."""
-    return Tableau(
-        problem,
-        limits,
-        strict_blocking=strict_blocking,
-        trace=trace,
-        dump_systems=dump_systems,
-    ).decide()
+    return Tableau(problem, limits, trace=trace, dump_systems=dump_systems).decide()

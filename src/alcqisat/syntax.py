@@ -449,28 +449,18 @@ def modal_subformulae(*concepts: Concept) -> frozenset[tuple[Role, Concept, str,
     )
 
 
-@dataclass(frozen=True)
-class CutFormula:
-    """One filler-decision formula: for the (role, filler) pair of a number
-    restriction, every node either has no inverse(role)-successor (the guard)
-    or decides the filler one way or the other."""
-
-    role: Role
-    filler: Concept
-    guard: AtMost
-    formula: Concept
-
-
-def cut_table(goal: Concept, axiom: Concept) -> tuple[CutFormula, ...]:
-    """One cut formula per distinct (role, filler) pair among the number
-    restrictions of goal and axiom, in canonical order."""
+def cut_table(goal: Concept, axiom: Concept) -> tuple[tuple[Role, Concept], ...]:
+    """The distinct (role, filler) pairs among the number restrictions of
+    goal and axiom, in canonical order: one cut formula each."""
     pairs = {(role, filler) for role, filler, _, _ in modal_subformulae(goal, axiom)}
-    entries = []
-    for role, filler in sorted(pairs, key=lambda p: (p[0].base, p[0].inverted, concept_key(p[1]))):
-        guard = AtMost(0, role.inverse(), TOP)
-        formula = disj((guard, filler, negate(filler)))
-        entries.append(CutFormula(role, filler, guard, formula))
-    return tuple(entries)
+    return tuple(sorted(pairs, key=lambda p: (p[0].base, p[0].inverted, concept_key(p[1]))))
+
+
+def cut_formula(role: Role, filler: Concept) -> Concept:
+    """The filler-decision formula of a (role, filler) pair: every node
+    either has no inverse(role)-successor (the guard) or decides the filler
+    one way or the other."""
+    return disj((AtMost(0, role.inverse(), TOP), filler, negate(filler)))
 
 
 # ---------------------------------------------------------------------------
@@ -492,23 +482,18 @@ def signature_of(*concepts: Concept) -> tuple[frozenset[str], frozenset[str]]:
 
 @dataclass(frozen=True)
 class Problem:
-    """A satisfiability problem: goal concept, internalized axiom, and the
-    cut formulas derived from both (all in NNF)."""
+    """A satisfiability problem: goal concept, internalized axiom, the
+    (role, filler) pairs of its cut formulas and the formulas themselves
+    (all in NNF)."""
 
     goal: Concept
     axiom: Concept
-    cuts: tuple[CutFormula, ...]
-    atom_names: frozenset[str]
-    role_names: frozenset[str]
-
-    @property
-    def cut_concepts(self) -> frozenset[Concept]:
-        return frozenset(cf.formula for cf in self.cuts)
+    cuts: tuple[tuple[Role, Concept], ...]
+    cut_concepts: frozenset[Concept]
 
 
 def build_problem(goal: Concept, axioms: Iterable[tuple[Concept, Concept]] = ()) -> Problem:
     e = to_nnf(goal)
     g = internalize(list(axioms))
-    atoms, roles = signature_of(e, g)
-    return Problem(goal=e, axiom=g, cuts=cut_table(e, g), atom_names=atoms, role_names=roles)
-
+    cuts = cut_table(e, g)
+    return Problem(e, g, cuts, frozenset(cut_formula(r, f) for r, f in cuts))

@@ -9,13 +9,13 @@ from alcqisat import (
     Atom,
     BOTTOM,
     ClashKind,
-    CutSet,
     EMPTY_CUT_SET,
     NegAtom,
     Role,
     TOP,
     branch_satisfies,
     conj,
+    cut_formula,
     cut_set_for_child,
     cut_table,
     disj,
@@ -169,7 +169,7 @@ def test_cut_set_records_filler():
     cuts = make_cuts(AtLeast(2, R, D))          # pair (R, D), guard on inv R
     parent = frozenset({D, A})
     cs = cut_set_for_child(parent, R_INV, cuts)
-    assert cs.lookup(R, D) is True
+    assert cs == {(R, D, True)}
 
 
 def test_cut_set_empty_for_other_edge():
@@ -181,7 +181,7 @@ def test_cut_set_empty_for_other_edge():
 def test_cut_set_records_negated_filler():
     cuts = make_cuts(AtLeast(2, R, D))
     cs = cut_set_for_child(frozenset({NegAtom("D")}), R_INV, cuts)
-    assert cs.lookup(R, D) is False
+    assert cs == {(R, D, False)}
 
 
 def test_cut_set_guard_choice_leaves_pair_out():
@@ -194,31 +194,32 @@ def test_cut_set_guard_choice_leaves_pair_out():
 def test_cut_set_complete_when_guard_not_chosen():
     goal = conj([AtLeast(1, R, D), AtMost(2, R, C)])
     cuts = make_cuts(goal)
-    label = frozenset({A}) | {cf.formula for cf in cuts}
+    label = frozenset({A}) | {cut_formula(role, filler) for role, filler in cuts}
     for br in enumerate_branches(label):
         if primitive_clash(br):
             continue
         cs = cut_set_for_child(br, R_INV, cuts)
-        for cf in cuts:
-            if branch_satisfies(br, cf.guard):
+        decided = {(role, filler) for role, filler, _ in cs}
+        for role, filler in cuts:
+            if branch_satisfies(br, AtMost(0, role.inverse(), TOP)):
                 continue
-            assert cs.lookup(cf.role, cf.filler) is not None
+            assert (role, filler) in decided
 
 
 def test_fine_tune_decrements_matching_constraint():
-    cut = CutSet(frozenset({(R, C, True)}))
+    cut = frozenset({(R, C, True)})
     got = fine_tune(frozenset({AtLeast(2, R, C)}), cut, R_INV)
     assert got == frozenset({AtLeast(1, R, C)})
 
 
 def test_fine_tune_ignores_negated_choice():
-    cut = CutSet(frozenset({(R, C, False)}))
+    cut = frozenset({(R, C, False)})
     b = frozenset({AtLeast(2, R, C)})
     assert fine_tune(b, cut, R_INV) == b
 
 
 def test_fine_tune_can_go_negative():
-    cut = CutSet(frozenset({(R, C, True)}))
+    cut = frozenset({(R, C, True)})
     got = fine_tune(frozenset({AtMost(0, R, C)}), cut, R_INV)
     assert got == frozenset({AtMost(-1, R, C)})
 
@@ -226,7 +227,7 @@ def test_fine_tune_can_go_negative():
 def test_fine_tune_identity_without_cut():
     b = frozenset({AtMost(0, R, C), A})
     assert fine_tune(b, EMPTY_CUT_SET, R_INV) == b
-    assert fine_tune(b, CutSet(frozenset({(R, C, True)})), None) == b
+    assert fine_tune(b, frozenset({(R, C, True)}), None) == b
 
 
 def test_fine_tune_only_touches_inverse_edge_role():
@@ -242,7 +243,7 @@ def test_fine_tune_only_touches_inverse_edge_role():
             for _ in range(rng.randint(0, 3))
         )
         edge = rng.choice(roles)
-        tuned = fine_tune(frozenset(lits), CutSet(cut_entries), edge)
+        tuned = fine_tune(frozenset(lits), cut_entries, edge)
         back = edge.inverse()
         tuned_by_key = {}
         for lit in tuned:

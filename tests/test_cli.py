@@ -1,8 +1,12 @@
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 from alcqisat import RunStats, Verdict, cli
-from alcqisat.cli import EXIT_INTERNAL, main
+from alcqisat.cli import EXIT_INTERNAL, EXIT_RESOURCE, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +64,13 @@ def test_parse_error_names_line_and_column(tmp_path, capsys):
     assert f"{path}:2:6:" in err
 
 
+def test_tbox_parse_error_names_line_and_column(tmp_path, capsys):
+    tbox = write(tmp_path, "t.dl", "gci A B\ngci (and A) B\n")
+    code, out, err = run_cli(capsys, "--concept", "A", "--tbox", tbox)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {tbox}:2:6: ")
+
+
 def test_concept_parse_error(capsys):
     code, _, err = run_cli(capsys, "--concept", "(atleast -2 R A)")
     assert code == 2
@@ -114,6 +125,27 @@ def test_oracle_check_agreement(tmp_path, capsys):
     assert code == 1
     assert "oracle: no model up to domain size 3" in out
     assert "oracle: agreement ok" in out
+
+
+def test_oracle_check_refused(capsys):
+    # four atoms are more than the model search's default signature cap
+    code, out, _ = run_cli(capsys, "--concept", "(and A B C D)", "--oracle-check", "2")
+    assert code == 0
+    assert out.splitlines() == [
+        "SAT",
+        "oracle: refused (signature too large for brute-force search: 4 atoms, 0 roles)",
+    ]
+
+
+def test_oracle_check_inconclusive_on_sat(capsys):
+    # two R-neighbours need a domain of two: size 1 finds no model
+    code, out, _ = run_cli(capsys, "--concept", "(atleast 2 R A)", "--oracle-check", "1")
+    assert code == 0
+    assert out.splitlines() == [
+        "SAT",
+        "oracle: no model up to domain size 1",
+        "oracle: inconclusive (bounded search cannot confirm SAT)",
+    ]
 
 
 def test_oracle_check_needs_a_positive_domain(capsys):
@@ -183,13 +215,14 @@ def test_stats_on_resource_limit_go_to_stderr(capsys):
     assert err == "error: resource limit: node budget of 1 exceeded in one tree\n"
 
 
-def test_deep_concept_is_internal_error_not_verdict(capsys):
+def test_deep_concept_is_resource_limit_not_verdict(capsys):
     # nesting this deep overflows the recursive descent parser
     concept = "(atleast 1 R " * 3000 + "A" + ")" * 3000
     code, out, err = run_cli(capsys, "--concept", concept)
-    assert code == EXIT_INTERNAL == 4
+    assert code == EXIT_RESOURCE == 3
     assert out == ""
-    assert err.startswith("error: internal: RecursionError")
+    assert err.startswith("error: resource limit: ")
+    assert "nesting" in err
 
 
 def test_internal_error_keeps_stdout_empty(tmp_path, capsys, monkeypatch):
@@ -263,3 +296,15 @@ def test_empty_concept_is_parsed(capsys):
     code, out, err = run_cli(capsys, "--concept", "")
     assert (code, out) == (2, "")
     assert err.startswith("error: --concept: ")
+
+
+def test_readme_flag_table_lists_every_option():
+    # a removed or renamed flag must not leave a stale row behind
+    rows = re.findall(r"^\| `(-[^` ]+)", README.read_text(), flags=re.M)
+    defined = [
+        option
+        for action in cli._build_arg_parser()._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help")
+    ]
+    assert sorted(rows) == sorted(defined)

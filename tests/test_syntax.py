@@ -15,6 +15,7 @@ from alcqisat import (
     TOP,
     build_problem,
     conj,
+    cut_formula,
     cut_table,
     disj,
     evaluate,
@@ -199,10 +200,11 @@ def test_cut_formulae_vacuous():
 def test_cut_formula_guard_uses_inverse_of_inverse():
     s_inv = Role("S", True)
     e = AtMost(1, s_inv, Atom("D"))
-    (cf,) = cut_table(e, TOP)
-    assert cf.guard == AtMost(0, Role("S"), TOP)
-    assert cf.role == s_inv
-    assert cf.formula == disj([AtMost(0, Role("S"), TOP), Atom("D"), NegAtom("D")])
+    (pair,) = cut_table(e, TOP)
+    assert pair == (s_inv, Atom("D"))
+    guard = AtMost(0, s_inv.inverse(), TOP)
+    assert guard == AtMost(0, Role("S"), TOP)
+    assert cut_formula(*pair) == disj([guard, Atom("D"), NegAtom("D")])
 
 
 def test_cut_count_bounded_by_distinct_pairs():
@@ -224,8 +226,7 @@ def test_round_trip_printing():
 
 def test_build_problem_signature():
     p = build_problem(parse_concept("(and A (atleast 1 R (not B)))"))
-    assert p.atom_names == {"A", "B"}
-    assert p.role_names == {"R"}
+    assert signature_of(p.goal, p.axiom) == ({"A", "B"}, {"R"})
 
 
 def test_deep_chain_needs_no_recursion():
