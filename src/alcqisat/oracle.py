@@ -4,18 +4,24 @@ Ground-truth semantics for tests: interprets concepts over explicit finite
 structures and searches all interpretations up to a small domain size, in a
 fixed candidate order.  For each domain size n the search compiles goal and
 axiom into bitmask ops, folding every number restriction whose value n
-decides (an at-least above n, an at-most of n or more) to a constant; it
-evaluates each op at the loop that fixes its value, and skips every
-candidate below a loop value that already fails.  A folded op has the value
-the restriction has on every size-n candidate, and a skipped candidate
-fails a check it cannot change, so the search returns the model a plain
-enumeration of the same order returns.  A negative answer is never a proof
-of unsatisfiability; the result type says how far the search went.
+decides (an at-least above n, an at-most of n or more) to a constant.  The
+candidate loops are grouped into blocks of at most SLICE_BITS bits, and a
+block evaluates each op once for all its candidates, bit-sliced: an
+extension is one int whose bit c*n + x holds element x under the block's
+candidate c, so a junction or a negation is one bitwise operation.  The
+passing candidates of a block are entered in ascending order, and every
+candidate below one that already fails is skipped.  A folded op has the
+value the restriction has on every size-n candidate, a skipped candidate
+fails a check it cannot change, and a block's candidates ascend in the
+plain order, so the search returns the model a plain enumeration of the
+same order returns.  A negative answer is never a proof of
+unsatisfiability; the result type says how far the search went.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Mapping
 
 from .syntax import (
@@ -106,19 +112,78 @@ def evaluate(interp: Interpretation, c: Concept, element: int) -> bool:
 # search
 # ---------------------------------------------------------------------------
 
-# opcodes of a compiled subterm
-_TOP, _BOTTOM, _ATOM, _NEG_ATOM, _NOT, _AND, _OR, _AT_MOST, _AT_LEAST = range(9)
+# opcodes of a compiled subterm; slots 0 and 1 hold bottom and top
+_ATOM, _NEG_ATOM, _NOT, _AND, _OR, _AT_MOST, _AT_LEAST = range(7)
+
+# A block of loops takes at most this many candidate bits, unless one loop
+# alone has more (a role loop at size 3 has 9).  Measured on the oracle
+# corpus with fresh tables: 8 and 10 tie, 4, 6 and 16 are slower
+SLICE_BITS = 8
+
+
+@cache
+def _layout(n: int, n_atoms: int, n_roles: int) -> tuple[list[int], list[tuple]]:
+    """The sweep's loops over domain {0..n-1} grouped into blocks, each
+    evaluated in one pass over all its candidates: from role 0 outwards,
+    then the atom loop, each block takes the longest run of loops whose
+    bits add up to at most SLICE_BITS, and at least one loop.  Returns the
+    block of each depth and, outermost first, each block's
+    (offset, rep, full, atom planes, role planes).
+
+    A candidate's index in `find_model`'s order holds role k's mask at bits
+    k*n*n.., pair (x, y) at bit k*n*n + x*n + y, and above the roles each
+    atom's n bits.  A block's candidate c is the run of index bits from
+    its offset that its loops fix, and bit c*n + x of an extension over the
+    block is element x under c.  rep has bit c*n set for every c and full
+    every bit.  Atom plane i is atom i's extension, and role plane
+    [k][inverted][y] has bit c*n + x set when y is a neighbour of x over
+    role k (inverted), for the block's own roles.
+    """
+    widths = [n * n_atoms] + [n * n] * n_roles
+    block_of, shapes = [0] * (n_roles + 1), []
+    hi = n_roles
+    while hi >= 0:
+        lo = hi
+        while lo and sum(widths[lo - 1 : hi + 1]) <= SLICE_BITS:
+            lo -= 1
+        bits, offset = sum(widths[lo : hi + 1]), n * n * (n_roles - hi)
+        full = (1 << (n << bits)) - 1
+        rep = full // ((1 << n) - 1)
+        # plane g has bit c*n set when candidate c sets index bit g: from
+        # the offset on, plane b repeats 2**b clear candidates, then 2**b set
+        bit = [None] * offset + [
+            ((rep >> ((n << bits) - (n << b))) << (n << b)) * (full // ((1 << (n << (b + 1))) - 1))
+            for b in range(bits)
+        ]
+        atoms = [sum(bit[n * n * n_roles + n * i + x] << x for x in range(n)) for i in range(n_atoms if lo == 0 else 0)]
+        planes = [_role_planes(bit, k, n) if offset <= n * n * k < offset + bits else None for k in range(n_roles)]
+        shapes.insert(0, (offset, rep, full, atoms, planes))
+        # numbered from the innermost block until the count is known
+        block_of[lo : hi + 1] = [len(shapes)] * (hi + 1 - lo)
+        hi = lo - 1
+    return [len(shapes) - b for b in block_of], shapes
+
+
+def _role_planes(bit: list[int], k: int, n: int) -> list[list[int]]:
+    """[forward, inverse] neighbour planes of role k, given the plane of
+    each index bit."""
+    base = n * n * k
+    return [
+        [sum(bit[base + x * n + y] << x for x in range(n)) for y in range(n)],
+        [sum(bit[base + y * n + x] << x for x in range(n)) for y in range(n)],
+    ]
 
 
 @dataclass
 class _Program:
     """Goal and axiom compiled for one domain size to slot ops, staged by
-    the sweep depth at which their value is fixed (see `_compile`)."""
+    the block of loops that fixes their value (see `_compile`)."""
 
-    stages: list[list[tuple]]  # ops per depth, children before parents
-    axiom_parts: list[list[int]]  # slots per depth that must be full
-    goal_parts: list[list[int]]  # slots per depth whose meet must be non-empty
-    n_slots: int
+    shapes: list[tuple]  # per block, see `_layout`
+    stages: list[list[tuple]]  # ops per block, children before parents
+    axiom_parts: list[list[int]]  # slots per block that must be full
+    goal_parts: list[list[int]]  # slots per block whose meet must be non-empty
+    depths: list[int]  # per slot, the depth of the loop that fixes its value
 
 
 def _compile(
@@ -131,10 +196,11 @@ def _compile(
     equal subterms are one object and share the slot of the first visit.
     An op's depth is 0 when it depends on the atoms only, else
     `len(role_list) - k` for the smallest index k of a role it counts over:
-    role k's loop sits at that depth of the sweep.
+    role k's loop sits at that depth of the sweep.  The op is staged in the
+    block of that depth (`_layout`).
 
     A subterm whose extension is the same on every size-n candidate folds
-    to a `_TOP` or `_BOTTOM` op at depth 0: an at-least above n or an
+    to slot 1 (top) or slot 0 (bottom), at depth 0: an at-least above n or an
     at-most of n or more, a restriction over a bottom filler, and the
     junctions and negations these make constant.  A junction keeps its
     other parts, and one left with a single part is that part, so a
@@ -143,22 +209,15 @@ def _compile(
     atom_index = {name: i for i, name in enumerate(atom_list)}
     role_index = {name: k for k, name in enumerate(role_list)}
     n_roles = len(role_list)
-    stages: list[list[tuple]] = [[] for _ in range(n_roles + 1)]
-    depths: list[int] = []
+    block_of, shapes = _layout(n, len(atom_list), n_roles)
+    stages: list[list[tuple]] = [[] for _ in shapes]
+    depths: list[int] = [0, 0]  # of bottom and top
     seen: dict[int, int] = {}
-    # slot of the folded constant, by truth value
-    constant: dict[bool, int] = {}
 
     def emit(code: int, args: tuple, depth: int) -> int:
         slot = len(depths)
         depths.append(depth)
-        stages[depth].append((code, slot) + args)
-        return slot
-
-    def fold(value: bool) -> int:
-        slot = constant.get(value)
-        if slot is None:
-            slot = constant[value] = emit(_TOP if value else _BOTTOM, (), 0)
+        stages[block_of[depth]].append((code, slot) + args)
         return slot
 
     def visit(c: Concept) -> int:
@@ -173,144 +232,140 @@ def _compile(
             at_most = kind is AtMost
             # bounds first: an at-most -1 is bottom even over a bottom filler
             if c.bound >= n if at_most else c.bound <= 0:
-                return fold(True)
+                return 1
             if c.bound < 0 if at_most else c.bound > n:
-                return fold(False)
+                return 0
             filler = visit(c.filler)
-            if filler == constant.get(False):
-                return fold(at_most)
+            if filler == 0:
+                return int(at_most)
             k = role_index[c.role.base]
             args: tuple = (filler, k, c.role.inverted, c.bound)
             return emit(_AT_MOST if at_most else _AT_LEAST, args, max(depths[filler], n_roles - k))
         if kind is And or kind is Or:
             # the junction's unit drops out, its negation decides it
-            unit = kind is And
+            unit = int(kind is And)
             parts = []
             for p in c.parts:
                 slot = visit(p)
-                if slot == constant.get(not unit):
+                if slot == 1 - unit:
                     return slot
-                if slot != constant.get(unit):
+                if slot != unit:
                     parts.append(slot)
             if not parts:
-                return fold(unit)
+                return unit
             if len(parts) == 1:
                 return parts[0]
             return emit(_AND if unit else _OR, (tuple(parts),), max(depths[p] for p in parts))
         if kind is Not:
             sub = visit(c.sub)
-            for value in (True, False):
-                if sub == constant.get(value):
-                    return fold(not value)
-            return emit(_NOT, (sub,), depths[sub])
+            return 1 - sub if sub < 2 else emit(_NOT, (sub,), depths[sub])
         if kind is Atom or kind is NegAtom:
             return emit(_ATOM if kind is Atom else _NEG_ATOM, (atom_index[c.name],), 0)
         if kind is Top or kind is Bottom:
-            return fold(kind is Top)
+            return int(kind is Top)
         raise TypeError(f"unknown concept node: {c!r}")
 
     def conjuncts(c: Concept) -> list[list[int]]:
-        by_depth: list[list[int]] = [[] for _ in range(n_roles + 1)]
+        by_block: list[list[int]] = [[] for _ in shapes]
         for part in c.parts if isinstance(c, And) else (c,):
             slot = visit(part)
-            by_depth[depths[slot]].append(slot)
-        return by_depth
+            by_block[block_of[depths[slot]]].append(slot)
+        return by_block
 
     goal_parts = conjuncts(goal)
-    return _Program(stages, conjuncts(axiom), goal_parts, len(depths))
+    return _Program(shapes, stages, conjuncts(axiom), goal_parts, depths)
 
 
-def _sweep(program: _Program, n: int, n_atoms: int, n_roles: int) -> tuple[list[int], list[int]] | None:
-    """The first candidate over domain {0..n-1} that is a model, as its
-    (atom masks, role masks), or None.
+def _passing(program: _Program, b: int, n: int, ext: list[int], index: int, meet: int) -> tuple[int, int, list[int]]:
+    """Evaluate block b's ops, children before parents, over all its
+    candidates, given the extensions (in ext), index bits and goal meet that
+    the outer blocks fixed.  Returns (ok, goal meet, extensions): bit c*n
+    of ok is set when candidate c makes the block's axiom conjuncts full
+    and the goal conjuncts so far meet.  A number restriction counts each
+    element's neighbours y in the filler one y at a time, keeping for
+    every j up to its bound the elements with at least j so far."""
+    _, rep, full, atoms, planes = program.shapes[b]
+    chunk = (1 << n) - 1
+    wide = ext[:]
+    wide[1] = full  # top; bottom, slot 0, is 0 in ext too
+    for stage in program.stages[:b]:
+        for op in stage:
+            wide[op[1]] *= rep
+    for op in program.stages[b]:
+        code = op[0]
+        if code >= _AT_MOST:
+            _, slot, filler, k, inverted, bound = op
+            # no planes: an outer block fixed role k's mask
+            sides = planes[k] or _role_planes([rep * (index >> g & 1) for g in range(n * n * (k + 1))], k, n)
+            fill = wide[filler]
+            top = bound + 1 if code == _AT_MOST else bound
+            at_least = [full] + [0] * top
+            for y, plane in enumerate(sides[inverted]):
+                t = plane & ((fill >> y) & rep) * chunk
+                for j in range(top, 0, -1):
+                    at_least[j] |= at_least[j - 1] & t
+            mask = full ^ at_least[top] if code == _AT_MOST else at_least[top]
+        elif code == _AND:
+            mask = full
+            for p in op[2]:
+                mask &= wide[p]
+        elif code == _OR:
+            mask = 0
+            for p in op[2]:
+                mask |= wide[p]
+        elif code == _ATOM:
+            mask = atoms[op[2]]
+        elif code == _NEG_ATOM:
+            mask = full ^ atoms[op[2]]
+        else:
+            mask = full ^ wide[op[2]]
+        wide[op[1]] = mask
+    short = 0
+    for slot in program.axiom_parts[b]:
+        short |= full ^ wide[slot]
+    meet *= rep
+    for slot in program.goal_parts[b]:
+        meet &= wide[slot]
+    some_meet, some_short = meet, short
+    for x in range(1, n):
+        some_meet |= meet >> x
+        some_short |= short >> x
+    return some_meet & ~some_short & rep, meet, wide
+
+
+def _sweep(program: _Program, n: int) -> int | None:
+    """The index of the first candidate over domain {0..n-1} that is a
+    model (see `_layout`), or None.
 
     Candidates run in `find_model`'s order: the atom bits outermost, then
     one loop per role, the last sorted role outermost and role 0 innermost.
-    Entering a value at a depth evaluates that depth's ops, checks that the
-    axiom conjuncts fixed there are full and that the goal conjuncts fixed
-    so far still meet; a failed check skips every candidate below, since
-    none of them can change the failed values.
+    Each block of loops evaluates its ops over all its candidates at once
+    and checks that the axiom conjuncts fixed there are full and that the
+    goal conjuncts fixed so far still meet.  Its passing candidates are
+    entered in ascending order; a failing one skips every candidate below,
+    since none of them can change the failed values.  The innermost
+    block's lowest passing candidate completes the first model.
     """
-    full = (1 << n) - 1
-    ext = [0] * program.n_slots
-    atom_masks = [0] * n_atoms
-    role_masks = [0] * n_roles
-    stages, axiom_parts, goal_parts = program.stages, program.axiom_parts, program.goal_parts
-    # meet of the goal conjuncts fixed down to each depth
-    goal_meet = [full] * (n_roles + 1)
-    # number restriction results per (slot, role mask, filler mask), and
-    # neighbour rows per (role mask, inverted), built when first asked for
-    counted: dict[tuple[int, int, int], int] = {}
-    rows_of: dict[tuple[int, bool], list[int]] = {}
+    chunk = (1 << n) - 1
+    ext = [0] * len(program.depths)
 
-    def holds(depth: int) -> bool:
-        for op in stages[depth]:
-            code = op[0]
-            if code >= _AT_MOST:
-                _, slot, filler, k, inverted, bound = op
-                role, fill = role_masks[k], ext[filler]
-                key = (slot, role, fill)
-                mask = counted.get(key)
-                if mask is None:
-                    rows = rows_of.get((role, inverted))
-                    if rows is None:
-                        rows = rows_of[role, inverted] = _neighbour_rows(n, role, inverted)
-                    mask = 0
-                    for x, row in enumerate(rows):
-                        count = (row & fill).bit_count()
-                        if (count <= bound) if code == _AT_MOST else (count >= bound):
-                            mask |= 1 << x
-                    counted[key] = mask
-            elif code == _AND:
-                mask = full
-                for p in op[2]:
-                    mask &= ext[p]
-            elif code == _OR:
-                mask = 0
-                for p in op[2]:
-                    mask |= ext[p]
-            elif code == _ATOM:
-                mask = atom_masks[op[2]]
-            elif code == _NEG_ATOM:
-                mask = full & ~atom_masks[op[2]]
-            elif code == _NOT:
-                mask = full & ~ext[op[2]]
-            else:
-                mask = full if code == _TOP else 0
-            ext[op[1]] = mask
-        for slot in axiom_parts[depth]:
-            if ext[slot] != full:
-                return False
-        meet = goal_meet[depth - 1] if depth else full
-        for slot in goal_parts[depth]:
-            meet &= ext[slot]
-        goal_meet[depth] = meet
-        return meet != 0
+    def descend(b: int, meet: int, index: int) -> int | None:
+        ok, meet, wide = _passing(program, b, n, ext, index, meet)
+        while ok:
+            low = ok & -ok
+            shift = low.bit_length() - 1
+            found = index | shift // n << program.shapes[b][0]
+            if b + 1 == len(program.shapes):
+                return found
+            for op in program.stages[b]:
+                ext[op[1]] = wide[op[1]] >> shift & chunk
+            found = descend(b + 1, meet >> shift & chunk, found)
+            if found is not None:
+                return found
+            ok ^= low
+        return None
 
-    def descend(depth: int) -> bool:
-        k = n_roles - depth
-        for mask in range(1 << (n * n)):
-            role_masks[k] = mask
-            if holds(depth) and (k == 0 or descend(depth + 1)):
-                return True
-        return False
-
-    for atom_bits in range(1 << (n * n_atoms)):
-        for i in range(n_atoms):
-            atom_masks[i] = (atom_bits >> (i * n)) & full
-        if holds(0) and (n_roles == 0 or descend(1)):
-            return atom_masks, role_masks
-    return None
-
-
-def _neighbour_rows(n: int, mask: int, inverted: bool) -> list[int]:
-    """Row x holds x's neighbours, as a bitmask, under the role whose pairs
-    (x, y) are the bits x*n + y of mask, or under its inverse."""
-    full = (1 << n) - 1
-    rows = [(mask >> (x * n)) & full for x in range(n)]
-    if inverted:
-        rows = [sum(((rows[x] >> y) & 1) << x for x in range(n)) for y in range(n)]
-    return rows
+    return descend(0, chunk, 0)
 
 
 def find_model(
@@ -335,10 +390,19 @@ def find_model(
     size n, goal and axiom are compiled into bitmask ops (`_compile`), with
     every subterm that has one value on all size-n candidates folded to a
     constant: at-least bounds above n, at-most bounds of n or more,
-    restrictions over a bottom filler, and what these make constant.  Each
-    op is evaluated once per value of the innermost loop it depends on, and
-    a loop value that empties the goal or leaves an axiom conjunct short of
-    the whole domain skips all the candidates nested inside it.  Folding
+    restrictions over a bottom filler, and what these make constant.  The
+    loops are grouped into blocks (`_layout`): from role 0 outwards, then
+    the atom loop, the longest run whose bits add up to at most SLICE_BITS,
+    and at least one loop, so a size-1 search and a small size-2 search
+    are one block.  A block evaluates each op once over all its candidates
+    c, in this order with role 0 in the lowest bits: bit c*n + x of an
+    extension holds element x under c, junctions and negation are bitwise
+    operations, and a number restriction counts neighbours through
+    per-role neighbour planes.  A block candidate that empties the goal or
+    leaves an axiom conjunct short of the whole domain skips all the
+    candidates nested inside it.  The model is the lowest passing candidate
+    of the innermost block under the first passing candidates of the outer
+    ones that lead to one, which is the first in the plain order.  Folding
     changes no op's value on any candidate and skipping drops only
     candidates that fail, so the first model is the one the plain
     enumeration returns.  The budget still counts each size's whole
@@ -363,26 +427,24 @@ def find_model(
             return NoneFound(searched_max_domain=searched)
         spent += space
         program = _compile(goal, axiom, atom_list, role_list, n)
-        found = _sweep(program, n, len(atom_list), len(role_list))
-        if found is not None:
-            return _materialize(n, dict(zip(atom_list, found[0])), dict(zip(role_list, found[1])))
+        index = _sweep(program, n)
+        if index is not None:
+            return _materialize(n, atom_list, role_list, index)
         searched = n
     return NoneFound(searched_max_domain=searched)
 
 
-def _materialize(n: int, atom_masks: dict[str, int], role_masks: dict[str, int]) -> Interpretation:
-    concept_ext = {
-        name: frozenset(x for x in range(n) if (mask >> x) & 1)
-        for name, mask in atom_masks.items()
-    }
-    role_ext = {
-        name: frozenset(
-            (x, y) for x in range(n) for y in range(n) if (mask >> (x * n + y)) & 1
-        )
-        for name, mask in role_masks.items()
-    }
+def _materialize(n: int, atom_list: list[str], role_list: list[str], index: int) -> Interpretation:
+    """The candidate over domain {0..n-1} with the given index (see `_layout`)."""
+    atoms_at = n * n * len(role_list)
     return Interpretation(
         domain_size=n,
-        concept_extensions=concept_ext,
-        role_extensions=role_ext,
+        concept_extensions={
+            name: frozenset(x for x in range(n) if index >> (atoms_at + i * n + x) & 1)
+            for i, name in enumerate(atom_list)
+        },
+        role_extensions={
+            name: frozenset((x, y) for x in range(n) for y in range(n) if index >> (k * n * n + x * n + y) & 1)
+            for k, name in enumerate(role_list)
+        },
     )

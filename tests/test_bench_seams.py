@@ -19,7 +19,7 @@ import json
 import alcqisat
 import alcqisat.engine as engine
 import corpora
-from alcqisat import Limits, Tableau, build_problem, parse_problem_text
+from alcqisat import Limits, OracleLimitError, Tableau, build_problem, parse_problem_text
 from tracing import Layers
 
 
@@ -35,9 +35,23 @@ def run(problems):
     return out
 
 
+def search(problems):
+    # through the package attribute, which the wrapper replaces
+    out = []
+    for problem in problems:
+        try:
+            out.append(repr(alcqisat.find_model(problem.goal, problem.axiom, max_domain=2)))
+        except OracleLimitError as exc:
+            out.append(f"refused: {exc}")
+    return out
+
+
 texts = [pf.to_text() for w in ("deep", "counting") for pf in corpora.generate(w)[:20]]
 problems = [build_problem(pf.query, pf.tbox) for pf in map(parse_problem_text, texts)]
 untraced = run(problems)
+oracle_texts = [pf.to_text() for pf in corpora.generate("oracle")[:20]]
+searches = [build_problem(pf.query, pf.tbox) for pf in map(parse_problem_text, oracle_texts)]
+untraced_searches = search(searches)
 
 store = engine.NogoodStore
 seams = {
@@ -54,10 +68,13 @@ layers = Layers(Sampler())
 layers.install()
 unwrapped = [key for key, (owner, name) in seams.items() if getattr(owner, name) is before[key]]
 traced = run(problems)
+traced_searches = search(searches)
 print(json.dumps({
     "unwrapped": unwrapped,
     "untraced": untraced,
     "traced": traced,
+    "untraced_searches": untraced_searches,
+    "traced_searches": traced_searches,
     "counts": dict(layers.counts),
 }))
 """
@@ -78,6 +95,8 @@ def test_tracing_wraps_every_seam_and_keeps_verdicts():
     assert result["unwrapped"] == []
     assert len(result["traced"]) == 40
     assert result["traced"] == result["untraced"]
+    assert len(result["traced_searches"]) == 20
+    assert result["traced_searches"] == result["untraced_searches"]
     counts = result["counts"]
     for key in (
         "lii.builds",
@@ -86,5 +105,6 @@ def test_tracing_wraps_every_seam_and_keeps_verdicts():
         "lii.solves",
         "engine.nogood_lookups",
         "branch.enumerate_calls",
+        "oracle.searches",
     ):
         assert counts.get(key, 0) > 0, key

@@ -21,7 +21,7 @@ from alcqisat import (
     parse_concept,
     to_nnf,
 )
-from alcqisat.oracle import _AT_LEAST, _compile
+from alcqisat.oracle import _AT_LEAST, _compile, _materialize, _passing
 from alcqisat.syntax import BOTTOM, Not, signature_of
 from conftest import random_interpretation, random_raw_concept, reference_find_model
 
@@ -266,10 +266,65 @@ def test_restriction_beyond_the_domain_folds():
     # the atom loop; at size 3 it is counted in R's loop
     goal = parse_concept("(and A (atleast 3 R B))")
     folded = _compile(goal, TOP, ["A", "B"], ["R"], 2)
-    assert folded.stages[1] == []
-    assert len(folded.goal_parts[0]) == 2 and folded.goal_parts[1] == []
+    assert set(folded.depths) == {0}
+    assert [folded.depths[slot] for slot in folded.goal_parts[0]] == [0, 0]
     counted = _compile(goal, TOP, ["A", "B"], ["R"], 3)
     assert [op[0] for op in counted.stages[1]] == [_AT_LEAST]
     assert len(counted.goal_parts[1]) == 1
     assert find_model(goal, max_domain=2) == NoneFound(searched_max_domain=2)
     assert find_model(goal) == reference_find_model(goal)
+
+
+def test_block_extensions_match_evaluate():
+    # the goal's extension over the innermost block, under random candidates
+    # of the outer blocks, holds at element x of candidate c exactly when
+    # evaluate says the goal holds at x in that candidate's interpretation
+    rng = random.Random(61)
+    # at size 3 the at-least over (inv R1) sits in role 0's block, since its
+    # filler counts over R0, and counts over R1, whose mask an outer block fixes
+    nested = parse_concept("(atleast 2 (inv R1) (atleast 3 (inv R0) (or A0 (atmost 1 R0 A1))))")
+    cases = [(nested, 3, ("A0", "A1"), ("R0", "R1"))] * 20
+    for i in range(300):
+        n = 1 + i % 3
+        atoms, roles = (("A", "B"), ("R", "S")) if n < 3 else (("A",), ("R", "S"))
+        cases.append((random_bounded_concept(rng, rng.randint(1, 3), n, atoms, roles), n, atoms, roles))
+    blocks = Counter()
+    for goal, n, atoms, roles in cases:
+        program = _compile(goal, TOP, list(atoms), list(roles), n)
+        chunk = (1 << n) - 1
+        ext, index, meet = [0] * len(program.depths), 0, chunk
+        for b, (offset, _, full, _, _) in enumerate(program.shapes):
+            _, meet, wide = _passing(program, b, n, ext, index, meet)
+            count = full.bit_length() // n
+            if b + 1 < len(program.shapes):
+                c = rng.randrange(count)
+                for op in program.stages[b]:
+                    ext[op[1]] = wide[op[1]] >> c * n & chunk
+                meet, index = meet >> c * n & chunk, index | c << offset
+        blocks[n, len(program.shapes)] += 1
+        for c in range(count) if count <= 64 else rng.sample(range(count), 64):
+            interp = _materialize(n, list(atoms), list(roles), index | c << offset)
+            for x in range(n):
+                assert (meet >> (c * n + x)) & 1 == evaluate(interp, goal, x), (goal, n, index, c, x)
+    # one block at size 1; at size 2 the atom loop outside the two role
+    # loops, and at size 3 one block per loop
+    assert set(blocks) == {(1, 1), (2, 2), (3, 3)}, blocks
+
+
+def test_lifted_budget_decides_size_3_where_the_default_stops():
+    # the default budget stops these acceptance instances at size 2 (2**21
+    # to 2**27 size-3 candidates); without it the sweep finishes size 3:
+    # a model, which evaluate checks, where the engine says SAT, and none
+    # where it says UNSAT
+    corpus = generate_corpus(seed=20260809, count=200)
+    unsat = {23, 66, 83, 183}
+    for i in (23, 66, 75, 80, 83, 88, 99, 129, 144, 151, 168, 183, 195):
+        problem = build_problem(corpus[i].query, corpus[i].tbox)
+        assert find_model(problem.goal, problem.axiom) == NoneFound(searched_max_domain=2), i
+        result = find_model(problem.goal, problem.axiom, max_domain=3, budget=10**12)
+        if i in unsat:
+            assert result == NoneFound(searched_max_domain=3), i
+        else:
+            assert isinstance(result, Interpretation) and result.domain_size == 3, i
+            assert all(evaluate(result, problem.axiom, x) for x in range(3)), i
+            assert any(evaluate(result, problem.goal, x) for x in range(3)), i
