@@ -38,7 +38,8 @@ from .lii import (
     SolverLimitError,
     atomic_decomposition,
     build_lii,
-    collect_fillers,
+    clashed_atoms,
+    collect_fillers,  # noqa: F401 - unused here; bench/tracing.py wraps it
     feasible,
     zero_column,
 )
@@ -324,22 +325,26 @@ class Tableau:
         A child that hits a cached nogood zeroes its column and the system is
         re-solved; a fresh child failure aborts the tree through the restart
         machinery before this returns.  True when the role completed, False
-        when the restrictions are infeasible (branch fails)."""
-        fillers = collect_fillers(tuned, role)
-        width = len(fillers)
-        if width > self.limits.lambda_max:
-            raise ResourceLimitError(
-                f"node {node_id} role {role}: {width} distinct fillers exceed "
-                f"lambda_max={self.limits.lambda_max}"
-            )
-        self.stats.max_lambda = max(self.stats.max_lambda, width)
-        atoms = atomic_decomposition(fillers, self.limits.lambda_max)
-        system = build_lii(tuned, role)
-        restrictions = frozenset(row.source for row in system.rows)
-        for mask, literals in enumerate(atoms, 1):
-            if primitive_clash(literals):
-                system = zero_column(system, mask)
+        when the restrictions are infeasible or a stored unconditional triple
+        already covers them with the branch's filler decisions (branch
+        fails)."""
         child_cut = cut_set_for_child(branch, role, self.problem.cuts)
+        # the branch satisfies every choice literal (that is how
+        # cut_set_for_child reads them off it) and holds every literal of
+        # tuned, so a stored wildcard covered by the two together rules the
+        # branch out; the walk's checks only saw the literals themselves
+        choices = choice_literals(child_cut)
+        if not choices <= tuned and self.nogoods.hit_wildcard(tuned | choices) is not None:
+            return False
+        try:
+            system = build_lii(tuned, role, self.limits.lambda_max)
+        except SolverLimitError as exc:
+            raise ResourceLimitError(f"node {node_id} role {role}: {exc}") from None
+        fillers = system.fillers
+        self.stats.max_lambda = max(self.stats.max_lambda, len(fillers))
+        atoms = atomic_decomposition(fillers, self.limits.lambda_max)
+        for mask in clashed_atoms(fillers):
+            system = zero_column(system, mask)
 
         completed: set[int] = set()
         context_zeroing = False
@@ -356,11 +361,11 @@ class Tableau:
                     f"verdict={'feasible' if solution is not None else 'infeasible'}"
                 )
             if solution is None:
-                body = restrictions
+                body = frozenset(row.source for row in system.rows)
                 if context_zeroing:
                     # zeroing relied on context-keyed child failures, so the
                     # cached set must carry the branch's filler commitments
-                    body = restrictions | choice_literals(child_cut)
+                    body |= choices
                 self._record(EMPTY_CUT_SET, None, body)
                 return False
 

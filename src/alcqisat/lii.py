@@ -11,21 +11,32 @@ local consistency of the restrictions.  Atoms, zeroed columns and solutions
 are plain values: a list of literal sets indexed by mask - 1, a frozenset of
 masks and a {mask: multiplicity} dict.
 
-`feasible` decides it by an iterative depth-first search that returns the
-lexicographically smallest solution.  Rows bounding the same sum are merged
-into one interval first, so contradictory bounds are refuted before any
-search step; each atom is capped by the bounds of the rows covering it; and
+Building a system is cheap in the width: the coefficient masks come from a
+table cached per width, the width is checked against the limit before that
+table is built, and the clashing atoms are read off the filler list
+(`clashed_atoms`) rather than tested one literal set at a time.
+
+`feasible` returns the lexicographically smallest solution.  A system
+without an upper bound, whose full atom is not zeroed, has a closed form:
+all on the full atom.  Every other system goes to an iterative depth-first
+search.  Rows bounding the same sum are merged into one interval first, so
+contradictory bounds are refuted before any search step; each atom is
+capped by the bounds of the rows covering it, and one under an at-most 0
+gets no search position; what later atoms can add to a
+sum is bounded by their caps and by the at-most bounds they lie under; and
 failed search states are memoized, so a subtree already proven empty is
 entered once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cache
+from typing import NamedTuple
 
 from .syntax import (
     AtLeast,
     AtMost,
+    Bottom,
     Concept,
     Role,
     negate,
@@ -34,12 +45,12 @@ from .syntax import (
 
 
 class SolverLimitError(RuntimeError):
-    """The feasibility search exceeded its step budget.  Raised out of
+    """The feasibility search exceeded its step budget, or a role has more
+    distinct fillers than a decomposition may take.  Raised out of
     Tableau.decide, it carries the run's partial RunStats as `stats`."""
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     """One inequality: sum of the variables whose atom contains the filler
     positively, compared against the bound."""
 
@@ -49,11 +60,10 @@ class Row:
     source: Concept          # the restriction this row came from
 
 
-@dataclass(frozen=True)
-class LiiSystem:
+class LiiSystem(NamedTuple):
     fillers: tuple[Concept, ...]
     rows: tuple[Row, ...]
-    zeroed: frozenset = field(default_factory=frozenset)  # frozenset[int], atom masks
+    zeroed: frozenset = frozenset()  # frozenset[int], atom masks
 
     @property
     def width(self) -> int:
@@ -88,56 +98,106 @@ def collect_fillers(branch: frozenset, role: Role) -> list[Concept]:
     return list(dict.fromkeys(lit.filler for lit in _restrictions(branch, role)))
 
 
+def _check_width(width: int, lambda_max: int | None) -> None:
+    if lambda_max is not None and width > lambda_max:
+        raise SolverLimitError(f"{width} distinct fillers exceed lambda_max={lambda_max}")
+
+
+@cache
+def _coefficients(width: int) -> tuple[int, ...]:
+    """Per filler k, the atoms holding it as a coefficient mask: bit m - 1
+    for every mask m with bit k set.  Built once per width, by doubling."""
+    size = 1 << width
+    out = []
+    for k in range(width):
+        run = 1 << k
+        pattern = ((1 << run) - 1) << run  # the masks below 2^(k+1) with bit k
+        period = run << 1
+        while period < size:
+            pattern |= pattern << period
+            period <<= 1
+        out.append(pattern >> 1)
+    return tuple(out)
+
+
 def atomic_decomposition(fillers: list[Concept], lambda_max: int = 10) -> list[frozenset]:
     """The literal sets of all 2^n - 1 atoms, ascending by mask: entry
     mask - 1 holds filler k where bit k of mask is set and its negation
-    where it is clear.  Each filler is negated once."""
+    where it is clear.  Each filler is negated once, and the sets are built
+    by doubling: the masks below 2^(k+1) are those below 2^k with filler k's
+    negation, then the same with filler k."""
     n = len(fillers)
     if n < 1:
         raise ValueError("need at least one filler")
-    if n > lambda_max:
-        raise SolverLimitError(
-            f"{n} distinct fillers exceed the decomposition limit of {lambda_max}"
-        )
-    signs = [(f, negate(f)) for f in fillers]
-    return [
-        frozenset(pos if (mask >> k) & 1 else neg for k, (pos, neg) in enumerate(signs))
-        for mask in range(1, 1 << n)
-    ]
+    _check_width(n, lambda_max)
+    signed = [()]
+    for f in fillers:
+        neg, pos = (negate(f),), (f,)
+        signed = [s + neg for s in signed] + [s + pos for s in signed]
+    return [frozenset(s) for s in signed[1:]]
 
 
-def build_lii(branch: frozenset, role: Role) -> LiiSystem:
+def clashed_atoms(fillers: tuple[Concept, ...]) -> list[int]:
+    """The masks of the atoms whose literal set clashes, ascending: the
+    masks m for which primitive_clash(atomic_decomposition(fillers)[m - 1])
+    holds, found without building a literal set.
+
+    An atom holds one literal per filler, the filler or its negation, so it
+    clashes through a literal that clashes alone (bottom, an at-most below
+    0; in practice the negation of a top filler or a bottom filler) or
+    through two literals of different fillers that negate each other.  Each
+    literal maps to the coefficient mask of the atoms holding it, OR-ed over
+    the fillers that give it, since a filler can be another's negation.
+    The clashing atoms are then the masks of the lone clashes joined with
+    each literal's atoms met with its negation's.  A filler's own negation
+    is held by the complementary atoms, so that meet is empty unless
+    another filler gives it too: O(n) set operations, no 2^n walk."""
+    coeffs = _coefficients(len(fillers))
+    every = (1 << ((1 << len(fillers)) - 1)) - 1
+    holding: dict[Concept, int] = {}
+    for f, coeff in zip(fillers, coeffs):
+        holding[f] = holding.get(f, 0) | coeff
+        neg = negate(f)
+        holding[neg] = holding.get(neg, 0) | (every ^ coeff)
+    clashed = 0
+    for lit, atoms in holding.items():
+        kind = type(lit)
+        if kind is Bottom or kind is AtMost and lit.bound < 0:
+            clashed |= atoms
+        else:
+            clashed |= atoms & holding.get(negate(lit), 0)
+    masks = []
+    while clashed:
+        low = clashed & -clashed
+        masks.append(low.bit_length())
+        clashed ^= low
+    return masks
+
+
+def build_lii(branch: frozenset, role: Role, lambda_max: int | None = None) -> LiiSystem:
     """One row per restriction on the role; coefficients select the atoms
     containing the row's filler positively.  Nothing zeroed yet.  Fillers
-    are indexed on first occurrence, as collect_fillers lists them."""
+    are indexed on first occurrence, as collect_fillers lists them.  More
+    fillers than lambda_max raise SolverLimitError before any coefficient
+    mask, which has 2^width bits, is built."""
     restrictions = _restrictions(branch, role)
     index: dict[Concept, int] = {}
     for lit in restrictions:
         index.setdefault(lit.filler, len(index))
-    # one coefficient mask per filler, shared by the rows over it
-    masks = range(1, 1 << len(index))
-    coeffs = [sum(1 << (m - 1) for m in masks if (m >> k) & 1) for k in range(len(index))]
+    _check_width(len(index), lambda_max)
+    coeffs = _coefficients(len(index))
     rows = tuple(
-        Row(
-            coeff_mask=coeffs[index[lit.filler]],
-            is_at_most=type(lit) is AtMost,
-            bound=lit.bound,
-            source=lit,
-        )
+        Row(coeffs[index[lit.filler]], type(lit) is AtMost, lit.bound, lit)
         for lit in restrictions
     )
-    return LiiSystem(fillers=tuple(index), rows=rows)
+    return LiiSystem(tuple(index), rows)
 
 
 def zero_column(system: LiiSystem, atom_mask: int) -> LiiSystem:
     """Force the atom's multiplicity to zero; returns a new system."""
-    if not 1 <= atom_mask < (1 << system.width):
+    if not 1 <= atom_mask < (1 << len(system.fillers)):
         raise ValueError(f"atom mask {atom_mask} out of range")
-    return LiiSystem(
-        fillers=system.fillers,
-        rows=system.rows,
-        zeroed=system.zeroed | {atom_mask},
-    )
+    return LiiSystem(system.fillers, system.rows, system.zeroed | {atom_mask})
 
 
 def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | None:
@@ -145,9 +205,16 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
     solution maps each atom mask with a positive multiplicity to it, in
     ascending mask order; zeroed and zero-valued atoms are absent.
 
-    Depth-first over atoms in ascending mask order, smallest value first,
-    so the solution returned is the lexicographically smallest one: every
-    pruning below only skips subtrees that hold no solution or only
+    Closed form: with no at-most row and the full atom (every filler
+    positive, which every row of build_lii counts) not zeroed, the answer is
+    {full: largest at-least bound}, or {} when that bound is 0.  Every atom
+    below the full one at 0 is the smallest start a solution can have, and
+    the full atom alone must then meet the largest bound.  It takes no
+    search step.
+
+    Otherwise depth-first over atoms in ascending mask order, smallest value
+    first, so the solution returned is the lexicographically smallest one:
+    every pruning below only skips subtrees that hold no solution or only
     solutions after it.  Per-variable value ranges come from the rows,
     arithmetic on bounds rather than unary counting, which keeps large
     bounds cheap.
@@ -155,11 +222,18 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
     - Interval pre-check: rows with the same coefficients bound one sum, so
       they merge into one interval [largest at-least, smallest at-most]; an
       empty interval refutes the system before any search step.
+    - Dead atoms: an atom in a sum bounded by at-most 0 can only be 0, so
+      like a zeroed atom it gets no search position.
     - Per-atom cap: each atom is capped at the smallest at-most bound
       covering it, and at the largest at-least bound covering it (0 when
       none does): a value above the latter could be lowered to it without
-      breaking a row, giving a smaller solution.  The caps bound what later
-      atoms can still add to each at-least sum.
+      breaking a row, giving a smaller solution.
+    - Room: what the atoms after a position can still add to an at-least
+      sum is at most the sum of their caps and, when each of them lies in
+      some at-most sum, at most the sum of those at-most bounds, since
+      together they add no more than that to those sums.  The smaller of
+      the two sets how much the atom at the position must add, and how much
+      the sums it does not count must already hold.
     - Memo: a state is a position and the sums so far, with each at-least
       sum clamped at its bound since no later check tells larger sums
       apart.  A state whose subtree failed is stored and skipped on entry;
@@ -168,7 +242,8 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
 
     One step is one search node entered, so the search takes no more steps
     than it would without these prunings; more than max_steps raises
-    SolverLimitError.
+    SolverLimitError.  The interval pre-check and the closed form take no
+    step, so either answers at any max_steps.
     """
     bounds: dict[int, list] = {}  # coeff_mask -> [at-least, at-most or None]
     for row in system.rows:
@@ -181,12 +256,29 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
         elif interval[1] is None or row.bound < interval[1]:
             interval[1] = row.bound
     intervals = []
+    bounded = False
+    dead = 0  # the atoms in a sum bounded by at-most 0
     for coeff, (lo, hi) in bounds.items():
-        if hi is not None and lo > hi:
-            return None
+        if hi is not None:
+            if lo > hi:
+                return None
+            bounded = True
+            if hi == 0:
+                dead |= coeff
         intervals.append((coeff, lo, hi))
 
-    masks = [m for m in system.atom_masks() if m not in system.zeroed]
+    # the closed form, when every sum is an at-least sum over the full atom
+    full = (1 << len(system.fillers)) - 1
+    top = full and 1 << (full - 1)  # the full atom's coefficient bit
+    if not bounded and full not in system.zeroed and all(c & top for c, _, _ in intervals):
+        most = max((lo for _, lo, _ in intervals), default=0)
+        solution = {full: most} if most else {}
+        _validate(system, solution)
+        return solution
+
+    masks = [
+        m for m in system.atom_masks() if not (dead >> (m - 1)) & 1 and m not in system.zeroed
+    ]
     n = len(masks)
     # per position, built back to front: the atom's cap; the at-least sums
     # it adds to, each with its bound less what later atoms can still add;
@@ -195,7 +287,14 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
     # value goes to, with their clamp (an at-most sum never passes its bound)
     caps = [0] * n
     raising, limiting, short, adding = [()] * n, [()] * n, [()] * n, [()] * n
+    # per sum, over the atoms after the position: the sum of their caps;
+    # the at-most sums they lie in and the sum of those bounds, or None once
+    # one of them lies in no at-most sum; and the room, what they can still
+    # add, the smaller of the two sums
     reach = [0] * len(intervals)
+    cover = [0] * len(intervals)
+    shared: list = [0] * len(intervals)
+    room = [0] * len(intervals)
     for i in range(n - 1, -1, -1):
         bit = 1 << (masks[i] - 1)
         cap, limit = 0, None
@@ -204,8 +303,8 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
             if coeff & bit:
                 if lo > cap:
                     cap = lo
-                if lo > reach[g]:
-                    raise_.append((g, lo - reach[g]))
+                if lo > room[g]:
+                    raise_.append((g, lo - room[g]))
                 if hi is None:
                     add_.append((g, lo))
                 else:
@@ -213,13 +312,21 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
                         limit = hi
                     limit_.append((g, hi))
                     add_.append((g, hi))
-            elif lo > reach[g]:
-                short_.append((g, lo - reach[g]))
+            elif lo > room[g]:
+                short_.append((g, lo - room[g]))
         if limit is not None and limit < cap:
             cap = limit
         caps[i], raising[i], limiting[i], short[i], adding[i] = cap, raise_, limit_, short_, add_
         for g, _ in add_:
             reach[g] += cap
+            if shared[g] is not None:
+                if not limit_:
+                    shared[g] = None
+                for h, hi in limit_:
+                    if not (cover[g] >> h) & 1:
+                        cover[g] |= 1 << h
+                        shared[g] += hi
+            room[g] = reach[g] if shared[g] is None or reach[g] < shared[g] else shared[g]
 
     failed: dict[int, set] = {}  # position -> states whose subtree failed
     entered: list = [None] * n   # state on entry, per position on the stack

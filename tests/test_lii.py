@@ -8,6 +8,7 @@ from alcqisat import (
     AtLeast,
     AtMost,
     Atom,
+    BOTTOM,
     LiiSystem,
     NegAtom,
     Role,
@@ -19,11 +20,12 @@ from alcqisat import (
     conj,
     feasible,
     negate,
+    primitive_clash,
     zero_column,
 )
-from alcqisat.lii import Row
-from alcqisat.syntax import sorted_concepts
-from conftest import brute_force_feasible, reference_feasible
+from alcqisat.lii import Row, clashed_atoms
+from alcqisat.syntax import sorted_concepts, to_nnf
+from conftest import brute_force_feasible, random_raw_concept, reference_feasible
 
 A, B = Atom("A"), Atom("B")
 C, C1, C2, C3 = Atom("C"), Atom("C1"), Atom("C2"), Atom("C3")
@@ -164,9 +166,33 @@ def test_at_most_rows_alone_solve_to_nothing():
     assert widths == set(range(1, 7))
 
 
-def zero_clashed_atoms(sys_):
-    from alcqisat import primitive_clash
+def test_clashed_atoms_match_the_literal_set_test():
+    # top, bottom, compound fillers and fillers that negate each other, as
+    # well as at-least 0 and at-most -1, whose negations do not negate back
+    rng = random.Random(20261018)
+    odd = [TOP, BOTTOM, AtLeast(0, R, A), AtMost(-1, R, B), AtLeast(2, S, NegAtom("C"))]
+    paired = 0
+    for _ in range(600):
+        fillers = []
+        while len(fillers) < rng.randint(1, 6):
+            pick = rng.random()
+            if pick < 0.2:
+                f = rng.choice(odd)
+            elif pick < 0.4 and fillers:
+                f = negate(rng.choice(fillers))  # another filler's negation
+            else:
+                f = to_nnf(random_raw_concept(rng, rng.randint(0, 2)))
+            if f not in fillers:
+                fillers.append(f)
+        want = [
+            m for m, atom in enumerate(atomic_decomposition(fillers), 1) if primitive_clash(atom)
+        ]
+        assert clashed_atoms(tuple(fillers)) == want, [str(f) for f in fillers]
+        paired += any(negate(f) in fillers for f in fillers if f not in (TOP, BOTTOM))
+    assert paired > 100
 
+
+def zero_clashed_atoms(sys_):
     for mask, literals in enumerate(atomic_decomposition(list(sys_.fillers)), 1):
         if primitive_clash(literals):
             sys_ = zero_column(sys_, mask)
@@ -328,8 +354,22 @@ def test_unbounded_atoms_stay_small():
         AtMost(3, R, Atom("A2")),
         AtMost(5, R, NegAtom("A3")),
     })
-    sol = feasible(build_lii(b, R), max_steps=25_000)
+    sol = feasible(build_lii(b, R), max_steps=1_000)
     assert list(sol.items()) == [(3, 2), (7, 3), (11, 5)]
+
+
+def test_at_least_rows_alone_are_solved_without_search():
+    # no at-most row and nothing zeroed: all on the full atom, in no step
+    rng = random.Random(61)
+    pool = [TOP, A, NegAtom("A"), B, NegAtom("B"), C, conj([A, B])]
+    for _ in range(300):
+        branch = frozenset(
+            AtLeast(rng.randint(0, 10), R, rng.choice(pool)) for _ in range(rng.randint(1, 5))
+        )
+        sys_ = build_lii(branch, R)
+        want = reference_feasible(sys_)
+        got = feasible(sys_, max_steps=1)
+        assert got == want and list(got) == list(want), sys_.describe()
 
 
 def test_wide_system_needs_no_recursion():
