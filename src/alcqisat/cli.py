@@ -16,7 +16,6 @@ import contextlib
 import io
 import sys
 import time
-from dataclasses import asdict
 
 from .engine import Limits, ResourceLimitError, RunStats, decide
 from .lii import SolverLimitError
@@ -32,6 +31,7 @@ EXIT_INTERNAL = 4
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
+    defaults = Limits._field_defaults
     parser = argparse.ArgumentParser(
         prog="alcqisat",
         description="Decide concept satisfiability in ALCQI with general axioms.",
@@ -49,10 +49,10 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="also run the bounded model search up to domain size N and report agreement",
     )
-    parser.add_argument("--lambda-max", type=int, default=Limits.lambda_max, metavar="K",
+    parser.add_argument("--lambda-max", type=int, default=defaults["lambda_max"], metavar="K",
                         help="most distinct fillers per solved role, one with a positive at-least, "
                              "before giving up (default %(default)s)")
-    parser.add_argument("--node-budget", type=int, default=Limits.node_budget, metavar="N",
+    parser.add_argument("--node-budget", type=int, default=defaults["node_budget"], metavar="N",
                         help="most node expansions per tree (default %(default)s)")
     return parser
 
@@ -154,6 +154,9 @@ def _read_parsed(path: str, parse):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
+    except UnicodeDecodeError as exc:  # bad input, not a bug
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return None
     try:
         return parse(text)
     except ProblemFileError as exc:
@@ -162,7 +165,7 @@ def _read_parsed(path: str, parse):
 
 
 def _print_stats(stats: RunStats, wall_ms: int, file) -> None:
-    for name, value in {**asdict(stats), "wall_ms": wall_ms}.items():
+    for name, value in [*stats.items(), ("wall_ms", wall_ms)]:
         print(f"{name}={value}", file=file)
 
 

@@ -20,8 +20,7 @@ satisfiable when a tree completes without learning anything new.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .branch import (
     Branch,
@@ -59,31 +58,45 @@ class ResourceLimitError(RuntimeError):
     Tableau.decide, it carries the run's partial RunStats as `stats`."""
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(NamedTuple):
     lambda_max: int = 10
     node_budget: int = 1_000_000          # expansions per tree
     nogood_capacity: int = 100_000
     solver_max_steps: int = 2_000_000
 
 
-@dataclass
 class RunStats:
-    restarts: int = 0
-    nodes: int = 0
-    nogoods: int = 0
-    lii_solves: int = 0
-    max_lambda: int = 0
+    """Counters of one run, updated in place while it runs."""
+
+    __slots__ = ("restarts", "nodes", "nogoods", "lii_solves", "max_lambda")
+
+    def __init__(self, restarts: int = 0, nodes: int = 0, nogoods: int = 0,
+                 lii_solves: int = 0, max_lambda: int = 0):
+        self.restarts = restarts
+        self.nodes = nodes
+        self.nogoods = nogoods
+        self.lii_solves = lii_solves
+        self.max_lambda = max_lambda
+
+    def items(self) -> list[tuple[str, int]]:
+        """(name, value) of every counter, in declaration order."""
+        return [(name, getattr(self, name)) for name in self.__slots__]
+
+    def __eq__(self, other):
+        if type(other) is not RunStats:
+            return NotImplemented
+        return self.items() == other.items()
+
+    def __repr__(self) -> str:
+        return "RunStats(" + ", ".join(f"{name}={value!r}" for name, value in self.items()) + ")"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     satisfiable: bool
     stats: RunStats
 
 
-@dataclass(frozen=True)
-class NogoodTriple:
+class NogoodTriple(NamedTuple):
     """A cached inconsistency: body is unsatisfiable for nodes whose context
     matches (cut, edge); the empty context is unconditional."""
 

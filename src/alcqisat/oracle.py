@@ -20,9 +20,8 @@ unsatisfiability; the result type says how far the search went.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .syntax import (
     And,
@@ -46,8 +45,7 @@ class OracleLimitError(RuntimeError):
     or domain than the bounded search is willing to cover."""
 
 
-@dataclass(frozen=True)
-class Interpretation:
+class Interpretation(NamedTuple):
     """Explicit finite structure over domain {0, .., domain_size - 1}.
 
     Role extensions store the base role only; the inverse is definitional,
@@ -74,8 +72,7 @@ class Interpretation:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class NoneFound:
+class NoneFound(NamedTuple):
     """No model up to the given domain size.  Not an unsatisfiability proof."""
 
     searched_max_domain: int
@@ -174,8 +171,7 @@ def _role_planes(bit: list[int], k: int, n: int) -> list[list[int]]:
     ]
 
 
-@dataclass
-class _Program:
+class _Program(NamedTuple):
     """Goal and axiom compiled for one domain size to slot ops, staged by
     the block of loops that fixes their value (see `_compile`)."""
 

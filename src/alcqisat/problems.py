@@ -11,7 +11,7 @@ Line-oriented format, diff friendly:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import (
     AtLeast,
@@ -39,8 +39,7 @@ class ProblemFileError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class ProblemFile:
+class ProblemFile(NamedTuple):
     """A query concept plus inclusion axioms, as read from one file."""
 
     tbox: tuple[tuple[Concept, Concept], ...]
@@ -61,8 +60,8 @@ def _parse_concepts_on_line(rest: str, count: int, line_no: int, offset: int) ->
         except ConceptSyntaxError as exc:
             raise ProblemFileError(str(exc), line_no, offset + exc.position + 1) from exc
     if not ts.at_end():
-        tok, at = ts.tokens[ts.pos]
-        raise ProblemFileError(f"unexpected extra term '{tok}'", line_no, offset + at + 1)
+        at = ts.offset(ts.pos)
+        raise ProblemFileError(f"unexpected extra term '{ts.peek()}'", line_no, offset + at + 1)
     return out
 
 
@@ -112,8 +111,7 @@ def parse_tbox_text(text: str) -> tuple[tuple[Concept, Concept], ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorpusProfile:
+class CorpusProfile(NamedTuple):
     """Bounds for generated instances.  Kept small on purpose: the agreement
     suite cross-checks every instance against the brute-force model search."""
 

@@ -6,13 +6,20 @@ object and compare and hash by identity.  Each node computes its order key
 once, from its children's, so it never recurses.  And/Or nodes keep their
 children flattened, deduplicated and sorted under a fixed total order, so a
 set of concepts behaves like a set in every cache and comparison downstream.
+The node classes are frozen slotted classes whose `_fields` name their
+fields in constructor order; `Problem` is a named tuple.
+
+The parser reads the tokens of a text, taken from one regular-expression
+`findall`; it works out a token's character offset only when it raises a
+ConceptSyntaxError.  `to_nnf` returns a node none of whose children changes
+itself, so a concept already in NNF comes back as the same object.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple
 
 
 class ConceptSyntaxError(ValueError):
@@ -64,15 +71,18 @@ _NODES: dict[tuple, "Concept"] = {}
 
 
 class Concept:
-    """Base class for all concept nodes.  Fields are given positionally."""
+    """Base class for all concept nodes.  Fields are given positionally, in
+    the order of the class's `_fields`, which are also its slots.  Nodes are
+    frozen: assigning or deleting an attribute raises AttributeError."""
 
     __slots__ = ("_key", "_neg")
+    _fields: tuple[str, ...] = ()
 
     def __new__(cls, *fields):
         key = (cls, *fields)
         node = _NODES.get(key)
         if node is None:
-            names = cls.__dataclass_fields__
+            names = cls._fields
             if len(fields) != len(names):
                 raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(fields)}")
             node = object.__new__(cls)
@@ -83,69 +93,75 @@ class Concept:
             _NODES[key] = node
         return node
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
 
-def _node(cls):
-    # fields are set once, in Concept.__new__; equality stays identity
-    return dataclass(frozen=True, eq=False, init=False, slots=True)(cls)
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
-@_node
 class Top(Concept):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "top"
 
 
-@_node
 class Bottom(Concept):
     """The negation of top; the only non-atomic negation kept in NNF."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "bottom"
 
 
-@_node
 class Atom(Concept):
+    __slots__ = _fields = ("name",)
     name: str
 
     def __str__(self) -> str:
         return self.name
 
 
-@_node
 class NegAtom(Concept):
+    __slots__ = _fields = ("name",)
     name: str
 
     def __str__(self) -> str:
         return f"(not {self.name})"
 
 
-@_node
 class Not(Concept):
     """Unrestricted negation; appears only before NNF conversion."""
 
+    __slots__ = _fields = ("sub",)
     sub: Concept
 
     def __str__(self) -> str:
         return f"(not {self.sub})"
 
 
-@_node
 class And(Concept):
+    __slots__ = _fields = ("parts",)
     parts: tuple[Concept, ...]
 
     def __str__(self) -> str:
         return "(and " + " ".join(str(p) for p in self.parts) + ")"
 
 
-@_node
 class Or(Concept):
+    __slots__ = _fields = ("parts",)
     parts: tuple[Concept, ...]
 
     def __str__(self) -> str:
         return "(or " + " ".join(str(p) for p in self.parts) + ")"
 
 
-@_node
 class AtMost(Concept):
     """Upper cardinality bound on role neighbors satisfying the filler.
 
@@ -153,6 +169,7 @@ class AtMost(Concept):
     parent) and is trivially unsatisfiable; the parser rejects it.
     """
 
+    __slots__ = _fields = ("bound", "role", "filler")
     bound: int
     role: Role
     filler: Concept
@@ -161,8 +178,8 @@ class AtMost(Concept):
         return f"(atmost {self.bound} {self.role} {self.filler})"
 
 
-@_node
 class AtLeast(Concept):
+    __slots__ = _fields = ("bound", "role", "filler")
     bound: int
     role: Role
     filler: Concept
@@ -243,68 +260,79 @@ _KEYWORDS = {"top", "bottom", "not", "and", "or", "atleast", "atmost", "inv"}
 
 
 class _TokenStream:
+    """The tokens of a text, read front to back.  A token's character offset
+    is worked out only for an error message, by scanning the text again."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = [(m.group(0), m.start()) for m in _TOKEN_RE.finditer(text)]
+        self.tokens = _TOKEN_RE.findall(text)
         self.pos = 0
 
-    def peek(self) -> tuple[str, int] | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
+    def peek(self) -> str | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self, expect: str | None = None) -> tuple[str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ConceptSyntaxError("unexpected end of input", len(self.text))
-        if expect is not None and tok[0] != expect:
-            raise ConceptSyntaxError(f"expected '{expect}', found '{tok[0]}'", tok[1])
+    def next(self, expect: str | None = None) -> str:
+        if self.pos >= len(self.tokens):
+            raise self.error("unexpected end of input", self.pos)
+        tok = self.tokens[self.pos]
+        if expect is not None and tok != expect:
+            raise self.error(f"expected '{expect}', found '{tok}'", self.pos)
         self.pos += 1
         return tok
 
     def at_end(self) -> bool:
         return self.pos >= len(self.tokens)
 
+    def offset(self, index: int) -> int:
+        """Character offset of token `index`; past the last token, the
+        text's length."""
+        match = next(islice(_TOKEN_RE.finditer(self.text), index, None), None)
+        return len(self.text) if match is None else match.start()
+
+    def error(self, message: str, index: int | None = None) -> ConceptSyntaxError:
+        """The error at token `index`, by default the token last read."""
+        return ConceptSyntaxError(message, self.offset(self.pos - 1 if index is None else index))
+
 
 def _parse_role(ts: _TokenStream) -> Role:
     # nested (inv (inv R)) normalizes through Role.inverse
-    tok, at = ts.next()
+    tok = ts.next()
     if tok != "(":
         if not _NAME_RE.match(tok):
-            raise ConceptSyntaxError(f"invalid role name '{tok}'", at)
+            raise ts.error(f"invalid role name '{tok}'")
         return Role(tok)
-    tok, at = ts.next()
+    tok = ts.next()
     if tok != "inv":
-        raise ConceptSyntaxError(f"expected 'inv', found '{tok}'", at)
+        raise ts.error(f"expected 'inv', found '{tok}'")
     inner = _parse_role(ts)
     ts.next(")")
     return inner.inverse()
 
 
 def _parse_bound(ts: _TokenStream) -> int:
-    tok, at = ts.next()
+    tok = ts.next()
     if tok.isascii() and tok.isdigit():
         return int(tok)
     if tok[0] == "-" and tok[1:].isascii() and tok[1:].isdigit():
-        raise ConceptSyntaxError("number restriction bound must be non-negative", at)
-    raise ConceptSyntaxError(f"expected a non-negative integer, found '{tok}'", at)
+        raise ts.error("number restriction bound must be non-negative")
+    raise ts.error(f"expected a non-negative integer, found '{tok}'")
 
 
 def _parse_expr(ts: _TokenStream) -> Concept:
-    tok, at = ts.next()
+    tok = ts.next()
     if tok == ")":
-        raise ConceptSyntaxError("unexpected ')'", at)
+        raise ts.error("unexpected ')'")
     if tok != "(":
         if tok == "top":
             return TOP
         if tok == "bottom":
             return BOTTOM
         if tok in _KEYWORDS:
-            raise ConceptSyntaxError(f"keyword '{tok}' needs parentheses", at)
+            raise ts.error(f"keyword '{tok}' needs parentheses")
         if not _NAME_RE.match(tok):
-            raise ConceptSyntaxError(f"invalid concept name '{tok}'", at)
+            raise ts.error(f"invalid concept name '{tok}'")
         return Atom(tok)
-    head, hat = ts.next()
+    head = ts.next()
     if head == "not":
         sub = _parse_expr(ts)
         ts.next(")")
@@ -312,12 +340,13 @@ def _parse_expr(ts: _TokenStream) -> Concept:
             return NegAtom(sub.name)
         return Not(sub)
     if head in ("and", "or"):
+        at = ts.pos - 1
         parts = []
-        while (nxt := ts.peek()) is not None and nxt[0] != ")":
+        while ts.peek() not in (")", None):
             parts.append(_parse_expr(ts))
         ts.next(")")  # at the end of input: "unexpected end of input"
         if len(parts) < 2:
-            raise ConceptSyntaxError(f"'{head}' needs at least two arguments", hat)
+            raise ts.error(f"'{head}' needs at least two arguments", at)
         return conj(parts) if head == "and" else disj(parts)
     if head in ("atleast", "atmost"):
         bound = _parse_bound(ts)
@@ -326,7 +355,7 @@ def _parse_expr(ts: _TokenStream) -> Concept:
         ts.next(")")
         node = AtLeast if head == "atleast" else AtMost
         return node(bound, role, filler)
-    raise ConceptSyntaxError(f"unknown keyword '{head}'", hat)
+    raise ts.error(f"unknown keyword '{head}'")
 
 
 def parse_concept(text: str) -> Concept:
@@ -335,8 +364,7 @@ def parse_concept(text: str) -> Concept:
     ts = _TokenStream(text)
     c = _parse_expr(ts)
     if not ts.at_end():
-        tok, at = ts.tokens[ts.pos]
-        raise ConceptSyntaxError(f"trailing input '{tok}'", at)
+        raise ts.error(f"trailing input '{ts.peek()}'", ts.pos)
     return c
 
 
@@ -383,21 +411,24 @@ def _negate(c: Concept) -> Concept:
 
 def to_nnf(c: Concept) -> Concept:
     """Push negation down to concept names.  Also rewrites the tautology
-    at-least-0 to top, so every bound in NNF output is meaningful."""
+    at-least-0 to top, so every bound in NNF output is meaningful.  A node
+    none of whose children changes is returned itself: an And/Or node is
+    already flat, deduplicated and sorted, so rebuilding it would give back
+    the same object."""
     if isinstance(c, (Top, Bottom, Atom, NegAtom)):
         return c
     if isinstance(c, Not):
         return negate(to_nnf(c.sub))
-    if isinstance(c, And):
-        return conj(to_nnf(p) for p in c.parts)
-    if isinstance(c, Or):
-        return disj(to_nnf(p) for p in c.parts)
-    if isinstance(c, AtLeast):
-        if c.bound == 0:
+    if isinstance(c, (And, Or)):
+        parts = [to_nnf(p) for p in c.parts]
+        if all(new is old for new, old in zip(parts, c.parts)):
+            return c
+        return conj(parts) if isinstance(c, And) else disj(parts)
+    if isinstance(c, (AtLeast, AtMost)):
+        if c.bound == 0 and isinstance(c, AtLeast):
             return TOP
-        return AtLeast(c.bound, c.role, to_nnf(c.filler))
-    if isinstance(c, AtMost):
-        return AtMost(c.bound, c.role, to_nnf(c.filler))
+        filler = to_nnf(c.filler)
+        return c if filler is c.filler else type(c)(c.bound, c.role, filler)
     raise TypeError(f"unknown concept node: {c!r}")
 
 
@@ -480,8 +511,7 @@ def signature_of(*concepts: Concept) -> tuple[frozenset[str], frozenset[str]]:
     return frozenset(atoms), frozenset(roles)
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(NamedTuple):
     """A satisfiability problem: goal concept, internalized axiom, the
     (role, filler) pairs of its cut formulas and the formulas themselves
     (all in NNF)."""

@@ -1,8 +1,10 @@
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import alcqisat
 from alcqisat import RunStats, Verdict, cli
 from alcqisat.cli import EXIT_INTERNAL, EXIT_RESOURCE, main
 
@@ -69,6 +71,22 @@ def test_tbox_parse_error_names_line_and_column(tmp_path, capsys):
     code, out, err = run_cli(capsys, "--concept", "A", "--tbox", tbox)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {tbox}:2:6: ")
+
+
+def test_undecodable_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "p.dl"
+    path.write_bytes(b"sat \xff\xfe A\n")
+    code, out, err = run_cli(capsys, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode")
+
+
+def test_undecodable_tbox_is_a_usage_error(tmp_path, capsys):
+    tbox = tmp_path / "t.dl"
+    tbox.write_bytes(b"gci A \xff\n")
+    code, out, err = run_cli(capsys, "--concept", "A", "--tbox", str(tbox))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {tbox}: 'utf-8' codec can't decode")
 
 
 def test_concept_parse_error(capsys):
@@ -270,6 +288,20 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "SAT"
+
+
+def test_import_loads_no_dataclasses():
+    # dataclasses pulls in inspect, ast and dis: a fifth of the start-up time
+    src = Path(alcqisat.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, alcqisat.cli; print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_empty_concept_with_file_is_a_usage_error(tmp_path, capsys):

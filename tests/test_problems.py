@@ -64,6 +64,13 @@ def test_error_location():
     assert err.value.column == 6
 
 
+def test_extra_term_location():
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem_text("sat A\n  gci  A (or B C)   (and C D)\n")
+    assert str(err.value) == "line 2, column 21: unexpected extra term '('"
+    assert (err.value.line, err.value.column) == (2, 21)
+
+
 def test_unknown_directive():
     with pytest.raises(ProblemFileError):
         parse_problem_text("check A\nsat B\n")

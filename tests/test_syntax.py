@@ -57,26 +57,28 @@ def test_parse_top_bottom_names():
     assert parse_concept("myConcept_1") == Atom("myConcept_1")
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "(atleast -1 R C)",
-        "(atleast --1 R C)",
-        "(atleast \u00b2 R C)",
-        "(atleast -\u00b2 R C)",
-        "(and A)",
-        "(foo A B)",
-        "(atleast x R C)",
-        "(and A B",
-        "A B",
-        "()",
-        "(not)",
-        "(atmost 1 2 C)",
-    ],
-)
+# every rejected input, with the character offset its error carries
+REJECTED = {
+    "(atleast -1 R C)": 9,
+    "(atleast --1 R C)": 9,
+    "(atleast \u00b2 R C)": 9,
+    "(atleast -\u00b2 R C)": 9,
+    "(and A)": 1,
+    "(foo A B)": 1,
+    "(atleast x R C)": 9,
+    "(and A B": 8,
+    "A B": 2,
+    "()": 1,
+    "(not)": 4,
+    "(atmost 1 2 C)": 10,
+}
+
+
+@pytest.mark.parametrize("text", list(REJECTED))
 def test_parse_rejects(text):
-    with pytest.raises(ConceptSyntaxError):
+    with pytest.raises(ConceptSyntaxError) as err:
         parse_concept(text)
+    assert err.value.position == REJECTED[text]
 
 
 def test_parse_error_carries_position():
@@ -251,12 +253,16 @@ def test_deep_chain_needs_no_recursion():
     assert signature_of(c) == (frozenset({"A"}), frozenset({"R"}))
 
 
-def corpus_concepts():
+def corpus_files():
+    """The acceptance corpus and the deep profile's."""
     deep = CorpusProfile(max_depth=5, max_bound=5, max_roles=3, max_atoms=4, max_gcis=3)
-    corpus = generate_corpus(seed=20260809, count=200) + generate_corpus(
+    return generate_corpus(seed=20260809, count=200) + generate_corpus(
         seed=7, count=150, profile=deep
     )
-    for pf in corpus:
+
+
+def corpus_concepts():
+    for pf in corpus_files():
         problem = build_problem(pf.query, pf.tbox)
         yield from (pf.query, problem.goal, problem.axiom)
         for lhs, rhs in pf.tbox:
@@ -269,6 +275,14 @@ def test_equal_concepts_are_one_object():
         n = to_nnf(c)
         assert to_nnf(n) is n
         assert negate(negate(n)) is n
+
+
+def test_nnf_keeps_nnf_nodes():
+    # to_nnf returns a node already in NNF itself, at every depth
+    for pf in corpus_files():
+        problem = build_problem(pf.query, pf.tbox)
+        for c in walk_concepts(problem.goal, problem.axiom):
+            assert to_nnf(c) is c
 
 
 def test_cached_negation_is_the_structural_one():
