@@ -2,7 +2,6 @@
 
 from .branch import (
     Branch,
-    ClashKind,
     CutSet,
     EMPTY_CUT_SET,
     branch_satisfies,

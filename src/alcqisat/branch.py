@@ -10,12 +10,13 @@ branching (taking a lone survivor without a choice point), and keeps the
 partial disjunct on a trail that choice points rewind.  So not every
 clash-free disjunct is yielded, but each contains one that is.  The
 definite literals of a label, those every branch holds, let the engine skip
-the walk for a label a nogood already kills.
+the walk for a label a nogood already kills.  The clash test on a tuned
+branch says whether it clashes (bottom, a complementary pair, an at-most
+below zero), not how: the engine reads nothing else.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Iterable, Iterator
 
 from .syntax import (
@@ -32,12 +33,6 @@ from .syntax import (
 )
 
 Branch = frozenset  # frozenset[Concept]
-
-
-class ClashKind(Enum):
-    FALSUM = "falsum"                       # bottom among the literals
-    COMPLEMENT = "complementary-pair"       # both C and its negation
-    NEGATIVE_AT_MOST = "negative-at-most"   # at-most bound below zero
 
 
 # the filler decisions a parent's branch hands to a child across one edge:
@@ -207,21 +202,12 @@ def fine_tune(branch: Branch, cut: CutSet, edge_role: Role | None) -> Branch:
     return frozenset(tuned)
 
 
-def primitive_clash(branch: Branch) -> ClashKind | None:
-    """First clash kind present, in this priority: bottom, a complementary
-    literal pair, an at-most with a negative bound.  One pass over the set
-    keeps the highest kind seen, so the order of the set does not matter.
-    None when clash-free."""
-    found = None
+def primitive_clash(branch: Branch) -> bool:
+    """Whether the literals clash: bottom among them, a complementary pair,
+    or an at-most with a negative bound."""
     for lit in branch:
         kind = type(lit)
-        if kind is Bottom:
-            return ClashKind.FALSUM
-        if found is ClashKind.COMPLEMENT:
-            continue
-        if negate(lit) in branch:
-            found = ClashKind.COMPLEMENT
-        elif found is None and kind is AtMost and lit.bound < 0:
-            found = ClashKind.NEGATIVE_AT_MOST
-    return found
+        if kind is Bottom or negate(lit) in branch or (kind is AtMost and lit.bound < 0):
+            return True
+    return False
 

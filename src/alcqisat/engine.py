@@ -9,18 +9,20 @@ vector meets its rows and is their smallest solution.  The branch walk
 prunes clashed disjuncts and never branches on a satisfied disjunction, and
 a branch that clashes only after the bound adjustment is skipped; such
 local clashes are never cached.  Failures are cached as nogood triples
-(context cut-set, incoming role, concept set); every newly learned triple
-aborts the current tree, clears the blocking store, and restarts.  A node whose definite
-literals (those every branch of its label holds) a stored triple already
-covers would skip every branch, so it fails without walking its label.
-The run answers unsatisfiable when a triple subsumes the root label,
-satisfiable when a tree completes without learning anything new.
+(context cut-set, incoming role, concept set) in one place, `_record`:
+every triple it stores is new and aborts the current tree, clears the
+blocking store, and restarts; a repeat is an internal error.  A node whose
+definite literals (those every branch of its label holds) a stored triple
+already covers would skip every branch, so it fails without walking its
+label.  The run answers unsatisfiable when a triple subsumes the root
+label, satisfiable when a tree completes; the store's capacity bounds the
+number of restarts.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, NoReturn
 
 from .branch import (
     Branch,
@@ -220,17 +222,19 @@ class Tableau:
     def _strip(self, body: frozenset) -> frozenset:
         return body - self._core_label
 
-    def _record(self, cut: CutSet, edge: Role | None, body: frozenset) -> None:
-        """Store a triple; any genuinely new inconsistency aborts the tree."""
+    def _record(self, cut: CutSet, edge: Role | None, body: frozenset) -> NoReturn:
+        """Store a failure and abort the tree.  Every caller has just found
+        no stored triple covering it, so a repeat is an internal error."""
         triple = NogoodTriple(cut, edge, self._strip(body))
-        if self.nogoods.add(triple):
-            self.stats.nogoods = len(self.nogoods)
-            if self.trace is not None:
-                self.trace(
-                    f"NOGOOD cut={_fmt_cut(triple.cut)} edge={_fmt_edge(triple.edge)} "
-                    f"body={_fmt_set(triple.body)}"
-                )
-            raise _RestartRequested()
+        if not self.nogoods.add(triple):
+            raise AssertionError(f"nogood already stored: {triple}")
+        self.stats.nogoods = len(self.nogoods)
+        if self.trace is not None:
+            self.trace(
+                f"NOGOOD cut={_fmt_cut(triple.cut)} edge={_fmt_edge(triple.edge)} "
+                f"body={_fmt_set(triple.body)}"
+            )
+        raise _RestartRequested()
 
     # -- main loop ---------------------------------------------------------
 
@@ -240,26 +244,19 @@ class Tableau:
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(old_limit, 20_000))
         try:
-            for _ in range(self.limits.nogood_capacity + 2):
-                if self.nogoods.hit(EMPTY_CUT_SET, None, root_body):
-                    return Verdict(satisfiable=False, stats=self.stats)
+            # each pass stores a new triple or ends the run, and the store
+            # raises at capacity; the root's own label test is this one
+            while not self.nogoods.hit(EMPTY_CUT_SET, None, root_body):
                 self.witnesses.clear()
                 self._tree_nodes = 0
-                before = len(self.nogoods)
                 try:
-                    blocking = self._expand(root_label, EMPTY_CUT_SET, None)
+                    self._expand(root_label, EMPTY_CUT_SET, None)
+                    return Verdict(satisfiable=True, stats=self.stats)
                 except _RestartRequested:
-                    if len(self.nogoods) <= before:
-                        raise AssertionError("restart without a new nogood")
                     self.stats.restarts += 1
                     if self.trace is not None:
                         self.trace(f"RESTART {self.stats.restarts}")
-                    continue
-                if blocking is None:
-                    return Verdict(satisfiable=True, stats=self.stats)
-                # the root label itself is cached as dead; the next pass
-                # check turns this into the unsatisfiable verdict
-            raise ResourceLimitError("pass count exceeded the nogood capacity")
+            return Verdict(satisfiable=False, stats=self.stats)
         except (ResourceLimitError, SolverLimitError) as exc:
             exc.stats = self.stats
             raise
@@ -289,7 +286,6 @@ class Tableau:
         # covers them, the checks below would skip every branch
         if self.nogoods and self.nogoods.hit(cut, edge, definite_literals(label)) is not None:
             self._record(cut, edge, label)
-            raise AssertionError("dead label's triple was already stored but missed the label test")
 
         for index, branch in enumerate(enumerate_branches(label)):
             tuned = fine_tune(branch, cut, edge)
@@ -328,19 +324,19 @@ class Tableau:
             del self.witnesses[key]
 
         # the label test above missed and a triple added during the walk
-        # restarts the tree, so this triple is new and `_record` raises
+        # restarts the tree, so this triple is new
         self._record(cut, edge, label)
-        raise AssertionError("failed label's triple was already stored but missed the label test")
 
     def _apply_lii(self, node_id: int, branch: Branch, tuned: Branch, role: Role) -> bool:
         """Decompose the role's restrictions, solve, expand the children.
 
         A child that hits a cached nogood zeroes its column and the system is
-        re-solved; a fresh child failure aborts the tree through the restart
-        machinery before this returns.  True when the role completed, False
-        when the restrictions are infeasible or a stored unconditional triple
-        already covers them with the branch's filler decisions (branch
-        fails)."""
+        re-solved.  A fresh child failure, and a system that turns out
+        infeasible, store a new triple and abort the tree before this
+        returns.  True when the role completed, False when a stored
+        unconditional triple already covers the restrictions with the
+        branch's filler decisions (branch fails); that check is also why an
+        infeasible system's triple is new."""
         child_cut = cut_set_for_child(branch, role, self.problem.cuts)
         # the branch satisfies every choice literal (that is how
         # cut_set_for_child reads them off it) and holds every literal of
@@ -380,7 +376,6 @@ class Tableau:
                     # cached set must carry the branch's filler commitments
                     body |= choices
                 self._record(EMPTY_CUT_SET, None, body)
-                return False
 
             for mask in solution:
                 if mask in completed:

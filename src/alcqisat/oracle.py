@@ -8,7 +8,8 @@ decides (an at-least above n, an at-most of n or more) to a constant.  The
 candidate loops are grouped into blocks of at most SLICE_BITS bits, and a
 block evaluates each op once for all its candidates, bit-sliced: an
 extension is one int whose bit c*n + x holds element x under the block's
-candidate c, so a junction or a negation is one bitwise operation.  The
+candidate c, so a junction or a negated atom is one bitwise operation.  A
+raw negation is compiled through its NNF, which has the same extension.  The
 passing candidates of a block are entered in ascending order, and every
 candidate below one that already fails is skipped.  A folded op has the
 value the restriction has on every size-n candidate, a skipped candidate
@@ -37,6 +38,7 @@ from .syntax import (
     TOP,
     Top,
     signature_of,
+    to_nnf,
 )
 
 
@@ -110,7 +112,7 @@ def evaluate(interp: Interpretation, c: Concept, element: int) -> bool:
 # ---------------------------------------------------------------------------
 
 # opcodes of a compiled subterm; slots 0 and 1 hold bottom and top
-_ATOM, _NEG_ATOM, _NOT, _AND, _OR, _AT_MOST, _AT_LEAST = range(7)
+_ATOM, _NEG_ATOM, _AND, _OR, _AT_MOST, _AT_LEAST = range(6)
 
 # A block of loops takes at most this many candidate bits, unless one loop
 # alone has more (a role loop at size 3 has 9).  Measured on the oracle
@@ -193,12 +195,14 @@ def _compile(
     An op's depth is 0 when it depends on the atoms only, else
     `len(role_list) - k` for the smallest index k of a role it counts over:
     role k's loop sits at that depth of the sweep.  The op is staged in the
-    block of that depth (`_layout`).
+    block of that depth (`_layout`).  A raw negation is visited as its NNF,
+    which has the same extension on every candidate, so the only negations
+    compiled are negated atoms.
 
     A subterm whose extension is the same on every size-n candidate folds
     to slot 1 (top) or slot 0 (bottom), at depth 0: an at-least above n or an
     at-most of n or more, a restriction over a bottom filler, and the
-    junctions and negations these make constant.  A junction keeps its
+    junctions these make constant.  A junction keeps its
     other parts, and one left with a single part is that part, so a
     conjunct whose deep parts fold away is checked at a shallower loop.
     """
@@ -253,8 +257,7 @@ def _compile(
                 return parts[0]
             return emit(_AND if unit else _OR, (tuple(parts),), max(depths[p] for p in parts))
         if kind is Not:
-            sub = visit(c.sub)
-            return 1 - sub if sub < 2 else emit(_NOT, (sub,), depths[sub])
+            return visit(to_nnf(c))
         if kind is Atom or kind is NegAtom:
             return emit(_ATOM if kind is Atom else _NEG_ATOM, (atom_index[c.name],), 0)
         if kind is Top or kind is Bottom:
@@ -311,10 +314,8 @@ def _passing(program: _Program, b: int, n: int, ext: list[int], index: int, meet
                 mask |= wide[p]
         elif code == _ATOM:
             mask = atoms[op[2]]
-        elif code == _NEG_ATOM:
-            mask = full ^ atoms[op[2]]
         else:
-            mask = full ^ wide[op[2]]
+            mask = full ^ atoms[op[2]]
         wide[op[1]] = mask
     short = 0
     for slot in program.axiom_parts[b]:
@@ -392,7 +393,7 @@ def find_model(
     and at least one loop, so a size-1 search and a small size-2 search
     are one block.  A block evaluates each op once over all its candidates
     c, in this order with role 0 in the lowest bits: bit c*n + x of an
-    extension holds element x under c, junctions and negation are bitwise
+    extension holds element x under c, junctions and negated atoms are bitwise
     operations, and a number restriction counts neighbours through
     per-role neighbour planes.  A block candidate that empties the goal or
     leaves an axiom conjunct short of the whole domain skips all the

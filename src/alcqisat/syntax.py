@@ -39,7 +39,8 @@ class Role:
 
     Roles are interned like concepts: constructing one returns the object
     already built for its base and marker, so equal roles are one object
-    and compare and hash by identity."""
+    and compare and hash by identity.  Roles are frozen: assigning or
+    deleting an attribute raises AttributeError."""
 
     __slots__ = ("base", "inverted")
 
@@ -55,6 +56,9 @@ class Role:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
 
     def inverse(self) -> "Role":
         return Role(self.base, not self.inverted)

@@ -24,7 +24,6 @@ from alcqisat import (
     conj,
     disj,
 )
-from alcqisat import ClashKind
 from alcqisat.syntax import BOTTOM, Bottom, Concept, NegAtom, Top, negate, signature_of, sorted_concepts
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -177,20 +176,21 @@ def reference_feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[in
     return {m: v for m, v in sorted(chosen.items()) if v > 0}
 
 
-def reference_primitive_clash(branch) -> ClashKind | None:
+def reference_primitive_clash(branch) -> bool:
     """`branch.primitive_clash` as it was before it dropped the sort: each
-    kind checked in canonical literal order.  Reference for its result."""
+    kind of clash checked in canonical literal order.  Reference for its
+    result."""
     ordered = sorted_concepts(branch)
     for lit in ordered:
         if isinstance(lit, Bottom):
-            return ClashKind.FALSUM
+            return True
     for lit in ordered:
         if negate(lit) in branch:
-            return ClashKind.COMPLEMENT
+            return True
     for lit in ordered:
         if isinstance(lit, AtMost) and lit.bound < 0:
-            return ClashKind.NEGATIVE_AT_MOST
-    return None
+            return True
+    return False
 
 
 def reference_negate(c: Concept) -> Concept:

@@ -8,7 +8,6 @@ from alcqisat import (
     AtMost,
     Atom,
     BOTTOM,
-    ClashKind,
     EMPTY_CUT_SET,
     NegAtom,
     Role,
@@ -256,36 +255,36 @@ def test_fine_tune_only_touches_inverse_edge_role():
 
 
 def test_primitive_clash_complement():
-    assert primitive_clash(frozenset({A, NegAtom("A")})) == ClashKind.COMPLEMENT
+    assert primitive_clash(frozenset({A, NegAtom("A")})) is True
     pair = frozenset({AtMost(1, R, C), AtLeast(2, R, C)})
-    assert primitive_clash(pair) == ClashKind.COMPLEMENT
+    assert primitive_clash(pair) is True
 
 
 def test_primitive_clash_negative_bound():
-    assert primitive_clash(frozenset({AtMost(-1, R, C)})) == ClashKind.NEGATIVE_AT_MOST
+    assert primitive_clash(frozenset({AtMost(-1, R, C)})) is True
 
 
 def test_primitive_clash_bottom():
-    assert primitive_clash(frozenset({BOTTOM, A})) == ClashKind.FALSUM
+    assert primitive_clash(frozenset({BOTTOM, A})) is True
 
 
 def test_primitive_clash_clean():
-    assert primitive_clash(frozenset({A, B, AtLeast(2, R, C)})) is None
+    assert primitive_clash(frozenset({A, B, AtLeast(2, R, C)})) is False
 
 
 def test_primitive_clash_matches_sorted_reference():
-    # several clash kinds in one set: the priority must not depend on order
+    # several outcomes of clash in one set: the answer must not depend on order
     pool = [TOP, BOTTOM, A, B, NegAtom("A"), NegAtom("B"), conj([A, B]), disj([NegAtom("A"), NegAtom("B")])]
     pool += [AtMost(b, R, f) for b in (-1, 0, 1) for f in (C, TOP)]
     pool += [AtLeast(b, R, f) for b in (0, 1, 2) for f in (C, TOP)]
     rng = random.Random(61)
-    kinds = Counter()
+    outcomes = Counter()
     for _ in range(3000):
         lits = frozenset(rng.sample(pool, rng.randint(0, 7)))
         got = primitive_clash(lits)
         assert got == reference_primitive_clash(lits), sorted(map(str, lits))
-        kinds[got] += 1
-    assert set(kinds) == {None, *ClashKind}
+        outcomes[got] += 1
+    assert set(outcomes) == {False, True}
 
 
 def test_branch_satisfies_complex_filler():

@@ -280,13 +280,16 @@ def test_byte_identical_output(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # run the package this test imported, not whatever PYTHONPATH finds
     path = write(tmp_path, "p.dl", "sat A\n")
+    src = Path(alcqisat.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "alcqisat", path],
+        env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "SAT"
 
 

@@ -219,6 +219,22 @@ def test_new_nogood_between_restarts():
             count_since_restart = 0
 
 
+def test_record_stores_only_new_failures_and_always_restarts():
+    # every caller of _record has just found no stored triple covering the
+    # failure, so storing one again is an internal error, not a no-op
+    tableau = Tableau(build_problem(parse_concept("(and A (atleast 1 R (atmost 0 (inv R) A)))")))
+    assert not tableau.decide().satisfiable
+    stored = list(tableau.nogoods)
+    assert any(triple.cut for triple in stored)
+    for triple in stored:
+        with pytest.raises(AssertionError):
+            tableau._record(triple.cut, triple.edge, triple.body)
+    assert list(tableau.nogoods) == stored
+    with pytest.raises(engine._RestartRequested):
+        tableau._record(EMPTY_CUT_SET, None, frozenset({B}))
+    assert tableau.stats.nogoods == len(tableau.nogoods) == len(stored) + 1
+
+
 def test_node_budget_aborts():
     problem = build_problem(
         parse_concept("A"), [(TOP, parse_concept("(atleast 1 R (atleast 1 S B))"))]
@@ -305,7 +321,7 @@ def test_nogood_count_is_live_when_store_overflows():
         parse_concept("(and (atleast 3 R (or A B)) (atmost 1 R A) (atmost 1 R B))")
     )
     tableau = Tableau(problem, Limits(nogood_capacity=2))
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="nogood store exceeded 2 triples"):
         tableau.decide()
     assert tableau.stats.nogoods == len(tableau.nogoods) == 2
 

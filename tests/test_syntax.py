@@ -92,6 +92,20 @@ def test_role_inverse_involution():
     assert R.inverse() == Role("R", True)
 
 
+def test_role_fields_cannot_be_deleted_or_assigned():
+    # roles are interned, so a lost field would be lost for every later use
+    role = Role("Frozen")
+    for name in ("base", "inverted"):
+        with pytest.raises(AttributeError):
+            delattr(role, name)
+        with pytest.raises(AttributeError):
+            setattr(role, name, None)
+    assert Role("Frozen") is role
+    assert repr(role) == "Role(base='Frozen', inverted=False)"
+    assert (str(role), str(role.inverse())) == ("Frozen", "(inv Frozen)")
+    assert role.inverse().inverse() is role
+
+
 def test_and_or_children_are_canonical():
     assert parse_concept("(and B A)") == parse_concept("(and A B)")
     assert parse_concept("(or B (or A C))") == disj([A, B, C])
