@@ -3,20 +3,21 @@
 Ground-truth semantics for tests: interprets concepts over explicit finite
 structures and searches all interpretations up to a small domain size, in a
 fixed candidate order.  For each domain size n the search compiles goal and
-axiom into bitmask ops, folding every number restriction whose value n
-decides (an at-least above n, an at-most of n or more) to a constant.  The
-candidate loops are grouped into blocks of at most SLICE_BITS bits, and a
-block evaluates each op once for all its candidates, bit-sliced: an
-extension is one int whose bit c*n + x holds element x under the block's
-candidate c, so a junction or a negated atom is one bitwise operation.  A
-raw negation is compiled through its NNF, which has the same extension.  The
-passing candidates of a block are entered in ascending order, and every
-candidate below one that already fails is skipped.  A folded op has the
-value the restriction has on every size-n candidate, a skipped candidate
-fails a check it cannot change, and a block's candidates ascend in the
-plain order, so the search returns the model a plain enumeration of the
-same order returns.  A negative answer is never a proof of
-unsatisfiability; the result type says how far the search went.
+axiom into bitmask ops in one recursive pass, one call per subterm visit,
+folding every number restriction whose value n decides (an at-least above
+n, an at-most of n or more) to a constant; equal subterms are one
+hash-consed node and get one slot.  A raw negation is compiled through its
+NNF, which has the same extension.  The candidate loops are grouped into
+blocks of at most SLICE_BITS bits, and a block evaluates each op once for
+all its candidates, bit-sliced: an extension is one int whose bit c*n + x
+holds element x under the block's candidate c, so a junction or a negated
+atom is one bitwise operation.  The passing candidates of a block are
+entered in ascending order, and every candidate below one that already
+fails is skipped.  A folded op has the value the restriction has on every
+size-n candidate, a skipped candidate fails a check it cannot change, and a
+block's candidates ascend in the plain order, so the search returns the
+model a plain enumeration of the same order returns.  A negative answer is
+never a proof of unsatisfiability; the result type says how far it went.
 """
 
 from __future__ import annotations
@@ -93,14 +94,21 @@ def evaluate(interp: Interpretation, c: Concept, element: int) -> bool:
         return element not in interp.concept_extensions.get(c.name, frozenset())
     if isinstance(c, Not):
         return not evaluate(interp, c.sub, element)
-    if isinstance(c, And):
-        return all(evaluate(interp, p, element) for p in c.parts)
+    if isinstance(c, And):  # plain loops: one frame per level of nesting
+        for p in c.parts:
+            if not evaluate(interp, p, element):
+                return False
+        return True
     if isinstance(c, Or):
-        return any(evaluate(interp, p, element) for p in c.parts)
+        for p in c.parts:
+            if evaluate(interp, p, element):
+                return True
+        return False
     if isinstance(c, (AtMost, AtLeast)):
-        count = sum(
-            1 for y in interp.neighbors(c.role, element) if evaluate(interp, c.filler, y)
-        )
+        count = 0
+        for y in interp.neighbors(c.role, element):
+            if evaluate(interp, c.filler, y):
+                count += 1
         if isinstance(c, AtMost):
             return count <= c.bound
         return count >= c.bound
@@ -190,89 +198,94 @@ def _compile(
     """One walk over goal and axiom for the candidates over domain {0..n-1}.
 
     Every subterm becomes an op `(opcode, slot, *args)`; its slot will hold
-    the subterm's extension as a bitmask.  Concepts are hash-consed, so
-    equal subterms are one object and share the slot of the first visit.
-    An op's depth is 0 when it depends on the atoms only, else
-    `len(role_list) - k` for the smallest index k of a role it counts over:
-    role k's loop sits at that depth of the sweep.  The op is staged in the
-    block of that depth (`_layout`).  A raw negation is visited as its NNF,
-    which has the same extension on every candidate, so the only negations
-    compiled are negated atoms.
-
-    A subterm whose extension is the same on every size-n candidate folds
-    to slot 1 (top) or slot 0 (bottom), at depth 0: an at-least above n or an
-    at-most of n or more, a restriction over a bottom filler, and the
-    junctions these make constant.  A junction keeps its
-    other parts, and one left with a single part is that part, so a
-    conjunct whose deep parts fold away is checked at a shallower loop.
+    the subterm's extension as a bitmask.  An op's depth is 0 when it
+    depends on the atoms only, else `len(role_list) - k` for the smallest
+    index k of a role it counts over: role k's loop sits at that depth of
+    the sweep.  The op is staged in the block of that depth (`_layout`).
+    `_fold` walks the subterms, one call per visit.
     """
-    atom_index = {name: i for i, name in enumerate(atom_list)}
-    role_index = {name: k for k, name in enumerate(role_list)}
-    n_roles = len(role_list)
-    block_of, shapes = _layout(n, len(atom_list), n_roles)
+    block_of, shapes = _layout(n, len(atom_list), len(role_list))
     stages: list[list[tuple]] = [[] for _ in shapes]
     depths: list[int] = [0, 0]  # of bottom and top
-    seen: dict[int, int] = {}
-
-    def emit(code: int, args: tuple, depth: int) -> int:
-        slot = len(depths)
-        depths.append(depth)
-        stages[block_of[depth]].append((code, slot) + args)
-        return slot
-
-    def visit(c: Concept) -> int:
-        slot = seen.get(id(c))
-        if slot is None:
-            seen[id(c)] = slot = build(c)
-        return slot
-
-    def build(c: Concept) -> int:
-        kind = type(c)
-        if kind is AtMost or kind is AtLeast:
-            at_most = kind is AtMost
-            # bounds first: an at-most -1 is bottom even over a bottom filler
-            if c.bound >= n if at_most else c.bound <= 0:
-                return 1
-            if c.bound < 0 if at_most else c.bound > n:
-                return 0
-            filler = visit(c.filler)
-            if filler == 0:
-                return int(at_most)
-            k = role_index[c.role.base]
-            args: tuple = (filler, k, c.role.inverted, c.bound)
-            return emit(_AT_MOST if at_most else _AT_LEAST, args, max(depths[filler], n_roles - k))
-        if kind is And or kind is Or:
-            # the junction's unit drops out, its negation decides it
-            unit = int(kind is And)
-            parts = []
-            for p in c.parts:
-                slot = visit(p)
-                if slot == 1 - unit:
-                    return slot
-                if slot != unit:
-                    parts.append(slot)
-            if not parts:
-                return unit
-            if len(parts) == 1:
-                return parts[0]
-            return emit(_AND if unit else _OR, (tuple(parts),), max(depths[p] for p in parts))
-        if kind is Not:
-            return visit(to_nnf(c))
-        if kind is Atom or kind is NegAtom:
-            return emit(_ATOM if kind is Atom else _NEG_ATOM, (atom_index[c.name],), 0)
-        if kind is Top or kind is Bottom:
-            return int(kind is Top)
-        raise TypeError(f"unknown concept node: {c!r}")
-
-    def conjuncts(c: Concept) -> list[list[int]]:
+    seen: dict[Concept, int] = {}
+    conjuncts: list[list[list[int]]] = []
+    for c in goal, axiom:  # goal first: slots are numbered in visit order
         by_block: list[list[int]] = [[] for _ in shapes]
-        for part in c.parts if isinstance(c, And) else (c,):
-            slot = visit(part)
+        for part in c.parts if type(c) is And else (c,):
+            slot = _fold(part, n, atom_list, role_list, block_of, stages, depths, seen)
             by_block[block_of[depths[slot]]].append(slot)
-        return by_block
+        conjuncts.append(by_block)
+    goal_parts, axiom_parts = conjuncts
+    return _Program(shapes, stages, axiom_parts, goal_parts, depths)
 
-    goal_parts = conjuncts(goal)
-    return _Program(shapes, stages, conjuncts(axiom), goal_parts, depths)
+
+def _fold(c: Concept, n: int, atom_list: list[str], role_list: list[str], block_of: list[int],
+          stages: list[list[tuple]], depths: list[int], seen: dict[Concept, int]) -> int:
+    """The slot of c, emitting its op and depth on the first visit (see
+    `_compile`).  Nodes are hash-consed, so `seen` is keyed by the node
+    itself and equal subterms share one slot.  A raw negation is folded as
+    its NNF, which has the same extension.
+
+    A subterm whose extension is the same on every size-n candidate folds
+    to slot 1 (top) or slot 0 (bottom), at depth 0: an at-least above n or
+    an at-most of n or more, a restriction over a bottom filler, and the
+    junctions these make constant.  A junction keeps its other parts, and
+    one left with a single part is that part, so a conjunct whose deep
+    parts fold away is checked at a shallower loop.
+    """
+    slot = seen.get(c)
+    if slot is not None:
+        return slot
+    kind = type(c)
+    if kind is And or kind is Or:
+        # the junction's unit drops out, its negation decides it
+        unit = 1 if kind is And else 0
+        kept: list[int] = []
+        for p in c.parts:
+            slot = _fold(p, n, atom_list, role_list, block_of, stages, depths, seen)
+            if slot == 1 - unit:
+                break
+            if slot != unit:
+                kept.append(slot)
+        else:
+            if len(kept) > 1:
+                depth = max([depths[p] for p in kept])
+                slot = len(depths)
+                depths.append(depth)
+                stages[block_of[depth]].append((_AND if unit else _OR, slot, tuple(kept)))
+            else:
+                slot = kept[0] if kept else unit
+    elif kind is AtMost or kind is AtLeast:
+        at_most = kind is AtMost
+        bound = c.bound
+        # bounds first: an at-most -1 is bottom even over a bottom filler
+        if bound >= n if at_most else bound <= 0:
+            slot = 1
+        elif bound < 0 if at_most else bound > n:
+            slot = 0
+        else:
+            filler = _fold(c.filler, n, atom_list, role_list, block_of, stages, depths, seen)
+            if filler == 0:
+                slot = 1 if at_most else 0
+            else:
+                role = c.role
+                k = role_list.index(role.base)
+                depth = max(depths[filler], len(role_list) - k)
+                slot = len(depths)
+                depths.append(depth)
+                stages[block_of[depth]].append((_AT_MOST if at_most else _AT_LEAST, slot, filler, k, role.inverted, bound))
+    elif kind is Atom or kind is NegAtom:
+        slot = len(depths)
+        depths.append(0)
+        stages[block_of[0]].append((_ATOM if kind is Atom else _NEG_ATOM, slot, atom_list.index(c.name)))
+    elif kind is Top or kind is Bottom:
+        slot = 1 if kind is Top else 0
+    elif kind is Not:
+        slot = _fold(to_nnf(c), n, atom_list, role_list, block_of, stages, depths, seen)
+    else:
+        raise TypeError(f"unknown concept node: {c!r}")
+    seen[c] = slot
+    return slot
 
 
 def _passing(program: _Program, b: int, n: int, ext: list[int], index: int, meet: int) -> tuple[int, int, list[int]]:
@@ -336,33 +349,34 @@ def _sweep(program: _Program, n: int) -> int | None:
 
     Candidates run in `find_model`'s order: the atom bits outermost, then
     one loop per role, the last sorted role outermost and role 0 innermost.
-    Each block of loops evaluates its ops over all its candidates at once
-    and checks that the axiom conjuncts fixed there are full and that the
-    goal conjuncts fixed so far still meet.  Its passing candidates are
-    entered in ascending order; a failing one skips every candidate below,
-    since none of them can change the failed values.  The innermost
+    `_descend` evaluates a block's ops over all its candidates at once and
+    checks that the axiom conjuncts fixed there are full and that the goal
+    conjuncts fixed so far still meet.  It enters the passing candidates in
+    ascending order, one call each; a failing one skips every candidate
+    below, since none of them can change the failed values.  The innermost
     block's lowest passing candidate completes the first model.
     """
+    return _descend(program, n, [0] * len(program.depths), 0, (1 << n) - 1, 0)
+
+
+def _descend(program: _Program, n: int, ext: list[int], b: int, meet: int, index: int) -> int | None:
+    """The first model among block b's candidates under the outer blocks'
+    extensions (in ext), index bits and goal meet, or None."""
     chunk = (1 << n) - 1
-    ext = [0] * len(program.depths)
-
-    def descend(b: int, meet: int, index: int) -> int | None:
-        ok, meet, wide = _passing(program, b, n, ext, index, meet)
-        while ok:
-            low = ok & -ok
-            shift = low.bit_length() - 1
-            found = index | shift // n << program.shapes[b][0]
-            if b + 1 == len(program.shapes):
-                return found
-            for op in program.stages[b]:
-                ext[op[1]] = wide[op[1]] >> shift & chunk
-            found = descend(b + 1, meet >> shift & chunk, found)
-            if found is not None:
-                return found
-            ok ^= low
-        return None
-
-    return descend(0, chunk, 0)
+    ok, meet, wide = _passing(program, b, n, ext, index, meet)
+    while ok:
+        low = ok & -ok
+        shift = low.bit_length() - 1
+        found = index | shift // n << program.shapes[b][0]
+        if b + 1 == len(program.shapes):
+            return found
+        for op in program.stages[b]:
+            ext[op[1]] = wide[op[1]] >> shift & chunk
+        found = _descend(program, n, ext, b + 1, meet >> shift & chunk, found)
+        if found is not None:
+            return found
+        ok ^= low
+    return None
 
 
 def find_model(
@@ -383,27 +397,15 @@ def find_model(
     with the largest fully searched size when the search space for the next
     size would blow the candidate budget.
 
-    The search is a staged sweep over that same order (`_sweep`): for each
-    size n, goal and axiom are compiled into bitmask ops (`_compile`), with
-    every subterm that has one value on all size-n candidates folded to a
-    constant: at-least bounds above n, at-most bounds of n or more,
-    restrictions over a bottom filler, and what these make constant.  The
-    loops are grouped into blocks (`_layout`): from role 0 outwards, then
-    the atom loop, the longest run whose bits add up to at most SLICE_BITS,
-    and at least one loop, so a size-1 search and a small size-2 search
-    are one block.  A block evaluates each op once over all its candidates
-    c, in this order with role 0 in the lowest bits: bit c*n + x of an
-    extension holds element x under c, junctions and negated atoms are bitwise
-    operations, and a number restriction counts neighbours through
-    per-role neighbour planes.  A block candidate that empties the goal or
-    leaves an axiom conjunct short of the whole domain skips all the
-    candidates nested inside it.  The model is the lowest passing candidate
-    of the innermost block under the first passing candidates of the outer
-    ones that lead to one, which is the first in the plain order.  Folding
-    changes no op's value on any candidate and skipping drops only
-    candidates that fail, so the first model is the one the plain
-    enumeration returns.  The budget still counts each size's whole
-    candidate space, skipped candidates included.
+    For each size n, one pass of `_compile` turns goal and axiom into
+    bitmask ops, with every subterm that has one value on all size-n
+    candidates folded to a constant, and `_sweep` walks the candidates in
+    that same order, block of loops by block (`_layout`), skipping every
+    candidate nested in a block candidate that fails.  Folding changes no
+    op's value on any candidate and skipping drops only candidates that
+    fail, so the first model is the one the plain enumeration returns.  The
+    budget still counts each size's whole candidate space, skipped
+    candidates included.
     """
     atoms, roles = signature_of(goal, axiom)
     if len(atoms) > max_atoms or len(roles) > max_roles:
@@ -414,12 +416,10 @@ def find_model(
     if max_domain > 3:
         raise OracleLimitError(f"max_domain {max_domain} exceeds the search guard of 3")
 
-    atom_list = sorted(atoms)
-    role_list = sorted(roles)
-    spent = 0
-    searched = 0
+    atom_list, role_list = sorted(atoms), sorted(roles)
+    spent = searched = 0
     for n in range(1, max_domain + 1):
-        space = (1 << (n * len(atom_list))) * (1 << (n * n * len(role_list)))
+        space = 1 << (n * len(atom_list) + n * n * len(role_list))
         if spent + space > budget:
             return NoneFound(searched_max_domain=searched)
         spent += space
@@ -433,15 +433,11 @@ def find_model(
 
 def _materialize(n: int, atom_list: list[str], role_list: list[str], index: int) -> Interpretation:
     """The candidate over domain {0..n-1} with the given index (see `_layout`)."""
-    atoms_at = n * n * len(role_list)
-    return Interpretation(
-        domain_size=n,
-        concept_extensions={
-            name: frozenset(x for x in range(n) if index >> (atoms_at + i * n + x) & 1)
-            for i, name in enumerate(atom_list)
-        },
-        role_extensions={
-            name: frozenset((x, y) for x in range(n) for y in range(n) if index >> (k * n * n + x * n + y) & 1)
-            for k, name in enumerate(role_list)
-        },
-    )
+    concepts, roles = {}, {}
+    for i, name in enumerate(atom_list):
+        bits = index >> (n * n * len(role_list) + i * n)
+        concepts[name] = frozenset([x for x in range(n) if bits >> x & 1])
+    for k, name in enumerate(role_list):
+        bits = index >> (k * n * n)
+        roles[name] = frozenset([(x, y) for x in range(n) for y in range(n) if bits >> (x * n + y) & 1])
+    return Interpretation(domain_size=n, concept_extensions=concepts, role_extensions=roles)

@@ -275,6 +275,38 @@ def test_restriction_beyond_the_domain_folds():
     assert find_model(goal) == reference_find_model(goal)
 
 
+def test_equal_subterms_share_one_slot():
+    # both occurrences of (atleast 1 R A) are one hash-consed node, so the
+    # compile emits one op for them
+    goal = parse_concept("(and (atleast 1 R A) (or B (atleast 1 R A)))")
+    program = _compile(goal, TOP, ["A", "B"], ["R"], 2)
+    codes = [op[0] for stage in program.stages for op in stage]
+    assert codes.count(_AT_LEAST) == 1
+
+
+def test_find_model_on_a_600_deep_chain():
+    # the compile takes one frame per level, so a chain this deep stays
+    # under the default recursion limit, and so does evaluate
+    chain = A
+    for _ in range(600):
+        chain = AtLeast(1, R, chain)
+    model = find_model(chain, max_domain=1)
+    assert model == interp(1, concepts={"A": {0}}, roles={"R": {(0, 0)}})
+    assert evaluate(model, chain, 0)
+
+
+def test_evaluate_on_a_600_deep_chain():
+    # 200 rounds of (atleast 1 R (and B (or C ...))), 600 nodes deep: a
+    # junction or a count costs evaluate one frame per level
+    chain = A
+    for _ in range(200):
+        chain = AtLeast(1, R, conj([Atom("B"), disj([Atom("C"), chain])]))
+    loop = {"R": {(0, 0)}}
+    assert evaluate(interp(1, concepts={"A": {0}, "B": {0}}, roles=loop), chain, 0)
+    assert not evaluate(interp(1, concepts={"B": {0}}, roles=loop), chain, 0)
+    assert not evaluate(interp(1, concepts={"A": {0}}, roles=loop), chain, 0)
+
+
 def test_block_extensions_match_evaluate():
     # the goal's extension over the innermost block, under random candidates
     # of the outer blocks, holds at element x of candidate c exactly when
