@@ -66,7 +66,6 @@ from .syntax import (
     cut_table,
     disj,
     internalize,
-    modal_subformulae,
     negate,
     parse_concept,
     to_nnf,

@@ -36,17 +36,17 @@ Branch = frozenset  # frozenset[Concept]
 
 
 # the filler decisions a parent's branch hands to a child across one edge:
-# each entry (role, filler, holds) records whether the parent made the filler
-# true (holds) or its negation (not holds); pairs where the parent chose the
-# guard disjunct are absent
-CutSet = frozenset  # frozenset[tuple[Role, Concept, bool]]
+# each entry (filler, holds), for a pair on the inverse of the edge's role,
+# records whether the parent made the filler true or its negation; pairs
+# where the parent chose the guard disjunct are absent
+CutSet = frozenset  # frozenset[tuple[Concept, bool]]
 EMPTY_CUT_SET: CutSet = frozenset()
 
 
 def choice_literals(cut: CutSet) -> frozenset:
     """The concepts the parent committed to: filler or negated filler per
     entry."""
-    return frozenset(f if holds else negate(f) for _, f, holds in cut)
+    return frozenset(f if holds else negate(f) for f, holds in cut)
 
 
 def enumerate_branches(label: Iterable[Concept]) -> Iterator[Branch]:
@@ -157,13 +157,13 @@ def cut_set_for_child(
     parent_branch: Branch, edge_role: Role, cuts: tuple[tuple[Role, Concept], ...]
 ) -> CutSet:
     """Extract the filler decisions relevant to a child reached over
-    edge_role.
+    edge_role, as (filler, holds) entries.
 
     A cut formula applies when its guard watches exactly this edge, which is
-    the case for pairs on the inverse of the edge role.  If the parent's
-    branch covers neither the filler nor its negation it chose the guard, and
-    the pair is dropped: the guard's zero bound already forbids any child on
-    this edge.
+    the case for pairs on the inverse of the edge role, so no entry repeats
+    that role.  If the parent's branch covers neither the filler nor its
+    negation it chose the guard, and the pair is dropped: the guard's zero
+    bound already forbids any child on this edge.
     """
     back = edge_role.inverse()
     choices = set()
@@ -171,9 +171,9 @@ def cut_set_for_child(
         if role is not back:
             continue
         if branch_satisfies(parent_branch, filler):
-            choices.add((role, filler, True))
+            choices.add((filler, True))
         elif branch_satisfies(parent_branch, negate(filler)):
-            choices.add((role, filler, False))
+            choices.add((filler, False))
     return frozenset(choices)
 
 
@@ -188,7 +188,7 @@ def fine_tune(branch: Branch, cut: CutSet, edge_role: Role | None) -> Branch:
     if edge_role is None:
         return branch
     back = edge_role.inverse()
-    held = {f for r, f, holds in cut if holds and r is back}
+    held = {f for f, holds in cut if holds}
     if not held:
         return branch
     tuned = []

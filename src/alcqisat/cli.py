@@ -160,7 +160,7 @@ def _read_parsed(path: str, parse):
     try:
         return parse(text)
     except ProblemFileError as exc:
-        print(f"error: {path}:{exc.line}:{exc.column}: {exc}", file=sys.stderr)
+        print(f"error: {path}:{exc.line}:{exc.column}: {exc.message}", file=sys.stderr)
         return None
 
 

@@ -175,13 +175,11 @@ def _fmt_set(concepts: Iterable[Concept]) -> str:
     return "{" + ", ".join(str(c) for c in sorted_concepts(concepts)) + "}"
 
 
-def _fmt_cut(cut: CutSet) -> str:
-    entries = sorted(
-        cut,
-        key=lambda e: (e[0].base, e[0].inverted, concept_key(e[1]), e[2]),
-    )
+def _fmt_cut(cut: CutSet, edge: Role | None) -> str:
+    # every entry is a pair on the inverse of the edge's role
+    entries = sorted(cut, key=lambda e: (concept_key(e[0]), e[1]))
     return "{" + ", ".join(
-        f"({role} {filler} {'+' if holds else '-'})" for role, filler, holds in entries
+        f"({edge.inverse()} {filler} {'+' if holds else '-'})" for filler, holds in entries
     ) + "}"
 
 
@@ -214,7 +212,6 @@ class Tableau:
         # the axiom and the cut formulas label every node; bodies keep them
         # implicit so the store stays small and reusable
         self._core_label = frozenset(core)
-        self._next_id = 0
         self._tree_nodes = 0
 
     # -- helpers ----------------------------------------------------------
@@ -231,7 +228,7 @@ class Tableau:
         self.stats.nogoods = len(self.nogoods)
         if self.trace is not None:
             self.trace(
-                f"NOGOOD cut={_fmt_cut(triple.cut)} edge={_fmt_edge(triple.edge)} "
+                f"NOGOOD cut={_fmt_cut(triple.cut, triple.edge)} edge={_fmt_edge(triple.edge)} "
                 f"body={_fmt_set(triple.body)}"
             )
         raise _RestartRequested()
@@ -267,11 +264,10 @@ class Tableau:
 
     def _expand(self, label: frozenset, cut: CutSet, edge: Role | None) -> NogoodTriple | None:
         """Expand a new node with the label, reached over edge with the
-        parent's filler decisions cut; ids follow expansion order across the
-        whole run.  None when its subtree completed, otherwise the stored
-        triple that already rules its label out."""
-        node_id = self._next_id
-        self._next_id += 1
+        parent's filler decisions cut; its id is the number of nodes the
+        whole run expanded before it.  None when its subtree completed,
+        otherwise the stored triple that already rules its label out."""
+        node_id = self.stats.nodes
         self.stats.nodes += 1
         self._tree_nodes += 1
         if self._tree_nodes > self.limits.node_budget:

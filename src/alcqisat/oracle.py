@@ -45,7 +45,7 @@ from .syntax import (
 
 class OracleLimitError(RuntimeError):
     """Search-space guard exceeded; the caller asked for a larger signature
-    or domain than the bounded search is willing to cover."""
+    or domain, or a deeper nesting, than the bounded search will cover."""
 
 
 class Interpretation(NamedTuple):
@@ -83,7 +83,8 @@ class NoneFound(NamedTuple):
 
 def evaluate(interp: Interpretation, c: Concept, element: int) -> bool:
     """Truth of a concept at an element.  Handles raw negation too; unknown
-    atomic names evaluate as empty."""
+    atomic names evaluate as empty.  The reference semantics: a plain
+    recursion, so nesting past the recursion limit raises RecursionError."""
     if isinstance(c, Top):
         return True
     if isinstance(c, Bottom):
@@ -423,7 +424,10 @@ def find_model(
         if spent + space > budget:
             return NoneFound(searched_max_domain=searched)
         spent += space
-        program = _compile(goal, axiom, atom_list, role_list, n)
+        try:
+            program = _compile(goal, axiom, atom_list, role_list, n)
+        except RecursionError:  # one frame per nesting level
+            raise OracleLimitError("concept nesting too deep for the model search") from None
         index = _sweep(program, n)
         if index is not None:
             return _materialize(n, atom_list, role_list, index)

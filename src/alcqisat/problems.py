@@ -31,10 +31,11 @@ from .syntax import (
 
 
 class ProblemFileError(ValueError):
-    """Malformed problem file; carries line and column (1-based)."""
+    """Malformed problem file; carries message, line and column (1-based)."""
 
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"line {line}, column {column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
 
@@ -58,7 +59,7 @@ def _parse_concepts_on_line(rest: str, count: int, line_no: int, offset: int) ->
         try:
             out.append(_parse_expr(ts))
         except ConceptSyntaxError as exc:
-            raise ProblemFileError(str(exc), line_no, offset + exc.position + 1) from exc
+            raise ProblemFileError(exc.message, line_no, offset + exc.position + 1) from exc
     if not ts.at_end():
         at = ts.offset(ts.pos)
         raise ProblemFileError(f"unexpected extra term '{ts.peek()}'", line_no, offset + at + 1)
@@ -74,9 +75,9 @@ def _read(text: str, with_query: bool) -> tuple[tuple[tuple[Concept, Concept], .
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
-        indent = len(line) - len(line.lstrip())
-        head, _, rest = line.lstrip().partition(" ")
-        offset = indent + len(head) + 1
+        head = line.split(None, 1)[0]  # ends at a space or a tab
+        offset = line.index(head) + len(head)
+        rest = line[offset:]
         if head == "gci":
             lhs, rhs = _parse_concepts_on_line(rest, 2, line_no, offset)
             tbox.append((lhs, rhs))

@@ -23,10 +23,11 @@ from typing import Iterable, Iterator, NamedTuple
 
 
 class ConceptSyntaxError(ValueError):
-    """Raised on malformed concept text; carries a character offset."""
+    """Raised on malformed concept text; carries message and offset."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 
@@ -216,8 +217,8 @@ def _order_key(c: Concept) -> tuple:
 
 def concept_key(c: Concept) -> tuple:
     """Total order key.  Atoms and negated atoms interleave by name so that
-    A < (not A) < B; quantified constraints order by role, sense, bound,
-    then filler.  Computed once, when the node is built."""
+    A < (not A) < B; quantified constraints order by role, filler, sense
+    (at-most first), then bound.  Computed once, when the node is built."""
     return c._key
 
 
@@ -452,7 +453,7 @@ def internalize(axioms: list[tuple[Concept, Concept]]) -> Concept:
 
 
 # ---------------------------------------------------------------------------
-# modal closure and cut formulas
+# subterms and cut formulas
 # ---------------------------------------------------------------------------
 
 
@@ -473,21 +474,11 @@ def walk_concepts(*concepts: Concept) -> Iterator[Concept]:
             stack.append(c.sub)
 
 
-def modal_subformulae(*concepts: Concept) -> frozenset[tuple[Role, Concept, str, int]]:
-    """Every at-most/at-least subterm, recursively including those nested in
-    fillers.  Entries are (role, filler, sense, bound) with sense 'atmost' or
-    'atleast'."""
-    return frozenset(
-        (c.role, c.filler, "atmost" if isinstance(c, AtMost) else "atleast", c.bound)
-        for c in walk_concepts(*concepts)
-        if isinstance(c, (AtMost, AtLeast))
-    )
-
-
 def cut_table(goal: Concept, axiom: Concept) -> tuple[tuple[Role, Concept], ...]:
     """The distinct (role, filler) pairs among the number restrictions of
     goal and axiom, in canonical order: one cut formula each."""
-    pairs = {(role, filler) for role, filler, _, _ in modal_subformulae(goal, axiom)}
+    pairs = {(c.role, c.filler) for c in walk_concepts(goal, axiom)
+             if isinstance(c, (AtMost, AtLeast))}
     return tuple(sorted(pairs, key=lambda p: (p[0].base, p[0].inverted, concept_key(p[1]))))
 
 

@@ -168,7 +168,7 @@ def test_cut_set_records_filler():
     cuts = make_cuts(AtLeast(2, R, D))          # pair (R, D), guard on inv R
     parent = frozenset({D, A})
     cs = cut_set_for_child(parent, R_INV, cuts)
-    assert cs == {(R, D, True)}
+    assert cs == {(D, True)}
 
 
 def test_cut_set_empty_for_other_edge():
@@ -180,7 +180,7 @@ def test_cut_set_empty_for_other_edge():
 def test_cut_set_records_negated_filler():
     cuts = make_cuts(AtLeast(2, R, D))
     cs = cut_set_for_child(frozenset({NegAtom("D")}), R_INV, cuts)
-    assert cs == {(R, D, False)}
+    assert cs == {(D, False)}
 
 
 def test_cut_set_guard_choice_leaves_pair_out():
@@ -198,27 +198,28 @@ def test_cut_set_complete_when_guard_not_chosen():
         if primitive_clash(br):
             continue
         cs = cut_set_for_child(br, R_INV, cuts)
-        decided = {(role, filler) for role, filler, _ in cs}
+        decided = {filler for filler, _ in cs}
         for role, filler in cuts:
-            if branch_satisfies(br, AtMost(0, role.inverse(), TOP)):
+            assert role is R  # the inverse of the edge's role
+            if branch_satisfies(br, AtMost(0, R_INV, TOP)):
                 continue
-            assert (role, filler) in decided
+            assert filler in decided
 
 
 def test_fine_tune_decrements_matching_constraint():
-    cut = frozenset({(R, C, True)})
+    cut = frozenset({(C, True)})
     got = fine_tune(frozenset({AtLeast(2, R, C)}), cut, R_INV)
     assert got == frozenset({AtLeast(1, R, C)})
 
 
 def test_fine_tune_ignores_negated_choice():
-    cut = frozenset({(R, C, False)})
+    cut = frozenset({(C, False)})
     b = frozenset({AtLeast(2, R, C)})
     assert fine_tune(b, cut, R_INV) == b
 
 
 def test_fine_tune_can_go_negative():
-    cut = frozenset({(R, C, True)})
+    cut = frozenset({(C, True)})
     got = fine_tune(frozenset({AtMost(0, R, C)}), cut, R_INV)
     assert got == frozenset({AtMost(-1, R, C)})
 
@@ -226,7 +227,7 @@ def test_fine_tune_can_go_negative():
 def test_fine_tune_identity_without_cut():
     b = frozenset({AtMost(0, R, C), A})
     assert fine_tune(b, EMPTY_CUT_SET, R_INV) == b
-    assert fine_tune(b, frozenset({(R, C, True)}), None) == b
+    assert fine_tune(b, frozenset({(C, True)}), None) == b
 
 
 def test_fine_tune_only_touches_inverse_edge_role():
@@ -238,7 +239,7 @@ def test_fine_tune_only_touches_inverse_edge_role():
             node = AtLeast if rng.random() < 0.5 else AtMost
             lits.add(node(rng.randint(0, 3), rng.choice(roles), rng.choice([A, B, C])))
         cut_entries = frozenset(
-            (rng.choice(roles), rng.choice([A, B, C]), rng.random() < 0.5)
+            (rng.choice([A, B, C]), rng.random() < 0.5)
             for _ in range(rng.randint(0, 3))
         )
         edge = rng.choice(roles)

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import alcqisat
-from alcqisat import RunStats, Verdict, cli
+from alcqisat import AtLeast, Atom, Problem, Role, RunStats, TOP, Verdict, cli
 from alcqisat.cli import EXIT_INTERNAL, EXIT_RESOURCE, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -63,7 +63,8 @@ def test_parse_error_names_line_and_column(tmp_path, capsys):
     path = write(tmp_path, "p.dl", "sat A\ngci (and A) B\n")
     code, out, err = run_cli(capsys, path)
     assert code == 2
-    assert f"{path}:2:6:" in err
+    # the place once: no offset into the concept text after line:column
+    assert err == f"error: {path}:2:6: 'and' needs at least two arguments\n"
 
 
 def test_tbox_parse_error_names_line_and_column(tmp_path, capsys):
@@ -153,6 +154,18 @@ def test_oracle_check_refused(capsys):
         "SAT",
         "oracle: refused (signature too large for brute-force search: 4 atoms, 0 roles)",
     ]
+
+
+def test_oracle_check_refuses_deep_nesting(capsys):
+    # the check reads only goal and axiom; a chain this deep is far too
+    # slow for the engine, so the problem is built by hand
+    chain = Atom("A")
+    for _ in range(5000):
+        chain = AtLeast(1, Role("R"), chain)
+    assert cli._report_oracle(Problem(chain, TOP, (), frozenset()), True, 1)
+    assert capsys.readouterr().out == (
+        "oracle: refused (concept nesting too deep for the model search)\n"
+    )
 
 
 def test_oracle_check_inconclusive_on_sat(capsys):

@@ -195,14 +195,34 @@ def test_infeasible_system_with_a_stored_body_fails_the_branch(monkeypatch):
     assert (v.stats.nodes, v.stats.lii_solves) == (5, 3)
 
 
+def _assert_one_nogood_per_restart(tableau):
+    stats = tableau.stats
+    assert stats.restarts == stats.nogoods == len(tableau.nogoods)
+
+
 def test_restarts_bounded_by_nogoods():
+    # every restart stores exactly one new triple (`_record`); backjumping
+    # to the parent instead of restarting the tree (ROADMAP item 3) would
+    # end this equality
     for text in [
         "(and A (not A))",
         "(and (atleast 2 R C) (atmost 1 R top))",
         "(and A (atleast 1 R (atmost 0 (inv R) A)))",
     ]:
-        v = decide_text(text)
-        assert v.stats.restarts <= v.stats.nogoods + 1
+        tableau = Tableau(build_problem(parse_concept(text)))
+        tableau.decide()
+        _assert_one_nogood_per_restart(tableau)
+
+
+def test_restarts_equal_nogoods_on_the_acceptance_corpus():
+    # a run stopped at the store's capacity keeps the equality as well
+    for pf in generate_corpus(seed=20260809, count=200):
+        tableau = Tableau(build_problem(pf.query, pf.tbox), Limits(nogood_capacity=250))
+        try:
+            tableau.decide()
+        except ResourceLimitError:
+            pass
+        _assert_one_nogood_per_restart(tableau)
 
 
 def test_new_nogood_between_restarts():

@@ -295,6 +295,16 @@ def test_find_model_on_a_600_deep_chain():
     assert evaluate(model, chain, 0)
 
 
+def test_find_model_refuses_a_5000_deep_chain():
+    # the compile recurses once per level, past the default recursion
+    # limit here: a refusal, not a RecursionError
+    chain = A
+    for _ in range(5000):
+        chain = AtLeast(1, R, chain)
+    with pytest.raises(OracleLimitError, match="nesting too deep"):
+        find_model(chain, max_domain=1)
+
+
 def test_evaluate_on_a_600_deep_chain():
     # 200 rounds of (atleast 1 R (and B (or C ...))), 600 nodes deep: a
     # junction or a count costs evaluate one frame per level

@@ -58,10 +58,11 @@ def test_gci_arity_checked():
 
 
 def test_error_location():
-    with pytest.raises(ProblemFileError) as err:
-        parse_problem_text("sat A\ngci (and A) B\n")
-    assert err.value.line == 2
-    assert err.value.column == 6
+    for text in ("sat A\ngci (and A) B\n", "sat A\ngci\t(and A) B\n"):
+        with pytest.raises(ProblemFileError) as err:
+            parse_problem_text(text)
+        assert err.value.line == 2
+        assert err.value.column == 6
 
 
 def test_extra_term_location():
@@ -69,6 +70,15 @@ def test_extra_term_location():
         parse_problem_text("sat A\n  gci  A (or B C)   (and C D)\n")
     assert str(err.value) == "line 2, column 21: unexpected extra term '('"
     assert (err.value.line, err.value.column) == (2, 21)
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem_text("sat A\n\tgci \tA (or B C)\t(and C D)\n")
+    assert str(err.value) == "line 2, column 18: unexpected extra term '('"
+
+
+def test_tab_after_directive():
+    pf = parse_problem_text("gci\tA B\nsat\tA\n")
+    assert pf.tbox == ((A, B),)
+    assert pf.query == A
 
 
 def test_unknown_directive():

@@ -21,7 +21,6 @@ from alcqisat import (
     evaluate,
     generate_corpus,
     internalize,
-    modal_subformulae,
     negate,
     parse_concept,
     to_nnf,
@@ -184,23 +183,20 @@ def test_internalize_two_axioms():
     assert g == conj([disj([NegAtom("A"), B]), disj([NegAtom("B"), C])])
 
 
-def test_modal_subformulae_nested():
+def test_cut_table_nested():
     s = Role("S")
     inner = AtMost(0, s, A)
     e = AtLeast(1, R, inner)
-    found = modal_subformulae(e, TOP)
-    assert found == frozenset({(R, inner, "atleast", 1), (s, A, "atmost", 0)})
+    assert cut_table(e, TOP) == ((R, inner), (s, A))
 
 
-def test_modal_subformulae_empty():
-    assert modal_subformulae(A) == frozenset()
+def test_cut_table_empty():
+    assert cut_table(A, TOP) == ()
 
 
-def test_modal_subformulae_shared_pair():
+def test_cut_table_shared_pair():
     e = conj([AtLeast(2, R, C), AtMost(1, R, C)])
-    found = modal_subformulae(e)
-    assert len(found) == 2
-    assert {(r, f) for r, f, _, _ in found} == {(R, C)}
+    assert cut_table(e, TOP) == ((R, C),)
 
 
 def test_cut_formula_shape():
@@ -229,7 +225,11 @@ def test_cut_count_bounded_by_distinct_pairs():
         e = to_nnf(random_raw_concept(rng, 3))
         g = to_nnf(random_raw_concept(rng, 2))
         p = build_problem(e, [(TOP, g)])
-        pairs = {(r, f) for r, f, _, _ in modal_subformulae(p.goal, p.axiom)}
+        pairs = {
+            (c.role, c.filler)
+            for c in walk_concepts(p.goal, p.axiom)
+            if isinstance(c, (AtMost, AtLeast))
+        }
         assert len(p.cut_concepts) <= len(pairs)
 
 
@@ -263,7 +263,7 @@ def test_deep_chain_needs_no_recursion():
     assert hash(rebuilt) == hash(c)
     assert rebuilt in {c}
     assert len(list(walk_concepts(c))) == depth + 1
-    assert len(modal_subformulae(c)) == depth
+    assert sum(isinstance(sub, AtLeast) for sub in walk_concepts(c)) == depth
     assert signature_of(c) == (frozenset({"A"}), frozenset({"R"}))
 
 
