@@ -476,9 +476,22 @@ def walk_concepts(*concepts: Concept) -> Iterator[Concept]:
 
 def cut_table(goal: Concept, axiom: Concept) -> tuple[tuple[Role, Concept], ...]:
     """The distinct (role, filler) pairs among the number restrictions of
-    goal and axiom, in canonical order: one cut formula each."""
-    pairs = {(c.role, c.filler) for c in walk_concepts(goal, axiom)
-             if isinstance(c, (AtMost, AtLeast))}
+    goal and axiom whose inverse role some number restriction there names,
+    in canonical order: one cut formula each.  An input without inverse
+    roles (ALCQ) gets none.
+
+    The other pairs cannot change a verdict.  Only a child over
+    inverse(role) reads the pair (`cut_set_for_child`), and a child over a
+    role exists only when its parent's tuned branch has a positive
+    at-least on that role.  Every restriction in any label is a subterm of
+    goal or axiom, its negation (same role and filler), a copy with its
+    bound adjusted (same role), or a cut guard, which is an at-most and
+    forces no child.  So no node ever has an inverse(role)-child unless goal
+    or axiom names inverse(role).  And the formula of a dropped pair holds
+    `F or not F`, so it is a tautology whose removal loses no model."""
+    restrictions = [c for c in walk_concepts(goal, axiom) if isinstance(c, (AtMost, AtLeast))]
+    named = {c.role for c in restrictions}
+    pairs = {(c.role, c.filler) for c in restrictions if c.role.inverse() in named}
     return tuple(sorted(pairs, key=lambda p: (p[0].base, p[0].inverted, concept_key(p[1]))))
 
 
@@ -508,7 +521,8 @@ def signature_of(*concepts: Concept) -> tuple[frozenset[str], frozenset[str]]:
 
 class Problem(NamedTuple):
     """A satisfiability problem: goal concept, internalized axiom, the
-    (role, filler) pairs of its cut formulas and the formulas themselves
+    (role, filler) pairs of its cut formulas (those whose inverse role a
+    number restriction names, see `cut_table`) and the formulas themselves
     (all in NNF)."""
 
     goal: Concept
@@ -518,6 +532,9 @@ class Problem(NamedTuple):
 
 
 def build_problem(goal: Concept, axioms: Iterable[tuple[Concept, Concept]] = ()) -> Problem:
+    """The problem of the goal under the axioms: both in NNF, the axioms
+    internalized into one concept, and a cut formula for each pair of
+    `cut_table`, none for an ALCQ input."""
     e = to_nnf(goal)
     g = internalize(list(axioms))
     cuts = cut_table(e, g)

@@ -24,7 +24,17 @@ from alcqisat import (
     conj,
     disj,
 )
-from alcqisat.syntax import BOTTOM, Bottom, Concept, NegAtom, Top, negate, signature_of, sorted_concepts
+from alcqisat.syntax import (
+    BOTTOM,
+    Bottom,
+    Concept,
+    NegAtom,
+    Top,
+    negate,
+    signature_of,
+    sorted_concepts,
+    walk_concepts,
+)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -228,6 +238,13 @@ def _reference_nnf(c: Concept) -> Concept:
     if isinstance(c, AtMost):
         return AtMost(c.bound, c.role, _reference_nnf(c.filler))
     return c
+
+
+def restriction_pairs(*concepts: Concept) -> set:
+    """The (role, filler) pair of every number restriction in the concepts,
+    whether or not an inverse edge reads it: a cut for each is the
+    unfiltered calculus that cut_table's filter is checked against."""
+    return {(c.role, c.filler) for c in walk_concepts(*concepts) if isinstance(c, (AtMost, AtLeast))}
 
 
 def unpruned_branches(label):

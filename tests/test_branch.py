@@ -164,34 +164,39 @@ def make_cuts(goal):
     return cut_table(to_nnf(goal), TOP)
 
 
+# names R and (inv R), so cut_table keeps the pair (R, D), which a child
+# over (inv R) reads, and the pair (inv R, A), which a child over R reads
+R_BOTH_WAYS = conj([AtLeast(2, R, D), AtLeast(1, R_INV, A)])
+
+
 def test_cut_set_records_filler():
-    cuts = make_cuts(AtLeast(2, R, D))          # pair (R, D), guard on inv R
+    cuts = make_cuts(R_BOTH_WAYS)  # pair (R, D), guard on inv R
     parent = frozenset({D, A})
     cs = cut_set_for_child(parent, R_INV, cuts)
     assert cs == {(D, True)}
 
 
 def test_cut_set_empty_for_other_edge():
-    cuts = make_cuts(AtLeast(2, R, D))
+    cuts = make_cuts(R_BOTH_WAYS)
     cs = cut_set_for_child(frozenset({D}), R, cuts)
     assert cs == EMPTY_CUT_SET
 
 
 def test_cut_set_records_negated_filler():
-    cuts = make_cuts(AtLeast(2, R, D))
+    cuts = make_cuts(R_BOTH_WAYS)
     cs = cut_set_for_child(frozenset({NegAtom("D")}), R_INV, cuts)
     assert cs == {(D, False)}
 
 
 def test_cut_set_guard_choice_leaves_pair_out():
-    cuts = make_cuts(AtLeast(2, R, D))
+    cuts = make_cuts(R_BOTH_WAYS)
     guard = AtMost(0, R_INV, TOP)
     cs = cut_set_for_child(frozenset({guard, A}), R_INV, cuts)
     assert cs == EMPTY_CUT_SET
 
 
 def test_cut_set_complete_when_guard_not_chosen():
-    goal = conj([AtLeast(1, R, D), AtMost(2, R, C)])
+    goal = conj([AtLeast(1, R, D), AtMost(2, R, C), AtMost(1, R_INV, B)])
     cuts = make_cuts(goal)
     label = frozenset({A}) | {cut_formula(role, filler) for role, filler in cuts}
     for br in enumerate_branches(label):
@@ -199,8 +204,10 @@ def test_cut_set_complete_when_guard_not_chosen():
             continue
         cs = cut_set_for_child(br, R_INV, cuts)
         decided = {filler for filler, _ in cs}
+        assert decided <= {C, D}  # the fillers of the pairs on R
         for role, filler in cuts:
-            assert role is R  # the inverse of the edge's role
+            if role is not R:  # the inverse of the edge's role
+                continue
             if branch_satisfies(br, AtMost(0, R_INV, TOP)):
                 continue
             assert filler in decided

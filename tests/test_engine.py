@@ -10,6 +10,7 @@ import pytest
 import alcqisat
 import alcqisat.engine as engine
 from alcqisat import (
+    AtLeast,
     Atom,
     CorpusProfile,
     EMPTY_CUT_SET,
@@ -18,6 +19,7 @@ from alcqisat import (
     NegAtom,
     NogoodStore,
     NogoodTriple,
+    Problem,
     ResourceLimitError,
     Role,
     RunStats,
@@ -27,6 +29,7 @@ from alcqisat import (
     atomic_decomposition,
     build_problem,
     conj,
+    cut_formula,
     decide,
     find_model,
     generate_corpus,
@@ -34,7 +37,8 @@ from alcqisat import (
     parse_problem_text,
     primitive_clash,
 )
-from conftest import bench_module
+from alcqisat.syntax import concept_key
+from conftest import bench_module, restriction_pairs
 
 A, B = Atom("A"), Atom("B")
 R = Role("R")
@@ -439,6 +443,50 @@ def test_every_solved_system_has_a_positive_at_least(monkeypatch):
         assert any(not row.is_at_most and row.bound > 0 for row in system.rows), system.describe()
 
 
+def with_every_cut(problem: Problem) -> Problem:
+    """The problem with a cut formula for every (role, filler) pair of its
+    number restrictions, not only the pairs an inverse edge reads, in
+    cut_table's order."""
+    pairs = restriction_pairs(problem.goal, problem.axiom)
+    cuts = tuple(sorted(pairs, key=lambda p: (p[0].base, p[0].inverted, concept_key(p[1]))))
+    return Problem(problem.goal, problem.axiom, cuts, frozenset(cut_formula(*p) for p in cuts))
+
+
+def test_unread_cuts_change_no_verdict():
+    # cut_table drops the pairs no inverse edge reads; the calculus with
+    # every pair's cut formula must decide the same on all three corpora
+    corpora = bench_module("corpora")
+    compared = lost_a_cut = 0
+    for workload in ("oracle", "deep", "counting"):  # oracle: the acceptance corpus
+        for pf in corpora.generate(workload):
+            filtered = build_problem(pf.query, pf.tbox)
+            unfiltered = with_every_cut(filtered)
+            assert set(filtered.cuts) <= set(unfiltered.cuts)
+            lost_a_cut += len(filtered.cuts) < len(unfiltered.cuts)
+            verdicts = [
+                Tableau(problem, Limits(nogood_capacity=250)).decide().satisfiable
+                for problem in (filtered, unfiltered)
+            ]
+            assert verdicts[0] == verdicts[1], (workload, pf.query)
+            compared += 1
+    assert compared == 650
+    assert lost_a_cut > 100
+
+
+def test_forward_chain_gets_no_cuts():
+    # (atleast 1 R ... A) nested 400 deep names no inverse role, so no node
+    # carries a cut formula and each role has one filler; with a cut per
+    # pair, the root's R had 400 fillers, past lambda_max
+    chain = A
+    for _ in range(400):
+        chain = AtLeast(1, R, chain)
+    problem = build_problem(chain)
+    assert problem.cuts == ()
+    v = decide(problem)
+    assert v.satisfiable
+    assert v.stats.max_lambda == 1
+
+
 def test_contradictory_counting_instance_decides_within_small_budget():
     # counting corpus #138 used to run the solver to its step limit
     v = decide_text(
@@ -490,7 +538,7 @@ def test_dead_label_skips_the_walk(monkeypatch):
 # sha256 over every deep-profile instance's trace lines, verdict and RunStats;
 # a change to the search that alters any of them must update it on purpose,
 # to the value deep_traces_digest() then returns
-DEEP_TRACES_DIGEST = "17f6d7286bb5562daa421310ba746770a0d88a669f6192d7fc167128deb2a5a3"
+DEEP_TRACES_DIGEST = "fb7fca22910edc5b8d193faab657c7864cb42122554d0026d61df3eca952c42a"
 
 
 def deep_traces_digest() -> str:

@@ -14,6 +14,7 @@ from alcqisat import (
     TOP,
     build_problem,
     conj,
+    cut_formula,
     disj,
     evaluate,
     find_model,
@@ -23,7 +24,12 @@ from alcqisat import (
 )
 from alcqisat.oracle import _AT_LEAST, _compile, _materialize, _passing
 from alcqisat.syntax import BOTTOM, Not, signature_of
-from conftest import random_interpretation, random_raw_concept, reference_find_model
+from conftest import (
+    random_interpretation,
+    random_raw_concept,
+    reference_find_model,
+    restriction_pairs,
+)
 
 A = Atom("A")
 R = Role("R")
@@ -122,19 +128,23 @@ def test_budget_reports_searched_sizes():
 
 
 def test_models_satisfy_every_cut_formula():
-    # cut formulas are valid, so any model extends to them without change
+    # cut formulas are valid, so any model extends to them without change;
+    # checked for every (role, filler) pair, not only those cut_table keeps
     rng = random.Random(23)
-    checked = 0
+    checked = formulas = 0
     for _ in range(40):
         problem = build_problem(random_raw_concept(rng, rng.randint(0, 2), atoms=("A", "B"), roles=("R",)))
         result = find_model(problem.goal, problem.axiom)
         if not isinstance(result, Interpretation):
             continue
         checked += 1
-        for cf in problem.cut_concepts:
+        every_cut = {cut_formula(*p) for p in restriction_pairs(problem.goal, problem.axiom)}
+        assert problem.cut_concepts <= every_cut
+        for cf in every_cut:
+            formulas += 1
             for x in range(result.domain_size):
                 assert evaluate(result, cf, x)
-    assert checked > 5
+    assert checked > 5 and formulas > 0
 
 
 def test_evaluate_respects_de_morgan():

@@ -184,10 +184,10 @@ def test_internalize_two_axioms():
 
 
 def test_cut_table_nested():
-    s = Role("S")
-    inner = AtMost(0, s, A)
+    r_inv = R.inverse()
+    inner = AtMost(0, r_inv, A)
     e = AtLeast(1, R, inner)
-    assert cut_table(e, TOP) == ((R, inner), (s, A))
+    assert cut_table(e, TOP) == ((R, inner), (r_inv, A))
 
 
 def test_cut_table_empty():
@@ -195,24 +195,51 @@ def test_cut_table_empty():
 
 
 def test_cut_table_shared_pair():
-    e = conj([AtLeast(2, R, C), AtMost(1, R, C)])
-    assert cut_table(e, TOP) == ((R, C),)
+    e = conj([AtLeast(2, R, C), AtMost(1, R, C), AtMost(1, R.inverse(), C)])
+    assert cut_table(e, TOP) == ((R, C), (R.inverse(), C))
 
 
 def test_cut_formula_shape():
-    e = AtLeast(2, R, C)
+    e = conj([AtLeast(2, R, C), AtMost(1, Role("R", True), C)])
     cuts = build_problem(e).cut_concepts
-    assert cuts == {disj([AtMost(0, Role("R", True), TOP), C, NegAtom("C")])}
+    assert cuts == {
+        disj([AtMost(0, Role("R", True), TOP), C, NegAtom("C")]),
+        disj([AtMost(0, R, TOP), C, NegAtom("C")]),
+    }
 
 
 def test_cut_formulae_vacuous():
     assert build_problem(A).cut_concepts == frozenset()
 
 
+def test_alcq_input_gets_no_cuts():
+    # no restriction names an inverse role, so no child ever reads a cut
+    goal = parse_concept("(and (atleast 2 R (atmost 1 S A)) (atmost 3 R (not B)))")
+    p = build_problem(goal, [(A, parse_concept("(atleast 1 S (or B C))"))])
+    assert p.cuts == ()
+    assert p.cut_concepts == frozenset()
+
+
+def test_cut_table_keeps_the_pairs_whose_inverse_role_is_named():
+    # R and (inv R) are both named, S only forwards: the pairs on S are
+    # dropped, including the one nested under R's filler
+    goal = parse_concept(
+        "(and (atleast 1 R (atmost 1 S A)) (atmost 2 (inv R) B) (atleast 1 S C))"
+    )
+    p = build_problem(goal, [(TOP, parse_concept("(atmost 4 R (not C))"))])
+    assert p.cuts == (
+        (R, NegAtom("C")),
+        (R, AtMost(1, Role("S"), A)),
+        (R.inverse(), B),
+    )
+    assert p.cut_concepts == {cut_formula(role, filler) for role, filler in p.cuts}
+
+
 def test_cut_formula_guard_uses_inverse_of_inverse():
     s_inv = Role("S", True)
-    e = AtMost(1, s_inv, Atom("D"))
-    (pair,) = cut_table(e, TOP)
+    e = conj([AtMost(1, s_inv, Atom("D")), AtLeast(1, Role("S"), TOP)])
+    forward, pair = cut_table(e, TOP)
+    assert forward == (Role("S"), TOP)
     assert pair == (s_inv, Atom("D"))
     guard = AtMost(0, s_inv.inverse(), TOP)
     assert guard == AtMost(0, Role("S"), TOP)
