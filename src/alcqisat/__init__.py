@@ -27,6 +27,7 @@ from .lii import (
     build_lii,
     collect_fillers,
     feasible,
+    full_atom_solution,
     zero_column,
 )
 from .oracle import (

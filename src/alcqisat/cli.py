@@ -147,9 +147,10 @@ def _run(args: argparse.Namespace) -> int:
 
 def _read_parsed(path: str, parse):
     """Read the file and parse its text; None once a read or parse error
-    has gone to stderr."""
+    has gone to stderr.  A leading UTF-8 byte-order mark is dropped, not
+    read as part of the first directive."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

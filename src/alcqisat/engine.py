@@ -5,7 +5,11 @@ propositional branch of its label, adjusts bounds against its parent, and
 turns the number restrictions of each role with a positive at-least into an
 integer feasibility system whose solution spawns the children.  A role with
 no positive at-least spawns no child and builds no system: the all-zero
-vector meets its rows and is their smallest solution.  The branch walk
+vector meets its rows and is their smallest solution.  Most other roles
+build none either: when the all-positive atom does not clash and no
+at-most bound is below the largest at-least bound, the smallest solution
+puts everything on that atom (`full_atom_solution`), and the system is
+built only if that one child fails.  The branch walk
 prunes clashed disjuncts and never branches on a satisfied disjunction, and
 a branch that clashes only after the bound adjustment is skipped; such
 local clashes are never cached.  Failures are cached as nogood triples
@@ -36,12 +40,14 @@ from .branch import (
     primitive_clash,
 )
 from .lii import (
+    LiiSystem,
     SolverLimitError,
     atomic_decomposition,
     build_lii,
     clashed_atoms,
     collect_fillers,  # noqa: F401 - unused here; bench/tracing.py wraps it
     feasible,
+    full_atom_solution,
     zero_column,
 )
 from .syntax import (
@@ -323,8 +329,27 @@ class Tableau:
         # restarts the tree, so this triple is new
         self._record(cut, edge, label)
 
+    def _clash_zeroed(self, tuned: Branch, role: Role) -> LiiSystem:
+        """The role's system with its clashed atoms zeroed; the caller has
+        checked its width."""
+        system = build_lii(tuned, role)
+        for mask in clashed_atoms(system.fillers):
+            system = zero_column(system, mask)
+        return system
+
+    def _dump(self, node_id: int, role: Role, system: LiiSystem) -> None:
+        self.dump_systems(f"lii node={node_id} role={role}\n{system.describe()}")
+
     def _apply_lii(self, node_id: int, branch: Branch, tuned: Branch, role: Role) -> bool:
         """Decompose the role's restrictions, solve, expand the children.
+
+        The first solve reads the role's restrictions off the tuned branch:
+        when full_atom_solution answers, its one child is expanded without
+        a system, and the system is built, with the clashed atoms and the
+        full atom zeroed, only when that child hits a stored triple.  Under
+        dump_systems the system is also built to be printed, so the dump
+        does not depend on the shortcut.  Every other role builds its system
+        with the clashed atoms zeroed and solves it.
 
         A child that hits a cached nogood zeroes its column and the system is
         re-solved.  A fresh child failure, and a system that turns out
@@ -342,22 +367,38 @@ class Tableau:
         if not choices <= tuned and self.nogoods.hit_wildcard(tuned | choices) is not None:
             return False
         try:
-            system = build_lii(tuned, role, self.limits.lambda_max)
+            answer = full_atom_solution(tuned, role, self.limits.lambda_max)
         except SolverLimitError as exc:
             raise ResourceLimitError(f"node {node_id} role {role}: {exc}") from None
+        context_zeroing = False
+        if answer is not None:
+            # the solution feasible would return, {full: most}, without a
+            # system; one is built only to print it
+            full, _ = answer
+            self.stats.max_lambda = max(self.stats.max_lambda, len(full))
+            if self.dump_systems is not None:
+                self._dump(node_id, role, self._clash_zeroed(tuned, role))
+            self.stats.lii_solves += 1
+            if self.trace is not None:
+                self.trace(
+                    f"LII node={node_id} role={role} atoms={(1 << len(full)) - 1} "
+                    "verdict=feasible"
+                )
+            blocking = self._expand(full | self._core_label, child_cut, role)
+            if blocking is None:
+                return True
+            context_zeroing = not blocking.is_wildcard()
+
+        system = self._clash_zeroed(tuned, role)
         fillers = system.fillers
         self.stats.max_lambda = max(self.stats.max_lambda, len(fillers))
         atoms = atomic_decomposition(fillers, self.limits.lambda_max)
-        for mask in clashed_atoms(fillers):
-            system = zero_column(system, mask)
-
+        if answer is not None:  # its child failed: zero the full atom, re-solve
+            system = zero_column(system, len(atoms))
         completed: set[int] = set()
-        context_zeroing = False
         while True:
             if self.dump_systems is not None:
-                self.dump_systems(
-                    f"lii node={node_id} role={role}\n{system.describe()}"
-                )
+                self._dump(node_id, role, system)
             self.stats.lii_solves += 1
             solution = feasible(system, self.limits.solver_max_steps)
             if self.trace is not None:

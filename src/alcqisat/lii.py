@@ -16,6 +16,11 @@ table cached per width, the width is checked against the limit before that
 table is built, and the clashing atoms are read off the filler list
 (`clashed_atoms`) rather than tested one literal set at a time.
 
+Most roles the engine solves need no system at all: `full_atom_solution`
+reads the restrictions off the branch and, when the full atom does not
+clash and no at-most bound is below the largest at-least bound, returns
+the answer `feasible` would give, everything on the full atom.
+
 `feasible` returns the lexicographically smallest solution.  A system
 without an upper bound, whose full atom is not zeroed, has a closed form:
 all on the full atom.  Every other system goes to an iterative depth-first
@@ -33,6 +38,7 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple
 
+from .branch import primitive_clash
 from .syntax import (
     AtLeast,
     AtMost,
@@ -191,6 +197,47 @@ def build_lii(branch: frozenset, role: Role, lambda_max: int | None = None) -> L
         for lit in restrictions
     )
     return LiiSystem(tuple(index), rows)
+
+
+def full_atom_solution(
+    branch: frozenset, role: Role, lambda_max: int | None = None
+) -> tuple[frozenset, int] | None:
+    """The role's answer read straight off its restrictions in the branch,
+    without a system: (the full atom's literal set, the largest at-least
+    bound `most`), or None when the rule does not apply.
+
+    It applies when the full atom, every distinct filler positive, does not
+    clash (so the clash zeroing leaves it live) and `most` is no larger
+    than the smallest at-most bound on the role.  Then {full: most} is what
+    feasible returns on build_lii's system with the clashed atoms zeroed.
+    Every row of build_lii counts the full atom, so {full: most} meets
+    every at-least row, and every at-most row since its bound is at least
+    `most`.  The full atom comes last in feasible's order, so a smaller
+    solution would hold every earlier atom at 0 and the full atom below
+    `most`, which misses the at-least row with that bound.  When the rule
+    does not apply, {full: most} is no solution: the full atom is zeroed or
+    an at-most row rejects it.
+
+    Counts the fillers as build_lii does: more than lambda_max raise
+    SolverLimitError with the same message."""
+    fillers = set()
+    most, fewest = 0, None
+    for lit in branch:
+        kind = type(lit)
+        if (kind is AtLeast or kind is AtMost) and lit.role is role:
+            fillers.add(lit.filler)
+            if kind is AtLeast:
+                if lit.bound > most:
+                    most = lit.bound
+            elif fewest is None or lit.bound < fewest:
+                fewest = lit.bound
+    _check_width(len(fillers), lambda_max)
+    if fewest is not None and most > fewest:
+        return None
+    full = frozenset(fillers)
+    if primitive_clash(full):
+        return None
+    return full, most
 
 
 def zero_column(system: LiiSystem, atom_mask: int) -> LiiSystem:

@@ -21,9 +21,14 @@ from alcqisat import (
     Role,
     SolverLimitError,
     TOP,
+    build_lii,
     conj,
     disj,
+    feasible,
+    full_atom_solution,
+    zero_column,
 )
+from alcqisat.lii import clashed_atoms
 from alcqisat.syntax import (
     BOTTOM,
     Bottom,
@@ -113,6 +118,25 @@ def brute_force_feasible(system: LiiSystem, cap: int | None = None) -> dict | No
         else:
             return dict(zip(masks, values))
     return None
+
+
+def full_atom_agrees(branch, role) -> bool:
+    """Assert that full_atom_solution answers exactly when feasible, on
+    build_lii's system with the clashed atoms zeroed, puts the largest
+    at-least bound on the full atom, and that the two answers are then
+    equal; True when it answered.  The branch needs a positive at-least on
+    the role, as every role the engine solves has."""
+    system = build_lii(branch, role)
+    for mask in clashed_atoms(system.fillers):
+        system = zero_column(system, mask)
+    most = max(c.bound for c in branch if type(c) is AtLeast and c.role is role)
+    assert most > 0
+    answer = full_atom_solution(branch, role)
+    full = (1 << system.width) - 1
+    assert (answer is not None) == (feasible(system) == {full: most}), system.describe()
+    if answer is not None:
+        assert answer == (frozenset(system.fillers), most)
+    return answer is not None
 
 
 def reference_feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | None:

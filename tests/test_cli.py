@@ -90,6 +90,20 @@ def test_undecodable_tbox_is_a_usage_error(tmp_path, capsys):
     assert err.startswith(f"error: {tbox}: 'utf-8' codec can't decode")
 
 
+def test_byte_order_mark_is_not_part_of_the_text(tmp_path, capsys):
+    # a byte-order mark used to reach the parser: unknown directive '\ufeffsat'
+    for name, text in (("p.dl", "gci A B\nsat (and A (not B))\n"), ("t.dl", "gci A B\n")):
+        (tmp_path / ("bom-" + name)).write_bytes(b"\xef\xbb\xbf" + text.encode())
+        write(tmp_path, name, text)
+    plain = run_cli(capsys, str(tmp_path / "p.dl"))
+    assert plain == (1, "UNSAT\n", "")
+    assert run_cli(capsys, str(tmp_path / "bom-p.dl")) == plain
+    concept = ("--concept", "(and A (not B))")
+    plain = run_cli(capsys, *concept, "--tbox", str(tmp_path / "t.dl"))
+    assert plain == (1, "UNSAT\n", "")
+    assert run_cli(capsys, *concept, "--tbox", str(tmp_path / "bom-t.dl")) == plain
+
+
 def test_concept_parse_error(capsys):
     code, _, err = run_cli(capsys, "--concept", "(atleast -2 R A)")
     assert code == 2

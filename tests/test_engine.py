@@ -12,6 +12,7 @@ import alcqisat.engine as engine
 from alcqisat import (
     AtLeast,
     Atom,
+    BOTTOM,
     CorpusProfile,
     EMPTY_CUT_SET,
     Interpretation,
@@ -32,13 +33,14 @@ from alcqisat import (
     cut_formula,
     decide,
     find_model,
+    full_atom_solution,
     generate_corpus,
     parse_concept,
     parse_problem_text,
     primitive_clash,
 )
 from alcqisat.syntax import concept_key
-from conftest import bench_module, restriction_pairs
+from conftest import bench_module, full_atom_agrees, restriction_pairs
 
 A, B = Atom("A"), Atom("B")
 R = Role("R")
@@ -363,27 +365,30 @@ def test_limit_errors_carry_the_partial_stats():
     with pytest.raises(ResourceLimitError) as info:
         Tableau(problem, Limits(node_budget=1)).decide()
     assert info.value.stats == RunStats(nodes=2, lii_solves=1, max_lambda=1)
-    # with an at-most row the solver searches, and a search takes more than
-    # one step; at-least rows alone are solved without one
-    problem = build_problem(parse_concept("(and (atleast 1 R A) (atmost 2 R A))"))
+    # at-least 2 over the at-most 1 keeps the full atom from answering the
+    # role, so the solver searches, and that takes more than one step;
+    # at-least rows alone are solved without one
+    problem = build_problem(parse_concept("(and (atleast 2 R A) (atmost 1 R B))"))
     with pytest.raises(SolverLimitError) as info:
         Tableau(problem, Limits(solver_max_steps=1)).decide()
-    assert info.value.stats == RunStats(nodes=1, lii_solves=1, max_lambda=1)
+    assert info.value.stats == RunStats(nodes=1, lii_solves=1, max_lambda=2)
 
 
 def test_apply_lii_zeroes_exactly_the_clashed_atoms(monkeypatch):
-    # the first solve of each system sees the clash zeroing and nothing else
+    # the first solve of each built system sees the clash zeroing, plus the
+    # full atom when the role's restrictions answered it and its child failed
     unsolved, first_solves = [], []
     build_lii, feasible = engine.build_lii, engine.feasible
 
     def record_build(*args):
         system = build_lii(*args)
-        unsolved.append(system)
+        unsolved.append((system, full_atom_solution(*args) is not None))
         return system
 
     def record_solve(system, *rest):
         if unsolved:
-            first_solves.append((unsolved.pop().fillers, system.zeroed))
+            built, answered = unsolved.pop()
+            first_solves.append((built.fillers, answered, system.zeroed))
         return feasible(system, *rest)
 
     monkeypatch.setattr(engine, "build_lii", record_build)
@@ -395,12 +400,17 @@ def test_apply_lii_zeroes_exactly_the_clashed_atoms(monkeypatch):
             Tableau(build_problem(pf.query, pf.tbox), Limits(nogood_capacity=250)).decide()
         except ResourceLimitError:
             pass
-    clashed = 0
-    for fillers, zeroed in first_solves:
+    clashed = fell_back = 0
+    for fillers, answered, zeroed in first_solves:
         atoms = atomic_decomposition(list(fillers))
-        assert zeroed == {m for m, atom in enumerate(atoms, 1) if primitive_clash(atom)}
-        clashed += bool(zeroed)
+        expected = {m for m, atom in enumerate(atoms, 1) if primitive_clash(atom)}
+        if answered:
+            expected.add(len(atoms))
+        assert zeroed == expected
+        clashed += any(primitive_clash(atoms[m - 1]) for m in zeroed)
+        fell_back += answered
     assert clashed > 0
+    assert fell_back > 0
 
 
 def test_roles_without_an_at_least_are_not_solved():
@@ -423,14 +433,23 @@ def test_at_least_zero_forces_no_successor():
 
 
 def test_every_solved_system_has_a_positive_at_least(monkeypatch):
-    solve = engine.feasible
-    solved = []
+    # a role the full atom answers is solved without a system; its `most`
+    # is the largest at-least bound
+    solve, answer = engine.feasible, engine.full_atom_solution
+    solved, answered = [], []
 
     def record(system, *rest):
         solved.append(system)
         return solve(system, *rest)
 
+    def record_answer(*args):
+        found = answer(*args)
+        if found is not None:
+            answered.append(found)
+        return found
+
     monkeypatch.setattr(engine, "feasible", record)
+    monkeypatch.setattr(engine, "full_atom_solution", record_answer)
     corpora = bench_module("corpora")
     for workload in ("deep", "counting", "oracle"):  # oracle: the acceptance corpus
         for pf in corpora.generate(workload):
@@ -438,9 +457,54 @@ def test_every_solved_system_has_a_positive_at_least(monkeypatch):
                 Tableau(build_problem(pf.query, pf.tbox), Limits(nogood_capacity=250)).decide()
             except ResourceLimitError:
                 pass
-    assert len(solved) > 500
+    assert len(solved) + len(answered) > 500
+    assert solved and answered
     for system in solved:
         assert any(not row.is_at_most and row.bound > 0 for row in system.rows), system.describe()
+    for fillers, most in answered:
+        assert most > 0, fillers
+
+
+def test_full_atom_answers_a_role_exactly_when_feasible_would(monkeypatch):
+    # for every role the engine solves, the rule answers exactly when
+    # feasible on the clash-zeroed system returns {full: most}, and then
+    # with the same atom and multiplicity
+    corpora = bench_module("corpora")
+    apply_lii = engine.Tableau._apply_lii
+    answered = {}
+
+    def compared(self, node_id, branch, tuned, role):
+        answered[workload] += full_atom_agrees(tuned, role)
+        return apply_lii(self, node_id, branch, tuned, role)
+
+    monkeypatch.setattr(engine.Tableau, "_apply_lii", compared)
+    for workload in ("oracle", "deep", "counting"):  # oracle: the acceptance corpus
+        answered[workload] = 0
+        for pf in corpora.generate(workload):
+            try:
+                Tableau(build_problem(pf.query, pf.tbox), Limits(nogood_capacity=250)).decide()
+            except ResourceLimitError:
+                pass
+    assert all(answered.values()), answered
+
+
+def test_a_failed_full_atom_child_falls_back_to_the_system():
+    # the full atom {A, B} answers R, but the axiom kills its child; the
+    # tree restarts, the stored body blocks the child again, and the role
+    # goes to the system with the full atom (mask 3) zeroed
+    problem = build_problem(
+        parse_concept("(and (atleast 1 R A) (atleast 1 R B))"), [(conj([A, B]), BOTTOM)]
+    )
+    trace, dumps = [], []
+    v = Tableau(problem, trace=trace.append, dump_systems=dumps.append).decide()
+    assert v.satisfiable
+    assert v.stats.lii_solves == 3
+    solves = [line for line in trace if line.startswith("LII node=2 role=R")]
+    assert solves == ["LII node=2 role=R atoms=3 verdict=feasible"] * 2
+    node_dumps = [d for d in dumps if d.startswith("lii node=2 role=R")]
+    assert len(node_dumps) == 2
+    assert "zeroed" not in node_dumps[0]
+    assert node_dumps[1].endswith("zeroed: [3]")
 
 
 def with_every_cut(problem: Problem) -> Problem:

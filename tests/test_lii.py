@@ -19,13 +19,19 @@ from alcqisat import (
     collect_fillers,
     conj,
     feasible,
+    full_atom_solution,
     negate,
     primitive_clash,
     zero_column,
 )
 from alcqisat.lii import Row, clashed_atoms
 from alcqisat.syntax import sorted_concepts, to_nnf
-from conftest import brute_force_feasible, random_raw_concept, reference_feasible
+from conftest import (
+    brute_force_feasible,
+    full_atom_agrees,
+    random_raw_concept,
+    reference_feasible,
+)
 
 A, B = Atom("A"), Atom("B")
 C, C1, C2, C3 = Atom("C"), Atom("C1"), Atom("C2"), Atom("C3")
@@ -402,3 +408,33 @@ def test_describe_is_textual():
     sys_ = build_lii(frozenset({AtLeast(2, R, A), AtMost(1, R, B)}), R)
     text = zero_column(sys_, 1).describe()
     assert ">= 2" in text and "<= 1" in text and "zeroed" in text
+
+
+def test_full_atom_solution_iff_feasible_puts_most_on_the_full_atom():
+    # the engine solves only roles with a positive at-least; on those the
+    # rule answers exactly when feasible's solution is {full: most}
+    rng = random.Random(20261019)
+    letters = [Atom(n) for n in "ABCD"]
+    fillers = letters + [negate(a) for a in letters] + [TOP, BOTTOM]
+    checked = answered = 0
+    for _ in range(6000):
+        branch = frozenset(
+            rng.choice((AtLeast, AtMost))(rng.randint(0, 10), R, rng.choice(fillers))
+            for _ in range(rng.randint(1, 6))
+        )
+        if any(type(c) is AtLeast and c.bound > 0 for c in branch):
+            answered += full_atom_agrees(branch, R)
+            checked += 1
+    assert checked > 4000
+    assert answered > 1000
+
+
+def test_full_atom_solution_checks_the_width_like_build_lii():
+    branch = frozenset(AtLeast(1, R, Atom(f"A{i}")) for i in range(4))
+    with pytest.raises(SolverLimitError, match="4 distinct fillers exceed lambda_max=3"):
+        full_atom_solution(branch, R, 3)
+    with pytest.raises(SolverLimitError, match="4 distinct fillers exceed lambda_max=3"):
+        build_lii(branch, R, 3)
+    assert full_atom_solution(branch, R, 4) == (frozenset(c.filler for c in branch), 1)
+    # restrictions on other roles are not read
+    assert full_atom_solution(branch | {AtMost(0, S, A)}, R) == full_atom_solution(branch, R)
