@@ -291,11 +291,12 @@ class Tableau:
 
         for index, branch in enumerate(enumerate_branches(label)):
             tuned = fine_tune(branch, cut, edge)
+            # fine_tune returns the branch itself when it changes nothing,
+            # and hit has then read the wildcards on that very set
             if (
                 primitive_clash(tuned)
-                or self.nogoods.hit_wildcard(branch)
-                or self.nogoods.hit_wildcard(tuned)
-                or self.nogoods.hit_exact(cut, edge, branch)
+                or self.nogoods.hit(cut, edge, branch)
+                or tuned is not branch and self.nogoods.hit_wildcard(tuned)
             ):
                 continue
             if self.trace is not None:

@@ -21,13 +21,11 @@ reads the restrictions off the branch and, when the full atom does not
 clash and no at-most bound is below the largest at-least bound, returns
 the answer `feasible` would give, everything on the full atom.
 
-`feasible` returns the lexicographically smallest solution.  A system
-without an upper bound, whose full atom is not zeroed, has a closed form:
-all on the full atom.  Every other system goes to an iterative depth-first
-search.  Rows bounding the same sum are merged into one interval first, so
-contradictory bounds are refuted before any search step; each atom is
-capped by the bounds of the rows covering it, and one under an at-most 0
-gets no search position; what later atoms can add to a
+`feasible` returns the lexicographically smallest solution, found by an
+iterative depth-first search.  Rows bounding the same sum are merged into
+one interval first, so contradictory bounds are refuted before any search
+step; each atom is capped by the bounds of the rows covering it, and one
+under an at-most 0 gets no search position; what later atoms can add to a
 sum is bounded by their caps and by the at-most bounds they lie under; and
 failed search states are memoized, so a subtree already proven empty is
 entered once.
@@ -252,14 +250,7 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
     solution maps each atom mask with a positive multiplicity to it, in
     ascending mask order; zeroed and zero-valued atoms are absent.
 
-    Closed form: with no at-most row and the full atom (every filler
-    positive, which every row of build_lii counts) not zeroed, the answer is
-    {full: largest at-least bound}, or {} when that bound is 0.  Every atom
-    below the full one at 0 is the smallest start a solution can have, and
-    the full atom alone must then meet the largest bound.  It takes no
-    search step.
-
-    Otherwise depth-first over atoms in ascending mask order, smallest value
+    Depth-first over atoms in ascending mask order, smallest value
     first, so the solution returned is the lexicographically smallest one:
     every pruning below only skips subtrees that hold no solution or only
     solutions after it.  Per-variable value ranges come from the rows,
@@ -279,8 +270,7 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
       sum is at most the sum of their caps and, when each of them lies in
       some at-most sum, at most the sum of those at-most bounds, since
       together they add no more than that to those sums.  The smaller of
-      the two sets how much the atom at the position must add, and how much
-      the sums it does not count must already hold.
+      the two sets how much the atom at the position must add.
     - Memo: a state is a position and the sums so far, with each at-least
       sum clamped at its bound since no later check tells larger sums
       apart.  A state whose subtree failed is stored and skipped on entry;
@@ -289,8 +279,8 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
 
     One step is one search node entered, so the search takes no more steps
     than it would without these prunings; more than max_steps raises
-    SolverLimitError.  The interval pre-check and the closed form take no
-    step, so either answers at any max_steps.
+    SolverLimitError.  The interval pre-check takes no step, so it answers
+    at any max_steps.
     """
     bounds: dict[int, list] = {}  # coeff_mask -> [at-least, at-most or None]
     for row in system.rows:
@@ -303,25 +293,14 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
         elif interval[1] is None or row.bound < interval[1]:
             interval[1] = row.bound
     intervals = []
-    bounded = False
     dead = 0  # the atoms in a sum bounded by at-most 0
     for coeff, (lo, hi) in bounds.items():
         if hi is not None:
             if lo > hi:
                 return None
-            bounded = True
             if hi == 0:
                 dead |= coeff
         intervals.append((coeff, lo, hi))
-
-    # the closed form, when every sum is an at-least sum over the full atom
-    full = (1 << len(system.fillers)) - 1
-    top = full and 1 << (full - 1)  # the full atom's coefficient bit
-    if not bounded and full not in system.zeroed and all(c & top for c, _, _ in intervals):
-        most = max((lo for _, lo, _ in intervals), default=0)
-        solution = {full: most} if most else {}
-        _validate(system, solution)
-        return solution
 
     masks = [
         m for m in system.atom_masks() if not (dead >> (m - 1)) & 1 and m not in system.zeroed
@@ -329,11 +308,10 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
     n = len(masks)
     # per position, built back to front: the atom's cap; the at-least sums
     # it adds to, each with its bound less what later atoms can still add;
-    # the at-most sums it adds to, with their bound; the other at-least
-    # sums that can still fall short, with that shortfall; and the sums its
-    # value goes to, with their clamp (an at-most sum never passes its bound)
+    # the at-most sums it adds to, with their bound; and the sums its value
+    # goes to, with their clamp (an at-most sum never passes its bound)
     caps = [0] * n
-    raising, limiting, short, adding = [()] * n, [()] * n, [()] * n, [()] * n
+    raising, limiting, adding = [()] * n, [()] * n, [()] * n
     # per sum, over the atoms after the position: the sum of their caps;
     # the at-most sums they lie in and the sum of those bounds, or None once
     # one of them lies in no at-most sum; and the room, what they can still
@@ -345,7 +323,7 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
     for i in range(n - 1, -1, -1):
         bit = 1 << (masks[i] - 1)
         cap, limit = 0, None
-        raise_, limit_, short_, add_ = [], [], [], []
+        raise_, limit_, add_ = [], [], []
         for g, (coeff, lo, hi) in enumerate(intervals):
             if coeff & bit:
                 if lo > cap:
@@ -359,11 +337,9 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
                         limit = hi
                     limit_.append((g, hi))
                     add_.append((g, hi))
-            elif lo > room[g]:
-                short_.append((g, lo - room[g]))
         if limit is not None and limit < cap:
             cap = limit
-        caps[i], raising[i], limiting[i], short[i], adding[i] = cap, raise_, limit_, short_, add_
+        caps[i], raising[i], limiting[i], adding[i] = cap, raise_, limit_, add_
         for g, _ in add_:
             reach[g] += cap
             if shared[g] is not None:
@@ -389,9 +365,7 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
         if i == n:
             if all(s >= lo for s, (_, lo, _) in zip(state, intervals)):
                 break
-        elif state not in failed.get(i, ()) and (
-            not short[i] or all(state[g] >= need for g, need in short[i])
-        ):
+        elif state not in failed.get(i, ()):
             lo, hi = 0, caps[i]
             for g, need in raising[i]:
                 if need - state[g] > lo:

@@ -66,12 +66,19 @@ def _parse_concepts_on_line(rest: str, count: int, line_no: int, offset: int) ->
     return out
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of a problem file.  They end at \r\n, \r or \n only:
+    str.splitlines would also end them at characters the concept tokenizer
+    reads as spaces, such as a form feed or U+2028."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _read(text: str, with_query: bool) -> tuple[tuple[tuple[Concept, Concept], ...], Concept | None]:
     """The axioms and the query of a problem file, line by line.  Without
     with_query, a sat line is an error."""
     tbox: list[tuple[Concept, Concept]] = []
     query: Concept | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
@@ -98,7 +105,7 @@ def _read(text: str, with_query: bool) -> tuple[tuple[tuple[Concept, Concept], .
 def parse_problem_text(text: str) -> ProblemFile:
     tbox, query = _read(text, with_query=True)
     if query is None:
-        raise ProblemFileError("missing sat line", max(1, text.count("\n") + 1), 1)
+        raise ProblemFileError("missing sat line", len(_lines(text)), 1)
     return ProblemFile(tbox=tbox, query=query)
 
 

@@ -261,6 +261,41 @@ def test_record_stores_only_new_failures_and_always_restarts():
     assert tableau.stats.nogoods == len(tableau.nogoods) == len(stored) + 1
 
 
+def test_each_branch_reads_the_wildcards_once():
+    # fine_tune hands back the branch itself when it changes nothing, and at
+    # the root the empty context is the wildcards' own: either way, one
+    # scan of the wildcard bodies per branch, plus the edge's context below
+    # the root
+    calls = []
+
+    def hook(name, fn):
+        def wrapper(*args):
+            calls.append((name, args))
+            return fn(*args)
+        return wrapper
+
+    branch = frozenset({A})
+    for text, edge in (("(or A B)", None), ("(atleast 1 R (or A B))", Role("R"))):
+        tableau = Tableau(build_problem(parse_concept(text)))
+        store = tableau.nogoods
+        store.add(NogoodTriple(EMPTY_CUT_SET, None, frozenset({Atom("C")})))  # unrelated
+        store.hit_wildcard = hook("wildcard", store.hit_wildcard)
+        store.hit_exact = hook("exact", store.hit_exact)
+        calls.clear()
+        assert tableau.decide().satisfiable
+        wildcard_scans = [
+            args for name, args in calls
+            if args[-1] == branch
+            and (name == "wildcard" or args[:2] == (EMPTY_CUT_SET, None))
+        ]
+        context_scans = [
+            args for name, args in calls
+            if name == "exact" and args[1] is not None and args[2] == branch
+        ]
+        assert len(wildcard_scans) == 1, calls
+        assert context_scans == ([] if edge is None else [(EMPTY_CUT_SET, edge, branch)])
+
+
 def test_node_budget_aborts():
     problem = build_problem(
         parse_concept("A"), [(TOP, parse_concept("(atleast 1 R (atleast 1 S B))"))]

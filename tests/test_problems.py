@@ -81,6 +81,27 @@ def test_tab_after_directive():
     assert pf.query == A
 
 
+def test_lines_end_only_at_line_breaks():
+    # the tokenizer reads a form feed, a vertical tab, \x1c-\x1e, NEL,
+    # U+2028 and U+2029 as spaces; none of them ends a line
+    plain = "gci A  B\nsat (and A (not B))\n"
+    broken = "sat A\ngci (and A) B\n"
+    for space in ("\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"):
+        assert parse_problem_text(plain.replace("  ", space + " ")) == parse_problem_text(plain)
+        with pytest.raises(ProblemFileError) as err:
+            parse_problem_text(broken.replace("sat A", "sat A" + space))
+        assert (err.value.line, err.value.column) == (2, 6)
+    for newline in ("\r\n", "\r"):
+        assert parse_problem_text(plain.replace("\n", newline)) == parse_problem_text(plain)
+        with pytest.raises(ProblemFileError) as err:
+            parse_problem_text(broken.replace("\n", newline))
+        assert (err.value.line, err.value.column) == (2, 6)
+        with pytest.raises(ProblemFileError) as err:
+            parse_problem_text("gci A B" + newline + "gci B A" + newline)
+        assert (err.value.message, err.value.line) == ("missing sat line", 3)
+    assert parse_tbox_text("gci A\fB\r\naxiom B\r\n") == ((A, B), (TOP, B))
+
+
 def test_unknown_directive():
     with pytest.raises(ProblemFileError):
         parse_problem_text("check A\nsat B\n")
