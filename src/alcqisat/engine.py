@@ -8,23 +8,27 @@ no positive at-least spawns no child and builds no system: the all-zero
 vector meets its rows and is their smallest solution.  Most other roles
 build none either: when the all-positive atom does not clash and no
 at-most bound is below the largest at-least bound, the smallest solution
-puts everything on that atom (`full_atom_solution`), and the system is
-built only if that one child fails.  The branch walk
-prunes clashed disjuncts and never branches on a satisfied disjunction, and
-a branch that clashes only after the bound adjustment is skipped; such
-local clashes are never cached.  Failures are cached as nogood triples
-(context cut-set, incoming role, concept set) in one place, `_record`:
-every triple it stores is new and aborts the current tree, clears the
-blocking store, and restarts; a repeat is an internal error.  A node whose
-definite literals (those every branch of its label holds) a stored triple
-already covers would skip every branch, so it fails without walking its
-label.  The run answers unsatisfiable when a triple subsumes the root
-label, satisfiable when a tree completes; the store's capacity bounds the
-number of restarts.
+puts everything on that atom (`full_atom_solution`).  That answer is the
+first solution of the role's one solve loop, and the system is built only
+if its child fails.  The branch walk prunes clashed disjuncts and never
+branches on a satisfied disjunction, and a branch that clashes only after
+the bound adjustment is skipped; such local clashes are never cached.
+Failures are cached as nogood triples (context cut-set, incoming role,
+concept set) in one place, `_record`: every triple it stores is new and
+aborts the current tree, clears the blocking store, and restarts; a repeat
+is an internal error.  A stored body leaves out the axiom and the cut
+formulas, which label every node, so a label is queried as it is.  A node
+whose definite literals (those every branch of its label holds) a stored
+triple already covers would skip every branch, so it fails without walking
+its label.  The run answers unsatisfiable when a triple subsumes the root
+label, tested once per pass, and satisfiable when a tree completes; the
+store's capacity bounds the number of restarts.  Runs raise the
+interpreter's recursion limit while any of them is active.
 """
 
 from __future__ import annotations
 
+import _thread
 import sys
 from typing import Callable, Iterable, NamedTuple, NoReturn
 
@@ -177,6 +181,35 @@ class _RestartRequested(Exception):
     pass
 
 
+class _RecursionLimit:
+    """Holds the interpreter's recursion limit at `limit` or more while any
+    run is active.  The limit is process-wide and runs in other threads
+    overlap, so the first run to enter raises it and the last to leave
+    restores what the first found."""
+
+    def __init__(self, limit: int):
+        self._limit = limit
+        self._lock = _thread.allocate_lock()
+        self._active = 0
+        self._saved = 0
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if not self._active:
+                self._saved = sys.getrecursionlimit()
+                sys.setrecursionlimit(max(self._saved, self._limit))
+            self._active += 1
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._active -= 1
+            if not self._active:
+                sys.setrecursionlimit(self._saved)
+
+
+_RECURSION_LIMIT = _RecursionLimit(20_000)
+
+
 def _fmt_set(concepts: Iterable[Concept]) -> str:
     return "{" + ", ".join(str(c) for c in sorted_concepts(concepts)) + "}"
 
@@ -194,8 +227,9 @@ def _fmt_edge(edge: Role | None) -> str:
 
 
 class Tableau:
-    """One satisfiability run.  State is confined to the instance; distinct
-    runs never share anything."""
+    """One satisfiability run.  State is confined to the instance, apart
+    from the process-wide recursion limit, which every active run holds
+    raised (`_RecursionLimit`)."""
 
     def __init__(
         self,
@@ -215,20 +249,19 @@ class Tableau:
         core = set(problem.cut_concepts)
         if problem.axiom != TOP:
             core.add(problem.axiom)
-        # the axiom and the cut formulas label every node; bodies keep them
-        # implicit so the store stays small and reusable
+        # the axiom and the cut formulas label every node; stored bodies
+        # leave them out, so a stored body is a subset of a label exactly
+        # when it is one of the label without them
         self._core_label = frozenset(core)
         self._tree_nodes = 0
 
     # -- helpers ----------------------------------------------------------
 
-    def _strip(self, body: frozenset) -> frozenset:
-        return body - self._core_label
-
     def _record(self, cut: CutSet, edge: Role | None, body: frozenset) -> NoReturn:
-        """Store a failure and abort the tree.  Every caller has just found
-        no stored triple covering it, so a repeat is an internal error."""
-        triple = NogoodTriple(cut, edge, self._strip(body))
+        """Store a failure, without the axiom and the cut formulas, and
+        abort the tree.  Every caller has just found no stored triple
+        covering it, so a repeat is an internal error."""
+        triple = NogoodTriple(cut, edge, body - self._core_label)
         if not self.nogoods.add(triple):
             raise AssertionError(f"nogood already stored: {triple}")
         self.stats.nogoods = len(self.nogoods)
@@ -243,28 +276,25 @@ class Tableau:
 
     def decide(self) -> Verdict:
         root_label = frozenset({self.problem.goal}) | self._core_label
-        root_body = self._strip(root_label)
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 20_000))
-        try:
-            # each pass stores a new triple or ends the run, and the store
-            # raises at capacity; the root's own label test is this one
-            while not self.nogoods.hit(EMPTY_CUT_SET, None, root_body):
-                self.witnesses.clear()
-                self._tree_nodes = 0
-                try:
-                    self._expand(root_label, EMPTY_CUT_SET, None)
-                    return Verdict(satisfiable=True, stats=self.stats)
-                except _RestartRequested:
-                    self.stats.restarts += 1
-                    if self.trace is not None:
-                        self.trace(f"RESTART {self.stats.restarts}")
-            return Verdict(satisfiable=False, stats=self.stats)
-        except (ResourceLimitError, SolverLimitError) as exc:
-            exc.stats = self.stats
-            raise
-        finally:
-            sys.setrecursionlimit(old_limit)
+        with _RECURSION_LIMIT:
+            try:
+                # each pass stores a new triple or ends the run, and the
+                # store raises at capacity; the root's own label test is
+                # this one
+                while not self.nogoods.hit(EMPTY_CUT_SET, None, root_label):
+                    self.witnesses.clear()
+                    self._tree_nodes = 0
+                    try:
+                        self._expand(root_label, EMPTY_CUT_SET, None)
+                        return Verdict(satisfiable=True, stats=self.stats)
+                    except _RestartRequested:
+                        self.stats.restarts += 1
+                        if self.trace is not None:
+                            self.trace(f"RESTART {self.stats.restarts}")
+                return Verdict(satisfiable=False, stats=self.stats)
+            except (ResourceLimitError, SolverLimitError) as exc:
+                exc.stats = self.stats
+                raise
 
     # -- expansion ---------------------------------------------------------
 
@@ -280,10 +310,10 @@ class Tableau:
             raise ResourceLimitError(
                 f"node budget of {self.limits.node_budget} exceeded in one tree"
             )
-        label_body = self._strip(label)
-        hit = self.nogoods.hit(cut, edge, label_body)
-        if hit is not None:
-            return hit
+        if edge is not None:  # decide's loop test is the root's
+            hit = self.nogoods.hit(cut, edge, label)
+            if hit is not None:
+                return hit
         # every branch holds the definite literals; when a stored triple
         # covers them, the checks below would skip every branch
         if self.nogoods and self.nogoods.hit(cut, edge, definite_literals(label)) is not None:
@@ -291,13 +321,12 @@ class Tableau:
 
         for index, branch in enumerate(enumerate_branches(label)):
             tuned = fine_tune(branch, cut, edge)
-            # fine_tune returns the branch itself when it changes nothing,
-            # and hit has then read the wildcards on that very set
-            if (
-                primitive_clash(tuned)
-                or self.nogoods.hit(cut, edge, branch)
-                or tuned is not branch and self.nogoods.hit_wildcard(tuned)
-            ):
+            # the walk yields clash-free sets, fine_tune returns the branch
+            # itself when it changes nothing, and hit reads the wildcards
+            # on the branch: only a changed set is tested on its own
+            if tuned is not branch and (
+                primitive_clash(tuned) or self.nogoods.hit_wildcard(tuned)
+            ) or self.nogoods.hit(cut, edge, branch):
                 continue
             if self.trace is not None:
                 self.trace(f"PB node={node_id} branch={index}")
@@ -330,27 +359,23 @@ class Tableau:
         # restarts the tree, so this triple is new
         self._record(cut, edge, label)
 
-    def _clash_zeroed(self, tuned: Branch, role: Role) -> LiiSystem:
-        """The role's system with its clashed atoms zeroed; the caller has
-        checked its width."""
+    def _system(self, tuned: Branch, role: Role) -> tuple[LiiSystem, list[frozenset]]:
+        """The role's system with its clashed atoms zeroed, and its atoms;
+        the caller has checked its width."""
         system = build_lii(tuned, role)
         for mask in clashed_atoms(system.fillers):
             system = zero_column(system, mask)
-        return system
-
-    def _dump(self, node_id: int, role: Role, system: LiiSystem) -> None:
-        self.dump_systems(f"lii node={node_id} role={role}\n{system.describe()}")
+        return system, atomic_decomposition(system.fillers, self.limits.lambda_max)
 
     def _apply_lii(self, node_id: int, branch: Branch, tuned: Branch, role: Role) -> bool:
         """Decompose the role's restrictions, solve, expand the children.
 
-        The first solve reads the role's restrictions off the tuned branch:
-        when full_atom_solution answers, its one child is expanded without
-        a system, and the system is built, with the clashed atoms and the
-        full atom zeroed, only when that child hits a stored triple.  Under
-        dump_systems the system is also built to be printed, so the dump
-        does not depend on the shortcut.  Every other role builds its system
-        with the clashed atoms zeroed and solves it.
+        When full_atom_solution answers, its {full: most} is the first
+        solution, the one feasible would return, and no system is built
+        until that child fails.  Otherwise the role's system is built with
+        its clashed atoms zeroed and solved.  Under dump_systems each solve
+        prints the system first, built for the purpose when the answer
+        stands in for it.
 
         A child that hits a cached nogood zeroes its column and the system is
         re-solved.  A fresh child failure, and a system that turns out
@@ -371,40 +396,28 @@ class Tableau:
             answer = full_atom_solution(tuned, role, self.limits.lambda_max)
         except SolverLimitError as exc:
             raise ResourceLimitError(f"node {node_id} role {role}: {exc}") from None
+        if answer is None:
+            system, atoms = self._system(tuned, role)
+            width = len(system.fillers)
+        else:
+            system = atoms = None
+            full, most = answer
+            width = len(full)
+        self.stats.max_lambda = max(self.stats.max_lambda, width)
         context_zeroing = False
-        if answer is not None:
-            # the solution feasible would return, {full: most}, without a
-            # system; one is built only to print it
-            full, _ = answer
-            self.stats.max_lambda = max(self.stats.max_lambda, len(full))
-            if self.dump_systems is not None:
-                self._dump(node_id, role, self._clash_zeroed(tuned, role))
-            self.stats.lii_solves += 1
-            if self.trace is not None:
-                self.trace(
-                    f"LII node={node_id} role={role} atoms={(1 << len(full)) - 1} "
-                    "verdict=feasible"
-                )
-            blocking = self._expand(full | self._core_label, child_cut, role)
-            if blocking is None:
-                return True
-            context_zeroing = not blocking.is_wildcard()
-
-        system = self._clash_zeroed(tuned, role)
-        fillers = system.fillers
-        self.stats.max_lambda = max(self.stats.max_lambda, len(fillers))
-        atoms = atomic_decomposition(fillers, self.limits.lambda_max)
-        if answer is not None:  # its child failed: zero the full atom, re-solve
-            system = zero_column(system, len(atoms))
         completed: set[int] = set()
         while True:
             if self.dump_systems is not None:
-                self._dump(node_id, role, system)
+                shown = system if system is not None else self._system(tuned, role)[0]
+                self.dump_systems(f"lii node={node_id} role={role}\n{shown.describe()}")
             self.stats.lii_solves += 1
-            solution = feasible(system, self.limits.solver_max_steps)
+            if system is None:
+                solution = {(1 << width) - 1: most}
+            else:
+                solution = feasible(system, self.limits.solver_max_steps)
             if self.trace is not None:
                 self.trace(
-                    f"LII node={node_id} role={role} atoms={len(atoms)} "
+                    f"LII node={node_id} role={role} atoms={(1 << width) - 1} "
                     f"verdict={'feasible' if solution is not None else 'infeasible'}"
                 )
             if solution is None:
@@ -418,10 +431,13 @@ class Tableau:
             for mask in solution:
                 if mask in completed:
                     continue
-                blocking = self._expand(atoms[mask - 1] | self._core_label, child_cut, role)
+                child = full if atoms is None else atoms[mask - 1]
+                blocking = self._expand(child | self._core_label, child_cut, role)
                 if blocking is None:
                     completed.add(mask)
                     continue
+                if system is None:
+                    system, atoms = self._system(tuned, role)
                 system = zero_column(system, mask)
                 if not blocking.is_wildcard():
                     context_zeroing = True

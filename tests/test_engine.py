@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -265,7 +266,8 @@ def test_each_branch_reads_the_wildcards_once():
     # fine_tune hands back the branch itself when it changes nothing, and at
     # the root the empty context is the wildcards' own: either way, one
     # scan of the wildcard bodies per branch, plus the edge's context below
-    # the root
+    # the root.  decide's loop test is the root's label test, so the root
+    # label is scanned once per pass
     calls = []
 
     def hook(name, fn):
@@ -294,6 +296,103 @@ def test_each_branch_reads_the_wildcards_once():
         ]
         assert len(wildcard_scans) == 1, calls
         assert context_scans == ([] if edge is None else [(EMPTY_CUT_SET, edge, branch)])
+        if edge is None:
+            root_label = frozenset({tableau.problem.goal})
+            root_scans = [args for name, args in calls if args == (root_label,)]
+            assert len(root_scans) == tableau.stats.restarts + 1 == 1, calls
+
+
+def test_overlapping_runs_keep_the_recursion_limit_raised():
+    # the limit is process-wide: run A ends while run B, in another thread,
+    # is still active; B's 900-deep chain needs the raised limit to its end,
+    # and the limit drops back only when the last run leaves
+    chain = A
+    for _ in range(900):
+        chain = AtLeast(1, R, chain)
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, 5000))  # build_problem recurses
+    try:
+        deep = build_problem(chain)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    b_entered, a_returned = threading.Event(), threading.Event()
+    started, results = [], {}
+
+    def run_b():
+        def trace_b(line):
+            if not b_entered.is_set():
+                b_entered.set()
+                a_returned.wait(30)
+
+        try:
+            results["B"] = decide(deep, trace=trace_b).satisfiable
+        except RecursionError as exc:
+            results["B"] = exc
+
+    def trace_a(line):
+        if not started:
+            started.append(threading.Thread(target=run_b))
+            started[0].start()
+            b_entered.wait(30)
+
+    def run_a():
+        try:
+            results["A"] = decide_text("(atleast 1 R A)", trace=trace_a).satisfiable
+        finally:
+            a_returned.set()
+
+    thread_a = threading.Thread(target=run_a)
+    thread_a.start()
+    thread_a.join(60)
+    started[0].join(60)
+    assert not thread_a.is_alive() and not started[0].is_alive()
+    assert results == {"A": True, "B": True}
+    assert sys.getrecursionlimit() == old_limit
+
+
+def test_runs_in_many_threads_keep_the_recursion_limit_raised():
+    # a lost update of the active-run count would restore the limit under
+    # a live run, or leave it raised after the last one
+    old_limit = sys.getrecursionlimit()
+    problem = build_problem(parse_concept("(and (atleast 1 R A) (or B C))"))
+    low, done = [], []
+
+    def check(line):
+        if sys.getrecursionlimit() < 20_000:
+            low.append(line)
+
+    def runs():
+        for _ in range(100):
+            done.append(Tableau(problem, trace=check).decide().satisfiable)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=runs) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert done == [True] * 400
+    assert low == []
+    assert sys.getrecursionlimit() == old_limit
+
+
+def test_the_recursion_limit_is_restored_after_every_outcome():
+    old_limit = sys.getrecursionlimit()
+    during = []
+    v = decide_text("(atleast 1 R A)", trace=lambda line: during.append(sys.getrecursionlimit()))
+    assert v.satisfiable
+    assert during and min(during) >= 20_000
+    assert sys.getrecursionlimit() == old_limit
+    assert not decide_text("(and A (not A))").satisfiable
+    assert sys.getrecursionlimit() == old_limit
+    with pytest.raises(ResourceLimitError):
+        decide_text("(atleast 1 R A)", limits=Limits(node_budget=1))
+    assert sys.getrecursionlimit() == old_limit
 
 
 def test_node_budget_aborts():
