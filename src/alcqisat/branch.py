@@ -67,62 +67,95 @@ def enumerate_branches(label: Iterable[Concept]) -> Iterator[Branch]:
     the partial disjunct with all its extensions.
 
     The partial disjunct lives on a trail, a list of the literals added so
-    far plus a membership set; a choice point records the trail length to
-    return to, so building one set of n literals costs O(n).  Pending work
-    is a cons list of (head, rest) pairs shared between the alternatives of
-    an or-node, and choice points sit on an explicit stack, so nesting depth
-    is bounded by memory, not by the recursion limit.
+    far plus a membership set.  The label, sorted, and each and-node are
+    read as a run of parts: the literals that lead it are added on the
+    spot, and from its first junction on, the parts go onto the pending
+    work, a cons list of (head, rest) pairs.  Canonical order puts an
+    and-node's literals before its junctions, so only junctions are pushed.
+    An or-node with several live parts pushes one choice point holding
+    those parts, the index of the next to try, the pending work and the
+    trail length to return to, so building one set of n literals costs
+    O(n).  Choice points sit on an explicit stack, so nesting depth is
+    bounded by memory, not by the recursion limit.
     """
+    if not isinstance(label, (set, frozenset)):
+        label = set(label)  # a repeated part would be walked twice
+    parts = sorted_concepts(label)  # the label, read like an and-node
     work = None
-    for c in reversed(sorted_concepts(set(label))):
-        work = (c, work)
     trail: list[Concept] = []
     members: set[Concept] = set()
     seen: set[Branch] = set()
-    stack = [(work, 0)]
-    while stack:
-        work, mark = stack.pop()
-        while len(trail) > mark:
-            members.discard(trail.pop())
-        while work is not None:
-            head, work = work
-            kind = type(head)
-            if kind is And:
-                for part in reversed(head.parts):
-                    work = (part, work)
-            elif kind is Or:
-                if not members.isdisjoint(head.parts):
-                    continue  # satisfied
-                live = []
-                for part in head.parts:
-                    kind = type(part)
-                    if kind is And or kind is Or:
-                        live.append(part)
-                    elif kind is not Bottom and negate(part) not in members:
-                        live.append(part)
-                if not live:
-                    break
-                # the first part on top, so it is explored first
-                for part in reversed(live[1:]):
-                    stack.append(((part, work), len(trail)))
-                part = live[0]
-                kind = type(part)
-                if kind is And or kind is Or:
-                    work = (part, work)
-                else:  # checked above: new to the trail and clash-free
-                    trail.append(part)
-                    members.add(part)
-            elif kind is Bottom or negate(head) in members:
+    points: list[list] = []  # [live parts, next index, work, trail length]
+    while True:
+        for part in parts:
+            kind = type(part)
+            if kind is And or kind is Or:
+                # the first junction is the first occurrence of its object
+                for later in range(len(parts) - 1, parts.index(part) - 1, -1):
+                    work = (parts[later], work)
                 break
-            elif head not in members:
-                trail.append(head)
-                members.add(head)
-        else:
+            # a literal's negation is cached on it once negate has run
+            if kind is Bottom or (part._neg or negate(part)) in members:
+                parts = None
+                break
+            if part not in members:
+                trail.append(part)
+                members.add(part)
+        part = None  # set to the part an or-node takes next
+        if parts is None:
+            pass  # a clash prunes the partial disjunct
+        elif work is None:
             # a copy of the set reuses its stored hashes
             branch = frozenset(members)
             if branch not in seen:
                 seen.add(branch)
                 yield branch
+        else:
+            head, work = work
+            kind = type(head)
+            if kind is And:
+                parts = head.parts
+                continue
+            if kind is not Or:
+                parts = (head,)  # a literal after a junction
+                continue
+            parts = ()
+            if not members.isdisjoint(head.parts):
+                continue  # satisfied
+            live = []
+            for alt in head.parts:
+                kind = type(alt)
+                if kind is And or kind is Or or (
+                    kind is not Bottom and (alt._neg or negate(alt)) not in members
+                ):
+                    live.append(alt)
+            if len(live) > 1:
+                points.append([live, 1, work, len(trail)])
+            if live:
+                part = live[0]
+        if part is None:
+            if not points:
+                return
+            point = points[-1]
+            live, index, work, mark = point
+            if index + 1 < len(live):
+                point[1] = index + 1
+            else:
+                points.pop()
+            while len(trail) > mark:
+                members.discard(trail.pop())
+            part = live[index]
+        # a live part: new to the trail and clash-free when a literal
+        kind = type(part)
+        if kind is And:
+            parts = part.parts
+        else:
+            parts = ()
+            if kind is Or:
+                work = (part, work)
+            else:
+                trail.append(part)
+                members.add(part)
 
 
 def definite_literals(label: Iterable[Concept]) -> frozenset:

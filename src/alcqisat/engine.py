@@ -17,7 +17,9 @@ Failures are cached as nogood triples (context cut-set, incoming role,
 concept set) in one place, `_record`: every triple it stores is new and
 aborts the current tree, clears the blocking store, and restarts; a repeat
 is an internal error.  A stored body leaves out the axiom and the cut
-formulas, which label every node, so a label is queried as it is.  A node
+formulas, which label every node, so a label is queried as it is.  Since
+only an aborted tree grows the store, a node reads once whether it is
+empty and then asks an empty store nothing.  A node
 whose definite literals (those every branch of its label holds) a stored
 triple already covers would skip every branch, so it fails without walking
 its label.  The run answers unsatisfiable when a triple subsumes the root
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import _thread
 import sys
+from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, NoReturn
 
 from .branch import (
@@ -184,30 +187,42 @@ class _RestartRequested(Exception):
 class _RecursionLimit:
     """Holds the interpreter's recursion limit at `limit` or more while any
     run is active.  The limit is process-wide and runs in other threads
-    overlap, so the first run to enter raises it and the last to leave
-    restores what the first found."""
+    overlap, so the first run to enter raises it, when it finds it below
+    `limit`, and the last to leave restores what the first found.  A limit
+    already at `limit` or more is neither set nor restored, so then a run
+    costs a lock round trip and a counter update on entry and on exit."""
 
     def __init__(self, limit: int):
         self._limit = limit
         self._lock = _thread.allocate_lock()
         self._active = 0
-        self._saved = 0
+        self._saved = 0  # the limit to restore, 0 when the first run left it
 
     def __enter__(self) -> None:
-        with self._lock:
-            if not self._active:
-                self._saved = sys.getrecursionlimit()
-                sys.setrecursionlimit(max(self._saved, self._limit))
-            self._active += 1
+        lock = self._lock
+        lock.acquire()
+        if not self._active:
+            saved = sys.getrecursionlimit()
+            if saved < self._limit:
+                sys.setrecursionlimit(self._limit)
+                self._saved = saved
+        self._active += 1
+        lock.release()
 
     def __exit__(self, *exc_info) -> None:
-        with self._lock:
-            self._active -= 1
-            if not self._active:
-                sys.setrecursionlimit(self._saved)
+        lock = self._lock
+        lock.acquire()
+        self._active -= 1
+        if not self._active and self._saved:
+            sys.setrecursionlimit(self._saved)
+            self._saved = 0
+        lock.release()
 
 
 _RECURSION_LIMIT = _RecursionLimit(20_000)
+
+
+_ROLE_KEY = attrgetter("base", "inverted")
 
 
 def _fmt_set(concepts: Iterable[Concept]) -> str:
@@ -280,8 +295,9 @@ class Tableau:
             try:
                 # each pass stores a new triple or ends the run, and the
                 # store raises at capacity; the root's own label test is
-                # this one
-                while not self.nogoods.hit(EMPTY_CUT_SET, None, root_label):
+                # this one, and an empty store is not asked
+                nogoods = self.nogoods
+                while not (nogoods and nogoods.hit(EMPTY_CUT_SET, None, root_label)):
                     self.witnesses.clear()
                     self._tree_nodes = 0
                     try:
@@ -310,14 +326,19 @@ class Tableau:
             raise ResourceLimitError(
                 f"node budget of {self.limits.node_budget} exceeded in one tree"
             )
-        if edge is not None:  # decide's loop test is the root's
-            hit = self.nogoods.hit(cut, edge, label)
-            if hit is not None:
-                return hit
-        # every branch holds the definite literals; when a stored triple
-        # covers them, the checks below would skip every branch
-        if self.nogoods and self.nogoods.hit(cut, edge, definite_literals(label)) is not None:
-            self._record(cut, edge, label)
+        # the store grows only in _record, which aborts the tree, so what
+        # is read here holds for the whole node: an empty store is not asked
+        nogoods = self.nogoods
+        stored = bool(nogoods)
+        if stored:
+            if edge is not None:  # decide's loop test is the root's
+                hit = nogoods.hit(cut, edge, label)
+                if hit is not None:
+                    return hit
+            # every branch holds the definite literals; when a stored triple
+            # covers them, the checks below would skip every branch
+            if nogoods.hit(cut, edge, definite_literals(label)) is not None:
+                self._record(cut, edge, label)
 
         for index, branch in enumerate(enumerate_branches(label)):
             tuned = fine_tune(branch, cut, edge)
@@ -325,8 +346,8 @@ class Tableau:
             # itself when it changes nothing, and hit reads the wildcards
             # on the branch: only a changed set is tested on its own
             if tuned is not branch and (
-                primitive_clash(tuned) or self.nogoods.hit_wildcard(tuned)
-            ) or self.nogoods.hit(cut, edge, branch):
+                primitive_clash(tuned) or stored and nogoods.hit_wildcard(tuned)
+            ) or stored and nogoods.hit(cut, edge, branch):
                 continue
             if self.trace is not None:
                 self.trace(f"PB node={node_id} branch={index}")
@@ -344,10 +365,9 @@ class Tableau:
 
             # only an at-least with a positive bound forces a successor; on
             # any other role the all-zero vector is the smallest solution
-            roles = sorted(
-                {lit.role for lit in tuned if type(lit) is AtLeast and lit.bound > 0},
-                key=lambda r: (r.base, r.inverted),
-            )
+            roles = {lit.role for lit in tuned if type(lit) is AtLeast and lit.bound > 0}
+            if len(roles) > 1:
+                roles = sorted(roles, key=_ROLE_KEY)
             for role in roles:
                 if not self._apply_lii(node_id, branch, tuned, role):
                     break
@@ -359,13 +379,13 @@ class Tableau:
         # restarts the tree, so this triple is new
         self._record(cut, edge, label)
 
-    def _system(self, tuned: Branch, role: Role) -> tuple[LiiSystem, list[frozenset]]:
-        """The role's system with its clashed atoms zeroed, and its atoms;
-        the caller has checked its width."""
+    def _system(self, tuned: Branch, role: Role) -> LiiSystem:
+        """The role's system with its clashed atoms zeroed; the caller has
+        checked its width, and takes its atoms only to expand children."""
         system = build_lii(tuned, role)
         for mask in clashed_atoms(system.fillers):
             system = zero_column(system, mask)
-        return system, atomic_decomposition(system.fillers, self.limits.lambda_max)
+        return system
 
     def _apply_lii(self, node_id: int, branch: Branch, tuned: Branch, role: Role) -> bool:
         """Decompose the role's restrictions, solve, expand the children.
@@ -390,14 +410,19 @@ class Tableau:
         # tuned, so a stored wildcard covered by the two together rules the
         # branch out; the walk's checks only saw the literals themselves
         choices = choice_literals(child_cut)
-        if not choices <= tuned and self.nogoods.hit_wildcard(tuned | choices) is not None:
+        if (
+            self.nogoods
+            and not choices <= tuned
+            and self.nogoods.hit_wildcard(tuned | choices) is not None
+        ):
             return False
         try:
             answer = full_atom_solution(tuned, role, self.limits.lambda_max)
         except SolverLimitError as exc:
             raise ResourceLimitError(f"node {node_id} role {role}: {exc}") from None
         if answer is None:
-            system, atoms = self._system(tuned, role)
+            system = self._system(tuned, role)
+            atoms = atomic_decomposition(system.fillers, self.limits.lambda_max)
             width = len(system.fillers)
         else:
             system = atoms = None
@@ -408,7 +433,7 @@ class Tableau:
         completed: set[int] = set()
         while True:
             if self.dump_systems is not None:
-                shown = system if system is not None else self._system(tuned, role)[0]
+                shown = system if system is not None else self._system(tuned, role)
                 self.dump_systems(f"lii node={node_id} role={role}\n{shown.describe()}")
             self.stats.lii_solves += 1
             if system is None:
@@ -437,7 +462,8 @@ class Tableau:
                     completed.add(mask)
                     continue
                 if system is None:
-                    system, atoms = self._system(tuned, role)
+                    system = self._system(tuned, role)
+                    atoms = atomic_decomposition(system.fillers, self.limits.lambda_max)
                 system = zero_column(system, mask)
                 if not blocking.is_wildcard():
                     context_zeroing = True

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from itertools import islice
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -40,19 +41,23 @@ class Role:
 
     Roles are interned like concepts: constructing one returns the object
     already built for its base and marker, so equal roles are one object
-    and compare and hash by identity.  Roles are frozen: assigning or
-    deleting an attribute raises AttributeError."""
+    and compare and hash by identity.  A role's two directions are built
+    together, each holding the other, so inverse() reads a slot.  Roles are
+    frozen: assigning or deleting an attribute raises AttributeError."""
 
-    __slots__ = ("base", "inverted")
+    __slots__ = ("base", "inverted", "_inv")
 
     def __new__(cls, base: str, inverted: bool = False):
         key = (base, bool(inverted))
         role = _ROLES.get(key)
         if role is None:
-            role = object.__new__(cls)
-            object.__setattr__(role, "base", key[0])
-            object.__setattr__(role, "inverted", key[1])
-            _ROLES[key] = role
+            forward, backward = object.__new__(cls), object.__new__(cls)
+            for this, other, marker in ((forward, backward, False), (backward, forward, True)):
+                object.__setattr__(this, "base", base)
+                object.__setattr__(this, "inverted", marker)
+                object.__setattr__(this, "_inv", other)
+                _ROLES[(base, marker)] = this
+            role = _ROLES[key]
         return role
 
     def __setattr__(self, name, value):
@@ -62,7 +67,7 @@ class Role:
         raise AttributeError(f"cannot delete field '{name}'")
 
     def inverse(self) -> "Role":
-        return Role(self.base, not self.inverted)
+        return self._inv
 
     def __repr__(self) -> str:
         return f"Role(base={self.base!r}, inverted={self.inverted!r})"
@@ -226,8 +231,12 @@ TOP = Top()
 BOTTOM = Bottom()
 
 
+# concept_key, called from C
+_KEY = attrgetter("_key")
+
+
 def sorted_concepts(concepts: Iterable[Concept]) -> list[Concept]:
-    return sorted(concepts, key=concept_key)
+    return sorted(concepts, key=_KEY)
 
 
 def _junction(parts: Iterable[Concept], cls: type, unit: Concept) -> Concept:

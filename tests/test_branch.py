@@ -1,15 +1,18 @@
+import hashlib
 import itertools
 import random
 import sys
 from collections import Counter
 
 from alcqisat import (
+    And,
     AtLeast,
     AtMost,
     Atom,
     BOTTOM,
     EMPTY_CUT_SET,
     NegAtom,
+    Or,
     Role,
     TOP,
     branch_satisfies,
@@ -158,6 +161,52 @@ def test_enumeration_matches_truth_table():
         for bits in itertools.product([True, False], repeat=len(leaves)):
             assignment = dict(zip(leaves, bits))
             assert truth(assignment, formula) == sat_by_branch(assignment)
+
+
+WALK_LITERALS = (
+    TOP, BOTTOM, A, B, C, NegAtom("A"), NegAtom("B"), NegAtom("C"),
+    AtLeast(1, R, A), AtMost(0, R, A), AtLeast(2, R_INV, B), AtMost(1, R_INV, B),
+)
+
+
+def random_walk_concept(rng, depth):
+    """An NNF concept whose and/or nodes are built either through conj/disj
+    or directly from their parts, in any order and possibly repeated, so a
+    literal can follow a junction."""
+    if depth <= 0 or rng.random() < 0.3:
+        return rng.choice(WALK_LITERALS)
+    parts = [random_walk_concept(rng, depth - 1) for _ in range(rng.randint(2, 3))]
+    pick = rng.randrange(4)
+    if pick == 0:
+        return conj(parts)
+    if pick == 1:
+        return disj(parts)
+    return (And if pick == 2 else Or)(tuple(parts))
+
+
+def walk_sequences_digest() -> str:
+    """sha256 over every yielded set, in yield order, of 400 seeded labels,
+    handed over as a frozenset, a set or a list with repeats."""
+    rng = random.Random(2022)
+    digest = hashlib.sha256()
+    for index in range(400):
+        parts = [random_walk_concept(rng, rng.randint(0, 3)) for _ in range(rng.randint(1, 4))]
+        label = (frozenset(parts), set(parts), parts + parts[:1])[index % 3]
+        lines = [f"#{index}"]
+        for branch in enumerate_branches(label):
+            lines.append(" ".join(sorted(str(lit) for lit in branch)))
+        digest.update("\n".join(lines).encode() + b"\n")
+    return digest.hexdigest()
+
+
+# computed with the walk that pushed one cons cell per part and one stack
+# entry per alternative; a change to the walk must yield the same sets in
+# the same order
+WALK_SEQUENCES_DIGEST = "a8375dc1fb6409654318b812fe5f861f728129fefe5b92fe4166027922a0a102"
+
+
+def test_walk_yields_are_pinned():
+    assert walk_sequences_digest() == WALK_SEQUENCES_DIGEST
 
 
 def make_cuts(goal):

@@ -302,6 +302,37 @@ def test_each_branch_reads_the_wildcards_once():
             assert len(root_scans) == tableau.stats.restarts + 1 == 1, calls
 
 
+def test_an_empty_store_is_never_queried(monkeypatch):
+    # the store grows only in _record, which aborts the tree, so a node
+    # reads once whether it is empty; counting #1 stores no triple, so its
+    # run asks the store nothing
+    corpora = bench_module("corpora")
+    pf = corpora.generate("counting")[1]
+    calls = []
+
+    def hooked(name):
+        lookup = getattr(NogoodStore, name)
+
+        def wrapper(self, *args):
+            calls.append(name)
+            return lookup(self, *args)
+        return wrapper
+
+    for name in ("hit", "hit_wildcard", "hit_exact"):
+        monkeypatch.setattr(NogoodStore, name, hooked(name))
+    trace = []
+    tableau = Tableau(build_problem(pf.query, pf.tbox), Limits(nogood_capacity=250), trace=trace.append)
+    verdict = tableau.decide()
+    assert calls == []
+    assert verdict == (True, RunStats(restarts=0, nodes=3, nogoods=0, lii_solves=1, max_lambda=4))
+    assert trace == [
+        "PB node=0 branch=0",
+        "LII node=0 role=R atoms=15 verdict=feasible",
+        "PB node=1 branch=0",
+        "PB node=2 branch=0",
+    ]
+
+
 def test_overlapping_runs_keep_the_recursion_limit_raised():
     # the limit is process-wide: run A ends while run B, in another thread,
     # is still active; B's 900-deep chain needs the raised limit to its end,
@@ -622,15 +653,29 @@ def test_full_atom_answers_a_role_exactly_when_feasible_would(monkeypatch):
     assert all(answered.values()), answered
 
 
-def test_a_failed_full_atom_child_falls_back_to_the_system():
+def test_a_failed_full_atom_child_falls_back_to_the_system(monkeypatch):
     # the full atom {A, B} answers R, but the axiom kills its child; the
     # tree restarts, the stored body blocks the child again, and the role
-    # goes to the system with the full atom (mask 3) zeroed
+    # goes to the system with the full atom (mask 3) zeroed.  A dump prints
+    # the system of each answered solve without decomposing it, so only
+    # the fallback, which expands children, takes the atoms, dump or not
     problem = build_problem(
         parse_concept("(and (atleast 1 R A) (atleast 1 R B))"), [(conj([A, B]), BOTTOM)]
     )
+    decompose = engine.atomic_decomposition
+    decompositions = []
+
+    def counted(*args):
+        decompositions.append(args)
+        return decompose(*args)
+
+    monkeypatch.setattr(engine, "atomic_decomposition", counted)
+    Tableau(problem).decide()
+    assert len(decompositions) == 1
+    decompositions.clear()
     trace, dumps = [], []
     v = Tableau(problem, trace=trace.append, dump_systems=dumps.append).decide()
+    assert len(decompositions) == 1
     assert v.satisfiable
     assert v.stats.lii_solves == 3
     solves = [line for line in trace if line.startswith("LII node=2 role=R")]

@@ -89,12 +89,19 @@ def test_parse_error_carries_position():
 def test_role_inverse_involution():
     assert R.inverse().inverse() == R
     assert R.inverse() == Role("R", True)
+    # building the inverse first builds the forward role with it, and each
+    # direction holds the other: inverse() returns the interned object
+    backward = Role("Q", True)
+    forward = Role("Q")
+    assert forward.inverse() is backward
+    assert backward.inverse() is forward
+    assert backward.inverse().inverse() is backward
 
 
 def test_role_fields_cannot_be_deleted_or_assigned():
     # roles are interned, so a lost field would be lost for every later use
     role = Role("Frozen")
-    for name in ("base", "inverted"):
+    for name in ("base", "inverted", "_inv"):
         with pytest.raises(AttributeError):
             delattr(role, name)
         with pytest.raises(AttributeError):
