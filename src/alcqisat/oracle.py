@@ -3,21 +3,21 @@
 Ground-truth semantics for tests: interprets concepts over explicit finite
 structures and searches all interpretations up to a small domain size, in a
 fixed candidate order.  For each domain size n the search compiles goal and
-axiom into bitmask ops in one recursive pass, one call per subterm visit,
-folding every number restriction whose value n decides (an at-least above
-n, an at-most of n or more) to a constant; equal subterms are one
-hash-consed node and get one slot.  A raw negation is compiled through its
-NNF, which has the same extension.  The candidate loops are grouped into
-blocks of at most SLICE_BITS bits, and a block evaluates each op once for
-all its candidates, bit-sliced: an extension is one int whose bit c*n + x
-holds element x under the block's candidate c, so a junction or a negated
-atom is one bitwise operation.  The passing candidates of a block are
-entered in ascending order, and every candidate below one that already
-fails is skipped.  A folded op has the value the restriction has on every
-size-n candidate, a skipped candidate fails a check it cannot change, and a
+axiom into bitmask ops in one recursive pass, folding every number
+restriction whose value n decides (an at-least above n, an at-most of n or
+more) to a constant; equal subterms are one hash-consed node and get one
+slot.  A raw negation is compiled through its NNF, which has the same
+extension.  The candidate loops are grouped into blocks of at most
+SLICE_BITS bits, and a block evaluates each op once for all its
+candidates, bit-sliced: an extension is one int whose bit c*n + x holds
+element x under the block's candidate c, so a junction or a negated atom
+is one bitwise operation.  A block's passing candidates are entered in
+ascending order, and every candidate below one that already fails is
+skipped.  A folded op has the value the restriction has on every size-n
+candidate, a skipped candidate fails a check it cannot change, and a
 block's candidates ascend in the plain order, so the search returns the
-model a plain enumeration of the same order returns.  A negative answer is
-never a proof of unsatisfiability; the result type says how far it went.
+model a plain enumeration returns.  A negative answer is never a proof of
+unsatisfiability; the result type says how far it went.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class Interpretation(NamedTuple):
     role_extensions: Mapping[str, frozenset[tuple[int, int]]]
 
     def neighbors(self, role: Role, x: int) -> list[int]:
-        pairs = self.role_extensions.get(role.base, frozenset())
+        pairs = self.role_extensions.get(role.base, ())
         if role.inverted:
             return [y for (y, z) in pairs if z == x]
         return [y for (z, y) in pairs if z == x]
@@ -70,8 +70,7 @@ class Interpretation(NamedTuple):
         for name in sorted(self.concept_extensions):
             lines.append(f"concept {name}: {sorted(self.concept_extensions[name])}")
         for name in sorted(self.role_extensions):
-            pairs = sorted(self.role_extensions[name])
-            lines.append(f"role {name}: {pairs}")
+            lines.append(f"role {name}: {sorted(self.role_extensions[name])}")
         return "\n".join(lines)
 
 
@@ -90,9 +89,9 @@ def evaluate(interp: Interpretation, c: Concept, element: int) -> bool:
     if isinstance(c, Bottom):
         return False
     if isinstance(c, Atom):
-        return element in interp.concept_extensions.get(c.name, frozenset())
+        return element in interp.concept_extensions.get(c.name, ())
     if isinstance(c, NegAtom):
-        return element not in interp.concept_extensions.get(c.name, frozenset())
+        return element not in interp.concept_extensions.get(c.name, ())
     if isinstance(c, Not):
         return not evaluate(interp, c.sub, element)
     if isinstance(c, And):  # plain loops: one frame per level of nesting
@@ -110,9 +109,7 @@ def evaluate(interp: Interpretation, c: Concept, element: int) -> bool:
         for y in interp.neighbors(c.role, element):
             if evaluate(interp, c.filler, y):
                 count += 1
-        if isinstance(c, AtMost):
-            return count <= c.bound
-        return count >= c.bound
+        return count <= c.bound if isinstance(c, AtMost) else count >= c.bound
     raise TypeError(f"unknown concept node: {c!r}")
 
 
@@ -193,9 +190,7 @@ class _Program(NamedTuple):
     depths: list[int]  # per slot, the depth of the loop that fixes its value
 
 
-def _compile(
-    goal: Concept, axiom: Concept, atom_list: list[str], role_list: list[str], n: int
-) -> _Program:
+def _compile(goal: Concept, axiom: Concept, atom_list: list[str], role_list: list[str], n: int) -> _Program:
     """One walk over goal and axiom for the candidates over domain {0..n-1}.
 
     Every subterm becomes an op `(opcode, slot, *args)`; its slot will hold
@@ -206,26 +201,26 @@ def _compile(
     `_fold` walks the subterms, one call per visit.
     """
     block_of, shapes = _layout(n, len(atom_list), len(role_list))
-    stages: list[list[tuple]] = [[] for _ in shapes]
+    stages, goal_parts, axiom_parts = [], [], []
+    for _ in shapes:
+        stages.append([])
+        goal_parts.append([])
+        axiom_parts.append([])
     depths: list[int] = [0, 0]  # of bottom and top
     seen: dict[Concept, int] = {}
-    conjuncts: list[list[list[int]]] = []
-    for c in goal, axiom:  # goal first: slots are numbered in visit order
-        by_block: list[list[int]] = [[] for _ in shapes]
+    # goal first: slots are numbered in visit order
+    for c, by_block in (goal, goal_parts), (axiom, axiom_parts):
         for part in c.parts if type(c) is And else (c,):
             slot = _fold(part, n, atom_list, role_list, block_of, stages, depths, seen)
             by_block[block_of[depths[slot]]].append(slot)
-        conjuncts.append(by_block)
-    goal_parts, axiom_parts = conjuncts
     return _Program(shapes, stages, axiom_parts, goal_parts, depths)
 
 
 def _fold(c: Concept, n: int, atom_list: list[str], role_list: list[str], block_of: list[int],
           stages: list[list[tuple]], depths: list[int], seen: dict[Concept, int]) -> int:
     """The slot of c, emitting its op and depth on the first visit (see
-    `_compile`).  Nodes are hash-consed, so `seen` is keyed by the node
-    itself and equal subterms share one slot.  A raw negation is folded as
-    its NNF, which has the same extension.
+    `_compile`); `seen` is keyed by the hash-consed node, so equal subterms
+    share one slot.  A raw negation is folded as its NNF.
 
     A subterm whose extension is the same on every size-n candidate folds
     to slot 1 (top) or slot 0 (bottom), at depth 0: an at-least above n or
@@ -242,15 +237,17 @@ def _fold(c: Concept, n: int, atom_list: list[str], role_list: list[str], block_
         # the junction's unit drops out, its negation decides it
         unit = 1 if kind is And else 0
         kept: list[int] = []
+        depth = 0
         for p in c.parts:
             slot = _fold(p, n, atom_list, role_list, block_of, stages, depths, seen)
             if slot == 1 - unit:
                 break
             if slot != unit:
                 kept.append(slot)
+                if depths[slot] > depth:
+                    depth = depths[slot]
         else:
             if len(kept) > 1:
-                depth = max([depths[p] for p in kept])
                 slot = len(depths)
                 depths.append(depth)
                 stages[block_of[depth]].append((_AND if unit else _OR, slot, tuple(kept)))
@@ -344,25 +341,20 @@ def _passing(program: _Program, b: int, n: int, ext: list[int], index: int, meet
     return some_meet & ~some_short & rep, meet, wide
 
 
-def _sweep(program: _Program, n: int) -> int | None:
-    """The index of the first candidate over domain {0..n-1} that is a
-    model (see `_layout`), or None.
+def _descend(program: _Program, n: int, ext: list[int], b: int, meet: int, index: int) -> int | None:
+    """The index of the first model among block b's candidates over domain
+    {0..n-1}, under the outer blocks' extensions (in ext), index bits and
+    goal meet, or None.
 
     Candidates run in `find_model`'s order: the atom bits outermost, then
     one loop per role, the last sorted role outermost and role 0 innermost.
-    `_descend` evaluates a block's ops over all its candidates at once and
-    checks that the axiom conjuncts fixed there are full and that the goal
-    conjuncts fixed so far still meet.  It enters the passing candidates in
-    ascending order, one call each; a failing one skips every candidate
-    below, since none of them can change the failed values.  The innermost
-    block's lowest passing candidate completes the first model.
+    `_passing` evaluates the block's ops over all its candidates at once
+    and checks that the axiom conjuncts fixed there are full and that the
+    goal conjuncts fixed so far still meet.  The passing candidates are
+    entered in ascending order, one call each; a failing one skips every
+    candidate below, since none of them can change the failed values.  The
+    innermost block's lowest passing candidate completes the first model.
     """
-    return _descend(program, n, [0] * len(program.depths), 0, (1 << n) - 1, 0)
-
-
-def _descend(program: _Program, n: int, ext: list[int], b: int, meet: int, index: int) -> int | None:
-    """The first model among block b's candidates under the outer blocks'
-    extensions (in ext), index bits and goal meet, or None."""
     chunk = (1 << n) - 1
     ok, meet, wide = _passing(program, b, n, ext, index, meet)
     while ok:
@@ -398,50 +390,59 @@ def find_model(
     with the largest fully searched size when the search space for the next
     size would blow the candidate budget.
 
-    For each size n, one pass of `_compile` turns goal and axiom into
-    bitmask ops, with every subterm that has one value on all size-n
-    candidates folded to a constant, and `_sweep` walks the candidates in
-    that same order, block of loops by block (`_layout`), skipping every
-    candidate nested in a block candidate that fails.  Folding changes no
-    op's value on any candidate and skipping drops only candidates that
-    fail, so the first model is the one the plain enumeration returns.  The
-    budget still counts each size's whole candidate space, skipped
+    One walk over the distinct subterms reads the signature.  For each size
+    n, one pass of `_compile` turns goal and axiom into bitmask ops, with
+    every subterm that has one value on all size-n candidates folded to a
+    constant, and `_descend` walks the candidates in that same order, block
+    of loops by block (`_layout`), skipping every candidate nested in a
+    block candidate that fails.  Folding changes no op's value on any
+    candidate and skipping drops only candidates that fail, so the first
+    model is the one the plain enumeration returns; `_materialize` builds
+    it.  The budget still counts each size's whole candidate space, skipped
     candidates included.
     """
     atoms, roles = signature_of(goal, axiom)
     if len(atoms) > max_atoms or len(roles) > max_roles:
         raise OracleLimitError(
-            f"signature too large for brute-force search: "
-            f"{len(atoms)} atoms, {len(roles)} roles"
+            f"signature too large for brute-force search: {len(atoms)} atoms, {len(roles)} roles"
         )
     if max_domain > 3:
         raise OracleLimitError(f"max_domain {max_domain} exceeds the search guard of 3")
 
     atom_list, role_list = sorted(atoms), sorted(roles)
-    spent = searched = 0
+    spent = 0
     for n in range(1, max_domain + 1):
-        space = 1 << (n * len(atom_list) + n * n * len(role_list))
-        if spent + space > budget:
-            return NoneFound(searched_max_domain=searched)
-        spent += space
+        spent += 1 << (n * len(atom_list) + n * n * len(role_list))
+        if spent > budget:
+            return NoneFound(n - 1)
         try:
             program = _compile(goal, axiom, atom_list, role_list, n)
         except RecursionError:  # one frame per nesting level
             raise OracleLimitError("concept nesting too deep for the model search") from None
-        index = _sweep(program, n)
+        index = _descend(program, n, [0] * len(program.depths), 0, (1 << n) - 1, 0)
         if index is not None:
             return _materialize(n, atom_list, role_list, index)
-        searched = n
-    return NoneFound(searched_max_domain=searched)
+    return NoneFound(max(max_domain, 0))
 
 
 def _materialize(n: int, atom_list: list[str], role_list: list[str], index: int) -> Interpretation:
-    """The candidate over domain {0..n-1} with the given index (see `_layout`)."""
+    """The candidate over domain {0..n-1} with the given index (see
+    `_layout`): each role's mask from the lowest bits up, then each atom's,
+    looked up in `_members`."""
+    chunk, square = (1 << n) - 1, (1 << n * n) - 1
     concepts, roles = {}, {}
-    for i, name in enumerate(atom_list):
-        bits = index >> (n * n * len(role_list) + i * n)
-        concepts[name] = frozenset([x for x in range(n) if bits >> x & 1])
-    for k, name in enumerate(role_list):
-        bits = index >> (k * n * n)
-        roles[name] = frozenset([(x, y) for x in range(n) for y in range(n) if bits >> (x * n + y) & 1])
-    return Interpretation(domain_size=n, concept_extensions=concepts, role_extensions=roles)
+    for name in role_list:
+        roles[name] = _members(n, index & square, True)
+        index >>= n * n
+    for name in atom_list:
+        concepts[name] = _members(n, index & chunk, False)
+        index >>= n
+    return Interpretation(n, concepts, roles)
+
+
+@cache  # one entry per mask, built on first use; n <= 3 bounds the table
+def _members(n: int, bits: int, pairs: bool) -> frozenset:
+    """Element x at bit x of the mask, or pair (x, y) at bit x*n + y."""
+    if pairs:
+        return frozenset([divmod(b, n) for b in range(n * n) if bits >> b & 1])
+    return frozenset([x for x in range(n) if bits >> x & 1])

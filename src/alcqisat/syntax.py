@@ -13,6 +13,8 @@ The parser reads the tokens of a text, taken from one regular-expression
 `findall`; it works out a token's character offset only when it raises a
 ConceptSyntaxError.  `to_nnf` returns a node none of whose children changes
 itself, so a concept already in NNF comes back as the same object.
+`walk_concepts` and `to_nnf` visit each distinct node once, so a subterm
+shared by many parents costs one visit, not one per occurrence.
 """
 
 from __future__ import annotations
@@ -428,22 +430,35 @@ def to_nnf(c: Concept) -> Concept:
     at-least-0 to top, so every bound in NNF output is meaningful.  A node
     none of whose children changes is returned itself: an And/Or node is
     already flat, deduplicated and sorted, so rebuilding it would give back
-    the same object."""
-    if isinstance(c, (Top, Bottom, Atom, NegAtom)):
+    the same object.  Each distinct subterm is converted once per call, so
+    a shared DAG costs its distinct nodes, not its occurrences."""
+    return _nnf(c, {})
+
+
+def _nnf(c: Concept, done: dict[Concept, Concept]) -> Concept:
+    kind = type(c)
+    if kind is Top or kind is Bottom or kind is Atom or kind is NegAtom:
         return c
-    if isinstance(c, Not):
-        return negate(to_nnf(c.sub))
-    if isinstance(c, (And, Or)):
-        parts = [to_nnf(p) for p in c.parts]
+    out = done.get(c)
+    if out is not None:
+        return out
+    if kind is Not:
+        out = negate(_nnf(c.sub, done))
+    elif kind is And or kind is Or:
+        parts = [_nnf(p, done) for p in c.parts]
         if all(new is old for new, old in zip(parts, c.parts)):
-            return c
-        return conj(parts) if isinstance(c, And) else disj(parts)
-    if isinstance(c, (AtLeast, AtMost)):
-        if c.bound == 0 and isinstance(c, AtLeast):
-            return TOP
-        filler = to_nnf(c.filler)
-        return c if filler is c.filler else type(c)(c.bound, c.role, filler)
-    raise TypeError(f"unknown concept node: {c!r}")
+            out = c
+        else:
+            out = conj(parts) if kind is And else disj(parts)
+    elif kind is AtLeast and c.bound == 0:
+        out = TOP
+    elif kind is AtLeast or kind is AtMost:
+        filler = _nnf(c.filler, done)
+        out = c if filler is c.filler else kind(c.bound, c.role, filler)
+    else:
+        raise TypeError(f"unknown concept node: {c!r}")
+    done[c] = out
+    return out
 
 
 def internalize(axioms: list[tuple[Concept, Concept]]) -> Concept:
@@ -467,12 +482,18 @@ def internalize(axioms: list[tuple[Concept, Concept]]) -> Concept:
 
 
 def walk_concepts(*concepts: Concept) -> Iterator[Concept]:
-    """Yield every node of the concepts' ASTs in preorder: parents before
-    children, children left to right, a repeated subterm once per
-    occurrence.  Iterative, so depth is bounded by memory only."""
+    """Yield each distinct node of the concepts' ASTs once, in preorder:
+    parents before children, children left to right, a repeated subterm
+    (one hash-consed node) only where it first occurs.  So a walk is linear
+    in the distinct subterms, also on a shared DAG whose occurrences double
+    with each level.  Iterative, so depth is bounded by memory only."""
+    seen: set[Concept] = set()
     stack = list(reversed(concepts))
     while stack:
         c = stack.pop()
+        if c in seen:
+            continue
+        seen.add(c)
         yield c
         kind = type(c)
         if kind is And or kind is Or:
@@ -498,7 +519,7 @@ def cut_table(goal: Concept, axiom: Concept) -> tuple[tuple[Role, Concept], ...]
     forces no child.  So no node ever has an inverse(role)-child unless goal
     or axiom names inverse(role).  And the formula of a dropped pair holds
     `F or not F`, so it is a tautology whose removal loses no model."""
-    restrictions = [c for c in walk_concepts(goal, axiom) if isinstance(c, (AtMost, AtLeast))]
+    restrictions = [c for c in walk_concepts(goal, axiom) if type(c) is AtMost or type(c) is AtLeast]
     named = {c.role for c in restrictions}
     pairs = {(c.role, c.filler) for c in restrictions if c.role.inverse() in named}
     return tuple(sorted(pairs, key=lambda p: (p[0].base, p[0].inverted, concept_key(p[1]))))
@@ -517,13 +538,15 @@ def cut_formula(role: Role, filler: Concept) -> Concept:
 
 
 def signature_of(*concepts: Concept) -> tuple[frozenset[str], frozenset[str]]:
-    """Atomic concept names and role base names occurring in the concepts."""
+    """Atomic concept names and role base names occurring in the concepts,
+    read in one walk over their distinct nodes."""
     atoms: set[str] = set()
     roles: set[str] = set()
     for c in walk_concepts(*concepts):
-        if isinstance(c, (Atom, NegAtom)):
+        kind = type(c)
+        if kind is Atom or kind is NegAtom:
             atoms.add(c.name)
-        elif isinstance(c, (AtMost, AtLeast)):
+        elif kind is AtMost or kind is AtLeast:
             roles.add(c.role.base)
     return frozenset(atoms), frozenset(roles)
 

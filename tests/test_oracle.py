@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -25,6 +26,7 @@ from alcqisat import (
 from alcqisat.oracle import _AT_LEAST, _compile, _materialize, _passing
 from alcqisat.syntax import BOTTOM, Not, signature_of
 from conftest import (
+    bench_module,
     random_interpretation,
     random_raw_concept,
     reference_find_model,
@@ -380,3 +382,58 @@ def test_lifted_budget_decides_size_3_where_the_default_stops():
             assert isinstance(result, Interpretation) and result.domain_size == 3, i
             assert all(evaluate(result, problem.axiom, x) for x in range(3)), i
             assert any(evaluate(result, problem.goal, x) for x in range(3)), i
+
+
+# sha256 over every result of test_find_model_answers_are_pinned, computed
+# with the per-occurrence signature walk and the extensions built bit by bit
+FIND_MODEL_DIGEST = "e8625b4fe993c98ae65096310370773a35c57b6aad83fc80c6d549ed4397387a"
+
+
+def test_find_model_answers_are_pinned():
+    # the three bench corpora and five generated ones, each searched to
+    # sizes 1, 2 and 3: a model's dump, a NoneFound size or a refusal
+    corpora = bench_module("corpora")
+    files = [pf for workload in ("oracle", "deep", "counting") for pf in corpora.generate(workload)]
+    files += [pf for seed in range(1, 6) for pf in generate_corpus(seed=seed, count=150)]
+    digest, outcomes = hashlib.sha256(), Counter()
+    for pf in files:
+        problem = build_problem(pf.query, pf.tbox)
+        for max_domain in 1, 2, 3:
+            try:
+                result = find_model(problem.goal, problem.axiom, max_domain=max_domain)
+            except OracleLimitError as exc:
+                text = f"refused: {exc}"
+            else:
+                text = result.dump() if isinstance(result, Interpretation) else f"none {result.searched_max_domain}"
+            digest.update(text.encode() + b"\0")
+            outcomes[text.split()[0]] += 1
+    assert sum(outcomes.values()) == 4200
+    assert set(outcomes) == {"domain:", "none", "refused:"}, outcomes
+    assert digest.hexdigest() == FIND_MODEL_DIGEST
+
+
+def plain_materialize(n, atom_list, role_list, index):
+    """The candidate with the given index, each extension built from its
+    bits one by one: the reference for `_materialize`'s tables."""
+    concepts, roles = {}, {}
+    for i, name in enumerate(atom_list):
+        bits = index >> (n * n * len(role_list) + i * n)
+        concepts[name] = frozenset([x for x in range(n) if bits >> x & 1])
+    for k, name in enumerate(role_list):
+        bits = index >> (k * n * n)
+        roles[name] = frozenset([(x, y) for x in range(n) for y in range(n) if bits >> (x * n + y) & 1])
+    return Interpretation(domain_size=n, concept_extensions=concepts, role_extensions=roles)
+
+
+def test_materialize_matches_the_plain_construction():
+    # every atom mask and role mask at sizes 1 to 3; the second atom and
+    # role take the complements, so each mask is also read above the first
+    atom_list, role_list = ["A", "B"], ["R", "S"]
+    for n in 1, 2, 3:
+        chunk, square = (1 << n) - 1, (1 << n * n) - 1
+        for atoms in range(chunk + 1):
+            for roles in range(square + 1):
+                index = roles | (roles ^ square) << n * n | (atoms | (atoms ^ chunk) << n) << 2 * n * n
+                assert _materialize(n, atom_list, role_list, index) == plain_materialize(
+                    n, atom_list, role_list, index
+                ), (n, atoms, roles)

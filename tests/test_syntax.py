@@ -1,8 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import alcqisat
+
 from alcqisat import (
+    And,
     AtLeast,
     AtMost,
     Atom,
@@ -11,6 +18,7 @@ from alcqisat import (
     CorpusProfile,
     NegAtom,
     Not,
+    Or,
     Role,
     TOP,
     build_problem,
@@ -350,3 +358,78 @@ def test_negation_cache_points_one_way():
     at_least_zero = AtLeast(0, R, A)
     assert negate(at_least_zero) is BOTTOM
     assert negate(BOTTOM) is TOP
+
+
+def occurrences(c):
+    """Every node of c's AST in preorder, a repeated subterm once per
+    occurrence: the reference for walk_concepts' order."""
+    yield c
+    if isinstance(c, (And, Or)):
+        for p in c.parts:
+            yield from occurrences(p)
+    elif isinstance(c, (AtMost, AtLeast)):
+        yield from occurrences(c.filler)
+    elif isinstance(c, Not):
+        yield from occurrences(c.sub)
+
+
+def shared_dag(levels):
+    """A concept whose every level names the level below twice: 3 distinct
+    nodes per level over A and B, while the occurrences double per level."""
+    c = A
+    for _ in range(levels):
+        c = disj([AtLeast(1, R, c), conj([B, c])])
+    return c
+
+
+def test_walk_yields_each_distinct_node_once_in_preorder():
+    # the first occurrence of each node, in the order of the occurrences
+    assert list(walk_concepts(conj([A, AtLeast(1, R, A)]))) == [conj([A, AtLeast(1, R, A)]), A, AtLeast(1, R, A)]
+    rng = random.Random(67)
+    for _ in range(300):
+        c, d = random_raw_concept(rng, 3), random_raw_concept(rng, 2)
+        expected = list(dict.fromkeys([*occurrences(c), *occurrences(d)]))
+        assert list(walk_concepts(c, d)) == expected, (c, d)
+    dag = shared_dag(20)
+    nodes = list(walk_concepts(dag))
+    assert len(nodes) == len(set(nodes)) == 62
+    assert nodes[0] is dag
+
+
+DAG_SCRIPT = r"""
+from alcqisat import AtLeast, Atom, Interpretation, Not, Role, Tableau, build_problem, conj, disj
+from alcqisat import cut_table, find_model, negate, to_nnf
+from alcqisat.syntax import signature_of, walk_concepts
+
+R, B = Role("R"), Atom("B")
+c = Atom("A")
+for _ in range(40):
+    c = disj([AtLeast(1, R, c), conj([B, c])])
+assert len(list(walk_concepts(c))) == 122
+assert signature_of(c) == ({"A", "B"}, {"R"})
+assert cut_table(c, c) == ()
+assert to_nnf(Not(c)) is negate(c)
+problem = build_problem(c)
+assert problem.goal is c  # already in NNF: the same object
+assert Tableau(problem).decide().satisfiable
+assert isinstance(find_model(problem.goal, problem.axiom, max_domain=1), Interpretation)
+print("ok")
+"""
+
+
+def test_a_shared_dag_costs_its_distinct_nodes():
+    # 122 distinct nodes, about 2**40 occurrences: each step must visit a
+    # node once, or the run hangs, so it runs in a process of its own
+    src = Path(alcqisat.__file__).resolve().parents[1]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", DAG_SCRIPT],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("a 40-level shared DAG did not finish in 60 s")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
