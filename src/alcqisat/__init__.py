@@ -25,9 +25,9 @@ from .lii import (
     SolverLimitError,
     atomic_decomposition,
     build_lii,
+    closed_form,
     collect_fillers,
     feasible,
-    full_atom_solution,
     zero_column,
 )
 from .oracle import (

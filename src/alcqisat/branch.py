@@ -216,7 +216,9 @@ def fine_tune(branch: Branch, cut: CutSet, edge_role: Role | None) -> Branch:
     For every restriction over the inverse of the incoming edge whose filler
     the parent made true, the bound drops by one: the parent itself is one
     qualifying neighbor, so the children only owe the rest.  An at-most bound
-    may reach -1 (a clash); an at-least bound stops at 0.
+    may reach -1 (a clash); an at-least bound stops at 0.  A branch with no
+    bound to lower is returned itself, not an equal copy, so the caller can
+    tell by identity that nothing changed.
     """
     if edge_role is None:
         return branch
@@ -225,14 +227,18 @@ def fine_tune(branch: Branch, cut: CutSet, edge_role: Role | None) -> Branch:
     if not held:
         return branch
     tuned = []
+    lowered = False
     for lit in branch:
-        if isinstance(lit, (AtMost, AtLeast)) and lit.role is back and lit.filler in held:
-            if isinstance(lit, AtMost):
-                lit = AtMost(lit.bound - 1, lit.role, lit.filler)
-            else:
-                lit = AtLeast(max(lit.bound - 1, 0), lit.role, lit.filler)
+        kind = type(lit)
+        if (kind is AtMost or kind is AtLeast) and lit.role is back and lit.filler in held:
+            if kind is AtMost:
+                lit = AtMost(lit.bound - 1, back, lit.filler)
+                lowered = True
+            elif lit.bound > 0:
+                lit = AtLeast(lit.bound - 1, back, lit.filler)
+                lowered = True
         tuned.append(lit)
-    return frozenset(tuned)
+    return frozenset(tuned) if lowered else branch
 
 
 def primitive_clash(branch: Branch) -> bool:

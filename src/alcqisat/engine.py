@@ -6,23 +6,26 @@ turns the number restrictions of each role with a positive at-least into an
 integer feasibility system whose solution spawns the children.  A role with
 no positive at-least spawns no child and builds no system: the all-zero
 vector meets its rows and is their smallest solution.  Most other roles
-build none either: when the all-positive atom does not clash and no
-at-most bound is below the largest at-least bound, the smallest solution
-puts everything on that atom (`full_atom_solution`).  That answer is the
-first solution of the role's one solve loop, and the system is built only
-if its child fails.  The branch walk prunes clashed disjuncts and never
-branches on a satisfied disjunction, and a branch that clashes only after
-the bound adjustment is skipped; such local clashes are never cached.
-Failures are cached as nogood triples (context cut-set, incoming role,
-concept set) in one place, `_record`: every triple it stores is new and
-aborts the current tree, clears the blocking store, and restarts; a repeat
-is an internal error.  A stored body leaves out the axiom and the cut
-formulas, which label every node, so a label is queried as it is.  Since
+build none either: where the restrictions force the system's answer,
+`closed_form` reads it off them (everything on the full atom or on the
+highest live atom, or a refutation).  That answer is the first solve of
+the role's one solve loop, and the system is built only if its child
+fails.  A child none of whose literals, nor the axiom, can force a
+successor is a leaf: no successor reads its filler decisions, so its label
+leaves the cut formulas out (`_leaf_core`); the root and every other child
+keep them.  The branch walk prunes clashed disjuncts and never branches
+on a satisfied disjunction, and a branch that clashes only after the bound
+adjustment is skipped; such local clashes are never cached.  Failures are
+cached as nogood triples (context cut-set, incoming role, concept set) in
+one place, `_record`: every triple it stores is new and aborts the current
+tree, clears the blocking store, and restarts; a repeat is an internal
+error.  A stored body leaves out the axiom and the cut formulas, which
+label every node but those leaves, so a label is queried as it is.  Since
 only an aborted tree grows the store, a node reads once whether it is
-empty and then asks an empty store nothing.  A node
-whose definite literals (those every branch of its label holds) a stored
-triple already covers would skip every branch, so it fails without walking
-its label.  The run answers unsatisfiable when a triple subsumes the root
+empty and then asks an empty store nothing.  A node whose definite
+literals (those every branch of its label holds) a stored triple already
+covers would skip every branch, so it fails without walking its label.
+The run answers unsatisfiable when a triple subsumes the root
 label, tested once per pass, and satisfiable when a tree completes; the
 store's capacity bounds the number of restarts.  Runs raise the
 interpreter's recursion limit while any of them is active.
@@ -52,13 +55,14 @@ from .lii import (
     atomic_decomposition,
     build_lii,
     clashed_atoms,
+    closed_form,
     collect_fillers,  # noqa: F401 - unused here; bench/tracing.py wraps it
     feasible,
-    full_atom_solution,
     zero_column,
 )
 from .syntax import (
     AtLeast,
+    AtMost,
     Concept,
     Problem,
     Role,
@@ -225,6 +229,21 @@ _RECURSION_LIMIT = _RecursionLimit(20_000)
 _ROLE_KEY = attrgetter("base", "inverted")
 
 
+def _leaf_core(problem: Problem) -> frozenset | None:
+    """What labels a child, beside its atom's literals, when none of them
+    can force a successor (`Concept._forces`): the axiom alone, without the
+    cut formulas.  None when such a child keeps the cut formulas too: the
+    axiom can force a successor, or there is no cut formula to leave out.
+
+    Such a child has no successor, since only a positive at-least forces
+    one and no branch of its label holds one.  Only a successor reads a
+    node's filler decisions (`cut_set_for_child`), and each cut formula
+    holds `F or not F`, so leaving them out of that label loses no model."""
+    if not problem.cut_concepts or problem.axiom._forces:
+        return None
+    return frozenset() if problem.axiom is TOP else frozenset({problem.axiom})
+
+
 def _fmt_set(concepts: Iterable[Concept]) -> str:
     return "{" + ", ".join(str(c) for c in sorted_concepts(concepts)) + "}"
 
@@ -264,10 +283,11 @@ class Tableau:
         core = set(problem.cut_concepts)
         if problem.axiom != TOP:
             core.add(problem.axiom)
-        # the axiom and the cut formulas label every node; stored bodies
-        # leave them out, so a stored body is a subset of a label exactly
-        # when it is one of the label without them
+        # the axiom and the cut formulas label every node but the leaves
+        # below; stored bodies leave them out, so a stored body is a subset
+        # of a label exactly when it is one of the label without them
         self._core_label = frozenset(core)
+        self._leaf_core = _leaf_core(problem)
         self._tree_nodes = 0
 
     # -- helpers ----------------------------------------------------------
@@ -390,12 +410,13 @@ class Tableau:
     def _apply_lii(self, node_id: int, branch: Branch, tuned: Branch, role: Role) -> bool:
         """Decompose the role's restrictions, solve, expand the children.
 
-        When full_atom_solution answers, its {full: most} is the first
-        solution, the one feasible would return, and no system is built
-        until that child fails.  Otherwise the role's system is built with
-        its clashed atoms zeroed and solved.  Under dump_systems each solve
-        prints the system first, built for the purpose when the answer
-        stands in for it.
+        When closed_form reads the first solve off the restrictions, its
+        answer stands in for feasible's and no system is built until a
+        child fails.  Otherwise the role's system is built with its clashed
+        atoms zeroed and solved.  Under dump_systems each solve prints the
+        system first, built for the purpose when the answer stands in for
+        it.  A child none of whose literals can force a successor is
+        labelled without the cut formulas (`_leaf_core`).
 
         A child that hits a cached nogood zeroes its column and the system is
         re-solved.  A fresh child failure, and a system that turns out
@@ -417,7 +438,7 @@ class Tableau:
         ):
             return False
         try:
-            answer = full_atom_solution(tuned, role, self.limits.lambda_max)
+            answer = closed_form(tuned, role, self.limits.lambda_max)
         except SolverLimitError as exc:
             raise ResourceLimitError(f"node {node_id} role {role}: {exc}") from None
         if answer is None:
@@ -426,9 +447,9 @@ class Tableau:
             width = len(system.fillers)
         else:
             system = atoms = None
-            full, most = answer
-            width = len(full)
+            width, solution, atom = answer
         self.stats.max_lambda = max(self.stats.max_lambda, width)
+        leaf_core = self._leaf_core
         context_zeroing = False
         completed: set[int] = set()
         while True:
@@ -436,9 +457,7 @@ class Tableau:
                 shown = system if system is not None else self._system(tuned, role)
                 self.dump_systems(f"lii node={node_id} role={role}\n{shown.describe()}")
             self.stats.lii_solves += 1
-            if system is None:
-                solution = {(1 << width) - 1: most}
-            else:
+            if system is not None:
                 solution = feasible(system, self.limits.solver_max_steps)
             if self.trace is not None:
                 self.trace(
@@ -446,7 +465,11 @@ class Tableau:
                     f"verdict={'feasible' if solution is not None else 'infeasible'}"
                 )
             if solution is None:
-                body = frozenset(row.source for row in system.rows)
+                # every restriction on the role, a row each
+                body = frozenset(
+                    lit for lit in tuned
+                    if (type(lit) is AtLeast or type(lit) is AtMost) and lit.role is role
+                )
                 if context_zeroing:
                     # zeroing relied on context-keyed child failures, so the
                     # cached set must carry the branch's filler commitments
@@ -456,8 +479,12 @@ class Tableau:
             for mask in solution:
                 if mask in completed:
                     continue
-                child = full if atoms is None else atoms[mask - 1]
-                blocking = self._expand(child | self._core_label, child_cut, role)
+                child = atom if atoms is None else atoms[mask - 1]
+                if leaf_core is not None and not any(lit._forces for lit in child):
+                    label = child | leaf_core
+                else:
+                    label = child | self._core_label
+                blocking = self._expand(label, child_cut, role)
                 if blocking is None:
                     completed.add(mask)
                     continue

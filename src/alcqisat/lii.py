@@ -16,10 +16,16 @@ table cached per width, the width is checked against the limit before that
 table is built, and the clashing atoms are read off the filler list
 (`clashed_atoms`) rather than tested one literal set at a time.
 
-Most roles the engine solves need no system at all: `full_atom_solution`
-reads the restrictions off the branch and, when the full atom does not
-clash and no at-most bound is below the largest at-least bound, returns
-the answer `feasible` would give, everything on the full atom.
+Most roles the engine solves need no system at all: `closed_form` reads
+the restrictions off the branch and gives what `feasible` would answer on
+the clash-zeroed system wherever that answer is forced.  When the full
+atom does not clash and no at-most bound is below the largest at-least
+bound, the answer is everything on the full atom, found in one pass over
+the branch.  Otherwise, when one filler's at-least and at-most bounds
+contradict each other, the system is infeasible; and when the highest atom
+that is neither clashed nor under an at-most 0 holds every at-least filler
+and no at-most bound below the largest at-least bound, the answer is
+everything on that atom.
 
 `feasible` returns the lexicographically smallest solution, found by an
 iterative depth-first search.  Rows bounding the same sum are merged into
@@ -156,6 +162,18 @@ def clashed_atoms(fillers: tuple[Concept, ...]) -> list[int]:
     each literal's atoms met with its negation's.  A filler's own negation
     is held by the complementary atoms, so that meet is empty unless
     another filler gives it too: O(n) set operations, no 2^n walk."""
+    clashed = _clash_bits(fillers)
+    masks = []
+    while clashed:
+        low = clashed & -clashed
+        masks.append(low.bit_length())
+        clashed ^= low
+    return masks
+
+
+def _clash_bits(fillers: tuple[Concept, ...]) -> int:
+    """clashed_atoms as a coefficient mask: bit m - 1 set for each clashing
+    atom m."""
     coeffs = _coefficients(len(fillers))
     every = (1 << ((1 << len(fillers)) - 1)) - 1
     holding: dict[Concept, int] = {}
@@ -170,12 +188,7 @@ def clashed_atoms(fillers: tuple[Concept, ...]) -> list[int]:
             clashed |= atoms
         else:
             clashed |= atoms & holding.get(negate(lit), 0)
-    masks = []
-    while clashed:
-        low = clashed & -clashed
-        masks.append(low.bit_length())
-        clashed ^= low
-    return masks
+    return clashed
 
 
 def build_lii(branch: frozenset, role: Role, lambda_max: int | None = None) -> LiiSystem:
@@ -197,27 +210,41 @@ def build_lii(branch: frozenset, role: Role, lambda_max: int | None = None) -> L
     return LiiSystem(tuple(index), rows)
 
 
-def full_atom_solution(
+def closed_form(
     branch: frozenset, role: Role, lambda_max: int | None = None
-) -> tuple[frozenset, int] | None:
-    """The role's answer read straight off its restrictions in the branch,
-    without a system: (the full atom's literal set, the largest at-least
-    bound `most`), or None when the rule does not apply.
+) -> tuple[int, dict[int, int] | None, frozenset | None] | None:
+    """The role's first solve read straight off its restrictions in the
+    branch, without a system, or None when it is not forced.  The answer
+    is (width, solution, atom): the number of distinct fillers, what
+    feasible returns on build_lii's system with the clashed atoms zeroed,
+    and the literal set of the solution's one atom; (width, None, None)
+    when that system is infeasible.  The role needs a positive at-least,
+    as every role the engine solves has; `most` below is the largest
+    at-least bound.
 
-    It applies when the full atom, every distinct filler positive, does not
-    clash (so the clash zeroing leaves it live) and `most` is no larger
-    than the smallest at-most bound on the role.  Then {full: most} is what
-    feasible returns on build_lii's system with the clashed atoms zeroed.
-    Every row of build_lii counts the full atom, so {full: most} meets
-    every at-least row, and every at-most row since its bound is at least
-    `most`.  The full atom comes last in feasible's order, so a smaller
-    solution would hold every earlier atom at 0 and the full atom below
-    `most`, which misses the at-least row with that bound.  When the rule
-    does not apply, {full: most} is no solution: the full atom is zeroed or
-    an at-most row rejects it.
+    - Full atom.  When the full atom, every filler positive, does not clash
+      (so the clash zeroing leaves it live) and no at-most bound is below
+      `most`, the solution is {full: most}.  Every row of build_lii counts
+      the full atom, so {full: most} meets every at-least row, and every
+      at-most row since its bound is at least `most`.  The full atom comes
+      last in feasible's order, so a smaller solution would hold every
+      earlier atom at 0 and the full atom below `most`, which misses the
+      at-least row with that bound.  This case costs one pass over the
+      branch and one clash test, and is tried first.
+    - Refutation.  When some filler's largest at-least bound exceeds its
+      smallest at-most bound, the two rows bound one sum from both sides
+      and no solution exists: feasible's interval pre-check.
+    - Highest live atom.  An atom is live when it does not clash and holds
+      no filler under an at-most 0 (feasible gives it no search position).
+      Take the highest live mask M.  When M holds every filler of a
+      positive at-least and no at-most bound below `most` is on a filler
+      M holds, {M: most} meets every row, and the full-atom argument
+      carries over with M last: every later atom is dead or zeroed.
+      Conversely, a solution {M: most} needs exactly that, so the rule
+      answers exactly when feasible returns {M: most}.
 
     Counts the fillers as build_lii does: more than lambda_max raise
-    SolverLimitError with the same message."""
+    SolverLimitError with the same message, before any case is read."""
     fillers = set()
     most, fewest = 0, None
     for lit in branch:
@@ -229,13 +256,41 @@ def full_atom_solution(
                     most = lit.bound
             elif fewest is None or lit.bound < fewest:
                 fewest = lit.bound
-    _check_width(len(fillers), lambda_max)
-    if fewest is not None and most > fewest:
+    width = len(fillers)
+    _check_width(width, lambda_max)
+    if fewest is None or most <= fewest:
+        full = frozenset(fillers)
+        if not primitive_clash(full):
+            return width, {(1 << width) - 1: most}, full
+    # per filler, in build_lii's order: [its largest at-least bound, its
+    # smallest at-most bound or None], the interval of feasible's check
+    bounds: dict[Concept, list] = {}
+    for lit in _restrictions(branch, role):
+        interval = bounds.setdefault(lit.filler, [0, None])
+        if type(lit) is AtLeast:
+            if lit.bound > interval[0]:
+                interval[0] = lit.bound
+        elif interval[1] is None or lit.bound < interval[1]:
+            interval[1] = lit.bound
+    intervals = list(bounds.values())
+    if any(hi is not None and lo > hi for lo, hi in intervals):
+        return width, None, None
+    # the atoms that are not live: clashed, or holding a filler under at-most 0
+    dead = _clash_bits(tuple(bounds))
+    for coeff, (_, hi) in zip(_coefficients(width), intervals):
+        if hi == 0:
+            dead |= coeff
+    mask = (((1 << ((1 << width) - 1)) - 1) & ~dead).bit_length()  # bit m - 1 is atom m
+    if not mask:
         return None
-    full = frozenset(fillers)
-    if primitive_clash(full):
-        return None
-    return full, most
+    for k, (lo, hi) in enumerate(intervals):
+        if (mask >> k) & 1:
+            if hi is not None and hi < most:
+                return None  # {mask: most} breaks this filler's at-most
+        elif lo:
+            return None  # and misses this one's at-least
+    atom = frozenset(f if (mask >> k) & 1 else negate(f) for k, f in enumerate(bounds))
+    return width, {mask: most}, atom
 
 
 def zero_column(system: LiiSystem, atom_mask: int) -> LiiSystem:

@@ -3,7 +3,9 @@
 Concepts are hash-consed: constructing a node looks up its class and fields
 in one table and returns the node already there, so equal concepts are one
 object and compare and hash by identity.  Each node computes its order key
-once, from its children's, so it never recurses.  And/Or nodes keep their
+once, from its children's, so it never recurses; the same goes for `_forces`,
+whether a positive at-least is reachable from the node through and/or nodes
+alone, that is, whether a label holding it can force a successor.  And/Or nodes keep their
 children flattened, deduplicated and sorted under a fixed total order, so a
 set of concepts behaves like a set in every cache and comparison downstream.
 The node classes are frozen slotted classes whose `_fields` name their
@@ -85,9 +87,15 @@ _NODES: dict[tuple, "Concept"] = {}
 class Concept:
     """Base class for all concept nodes.  Fields are given positionally, in
     the order of the class's `_fields`, which are also its slots.  Nodes are
-    frozen: assigning or deleting an attribute raises AttributeError."""
+    frozen: assigning or deleting an attribute raises AttributeError.
 
-    __slots__ = ("_key", "_neg")
+    Beside the fields, a node holds its order key (`_key`), its negation
+    once `negate` has asked for it (`_neg`) and `_forces`: whether an
+    at-least with a positive bound is reachable from it through and/or
+    nodes alone.  Only such an at-least forces a successor, so a label none
+    of whose concepts has the flag gives a node without successors."""
+
+    __slots__ = ("_key", "_neg", "_forces")
     _fields: tuple[str, ...] = ()
 
     def __new__(cls, *fields):
@@ -102,6 +110,7 @@ class Concept:
                 object.__setattr__(node, name, value)
             object.__setattr__(node, "_key", _order_key(node))
             object.__setattr__(node, "_neg", None)  # filled in by negate
+            object.__setattr__(node, "_forces", _forces(node))
             _NODES[key] = node
         return node
 
@@ -220,6 +229,15 @@ def _order_key(c: Concept) -> tuple:
     if isinstance(c, Not):
         return (6, c.sub._key)
     raise TypeError(f"unknown concept node: {c!r}")
+
+
+def _forces(c: Concept) -> bool:
+    kind = type(c)
+    if kind is AtLeast:
+        return c.bound > 0
+    if kind is And or kind is Or:
+        return any(p._forces for p in c.parts)
+    return False
 
 
 def concept_key(c: Concept) -> tuple:
@@ -518,7 +536,13 @@ def cut_table(goal: Concept, axiom: Concept) -> tuple[tuple[Role, Concept], ...]
     bound adjusted (same role), or a cut guard, which is an at-most and
     forces no child.  So no node ever has an inverse(role)-child unless goal
     or axiom names inverse(role).  And the formula of a dropped pair holds
-    `F or not F`, so it is a tautology whose removal loses no model."""
+    `F or not F`, so it is a tautology whose removal loses no model.
+
+    The same argument lets the engine leave every cut formula out of a
+    child that cannot have a successor: one whose literals and axiom hold
+    no positive at-least reachable through and/or nodes (`_forces`).  No
+    node reads that child's decisions, so only the root and the children
+    that can force a successor carry the formulas."""
     restrictions = [c for c in walk_concepts(goal, axiom) if type(c) is AtMost or type(c) is AtLeast]
     named = {c.role for c in restrictions}
     pairs = {(c.role, c.filler) for c in restrictions if c.role.inverse() in named}

@@ -18,14 +18,17 @@ from alcqisat import (
     Not,
     OracleLimitError,
     Or,
+    Problem,
     Role,
     SolverLimitError,
     TOP,
+    atomic_decomposition,
     build_lii,
+    closed_form,
     conj,
+    cut_formula,
     disj,
     feasible,
-    full_atom_solution,
     zero_column,
 )
 from alcqisat.lii import clashed_atoms
@@ -35,6 +38,7 @@ from alcqisat.syntax import (
     Concept,
     NegAtom,
     Top,
+    concept_key,
     negate,
     signature_of,
     sorted_concepts,
@@ -120,23 +124,42 @@ def brute_force_feasible(system: LiiSystem, cap: int | None = None) -> dict | No
     return None
 
 
-def full_atom_agrees(branch, role) -> bool:
-    """Assert that full_atom_solution answers exactly when feasible, on
-    build_lii's system with the clashed atoms zeroed, puts the largest
-    at-least bound on the full atom, and that the two answers are then
-    equal; True when it answered.  The branch needs a positive at-least on
-    the role, as every role the engine solves has."""
+def closed_form_agrees(branch, role) -> str | None:
+    """Assert that closed_form answers exactly where feasible's answer, on
+    build_lii's system with the clashed atoms zeroed, is forced.  It
+    refutes exactly when feasible refutes by its interval pre-check, the
+    one answer it gives without a search step.  Otherwise it answers
+    exactly when feasible puts the largest at-least bound on the highest
+    live atom (not clashed, under no at-most 0), and then with that
+    solution and that atom's literal set.  Returns "refuted", "full" (the
+    answer is on the full atom), "atom" (on another atom) or None when it
+    did not answer.  The branch needs a positive at-least on the role, as
+    every role the engine solves has."""
     system = build_lii(branch, role)
     for mask in clashed_atoms(system.fillers):
         system = zero_column(system, mask)
     most = max(c.bound for c in branch if type(c) is AtLeast and c.role is role)
     assert most > 0
-    answer = full_atom_solution(branch, role)
-    full = (1 << system.width) - 1
-    assert (answer is not None) == (feasible(system) == {full: most}), system.describe()
-    if answer is not None:
-        assert answer == (frozenset(system.fillers), most)
-    return answer is not None
+    answer = closed_form(branch, role)
+    try:
+        refuted = feasible(system, max_steps=0) is None
+    except SolverLimitError:
+        refuted = False
+    assert (answer is not None and answer[1] is None) == refuted, system.describe()
+    if refuted:
+        return "refuted"
+    dead = set(system.zeroed)
+    for row in system.rows:
+        if row.is_at_most and row.bound == 0:
+            dead.update(m for m in system.atom_masks() if (row.coeff_mask >> (m - 1)) & 1)
+    live = [m for m in system.atom_masks() if m not in dead]
+    want = {live[-1]: most} if live else None
+    assert (answer is not None) == (want is not None and feasible(system) == want), system.describe()
+    if answer is None:
+        return None
+    atoms = atomic_decomposition(list(system.fillers))
+    assert answer == (system.width, want, atoms[live[-1] - 1])
+    return "full" if live[-1] == len(atoms) else "atom"
 
 
 def reference_feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | None:
@@ -269,6 +292,15 @@ def restriction_pairs(*concepts: Concept) -> set:
     whether or not an inverse edge reads it: a cut for each is the
     unfiltered calculus that cut_table's filter is checked against."""
     return {(c.role, c.filler) for c in walk_concepts(*concepts) if isinstance(c, (AtMost, AtLeast))}
+
+
+def with_every_cut(problem: Problem) -> Problem:
+    """The problem with a cut formula for every (role, filler) pair of its
+    number restrictions, not only the pairs an inverse edge reads, in
+    cut_table's order."""
+    pairs = restriction_pairs(problem.goal, problem.axiom)
+    cuts = tuple(sorted(pairs, key=lambda p: (p[0].base, p[0].inverted, concept_key(p[1]))))
+    return Problem(problem.goal, problem.axiom, cuts, frozenset(cut_formula(*p) for p in cuts))
 
 
 def unpruned_branches(label):

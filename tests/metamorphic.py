@@ -1,0 +1,197 @@
+"""Metamorphic and differential verdict checks: rewrites of a problem that
+the calculus must decide the same way.
+
+    PYTHONPATH=src python tests/metamorphic.py              # the full sweep
+    PYTHONPATH=src python tests/metamorphic.py --seeds 10   # fewer seeds
+
+The inputs are the three bench corpora (acceptance, `deep`, `counting`),
+`generate_corpus` seeds 1 to --seeds (40 by default), 150 instances each,
+in the default and the `deep` profile, and a few hand-made ones
+(`HAND_MADE`) whose verdicts hang on the filler decisions of an inner
+node, which no random input above does.  Each input is decided as it is
+and under every relation:
+
+- leaf cuts: every child label carries the cut formulas, the engine's leaf
+  labels (`engine._leaf_core`) patched out for the run;
+- every cut: a cut formula for every (role, filler) pair (`with_every_cut`);
+- mirror: every role replaced by its inverse, which reads each role as its
+  converse;
+- rename: atoms and roles renamed so that their order flips.
+
+A relation's verdict must equal the input's wherever both decide; a run
+stopped by a limit is counted apart.  The sweep prints one line per
+relation and exits 1 when any verdict differs, listing those inputs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+from contextlib import contextmanager
+
+import alcqisat.engine as engine
+from alcqisat import (
+    And,
+    AtLeast,
+    AtMost,
+    Atom,
+    CorpusProfile,
+    Limits,
+    NegAtom,
+    Not,
+    Or,
+    ProblemFile,
+    ResourceLimitError,
+    Role,
+    SolverLimitError,
+    Tableau,
+    build_problem,
+    conj,
+    disj,
+    generate_corpus,
+    parse_problem_text,
+)
+from alcqisat.syntax import signature_of
+from conftest import bench_module, with_every_cut
+
+LIMITS = Limits(nogood_capacity=250)  # the bench's engine limits
+DEEP_PROFILE = CorpusProfile(max_depth=5, max_bound=5, max_roles=3, max_atoms=4, max_gcis=3)
+RELATIONS = ("leaf cuts", "every cut", "mirror", "rename")
+
+# problem texts: an R-successor's decision on B is read by its own
+# R-successor, which counts it under an (inv R) bound; dropping the cut
+# formulas from that inner node turns the first UNSAT into SAT
+HAND_MADE = (
+    "sat (atleast 1 R (atleast 1 R (and (atmost 0 (inv R) B) (atmost 0 (inv R) (not B)))))\n",
+    "sat (atleast 1 R (atleast 1 R (or (atmost 0 (inv R) B) (atmost 0 (inv R) (not B)))))\n",
+    "sat (atleast 1 R (and A (atleast 2 R (atmost 0 (inv R) A))))\n",
+    "sat (and (atleast 1 R (atleast 1 R (atleast 1 R top))) (atleast 1 (inv R) B))\n",
+    "gci top (or A (atleast 1 S top))\n"
+    "sat (atleast 1 R (atleast 1 R (and (atmost 0 (inv R) B) (atmost 1 (inv R) (not B)))))\n",
+)
+
+
+def outcome(problem) -> str:
+    """SAT, UNSAT, or limit when a budget stopped the run."""
+    try:
+        return "SAT" if Tableau(problem, LIMITS).decide().satisfiable else "UNSAT"
+    except (ResourceLimitError, SolverLimitError):
+        return "limit"
+
+
+@contextmanager
+def cuts_in_every_label():
+    """Every child keeps the cut formulas, leaves included, while inside."""
+    leaf_core = engine._leaf_core
+    engine._leaf_core = lambda problem: None
+    try:
+        yield
+    finally:
+        engine._leaf_core = leaf_core
+
+
+def rewrite(pf: ProblemFile, atom, role) -> ProblemFile:
+    """The problem file with each atom name mapped by atom and each role by
+    role; every distinct subterm is rewritten once."""
+    done: dict = {}
+
+    def walk(c):
+        out = done.get(c)
+        if out is None:
+            kind = type(c)
+            if kind is Atom or kind is NegAtom:
+                out = kind(atom(c.name))
+            elif kind is And or kind is Or:
+                out = (conj if kind is And else disj)(walk(p) for p in c.parts)
+            elif kind is AtLeast or kind is AtMost:
+                out = kind(c.bound, role(c.role), walk(c.filler))
+            elif kind is Not:
+                out = Not(walk(c.sub))
+            else:
+                out = c  # top, bottom
+            done[c] = out
+        return out
+
+    return ProblemFile(tuple((walk(l), walk(r)) for l, r in pf.tbox), walk(pf.query))
+
+
+def mirrored(pf: ProblemFile) -> ProblemFile:
+    return rewrite(pf, lambda name: name, lambda r: r.inverse())
+
+
+def renamed(pf: ProblemFile) -> ProblemFile:
+    """Atoms and role names renamed in reverse order: the first name in
+    sorted order gets the last new name."""
+    atoms, roles = (sorted(names) for names in signature_of(pf.query, *(c for g in pf.tbox for c in g)))
+    atom_map = {a: f"X{len(atoms) - i:03d}" for i, a in enumerate(atoms)}
+    role_map = {r: f"Q{len(roles) - i:03d}" for i, r in enumerate(roles)}
+    return rewrite(pf, atom_map.__getitem__, lambda r: Role(role_map[r.base], r.inverted))
+
+
+def outcomes(pf: ProblemFile) -> dict[str, str]:
+    """The input's outcome, under "default", and each relation's."""
+    problem = build_problem(pf.query, pf.tbox)
+    out = {"default": outcome(problem)}
+    with cuts_in_every_label():
+        out["leaf cuts"] = outcome(problem)
+    out["every cut"] = outcome(with_every_cut(problem))
+    for name, change in (("mirror", mirrored), ("rename", renamed)):
+        changed = change(pf)
+        out[name] = outcome(build_problem(changed.query, changed.tbox))
+    return out
+
+
+def inputs(seeds: range) -> list[tuple[str, ProblemFile]]:
+    """(name, input) for the bench corpora, the generated ones and the
+    hand-made ones."""
+    corpora = bench_module("corpora")
+    out = [(f"hand-made#{i}", parse_problem_text(text)) for i, text in enumerate(HAND_MADE)]
+    for workload in ("oracle", "deep", "counting"):  # oracle: the acceptance corpus
+        out += [(f"{workload}#{i}", pf) for i, pf in enumerate(corpora.generate(workload))]
+    for seed in seeds:
+        for profile, label in ((None, "default"), (DEEP_PROFILE, "deep")):
+            corpus = generate_corpus(seed=seed, count=150, profile=profile)
+            out += [(f"seed {seed} {label}#{i}", pf) for i, pf in enumerate(corpus)]
+    return out
+
+
+def sweep(named: list[tuple[str, ProblemFile]]) -> tuple[dict, list]:
+    """Per relation, how many inputs it decided alike, how many a limit
+    stopped on one side, and the mismatches: (name, relation, default
+    outcome, relation's outcome, input text)."""
+    counts = {name: {"agree": 0, "limit": 0} for name in RELATIONS}
+    mismatches = []
+    for name, pf in named:
+        got = outcomes(pf)
+        default = got["default"]
+        for relation in RELATIONS:
+            if "limit" in (default, got[relation]):
+                counts[relation]["limit"] += 1
+            elif default == got[relation]:
+                counts[relation]["agree"] += 1
+            else:
+                mismatches.append((name, relation, default, got[relation], pf.to_text()))
+    return counts, mismatches
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=int, default=40, help="generated seeds 1..N (default 40)")
+    args = parser.parse_args(argv)
+    named = inputs(range(1, args.seeds + 1))
+    start = time.perf_counter()
+    counts, mismatches = sweep(named)
+    elapsed = time.perf_counter() - start
+    print(f"{len(named)} inputs, {len(named) * len(RELATIONS)} checks in {elapsed:.1f} s")
+    for relation in RELATIONS:
+        wrong = sum(1 for m in mismatches if m[1] == relation)
+        print(f"{relation:10} agree {counts[relation]['agree']:6}  "
+              f"limit {counts[relation]['limit']:4}  mismatch {wrong}")
+    for name, relation, default, changed, text in mismatches:
+        print(f"MISMATCH {name} {relation}: {default} became {changed}\n{text}")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -286,6 +286,22 @@ def test_fine_tune_identity_without_cut():
     assert fine_tune(b, frozenset({(C, True)}), None) == b
 
 
+def test_fine_tune_returns_the_branch_when_it_lowers_no_bound():
+    # the parent holds C, but nothing in the branch counts C over (inv R)'s
+    # inverse with a bound to lower: the branch itself comes back, not a copy
+    held = frozenset({(C, True)})
+    for b in (
+        frozenset({A, AtLeast(2, R, D), AtMost(1, Role("S"), C)}),
+        frozenset({AtLeast(0, R, C), AtMost(3, R_INV, C)}),
+    ):
+        assert fine_tune(b, held, R_INV) is b
+    # one bound to lower: an equal set to the branch with that bound lowered
+    b = frozenset({A, AtLeast(0, R, C), AtMost(2, R, C)})
+    got = fine_tune(b, held, R_INV)
+    assert got is not b
+    assert got == frozenset({A, AtLeast(0, R, C), AtMost(1, R, C)})
+
+
 def test_fine_tune_only_touches_inverse_edge_role():
     rng = random.Random(37)
     roles = [Role("R"), Role("S"), Role("R", True)]

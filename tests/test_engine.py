@@ -21,7 +21,6 @@ from alcqisat import (
     NegAtom,
     NogoodStore,
     NogoodTriple,
-    Problem,
     ResourceLimitError,
     Role,
     RunStats,
@@ -30,18 +29,16 @@ from alcqisat import (
     Tableau,
     atomic_decomposition,
     build_problem,
+    closed_form,
     conj,
-    cut_formula,
     decide,
     find_model,
-    full_atom_solution,
     generate_corpus,
     parse_concept,
     parse_problem_text,
     primitive_clash,
 )
-from alcqisat.syntax import concept_key
-from conftest import bench_module, full_atom_agrees, restriction_pairs
+from conftest import bench_module, closed_form_agrees, with_every_cut
 
 A, B = Atom("A"), Atom("B")
 R = Role("R")
@@ -541,13 +538,14 @@ def test_limit_errors_carry_the_partial_stats():
 
 def test_apply_lii_zeroes_exactly_the_clashed_atoms(monkeypatch):
     # the first solve of each built system sees the clash zeroing, plus the
-    # full atom when the role's restrictions answered it and its child failed
+    # answer's atom when closed_form answered the role and its child failed
     unsolved, first_solves = [], []
     build_lii, feasible = engine.build_lii, engine.feasible
 
     def record_build(*args):
         system = build_lii(*args)
-        unsolved.append((system, full_atom_solution(*args) is not None))
+        answer = closed_form(*args)
+        unsolved.append((system, None if answer is None else next(iter(answer[1]))))
         return system
 
     def record_solve(system, *rest):
@@ -569,11 +567,11 @@ def test_apply_lii_zeroes_exactly_the_clashed_atoms(monkeypatch):
     for fillers, answered, zeroed in first_solves:
         atoms = atomic_decomposition(list(fillers))
         expected = {m for m, atom in enumerate(atoms, 1) if primitive_clash(atom)}
-        if answered:
-            expected.add(len(atoms))
+        if answered is not None:
+            expected.add(answered)
         assert zeroed == expected
         clashed += any(primitive_clash(atoms[m - 1]) for m in zeroed)
-        fell_back += answered
+        fell_back += answered is not None
     assert clashed > 0
     assert fell_back > 0
 
@@ -598,23 +596,25 @@ def test_at_least_zero_forces_no_successor():
 
 
 def test_every_solved_system_has_a_positive_at_least(monkeypatch):
-    # a role the full atom answers is solved without a system; its `most`
-    # is the largest at-least bound
-    solve, answer = engine.feasible, engine.full_atom_solution
+    # a role closed_form answers is solved without a system: on the full
+    # atom or another, where its `most` is the largest at-least bound, or
+    # by a refutation; every such role has a positive at-least too
+    solve, answer = engine.feasible, engine.closed_form
     solved, answered = [], []
 
     def record(system, *rest):
         solved.append(system)
         return solve(system, *rest)
 
-    def record_answer(*args):
-        found = answer(*args)
+    def record_answer(branch, role, *rest):
+        found = answer(branch, role, *rest)
         if found is not None:
+            assert any(type(c) is AtLeast and c.role is role and c.bound > 0 for c in branch)
             answered.append(found)
         return found
 
     monkeypatch.setattr(engine, "feasible", record)
-    monkeypatch.setattr(engine, "full_atom_solution", record_answer)
+    monkeypatch.setattr(engine, "closed_form", record_answer)
     corpora = bench_module("corpora")
     for workload in ("deep", "counting", "oracle"):  # oracle: the acceptance corpus
         for pf in corpora.generate(workload):
@@ -626,20 +626,30 @@ def test_every_solved_system_has_a_positive_at_least(monkeypatch):
     assert solved and answered
     for system in solved:
         assert any(not row.is_at_most and row.bound > 0 for row in system.rows), system.describe()
-    for fillers, most in answered:
-        assert most > 0, fillers
+    for width, solution, atom in answered:
+        if solution is not None:
+            assert list(solution.values())[0] > 0, atom
+    # the full atom, another atom and a refutation each answer some role
+    kinds = {
+        "refuted" if solution is None else "full" if (1 << width) - 1 in solution else "atom"
+        for width, solution, _ in answered
+    }
+    assert kinds == {"refuted", "full", "atom"}
 
 
 def test_full_atom_answers_a_role_exactly_when_feasible_would(monkeypatch):
-    # for every role the engine solves, the rule answers exactly when
-    # feasible on the clash-zeroed system returns {full: most}, and then
-    # with the same atom and multiplicity
+    # for every role the engine solves, closed_form refutes exactly when
+    # feasible's interval pre-check does on the clash-zeroed system, and
+    # answers exactly when feasible returns {full: most} or {M: most} for
+    # the highest live atom M, and then with the same atom and multiplicity
     corpora = bench_module("corpora")
     apply_lii = engine.Tableau._apply_lii
-    answered = {}
+    answered, kinds = {}, set()
 
     def compared(self, node_id, branch, tuned, role):
-        answered[workload] += full_atom_agrees(tuned, role)
+        kind = closed_form_agrees(tuned, role)
+        answered[workload] += kind is not None
+        kinds.add(kind)
         return apply_lii(self, node_id, branch, tuned, role)
 
     monkeypatch.setattr(engine.Tableau, "_apply_lii", compared)
@@ -651,6 +661,7 @@ def test_full_atom_answers_a_role_exactly_when_feasible_would(monkeypatch):
             except ResourceLimitError:
                 pass
     assert all(answered.values()), answered
+    assert kinds == {"refuted", "full", "atom", None}
 
 
 def test_a_failed_full_atom_child_falls_back_to_the_system(monkeypatch):
@@ -686,15 +697,6 @@ def test_a_failed_full_atom_child_falls_back_to_the_system(monkeypatch):
     assert node_dumps[1].endswith("zeroed: [3]")
 
 
-def with_every_cut(problem: Problem) -> Problem:
-    """The problem with a cut formula for every (role, filler) pair of its
-    number restrictions, not only the pairs an inverse edge reads, in
-    cut_table's order."""
-    pairs = restriction_pairs(problem.goal, problem.axiom)
-    cuts = tuple(sorted(pairs, key=lambda p: (p[0].base, p[0].inverted, concept_key(p[1]))))
-    return Problem(problem.goal, problem.axiom, cuts, frozenset(cut_formula(*p) for p in cuts))
-
-
 def test_unread_cuts_change_no_verdict():
     # cut_table drops the pairs no inverse edge reads; the calculus with
     # every pair's cut formula must decide the same on all three corpora
@@ -714,6 +716,39 @@ def test_unread_cuts_change_no_verdict():
             compared += 1
     assert compared == 650
     assert lost_a_cut > 100
+
+
+def test_only_children_that_can_force_a_successor_keep_the_cut_formulas(monkeypatch):
+    # the root and its R-successor, which has an at-least on R, carry the
+    # cut formulas; the successor's own R-successor holds at-most bounds
+    # alone, so its label is its literals without them.  An axiom that can
+    # force a successor keeps them in every label, and so does the engine
+    # with its leaf labels patched out
+    expand = engine.Tableau._expand
+    labels = []
+
+    def recorded(self, label, cut, edge):
+        labels.append(label)
+        return expand(self, label, cut, edge)
+
+    monkeypatch.setattr(engine.Tableau, "_expand", recorded)
+    text = "(atleast 1 R (atleast 1 R (and (atmost 0 (inv R) B) (atmost 1 (inv R) (not B)))))"
+    problem = build_problem(parse_concept(text))
+    forcing = build_problem(parse_concept(text), [(TOP, parse_concept("(or A (atleast 1 S A))"))])
+    for p, leaves_without_cuts in ((problem, True), (forcing, False)):
+        labels.clear()
+        assert decide(p).satisfiable
+        cuts = p.cut_concepts
+        assert cuts
+        bare = [label for label in labels if not label >= cuts]
+        assert all(label.isdisjoint(cuts) for label in bare)
+        assert bool(bare) == leaves_without_cuts
+        assert all(label >= cuts for label in labels if any(c._forces for c in label - cuts))
+    labels.clear()
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_leaf_core", lambda problem: None)
+        assert decide(problem).satisfiable
+    assert labels and all(label >= problem.cut_concepts for label in labels)
 
 
 def test_forward_chain_gets_no_cuts():
@@ -781,7 +816,7 @@ def test_dead_label_skips_the_walk(monkeypatch):
 # sha256 over every deep-profile instance's trace lines, verdict and RunStats;
 # a change to the search that alters any of them must update it on purpose,
 # to the value deep_traces_digest() then returns
-DEEP_TRACES_DIGEST = "fb7fca22910edc5b8d193faab657c7864cb42122554d0026d61df3eca952c42a"
+DEEP_TRACES_DIGEST = "72b9557a66b29121b97fa8af7beec088d850680aaa84db6195dbd00e29fa0b84"
 
 
 def deep_traces_digest() -> str:
@@ -805,7 +840,7 @@ def test_deep_corpus_traces_are_pinned():
 
 # the same over all 300 counting-workload instances, with every inequality
 # system --dump-lii prints: the workload where clash zeroing runs
-COUNTING_TRACES_DIGEST = "2944fca62667e756517c13ee9954b6cc90d24ddbde228f0a742e81b6391dfa5f"
+COUNTING_TRACES_DIGEST = "ea06bb63cd5a0e8fd8624993714687499716f218529a671ff7dbc1a43f1e2a51"
 
 
 def counting_traces_digest() -> str:

@@ -16,10 +16,10 @@ from alcqisat import (
     TOP,
     atomic_decomposition,
     build_lii,
+    closed_form,
     collect_fillers,
     conj,
     feasible,
-    full_atom_solution,
     negate,
     primitive_clash,
     zero_column,
@@ -28,7 +28,7 @@ from alcqisat.lii import Row, clashed_atoms
 from alcqisat.syntax import sorted_concepts, to_nnf
 from conftest import (
     brute_force_feasible,
-    full_atom_agrees,
+    closed_form_agrees,
     random_raw_concept,
     reference_feasible,
 )
@@ -423,18 +423,58 @@ def test_full_atom_solution_iff_feasible_puts_most_on_the_full_atom():
             for _ in range(rng.randint(1, 6))
         )
         if any(type(c) is AtLeast and c.bound > 0 for c in branch):
-            answered += full_atom_agrees(branch, R)
+            answered += closed_form_agrees(branch, R) == "full"
             checked += 1
     assert checked > 4000
     assert answered > 1000
 
 
-def test_full_atom_solution_checks_the_width_like_build_lii():
+def test_closed_form_answers_exactly_where_feasible_is_forced():
+    # closed_form refutes exactly when feasible's interval pre-check does,
+    # and puts `most` on the highest live atom exactly when feasible does;
+    # few letters, so fillers often come with their negations, and at-most
+    # 0 and top often, which clash or kill atoms
+    rng = random.Random(20261020)
+    letters = [A, B, C]
+    fillers = letters + [negate(a) for a in letters] + [TOP]
+    kinds = {}
+    for _ in range(5000):
+        branch = set()
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.choice((AtLeast, AtMost))
+            bound = 0 if kind is AtMost and rng.random() < 0.3 else rng.randint(0, 6)
+            branch.add(kind(bound, R, rng.choice(fillers)))
+        branch.add(AtLeast(rng.randint(1, 6), R, rng.choice(fillers)))
+        branch.add(AtMost(rng.randint(0, 3), S, A))  # another role's
+        kind = closed_form_agrees(frozenset(branch), R)
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds["refuted"] > 1000
+    assert kinds["full"] > 300
+    assert kinds["atom"] > 300
+    assert kinds[None] > 300
+
+
+def test_closed_form_reads_the_highest_live_atom():
+    # fillers (A, (not A), B) in build_lii's order: an atom clashes unless
+    # exactly one of A and (not A) holds, and at-most 0 on B kills those
+    # holding B, so the highest live atom is mask 2, where only (not A)
+    # holds: the literal set {(not A), (not B)}
+    branch = frozenset({AtLeast(2, R, NegAtom("A")), AtMost(5, R, A), AtMost(0, R, B)})
+    assert build_lii(branch, R).fillers == (A, NegAtom("A"), B)
+    assert closed_form(branch, R) == (3, {2: 2}, frozenset({NegAtom("A"), NegAtom("B")}))
+    # an at-least on A, which mask 2 does not hold, leaves the system to search
+    assert closed_form(branch | {AtLeast(1, R, A)}, R) is None
+    # contradicting bounds on one filler refute before any atom is read
+    assert closed_form(branch | {AtMost(1, R, NegAtom("A"))}, R) == (3, None, None)
+
+
+def test_closed_form_checks_the_width_like_build_lii():
     branch = frozenset(AtLeast(1, R, Atom(f"A{i}")) for i in range(4))
     with pytest.raises(SolverLimitError, match="4 distinct fillers exceed lambda_max=3"):
-        full_atom_solution(branch, R, 3)
+        closed_form(branch, R, 3)
     with pytest.raises(SolverLimitError, match="4 distinct fillers exceed lambda_max=3"):
         build_lii(branch, R, 3)
-    assert full_atom_solution(branch, R, 4) == (frozenset(c.filler for c in branch), 1)
+    full = frozenset(c.filler for c in branch)
+    assert closed_form(branch, R, 4) == (4, {15: 1}, full)
     # restrictions on other roles are not read
-    assert full_atom_solution(branch | {AtMost(0, S, A)}, R) == full_atom_solution(branch, R)
+    assert closed_form(branch | {AtMost(0, S, A)}, R) == closed_form(branch, R)
