@@ -8,27 +8,28 @@ no positive at-least spawns no child and builds no system: the all-zero
 vector meets its rows and is their smallest solution.  Most other roles
 build none either: where the restrictions force the system's answer,
 `closed_form` reads it off them (everything on the full atom or on the
-highest live atom, or a refutation).  That answer is the first solve of
-the role's one solve loop, and the system is built only if its child
-fails.  A child none of whose literals, nor the axiom, can force a
+highest live atom, or a refutation).  That answer is the first solve of the
+role's one solve loop, and the system is built only if its child fails.
+Cut formulas exist only for the pairs a node other than the root can hold
+(`cut_table`).  A child none of whose literals, nor the axiom, can force a
 successor is a leaf: no successor reads its filler decisions, so its label
 leaves the cut formulas out (`_leaf_core`); the root and every other child
-keep them.  The branch walk prunes clashed disjuncts and never branches
-on a satisfied disjunction, and a branch that clashes only after the bound
+keep them.  The branch walk prunes clashed disjuncts and never branches on
+a satisfied disjunction, and a branch that clashes only after the bound
 adjustment is skipped; such local clashes are never cached.  Failures are
 cached as nogood triples (context cut-set, incoming role, concept set) in
 one place, `_record`: every triple it stores is new and aborts the current
 tree, clears the blocking store, and restarts; a repeat is an internal
 error.  A stored body leaves out the axiom and the cut formulas, which
 label every node but those leaves, so a label is queried as it is.  Since
-only an aborted tree grows the store, a node reads once whether it is
-empty and then asks an empty store nothing.  A node whose definite
-literals (those every branch of its label holds) a stored triple already
-covers would skip every branch, so it fails without walking its label.
-The run answers unsatisfiable when a triple subsumes the root
-label, tested once per pass, and satisfiable when a tree completes; the
-store's capacity bounds the number of restarts.  Runs raise the
-interpreter's recursion limit while any of them is active.
+only an aborted tree grows the store, a node reads once whether it is empty
+and then asks an empty store nothing.  A node whose definite literals
+(those every branch of its label holds) a stored triple already covers
+would skip every branch, so it fails without walking its label.  The run
+answers unsatisfiable when a triple subsumes the root label, tested once
+per pass, and satisfiable when a tree completes; the store's capacity
+bounds the number of restarts.  Runs raise the interpreter's recursion
+limit while any of them is active.
 """
 
 from __future__ import annotations
@@ -233,7 +234,9 @@ def _leaf_core(problem: Problem) -> frozenset | None:
     """What labels a child, beside its atom's literals, when none of them
     can force a successor (`Concept._forces`): the axiom alone, without the
     cut formulas.  None when such a child keeps the cut formulas too: the
-    axiom can force a successor, or there is no cut formula to leave out.
+    axiom can force a successor, or there is no cut formula to leave out,
+    as when only the root holds restrictions on inverse-named roles
+    (`cut_table`).
 
     Such a child has no successor, since only a positive at-least forces
     one and no branch of its label holds one.  Only a successor reads a

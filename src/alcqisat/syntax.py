@@ -523,20 +523,38 @@ def walk_concepts(*concepts: Concept) -> Iterator[Concept]:
 
 
 def cut_table(goal: Concept, axiom: Concept) -> tuple[tuple[Role, Concept], ...]:
-    """The distinct (role, filler) pairs among the number restrictions of
-    goal and axiom whose inverse role some number restriction there names,
-    in canonical order: one cut formula each.  An input without inverse
-    roles (ALCQ) gets none.
+    """The (role, filler) pairs that get a cut formula, in canonical order.
+    A pair (R, F) of a number restriction of goal or axiom is kept when
+    goal or axiom names inverse(R) and a node other than the root can hold
+    a restriction on R with filler F: one occurs in the axiom or inside the
+    filler of a number restriction, or (R, F) is (inverse(S), top) for a
+    kept pair (S, G), whose guard `(atmost 0 (inv S) top)` is such a
+    restriction.  An input without inverse roles (ALCQ) gets none, and so
+    does one whose restrictions on inverse-named roles sit only in the
+    goal's own and/or nodes.
 
-    The other pairs cannot change a verdict.  Only a child over
-    inverse(role) reads the pair (`cut_set_for_child`), and a child over a
-    role exists only when its parent's tuned branch has a positive
-    at-least on that role.  Every restriction in any label is a subterm of
-    goal or axiom, its negation (same role and filler), a copy with its
-    bound adjusted (same role), or a cut guard, which is an at-most and
-    forces no child.  So no node ever has an inverse(role)-child unless goal
-    or axiom names inverse(role).  And the formula of a dropped pair holds
-    `F or not F`, so it is a tautology whose removal loses no model.
+    The other pairs cannot change a verdict.  A node's decision on (R, F)
+    is read only by its child over inverse(R) (`cut_set_for_child`), and
+    only against a restriction on R with filler F in that child's label
+    (`fine_tune`); the child is never the root.  A child over a role exists
+    only when its parent's tuned branch has a positive at-least on that
+    role.  Every restriction in any label but the root's is one of these,
+    each with the role and filler of the restriction it comes from:
+
+    - a subterm of the axiom or of a restriction's filler, since a child's
+      label is its atom's fillers and negated fillers, the axiom and the
+      cut formulas, whose disjuncts are fillers, negated fillers and guards;
+    - the negation of one (a negated filler);
+    - a copy with its bound adjusted (`fine_tune`);
+    - the guard of a kept pair, which is an at-most and forces no child.
+
+    So no node ever has an inverse(R)-child unless goal or axiom names
+    inverse(R), and no child over inverse(R) holds a restriction on R with
+    filler F unless (R, F) is kept.  The formula of a dropped pair holds
+    `F or not F`, so it is a tautology whose removal loses no model.  The
+    guard closure takes at most two rounds: the first can add
+    (inverse(S), top), whose guard is on S with filler top, the second
+    (S, top), whose guard is on inverse(S) with filler top again.
 
     The same argument lets the engine leave every cut formula out of a
     child that cannot have a successor: one whose literals and axiom hold
@@ -546,7 +564,16 @@ def cut_table(goal: Concept, axiom: Concept) -> tuple[tuple[Role, Concept], ...]
     restrictions = [c for c in walk_concepts(goal, axiom) if type(c) is AtMost or type(c) is AtLeast]
     named = {c.role for c in restrictions}
     pairs = {(c.role, c.filler) for c in restrictions if c.role.inverse() in named}
-    return tuple(sorted(pairs, key=lambda p: (p[0].base, p[0].inverted, concept_key(p[1]))))
+    if not pairs:
+        return ()
+    inner = walk_concepts(axiom, *(c.filler for c in restrictions))
+    kept = pairs & {(c.role, c.filler) for c in inner if type(c) is AtMost or type(c) is AtLeast}
+    while True:
+        guarded = pairs & {(role.inverse(), TOP) for role, _ in kept}
+        if guarded <= kept:
+            break
+        kept |= guarded
+    return tuple(sorted(kept, key=lambda p: (p[0].base, p[0].inverted, concept_key(p[1]))))
 
 
 def cut_formula(role: Role, filler: Concept) -> Concept:
@@ -578,8 +605,8 @@ def signature_of(*concepts: Concept) -> tuple[frozenset[str], frozenset[str]]:
 class Problem(NamedTuple):
     """A satisfiability problem: goal concept, internalized axiom, the
     (role, filler) pairs of its cut formulas (those whose inverse role a
-    number restriction names, see `cut_table`) and the formulas themselves
-    (all in NNF)."""
+    number restriction names and which a node other than the root can
+    hold, see `cut_table`) and the formulas themselves (all in NNF)."""
 
     goal: Concept
     axiom: Concept
@@ -590,7 +617,8 @@ class Problem(NamedTuple):
 def build_problem(goal: Concept, axioms: Iterable[tuple[Concept, Concept]] = ()) -> Problem:
     """The problem of the goal under the axioms: both in NNF, the axioms
     internalized into one concept, and a cut formula for each pair of
-    `cut_table`, none for an ALCQ input."""
+    `cut_table`: none for an ALCQ input, nor for one whose restrictions
+    only the root holds."""
     e = to_nnf(goal)
     g = internalize(list(axioms))
     cuts = cut_table(e, g)

@@ -294,13 +294,25 @@ def restriction_pairs(*concepts: Concept) -> set:
     return {(c.role, c.filler) for c in walk_concepts(*concepts) if isinstance(c, (AtMost, AtLeast))}
 
 
-def with_every_cut(problem: Problem) -> Problem:
-    """The problem with a cut formula for every (role, filler) pair of its
-    number restrictions, not only the pairs an inverse edge reads, in
-    cut_table's order."""
-    pairs = restriction_pairs(problem.goal, problem.axiom)
+def _with_cuts(problem: Problem, pairs: set) -> Problem:
+    """The problem with a cut formula for each pair, in cut_table's order."""
     cuts = tuple(sorted(pairs, key=lambda p: (p[0].base, p[0].inverted, concept_key(p[1]))))
     return Problem(problem.goal, problem.axiom, cuts, frozenset(cut_formula(*p) for p in cuts))
+
+
+def with_every_cut(problem: Problem) -> Problem:
+    """The problem with a cut formula for every (role, filler) pair of its
+    number restrictions, not only the pairs an inverse edge reads."""
+    return _with_cuts(problem, restriction_pairs(problem.goal, problem.axiom))
+
+
+def with_named_inverse_cuts(problem: Problem) -> Problem:
+    """The problem with a cut formula for every pair whose inverse role a
+    number restriction names, the pairs that cut_table drops because only
+    the root holds them included."""
+    pairs = restriction_pairs(problem.goal, problem.axiom)
+    named = {role for role, _ in pairs}
+    return _with_cuts(problem, {(role, filler) for role, filler in pairs if role.inverse() in named})
 
 
 def unpruned_branches(label):

@@ -14,6 +14,8 @@ and under every relation:
 - leaf cuts: every child label carries the cut formulas, the engine's leaf
   labels (`engine._leaf_core`) patched out for the run;
 - every cut: a cut formula for every (role, filler) pair (`with_every_cut`);
+- named cuts: a cut formula for every pair whose inverse role is named,
+  those only the root holds included (`with_named_inverse_cuts`);
 - mirror: every role replaced by its inverse, which reads each role as its
   converse;
 - rename: atoms and roles renamed so that their order flips.
@@ -53,11 +55,11 @@ from alcqisat import (
     parse_problem_text,
 )
 from alcqisat.syntax import signature_of
-from conftest import bench_module, with_every_cut
+from conftest import bench_module, with_every_cut, with_named_inverse_cuts
 
 LIMITS = Limits(nogood_capacity=250)  # the bench's engine limits
 DEEP_PROFILE = CorpusProfile(max_depth=5, max_bound=5, max_roles=3, max_atoms=4, max_gcis=3)
-RELATIONS = ("leaf cuts", "every cut", "mirror", "rename")
+RELATIONS = ("leaf cuts", "every cut", "named cuts", "mirror", "rename")
 
 # problem texts: an R-successor's decision on B is read by its own
 # R-successor, which counts it under an (inv R) bound; dropping the cut
@@ -136,6 +138,7 @@ def outcomes(pf: ProblemFile) -> dict[str, str]:
     with cuts_in_every_label():
         out["leaf cuts"] = outcome(problem)
     out["every cut"] = outcome(with_every_cut(problem))
+    out["named cuts"] = outcome(with_named_inverse_cuts(problem))
     for name, change in (("mirror", mirrored), ("rename", renamed)):
         changed = change(pf)
         out[name] = outcome(build_problem(changed.query, changed.tbox))

@@ -213,9 +213,10 @@ def make_cuts(goal):
     return cut_table(to_nnf(goal), TOP)
 
 
-# names R and (inv R), so cut_table keeps the pair (R, D), which a child
-# over (inv R) reads, and the pair (inv R, A), which a child over R reads
-R_BOTH_WAYS = conj([AtLeast(2, R, D), AtLeast(1, R_INV, A)])
+# names R and (inv R) inside an S-filler, where a node other than the root
+# holds them, so cut_table keeps the pair (R, D), which a child over (inv R)
+# reads, and the pair (inv R, A), which a child over R reads
+R_BOTH_WAYS = AtLeast(1, Role("S"), conj([AtLeast(2, R, D), AtLeast(1, R_INV, A)]))
 
 
 def test_cut_set_records_filler():
@@ -245,8 +246,10 @@ def test_cut_set_guard_choice_leaves_pair_out():
 
 
 def test_cut_set_complete_when_guard_not_chosen():
-    goal = conj([AtLeast(1, R, D), AtMost(2, R, C), AtMost(1, R_INV, B)])
+    # inside an S-filler, so that cut_table keeps the pairs
+    goal = AtLeast(1, Role("S"), conj([AtLeast(1, R, D), AtMost(2, R, C), AtMost(1, R_INV, B)]))
     cuts = make_cuts(goal)
+    assert {role for role, _ in cuts} == {R, R_INV}
     label = frozenset({A}) | {cut_formula(role, filler) for role, filler in cuts}
     for br in enumerate_branches(label):
         if primitive_clash(br):

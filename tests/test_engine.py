@@ -38,7 +38,7 @@ from alcqisat import (
     parse_problem_text,
     primitive_clash,
 )
-from conftest import bench_module, closed_form_agrees, with_every_cut
+from conftest import bench_module, closed_form_agrees, with_every_cut, with_named_inverse_cuts
 
 A, B = Atom("A"), Atom("B")
 R = Role("R")
@@ -187,16 +187,18 @@ def test_infeasible_system_with_a_stored_body_fails_the_branch(monkeypatch):
         return outcomes[-1]
 
     monkeypatch.setattr(engine.Tableau, "_apply_lii", counted)
-    v = decide_text("(atleast 2 R (atmost 0 (inv R) (or top A)))")
+    # the inputs sit under an S-restriction: only a node other than the
+    # root decides the pair (R, (atmost 0 (inv R) ...)) that R's children read
+    v = decide_text("(atleast 1 S (atleast 2 R (atmost 0 (inv R) (or top A))))")
     assert not v.satisfiable
     assert outcomes.count(False) == 9
-    assert (v.stats.nodes, v.stats.lii_solves) == (5, 3)
+    assert (v.stats.nodes, v.stats.lii_solves) == (10, 8)
     # an atomic filler's decision, here top, is in no branch either
     outcomes.clear()
-    v = decide_text("(atleast 2 R (atmost 0 (inv R) top))")
+    v = decide_text("(atleast 1 S (atleast 2 R (atmost 0 (inv R) top)))")
     assert not v.satisfiable
     assert outcomes.count(False) == 2
-    assert (v.stats.nodes, v.stats.lii_solves) == (5, 3)
+    assert (v.stats.nodes, v.stats.lii_solves) == (10, 8)
 
 
 def _assert_one_nogood_per_restart(tableau):
@@ -587,8 +589,8 @@ def test_roles_without_an_at_least_are_not_solved():
 
 def test_at_least_zero_forces_no_successor():
     # the parent is the child's one qualifying (inv R)-neighbour, so the
-    # child's (atleast 1 (inv R) A) drops to at-least 0; the root's guard
-    # (atmost 0 (inv R) top) is an at-most alone: only the root's R is solved
+    # child's (atleast 1 (inv R) A) drops to at-least 0, and no other
+    # at-least on (inv R) labels it: only the root's R is solved
     trace = []
     v = decide_text("(atleast 1 R (atleast 1 (inv R) A))", trace=trace.append)
     assert v.satisfiable and v.stats.lii_solves == 1
@@ -718,6 +720,27 @@ def test_unread_cuts_change_no_verdict():
     assert lost_a_cut > 100
 
 
+def test_chain_with_an_inverse_decides_only_the_pairs_a_successor_reads():
+    # the chain's at-leasts on R nest, so nodes below the root hold its
+    # pairs on R; the root's own (atleast 1 (inv R) B) and chain head get
+    # no cut formula, and deciding them too costs 34 more restarts
+    chain = "top"
+    for _ in range(6):
+        chain = f"(atleast 1 R {chain})"
+    problem = build_problem(parse_concept(f"(and {chain} (atleast 1 (inv R) B))"))
+    assert len(problem.cuts) == 5
+    v = decide(problem, Limits(lambda_max=16))
+    assert v.satisfiable
+    assert v.stats == RunStats(restarts=87, nodes=296, nogoods=87, lii_solves=286, max_lambda=5)
+    named = with_named_inverse_cuts(problem)
+    assert len(named.cuts) == 7
+    v = decide(named, Limits(lambda_max=16))
+    assert v.satisfiable
+    assert v.stats == RunStats(restarts=121, nodes=441, nogoods=121, lii_solves=423, max_lambda=6)
+    # a filler's own guard counts the parent against it
+    assert not decide_text("(atleast 2 R (atmost 0 (inv R) top))").satisfiable
+
+
 def test_only_children_that_can_force_a_successor_keep_the_cut_formulas(monkeypatch):
     # the root and its R-successor, which has an at-least on R, carry the
     # cut formulas; the successor's own R-successor holds at-most bounds
@@ -816,7 +839,7 @@ def test_dead_label_skips_the_walk(monkeypatch):
 # sha256 over every deep-profile instance's trace lines, verdict and RunStats;
 # a change to the search that alters any of them must update it on purpose,
 # to the value deep_traces_digest() then returns
-DEEP_TRACES_DIGEST = "72b9557a66b29121b97fa8af7beec088d850680aaa84db6195dbd00e29fa0b84"
+DEEP_TRACES_DIGEST = "8841810796c55897384192ec2b1e8802efbf063fa9b6815096561202a5869d4c"
 
 
 def deep_traces_digest() -> str:

@@ -31,10 +31,17 @@ from alcqisat import (
     internalize,
     negate,
     parse_concept,
+    parse_problem_text,
     to_nnf,
 )
 from alcqisat.syntax import signature_of, walk_concepts
-from conftest import random_interpretation, random_raw_concept, reference_negate
+from conftest import (
+    bench_module,
+    random_interpretation,
+    random_raw_concept,
+    reference_negate,
+    with_named_inverse_cuts,
+)
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 R = Role("R")
@@ -199,9 +206,10 @@ def test_internalize_two_axioms():
 
 
 def test_cut_table_nested():
+    # under an S-restriction, so that a node other than the root holds both
     r_inv = R.inverse()
     inner = AtMost(0, r_inv, A)
-    e = AtLeast(1, R, inner)
+    e = AtLeast(1, Role("S"), AtLeast(1, R, inner))
     assert cut_table(e, TOP) == ((R, inner), (r_inv, A))
 
 
@@ -210,12 +218,12 @@ def test_cut_table_empty():
 
 
 def test_cut_table_shared_pair():
-    e = conj([AtLeast(2, R, C), AtMost(1, R, C), AtMost(1, R.inverse(), C)])
+    e = AtLeast(1, Role("S"), conj([AtLeast(2, R, C), AtMost(1, R, C), AtMost(1, R.inverse(), C)]))
     assert cut_table(e, TOP) == ((R, C), (R.inverse(), C))
 
 
 def test_cut_formula_shape():
-    e = conj([AtLeast(2, R, C), AtMost(1, Role("R", True), C)])
+    e = AtLeast(1, Role("S"), conj([AtLeast(2, R, C), AtMost(1, Role("R", True), C)]))
     cuts = build_problem(e).cut_concepts
     assert cuts == {
         disj([AtMost(0, Role("R", True), TOP), C, NegAtom("C")]),
@@ -237,9 +245,10 @@ def test_alcq_input_gets_no_cuts():
 
 def test_cut_table_keeps_the_pairs_whose_inverse_role_is_named():
     # R and (inv R) are both named, S only forwards: the pairs on S are
-    # dropped, including the one nested under R's filler
+    # dropped, including the one nested under R's filler; the goal sits
+    # under an S-restriction, so that a node other than the root holds it
     goal = parse_concept(
-        "(and (atleast 1 R (atmost 1 S A)) (atmost 2 (inv R) B) (atleast 1 S C))"
+        "(atleast 1 S (and (atleast 1 R (atmost 1 S A)) (atmost 2 (inv R) B) (atleast 1 S C)))"
     )
     p = build_problem(goal, [(TOP, parse_concept("(atmost 4 R (not C))"))])
     assert p.cuts == (
@@ -252,13 +261,61 @@ def test_cut_table_keeps_the_pairs_whose_inverse_role_is_named():
 
 def test_cut_formula_guard_uses_inverse_of_inverse():
     s_inv = Role("S", True)
-    e = conj([AtMost(1, s_inv, Atom("D")), AtLeast(1, Role("S"), TOP)])
+    # under an R-restriction, so that a node other than the root holds both
+    e = AtLeast(1, R, conj([AtMost(1, s_inv, Atom("D")), AtLeast(1, Role("S"), TOP)]))
     forward, pair = cut_table(e, TOP)
     assert forward == (Role("S"), TOP)
     assert pair == (s_inv, Atom("D"))
     guard = AtMost(0, s_inv.inverse(), TOP)
     assert guard == AtMost(0, Role("S"), TOP)
     assert cut_formula(*pair) == disj([guard, Atom("D"), NegAtom("D")])
+
+
+def test_cut_table_drops_the_pairs_only_the_root_holds():
+    # the restrictions sit in the goal's own and/or nodes, and no node
+    # reads the root's decisions; under an S-filler the root's successors
+    # hold them, and their successors read them
+    goal = parse_concept("(or (and (atleast 2 R A) (atmost 1 (inv R) B)) (atmost 3 R (not A)))")
+    assert cut_table(goal, TOP) == ()
+    assert cut_table(AtLeast(1, Role("S"), goal), TOP) == (
+        (R, A),
+        (R, NegAtom("A")),
+        (R.inverse(), B),
+    )
+
+
+def test_cut_table_keeps_the_pairs_held_in_the_axiom_or_a_filler():
+    # (inv R, A) is in the axiom and (inv R, B) inside R's filler; the
+    # goal's own (R, ...) and (R, C) are held by the root alone
+    goal = parse_concept("(and (atleast 1 R (atmost 1 (inv R) B)) (atmost 2 R C))")
+    p = build_problem(goal, [(TOP, parse_concept("(atmost 3 (inv R) A)"))])
+    assert p.cuts == ((R.inverse(), A), (R.inverse(), B))
+
+
+def test_cut_table_keeps_the_top_pairs_that_kept_guards_hold():
+    # shrunk from generate_corpus seed 32 (default profile) #65: the
+    # axiom's pair (R, A) is kept, so its guard (atmost 0 (inv R) top)
+    # labels nodes other than the root, and the goal's pair (inv R, top)
+    # counts the parent against it; where the goal also holds (atmost 1 R
+    # top), that pair's guard (atmost 0 R top) keeps (R, top) in a second
+    # round
+    pf = parse_problem_text("gci (atmost 0 R A) B\nsat (atmost 0 (inv R) top)\n")
+    p = build_problem(pf.query, pf.tbox)
+    assert p.cuts == ((R, A), (R.inverse(), TOP))
+    assert AtMost(0, R.inverse(), TOP) in cut_formula(R, A).parts
+    two_rounds = build_problem(conj([pf.query, AtMost(1, R, TOP)]), pf.tbox)
+    assert two_rounds.cuts == ((R, TOP), (R, A), (R.inverse(), TOP))
+
+
+def test_no_counting_instance_gets_a_cut_formula():
+    # flat number restrictions in the goal's own and-node: the rule that
+    # kept every pair whose inverse role is named gave 1,055 cut formulas
+    named_pairs = 0
+    for pf in bench_module("corpora").generate("counting"):
+        p = build_problem(pf.query, pf.tbox)
+        assert p.cuts == () and p.cut_concepts == frozenset()
+        named_pairs += len(with_named_inverse_cuts(p).cuts)
+    assert named_pairs == 1055
 
 
 def test_cut_count_bounded_by_distinct_pairs():
