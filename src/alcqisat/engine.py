@@ -9,14 +9,22 @@ vector meets its rows and is their smallest solution.  Most other roles
 build none either: where the restrictions force the system's answer,
 `closed_form` reads it off them (everything on the full atom or on the
 highest live atom, or a refutation).  That answer is the first solve of the
-role's one solve loop, and the system is built only if its child fails.
-Cut formulas exist only for the pairs a node other than the root can hold
-(`cut_table`).  A child none of whose literals, nor the axiom, can force a
-successor is a leaf: no successor reads its filler decisions, so its label
-leaves the cut formulas out (`_leaf_core`); the root and every other child
-keep them.  The branch walk prunes clashed disjuncts and never branches on
-a satisfied disjunction, and a branch that clashes only after the bound
-adjustment is skipped; such local clashes are never cached.  Failures are
+role's one solve loop, and the system is built only if its child fails;
+where `closed_form` declines, the system is built from the sorted
+restrictions and clash mask it read (`Reading`).  Cut formulas exist only
+for the pairs a node other than the root can hold (`cut_table`), and a
+problem without them hands its successors no filler decisions.  A child
+none of whose literals, nor the axiom, can force a successor is a leaf: no
+successor reads its filler decisions, so its label leaves the cut formulas
+out (`_leaf_core`); the root and every other child keep them.  A child
+whose label holds only atoms and negated atoms, none complementary, has
+one branch, the label, and no role to solve, so it is settled with its
+bookkeeping alone (`_settle`), without a walk.  The branch walk prunes
+clashed disjuncts and never branches on a satisfied disjunction, and a
+branch that clashes only after the bound adjustment is skipped; such local
+clashes are never cached.  A branch whose role fails drops every witness
+registered since its own, so blocking only ever points at a node of the
+current tree whose branch still holds.  Failures are
 cached as nogood triples (context cut-set, incoming role, concept set) in
 one place, `_record`: every triple it stores is new and aborts the current
 tree, clears the blocking store, and restarts; a repeat is an internal
@@ -52,6 +60,7 @@ from .branch import (
 )
 from .lii import (
     LiiSystem,
+    Reading,
     SolverLimitError,
     atomic_decomposition,
     build_lii,
@@ -64,11 +73,14 @@ from .lii import (
 from .syntax import (
     AtLeast,
     AtMost,
+    Atom,
     Concept,
+    NegAtom,
     Problem,
     Role,
     TOP,
     concept_key,
+    negate,
     sorted_concepts,
 )
 
@@ -247,6 +259,27 @@ def _leaf_core(problem: Problem) -> frozenset | None:
     return frozenset() if problem.axiom is TOP else frozenset({problem.axiom})
 
 
+def _plain(label: frozenset) -> bool:
+    """Whether the label holds only atoms and negated atoms, no two of them
+    complementary.  Its one branch is then the label itself: nothing to
+    lower against a parent, no role to solve."""
+    for lit in label:
+        kind = type(lit)
+        if kind is not Atom and kind is not NegAtom or (lit._neg or negate(lit)) in label:
+            return False
+    return True
+
+
+def _system(tuned: Branch, role: Role, reading: Reading | None = None) -> LiiSystem:
+    """The role's system with its clashed atoms zeroed; the caller has
+    checked its width, and takes its atoms only to expand children.  A
+    reading closed_form filled gives the restrictions and the clash mask."""
+    system = build_lii(tuned, role, None, reading)
+    for mask in clashed_atoms(system.fillers, reading):
+        system = zero_column(system, mask)
+    return system
+
+
 def _fmt_set(concepts: Iterable[Concept]) -> str:
     return "{" + ", ".join(str(c) for c in sorted_concepts(concepts)) + "}"
 
@@ -337,11 +370,9 @@ class Tableau:
 
     # -- expansion ---------------------------------------------------------
 
-    def _expand(self, label: frozenset, cut: CutSet, edge: Role | None) -> NogoodTriple | None:
-        """Expand a new node with the label, reached over edge with the
-        parent's filler decisions cut; its id is the number of nodes the
-        whole run expanded before it.  None when its subtree completed,
-        otherwise the stored triple that already rules its label out."""
+    def _new_node(self) -> int:
+        """Count a new node against the run and the tree's budget; its id
+        is the number of nodes the whole run expanded before it."""
         node_id = self.stats.nodes
         self.stats.nodes += 1
         self._tree_nodes += 1
@@ -349,6 +380,18 @@ class Tableau:
             raise ResourceLimitError(
                 f"node budget of {self.limits.node_budget} exceeded in one tree"
             )
+        return node_id
+
+    def _expand(self, label: frozenset, cut: CutSet, edge: Role | None) -> NogoodTriple | None:
+        """Expand a new node with the label, reached over edge with the
+        parent's filler decisions cut.  None when its subtree completed,
+        otherwise the stored triple that already rules its label out.
+
+        A branch registers its key as a witness before it solves its roles.
+        When a role fails the branch, the key goes, and so does every
+        witness registered since: a subtree of an earlier role may have
+        completed only because the branch blocked one of its nodes."""
+        node_id = self._new_node()
         # the store grows only in _record, which aborts the tree, so what
         # is read here holds for the whole node: an empty store is not asked
         nogoods = self.nogoods
@@ -363,6 +406,7 @@ class Tableau:
             if nogoods.hit(cut, edge, definite_literals(label)) is not None:
                 self._record(cut, edge, label)
 
+        witnesses = self.witnesses
         for index, branch in enumerate(enumerate_branches(label)):
             tuned = fine_tune(branch, cut, edge)
             # the walk yields clash-free sets, fine_tune returns the branch
@@ -379,12 +423,13 @@ class Tableau:
             # (fillers, rows, atoms) and the branch (its children's cut
             # sets), never (cut, edge): one key, one subtree
             key = (branch, tuned)
-            blocker = self.witnesses.get(key)
+            blocker = witnesses.get(key)
             if blocker is not None:
                 if self.trace is not None:
                     self.trace(f"BLOCKED node={node_id} by={blocker}")
                 return None
-            self.witnesses[key] = node_id
+            mark = len(witnesses)
+            witnesses[key] = node_id
 
             # only an at-least with a positive bound forces a successor; on
             # any other role the all-zero vector is the smallest solution
@@ -396,19 +441,36 @@ class Tableau:
                     break
             else:
                 return None
-            del self.witnesses[key]
+            # the table is a stack: each failed branch pops what it pushed,
+            # and a dict pops its last-inserted item first
+            while len(witnesses) > mark:
+                witnesses.popitem()
 
         # the label test above missed and a triple added during the walk
         # restarts the tree, so this triple is new
         self._record(cut, edge, label)
 
-    def _system(self, tuned: Branch, role: Role) -> LiiSystem:
-        """The role's system with its clashed atoms zeroed; the caller has
-        checked its width, and takes its atoms only to expand children."""
-        system = build_lii(tuned, role)
-        for mask in clashed_atoms(system.fillers):
-            system = zero_column(system, mask)
-        return system
+    def _settle(self, label: frozenset, cut: CutSet, edge: Role) -> NogoodTriple | None:
+        """_expand for a successor with a plain label (`_plain`), at the cost
+        of its bookkeeping alone.  Its one branch is the label, no bound of
+        it is lowered and no role of it is solved, so _expand's later
+        label tests would repeat the first: the node asks a non-empty store
+        about its label once, then prints its branch 0 and is blocked by, or
+        registered as, the witness with key (label, label)."""
+        node_id = self._new_node()
+        if self.nogoods:
+            hit = self.nogoods.hit(cut, edge, label)
+            if hit is not None:
+                return hit
+        if self.trace is not None:
+            self.trace(f"PB node={node_id} branch=0")
+        key = (label, label)
+        blocker = self.witnesses.get(key)
+        if blocker is None:
+            self.witnesses[key] = node_id
+        elif self.trace is not None:
+            self.trace(f"BLOCKED node={node_id} by={blocker}")
+        return None
 
     def _apply_lii(self, node_id: int, branch: Branch, tuned: Branch, role: Role) -> bool:
         """Decompose the role's restrictions, solve, expand the children.
@@ -416,36 +478,44 @@ class Tableau:
         When closed_form reads the first solve off the restrictions, its
         answer stands in for feasible's and no system is built until a
         child fails.  Otherwise the role's system is built with its clashed
-        atoms zeroed and solved.  Under dump_systems each solve prints the
-        system first, built for the purpose when the answer stands in for
-        it.  A child none of whose literals can force a successor is
-        labelled without the cut formulas (`_leaf_core`).
+        atoms zeroed, from the restrictions and the clash mask closed_form
+        read before it declined, and solved.  Under dump_systems each solve
+        prints the system first, built for the purpose when the answer
+        stands in for it.  A child none of whose literals can force a
+        successor is labelled without the cut formulas (`_leaf_core`); a
+        child with a plain label is settled without a walk (`_settle`).
 
-        A child that hits a cached nogood zeroes its column and the system is
-        re-solved.  A fresh child failure, and a system that turns out
-        infeasible, store a new triple and abort the tree before this
-        returns.  True when the role completed, False when a stored
-        unconditional triple already covers the restrictions with the
-        branch's filler decisions (branch fails); that check is also why an
-        infeasible system's triple is new."""
-        child_cut = cut_set_for_child(branch, role, self.problem.cuts)
-        # the branch satisfies every choice literal (that is how
-        # cut_set_for_child reads them off it) and holds every literal of
-        # tuned, so a stored wildcard covered by the two together rules the
-        # branch out; the walk's checks only saw the literals themselves
-        choices = choice_literals(child_cut)
-        if (
-            self.nogoods
-            and not choices <= tuned
-            and self.nogoods.hit_wildcard(tuned | choices) is not None
-        ):
-            return False
+        A problem without cut formulas hands no filler decisions to a
+        child, so then the child's cut set is empty and no wildcard is
+        tested against the decisions.  A child that hits a cached nogood
+        zeroes its column and the system is re-solved.  A fresh child
+        failure, and a system that turns out infeasible, store a new triple
+        and abort the tree before this returns.  True when the role
+        completed, False when a stored unconditional triple already covers
+        the restrictions with the branch's filler decisions (branch fails);
+        that check is also why an infeasible system's triple is new."""
+        if self.problem.cuts:
+            child_cut = cut_set_for_child(branch, role, self.problem.cuts)
+            # the branch satisfies every choice literal (that is how
+            # cut_set_for_child reads them off it) and holds every literal
+            # of tuned, so a stored wildcard covered by the two together
+            # rules the branch out; the walk's checks only saw the literals
+            choices = choice_literals(child_cut)
+            if (
+                self.nogoods
+                and not choices <= tuned
+                and self.nogoods.hit_wildcard(tuned | choices) is not None
+            ):
+                return False
+        else:
+            child_cut = choices = EMPTY_CUT_SET
+        reading = Reading()
         try:
-            answer = closed_form(tuned, role, self.limits.lambda_max)
+            answer = closed_form(tuned, role, self.limits.lambda_max, reading)
         except SolverLimitError as exc:
             raise ResourceLimitError(f"node {node_id} role {role}: {exc}") from None
         if answer is None:
-            system = self._system(tuned, role)
+            system = _system(tuned, role, reading)
             atoms = atomic_decomposition(system.fillers, self.limits.lambda_max)
             width = len(system.fillers)
         else:
@@ -457,7 +527,7 @@ class Tableau:
         completed: set[int] = set()
         while True:
             if self.dump_systems is not None:
-                shown = system if system is not None else self._system(tuned, role)
+                shown = system if system is not None else _system(tuned, role, reading)
                 self.dump_systems(f"lii node={node_id} role={role}\n{shown.describe()}")
             self.stats.lii_solves += 1
             if system is not None:
@@ -484,15 +554,19 @@ class Tableau:
                     continue
                 child = atom if atoms is None else atoms[mask - 1]
                 if leaf_core is not None and not any(lit._forces for lit in child):
-                    label = child | leaf_core
+                    core = leaf_core
                 else:
-                    label = child | self._core_label
-                blocking = self._expand(label, child_cut, role)
+                    core = self._core_label
+                label = child | core if core else child
+                if _plain(label):
+                    blocking = self._settle(label, child_cut, role)
+                else:
+                    blocking = self._expand(label, child_cut, role)
                 if blocking is None:
                     completed.add(mask)
                     continue
                 if system is None:
-                    system = self._system(tuned, role)
+                    system = _system(tuned, role, reading)
                     atoms = atomic_decomposition(system.fillers, self.limits.lambda_max)
                 system = zero_column(system, mask)
                 if not blocking.is_wildcard():

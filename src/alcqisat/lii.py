@@ -25,7 +25,9 @@ the branch.  Otherwise, when one filler's at-least and at-most bounds
 contradict each other, the system is infeasible; and when the highest atom
 that is neither clashed nor under an at-most 0 holds every at-least filler
 and no at-most bound below the largest at-least bound, the answer is
-everything on that atom.
+everything on that atom.  Where it declines, it leaves what it read in a
+`Reading` (the sorted restrictions, the clash mask), and the system is
+built from that without sorting or clash-testing again.
 
 `feasible` returns the lexicographically smallest solution, found by an
 iterative depth-first search.  Rows bounding the same sum are merged into
@@ -95,6 +97,20 @@ class LiiSystem(NamedTuple):
         return "\n".join(lines)
 
 
+class Reading:
+    """What closed_form read of one role's restrictions before it declined:
+    the restrictions in canonical order and the clash mask of their fillers
+    (`_clash_bits`).  Both stay None until closed_form gets past the full
+    atom, the one case that reads neither; build_lii and clashed_atoms take
+    them from here instead of reading them again."""
+
+    __slots__ = ("restrictions", "clashed")
+
+    def __init__(self):
+        self.restrictions: list[Concept] | None = None
+        self.clashed: int | None = None
+
+
 def _restrictions(branch: frozenset, role: Role) -> list[Concept]:
     """The restrictions on role in the branch, in canonical order."""
     return sorted_concepts(
@@ -147,10 +163,11 @@ def atomic_decomposition(fillers: list[Concept], lambda_max: int = 10) -> list[f
     return [frozenset(s) for s in signed[1:]]
 
 
-def clashed_atoms(fillers: tuple[Concept, ...]) -> list[int]:
+def clashed_atoms(fillers: tuple[Concept, ...], reading: Reading | None = None) -> list[int]:
     """The masks of the atoms whose literal set clashes, ascending: the
     masks m for which primitive_clash(atomic_decomposition(fillers)[m - 1])
-    holds, found without building a literal set.
+    holds, found without building a literal set.  A reading of the same
+    fillers that holds their clash mask gives it without a second test.
 
     An atom holds one literal per filler, the filler or its negation, so it
     clashes through a literal that clashes alone (bottom, an at-most below
@@ -162,7 +179,9 @@ def clashed_atoms(fillers: tuple[Concept, ...]) -> list[int]:
     each literal's atoms met with its negation's.  A filler's own negation
     is held by the complementary atoms, so that meet is empty unless
     another filler gives it too: O(n) set operations, no 2^n walk."""
-    clashed = _clash_bits(fillers)
+    clashed = None if reading is None else reading.clashed
+    if clashed is None:
+        clashed = _clash_bits(fillers)
     masks = []
     while clashed:
         low = clashed & -clashed
@@ -191,13 +210,18 @@ def _clash_bits(fillers: tuple[Concept, ...]) -> int:
     return clashed
 
 
-def build_lii(branch: frozenset, role: Role, lambda_max: int | None = None) -> LiiSystem:
+def build_lii(
+    branch: frozenset, role: Role, lambda_max: int | None = None, reading: Reading | None = None
+) -> LiiSystem:
     """One row per restriction on the role; coefficients select the atoms
     containing the row's filler positively.  Nothing zeroed yet.  Fillers
     are indexed on first occurrence, as collect_fillers lists them.  More
     fillers than lambda_max raise SolverLimitError before any coefficient
-    mask, which has 2^width bits, is built."""
-    restrictions = _restrictions(branch, role)
+    mask, which has 2^width bits, is built.  A reading of the same branch
+    and role that holds the restrictions gives them without a second sort."""
+    restrictions = None if reading is None else reading.restrictions
+    if restrictions is None:
+        restrictions = _restrictions(branch, role)
     index: dict[Concept, int] = {}
     for lit in restrictions:
         index.setdefault(lit.filler, len(index))
@@ -211,7 +235,7 @@ def build_lii(branch: frozenset, role: Role, lambda_max: int | None = None) -> L
 
 
 def closed_form(
-    branch: frozenset, role: Role, lambda_max: int | None = None
+    branch: frozenset, role: Role, lambda_max: int | None = None, reading: Reading | None = None
 ) -> tuple[int, dict[int, int] | None, frozenset | None] | None:
     """The role's first solve read straight off its restrictions in the
     branch, without a system, or None when it is not forced.  The answer
@@ -244,7 +268,10 @@ def closed_form(
       answers exactly when feasible returns {M: most}.
 
     Counts the fillers as build_lii does: more than lambda_max raise
-    SolverLimitError with the same message, before any case is read."""
+    SolverLimitError with the same message, before any case is read.  Past
+    the full atom, the restrictions are sorted and their fillers' clash mask
+    is taken; a reading, when given, keeps both, so a caller that builds the
+    system after a decline reads neither again."""
     fillers = set()
     most, fewest = 0, None
     for lit in branch:
@@ -264,8 +291,9 @@ def closed_form(
             return width, {(1 << width) - 1: most}, full
     # per filler, in build_lii's order: [its largest at-least bound, its
     # smallest at-most bound or None], the interval of feasible's check
+    restrictions = _restrictions(branch, role)
     bounds: dict[Concept, list] = {}
-    for lit in _restrictions(branch, role):
+    for lit in restrictions:
         interval = bounds.setdefault(lit.filler, [0, None])
         if type(lit) is AtLeast:
             if lit.bound > interval[0]:
@@ -277,6 +305,8 @@ def closed_form(
         return width, None, None
     # the atoms that are not live: clashed, or holding a filler under at-most 0
     dead = _clash_bits(tuple(bounds))
+    if reading is not None:
+        reading.restrictions, reading.clashed = restrictions, dead
     for coeff, (_, hi) in zip(_coefficients(width), intervals):
         if hi == 0:
             dead |= coeff

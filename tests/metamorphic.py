@@ -23,11 +23,17 @@ and under every relation:
 A relation's verdict must equal the input's wherever both decide; a run
 stopped by a limit is counted apart.  The sweep prints one line per
 relation and exits 1 when any verdict differs, listing those inputs.
+
+The full sweep also pins the inputs' own outcomes: it prints the sha256 of
+one character per input, in input order (S, U, or L when a limit stopped
+the run), and exits 1 when it differs from `VERDICTS_DIGEST`, so no change
+to the engine flips a verdict unnoticed.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 import time
 from contextlib import contextmanager
@@ -60,6 +66,10 @@ from conftest import bench_module, with_every_cut, with_named_inverse_cuts
 LIMITS = Limits(nogood_capacity=250)  # the bench's engine limits
 DEEP_PROFILE = CorpusProfile(max_depth=5, max_bound=5, max_roles=3, max_atoms=4, max_gcis=3)
 RELATIONS = ("leaf cuts", "every cut", "named cuts", "mirror", "rename")
+# sha256 of the full sweep's outcome letters (11,827 S, 828 U, no L); a
+# change that flips a verdict or runs into a limit must explain itself
+VERDICTS_DIGEST = "406874a4f926cd8ec7b1a932248364ffdd03b1f7d804340057924d4e358989a9"
+LETTERS = {"SAT": "S", "UNSAT": "U", "limit": "L"}
 
 # problem texts: an R-successor's decision on B is read by its own
 # R-successor, which counts it under an (inv R) bound; dropping the cut
@@ -159,15 +169,18 @@ def inputs(seeds: range) -> list[tuple[str, ProblemFile]]:
     return out
 
 
-def sweep(named: list[tuple[str, ProblemFile]]) -> tuple[dict, list]:
+def sweep(named: list[tuple[str, ProblemFile]], letters: list | None = None) -> tuple[dict, list]:
     """Per relation, how many inputs it decided alike, how many a limit
     stopped on one side, and the mismatches: (name, relation, default
-    outcome, relation's outcome, input text)."""
+    outcome, relation's outcome, input text).  Each input's own outcome
+    letter is appended to letters, when given."""
     counts = {name: {"agree": 0, "limit": 0} for name in RELATIONS}
     mismatches = []
     for name, pf in named:
         got = outcomes(pf)
         default = got["default"]
+        if letters is not None:
+            letters.append(LETTERS[default])
         for relation in RELATIONS:
             if "limit" in (default, got[relation]):
                 counts[relation]["limit"] += 1
@@ -184,16 +197,22 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     named = inputs(range(1, args.seeds + 1))
     start = time.perf_counter()
-    counts, mismatches = sweep(named)
+    letters: list[str] = []
+    counts, mismatches = sweep(named, letters)
     elapsed = time.perf_counter() - start
     print(f"{len(named)} inputs, {len(named) * len(RELATIONS)} checks in {elapsed:.1f} s")
+    digest = hashlib.sha256("".join(letters).encode()).hexdigest()
+    # only the full sweep's outcomes are pinned
+    flipped = args.seeds == 40 and digest != VERDICTS_DIGEST
+    print(f"verdicts sha256 {digest}"
+          + (f", pinned {VERDICTS_DIGEST}: FLIPPED" if flipped else ""))
     for relation in RELATIONS:
         wrong = sum(1 for m in mismatches if m[1] == relation)
         print(f"{relation:10} agree {counts[relation]['agree']:6}  "
               f"limit {counts[relation]['limit']:4}  mismatch {wrong}")
     for name, relation, default, changed, text in mismatches:
         print(f"MISMATCH {name} {relation}: {default} became {changed}\n{text}")
-    return 1 if mismatches else 0
+    return 1 if mismatches or flipped else 0
 
 
 if __name__ == "__main__":

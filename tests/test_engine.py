@@ -831,9 +831,131 @@ def test_dead_label_skips_the_walk(monkeypatch):
             without.append(run(problem))
     assert len(with_skip) == 68
     assert [v for v, _ in with_skip] == [v for v, _ in without]
-    # 141 walks is what the engine made before the short-circuit existed
-    assert sum(n for _, n in without) == 141
-    assert sum(n for _, n in with_skip) < 141
+    # 121 walks is what the engine makes without the short-circuit, now
+    # that a successor with a plain label is settled without a walk
+    assert sum(n for _, n in without) == 121
+    assert sum(n for _, n in with_skip) < 121
+
+
+def test_a_failed_branch_drops_the_witnesses_its_subtree_registered():
+    # node 7's branch 15 expands child node 8, then a later role of the
+    # branch hits a stored wildcard and fails it; node 8 completed under a
+    # branch that no longer holds, so it must not block node 7's later
+    # branches' children
+    pf = parse_problem_text(
+        "gci (and top A2 A3) (atleast 5 R0 top)\n"
+        "gci (and top A1 (not A3)) (or (not A0) A1)\n"
+        "sat (or A2 (atleast 1 (inv R1) (atleast 3 (inv R0) "
+        "(and (not A2) A3 (not A3) (or A1 A3)))))\n"
+    )
+    seen = {}
+
+    def trace(line):
+        if line in ("PB node=8 branch=0", "PB node=7 branch=16"):
+            seen[line] = set(tableau.witnesses.values())
+
+    tableau = Tableau(build_problem(pf.query, pf.tbox), trace=trace)
+    assert tableau.decide().satisfiable
+    assert 7 in seen["PB node=8 branch=0"]
+    assert 8 not in seen["PB node=7 branch=16"]
+    assert 7 not in seen["PB node=7 branch=16"]
+
+
+def plain_runs(monkeypatch, text, tbox=(), limits=None, seed=None):
+    """Decide text with its trace and dumps, recording the labels _expand
+    and _settle get; seed is a triple stored before the run."""
+    expanded, settled = [], []
+    expand, settle = engine.Tableau._expand, engine.Tableau._settle
+
+    def recorded_expand(self, label, cut, edge):
+        expanded.append(label)
+        return expand(self, label, cut, edge)
+
+    def recorded_settle(self, label, cut, edge):
+        settled.append(label)
+        return settle(self, label, cut, edge)
+
+    monkeypatch.setattr(engine.Tableau, "_expand", recorded_expand)
+    monkeypatch.setattr(engine.Tableau, "_settle", recorded_settle)
+    lines = []
+    tableau = Tableau(
+        build_problem(parse_concept(text), tbox), limits, trace=lines.append, dump_systems=lines.append
+    )
+    if seed is not None:
+        tableau.nogoods.add(seed)
+    return tableau, lines, expanded, settled
+
+
+def test_an_equal_plain_successor_is_blocked_by_the_first(monkeypatch):
+    # R's and S's successors both have the label {A}: neither is walked,
+    # and the second is blocked by the first, with the lines a walk printed
+    tableau, lines, expanded, settled = plain_runs(monkeypatch, "(and (atleast 1 R A) (atleast 1 S A))")
+    assert tableau.decide() == (True, RunStats(nodes=3, lii_solves=2, max_lambda=1))
+    assert expanded == [frozenset({tableau.problem.goal})]
+    assert settled == [frozenset({A})] * 2
+    assert [line for line in lines if not line.startswith("lii")] == [
+        "PB node=0 branch=0",
+        "LII node=0 role=R atoms=1 verdict=feasible",
+        "PB node=1 branch=0",
+        "LII node=0 role=S atoms=1 verdict=feasible",
+        "PB node=2 branch=0",
+        "BLOCKED node=2 by=1",
+    ]
+    assert len(tableau.witnesses) == 2
+    assert tableau.witnesses[frozenset({A}), frozenset({A})] == 1
+
+
+def test_a_plain_successor_returns_the_stored_hit(monkeypatch):
+    # a stored triple on the R-edge covers the full atom {A, B}: its node
+    # prints nothing, the column is zeroed, and the re-solve's two plain
+    # successors are settled
+    R = Role("R")
+    seed = NogoodTriple(EMPTY_CUT_SET, R, frozenset({A, B}))
+    tableau, lines, expanded, settled = plain_runs(
+        monkeypatch, "(and (atleast 1 R A) (atleast 1 R B))", seed=seed
+    )
+    assert tableau.decide() == (True, RunStats(nodes=4, lii_solves=2, max_lambda=2))
+    assert settled == [frozenset({A, B}), frozenset({A, NegAtom("B")}), frozenset({NegAtom("A"), B})]
+    assert len(expanded) == 1
+    assert lines == [
+        "PB node=0 branch=0",
+        "lii node=0 role=R\nfillers: ['A', 'B']\nv1 + v3 >= 1\nv2 + v3 >= 1",
+        "LII node=0 role=R atoms=3 verdict=feasible",
+        "lii node=0 role=R\nfillers: ['A', 'B']\nv1 + v3 >= 1\nv2 + v3 >= 1\nzeroed: [3]",
+        "LII node=0 role=R atoms=3 verdict=feasible",
+        "PB node=2 branch=0",
+        "PB node=3 branch=0",
+    ]
+
+
+def test_plain_successors_count_against_the_node_budget(monkeypatch):
+    # the S-successor is the tree's third node, one over a budget of 2
+    tableau, lines, expanded, settled = plain_runs(
+        monkeypatch, "(and (atleast 1 R A) (atleast 1 S B))", limits=Limits(node_budget=2)
+    )
+    with pytest.raises(ResourceLimitError) as info:
+        tableau.decide()
+    assert info.value.stats == RunStats(nodes=3, lii_solves=2, max_lambda=1)
+    assert settled == [frozenset({A}), frozenset({B})]
+    assert lines[-1] == "LII node=0 role=S atoms=1 verdict=feasible"
+
+
+def test_only_plain_labels_skip_the_walk(monkeypatch):
+    # a successor holding a number restriction or a junction is walked,
+    # one holding only atoms is not; a core label with a junction makes
+    # every label walked, and a label with a complementary pair is walked
+    # too, which finds no branch
+    text = "(and (atleast 1 R (or A B)) (atleast 1 S (atmost 2 R A)) (atleast 1 T A))"
+    tableau, _, expanded, settled = plain_runs(monkeypatch, text)
+    assert tableau.decide().satisfiable
+    assert expanded[1:] == [frozenset({parse_concept("(or A B)")}), frozenset({parse_concept("(atmost 2 R A)")})]
+    assert settled == [frozenset({A})]
+    tableau, _, expanded, settled = plain_runs(monkeypatch, text, [(TOP, parse_concept("(or A C)"))])
+    assert tableau.decide().satisfiable
+    assert len(expanded) == 4 and settled == []
+    tableau, _, expanded, settled = plain_runs(monkeypatch, "(atleast 1 R A)", [(TOP, NegAtom("A"))])
+    assert not tableau.decide().satisfiable
+    assert frozenset({A, NegAtom("A")}) in expanded and settled == []
 
 
 # sha256 over every deep-profile instance's trace lines, verdict and RunStats;

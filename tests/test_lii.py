@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import alcqisat.engine as engine
 from alcqisat import (
     AtLeast,
     AtMost,
@@ -24,7 +25,7 @@ from alcqisat import (
     primitive_clash,
     zero_column,
 )
-from alcqisat.lii import Row, clashed_atoms
+from alcqisat.lii import Reading, Row, clashed_atoms
 from alcqisat.syntax import sorted_concepts, to_nnf
 from conftest import (
     brute_force_feasible,
@@ -452,6 +453,34 @@ def test_closed_form_answers_exactly_where_feasible_is_forced():
     assert kinds["full"] > 300
     assert kinds["atom"] > 300
     assert kinds[None] > 300
+
+
+def test_a_declined_reading_builds_the_system_from_scratch():
+    # on the branches of the test above, whenever closed_form declines, the
+    # system built from what it read (the sorted restrictions, the clash
+    # mask) equals the one built without it: same fillers, rows and zeroed
+    # set.  Past the full atom closed_form always fills the reading
+    rng = random.Random(20261020)
+    letters = [A, B, C]
+    fillers = letters + [negate(a) for a in letters] + [TOP]
+    declined = 0
+    for _ in range(5000):
+        branch = set()
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.choice((AtLeast, AtMost))
+            bound = 0 if kind is AtMost and rng.random() < 0.3 else rng.randint(0, 6)
+            branch.add(kind(bound, R, rng.choice(fillers)))
+        branch.add(AtLeast(rng.randint(1, 6), R, rng.choice(fillers)))
+        branch.add(AtMost(rng.randint(0, 3), S, A))  # another role's
+        branch = frozenset(branch)
+        reading = Reading()
+        if closed_form(branch, R, None, reading) is not None:
+            continue
+        declined += 1
+        assert reading.restrictions is not None and reading.clashed is not None
+        built, scratch = engine._system(branch, R, reading), engine._system(branch, R)
+        assert (built.fillers, built.rows, built.zeroed) == (scratch.fillers, scratch.rows, scratch.zeroed)
+    assert declined > 300
 
 
 def test_closed_form_reads_the_highest_live_atom():
