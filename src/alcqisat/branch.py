@@ -8,11 +8,9 @@ The walk that yields them is DPLL-style: it skips disjunctions the partial
 disjunct already satisfies, drops the parts that clash with it before
 branching (taking a lone survivor without a choice point), and keeps the
 partial disjunct on a trail that choice points rewind.  So not every
-clash-free disjunct is yielded, but each contains one that is.  The
-definite literals of a label, those every branch holds, let the engine skip
-the walk for a label a nogood already kills.  The clash test on a tuned
-branch says whether it clashes (bottom, a complementary pair, an at-most
-below zero), not how: the engine reads nothing else.
+clash-free disjunct is yielded, but each contains one that is.  The clash
+test on a tuned branch says whether it clashes (bottom, a complementary
+pair, an at-most below zero), not how: the engine reads nothing else.
 """
 
 from __future__ import annotations
@@ -156,22 +154,6 @@ def enumerate_branches(label: Iterable[Concept]) -> Iterator[Branch]:
             else:
                 trail.append(part)
                 members.add(part)
-
-
-def definite_literals(label: Iterable[Concept]) -> frozenset:
-    """The literals reachable from the label through and-nodes alone.  The
-    walk adds them to every partial disjunct, so each yielded set contains
-    them."""
-    found = set()
-    todo = list(label)
-    while todo:
-        c = todo.pop()
-        kind = type(c)
-        if kind is And:
-            todo.extend(c.parts)
-        elif kind is not Or:
-            found.add(c)
-    return frozenset(found)
 
 
 def branch_satisfies(branch: Branch, c: Concept) -> bool:

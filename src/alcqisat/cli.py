@@ -53,7 +53,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
                         help="most distinct fillers per solved role, one with a positive at-least, "
                              "before giving up (default %(default)s)")
     parser.add_argument("--node-budget", type=int, default=defaults["node_budget"], metavar="N",
-                        help="most node expansions per tree (default %(default)s)")
+                        help="most node expansions per run (default %(default)s)")
     return parser
 
 

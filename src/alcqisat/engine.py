@@ -1,4 +1,4 @@
-"""Tableau engine: depth-first construction, nogood caching, restarts.
+"""Tableau engine: depth-first construction, nogood caching, backtracking.
 
 The procedure builds a labeled tree top-down.  Each node picks one
 propositional branch of its label, adjusts bounds against its parent, and
@@ -22,30 +22,40 @@ one branch, the label, and no role to solve, so it is settled with its
 bookkeeping alone (`_settle`), without a walk.  The branch walk prunes
 clashed disjuncts and never branches on a satisfied disjunction, and a
 branch that clashes only after the bound adjustment is skipped; such local
-clashes are never cached.  A branch whose role fails drops every witness
-registered since its own, so blocking only ever points at a node of the
-current tree whose branch still holds.  Failures are
-cached as nogood triples (context cut-set, incoming role, concept set) in
-one place, `_record`: every triple it stores is new and aborts the current
-tree, clears the blocking store, and restarts; a repeat is an internal
-error.  A stored body leaves out the axiom and the cut formulas, which
-label every node but those leaves, so a label is queried as it is.  Since
-only an aborted tree grows the store, a node reads once whether it is empty
-and then asks an empty store nothing.  A node whose definite literals
-(those every branch of its label holds) a stored triple already covers
-would skip every branch, so it fails without walking its label.  The run
-answers unsatisfiable when a triple subsumes the root label, tested once
-per pass, and satisfiable when a tree completes; the store's capacity
-bounds the number of restarts.  Runs raise the interpreter's recursion
-limit while any of them is active.
-"""
+clashes are never cached.
 
+Failures are cached as nogood triples (context cut-set, incoming role,
+concept set) in one place, `_record`, and every failure takes one path: a
+child whose walk finds no branch records its label and returns the triple
+to its parent's solve loop, which zeroes the child's atom and re-solves,
+as it does for a child whose label a stored triple already covers; a
+system that turns out infeasible records its restrictions and fails only
+its branch, and the node goes on to its next branch.  A stored body leaves
+out the axiom and the cut formulas, which label every node but those
+leaves, so a label is queried as it is.  The store is monotone and an
+empty store is never asked.  The run builds one tree: it answers
+unsatisfiable when a triple subsumes the root label or the root's walk
+finds no branch, and satisfiable when the root completes.
+
+Why this is sound.  Every stored triple is a failure of the same kind as
+when each failure restarted the tree: a label none of whose branches
+survives, or a system with no solution, under context-keyed zeroing only
+when its body carries the branch's filler decisions.  A completed subtree
+is a complete fragment for its label whatever is stored later, since the
+store only prunes.  Blocking reads the witness trail: a branch registers
+its key before it solves its roles, and when one of them fails the branch
+drops its key and every witness registered since.  The tree grows depth
+first, so every node registered or blocked after that mark lies in the
+failed branch's subtree, which is discarded with it; a witness therefore
+always belongs to a node whose branch still holds.  Runs raise the
+interpreter's recursion limit while any of them is active.
+"""
 from __future__ import annotations
 
 import _thread
 import sys
 from operator import attrgetter
-from typing import Callable, Iterable, NamedTuple, NoReturn
+from typing import Callable, Iterable, NamedTuple
 
 from .branch import (
     Branch,
@@ -53,7 +63,6 @@ from .branch import (
     EMPTY_CUT_SET,
     choice_literals,
     cut_set_for_child,
-    definite_literals,
     enumerate_branches,
     fine_tune,
     primitive_clash,
@@ -92,13 +101,15 @@ class ResourceLimitError(RuntimeError):
 
 class Limits(NamedTuple):
     lambda_max: int = 10
-    node_budget: int = 1_000_000          # expansions per tree
+    node_budget: int = 1_000_000          # node expansions per run, its one tree
     nogood_capacity: int = 100_000
     solver_max_steps: int = 2_000_000
 
 
 class RunStats:
-    """Counters of one run, updated in place while it runs."""
+    """Counters of one run, updated in place while it runs.  `restarts` is
+    always 0, since a run builds one tree; it stays because the benchmark
+    (`bench/workload.py`) and `--stats` read it."""
 
     __slots__ = ("restarts", "nodes", "nogoods", "lii_solves", "max_lambda")
 
@@ -195,10 +206,6 @@ class NogoodStore:
         if cut or edge is not None:
             return self.hit_exact(cut, edge, body)
         return None
-
-
-class _RestartRequested(Exception):
-    pass
 
 
 class _RecursionLimit:
@@ -324,24 +331,30 @@ class Tableau:
         # of a label exactly when it is one of the label without them
         self._core_label = frozenset(core)
         self._leaf_core = _leaf_core(problem)
-        self._tree_nodes = 0
 
     # -- helpers ----------------------------------------------------------
 
-    def _record(self, cut: CutSet, edge: Role | None, body: frozenset) -> NoReturn:
+    def _record(self, cut: CutSet, edge: Role | None, body: frozenset) -> NogoodTriple:
         """Store a failure, without the axiom and the cut formulas, and
-        abort the tree.  Every caller has just found no stored triple
-        covering it, so a repeat is an internal error."""
-        triple = NogoodTriple(cut, edge, body - self._core_label)
-        if not self.nogoods.add(triple):
+        return its triple.  The store grows while a node is open, so a
+        triple stored since the caller's own tests may already cover the
+        failure: then that triple is returned and nothing is stored, and
+        every stored triple is new."""
+        body -= self._core_label
+        nogoods = self.nogoods
+        if nogoods:
+            hit = nogoods.hit(cut, edge, body)
+            if hit is not None:
+                return hit
+        triple = NogoodTriple(cut, edge, body)
+        if not nogoods.add(triple):
             raise AssertionError(f"nogood already stored: {triple}")
-        self.stats.nogoods = len(self.nogoods)
+        self.stats.nogoods = len(nogoods)
         if self.trace is not None:
             self.trace(
-                f"NOGOOD cut={_fmt_cut(triple.cut, triple.edge)} edge={_fmt_edge(triple.edge)} "
-                f"body={_fmt_set(triple.body)}"
+                f"NOGOOD cut={_fmt_cut(cut, edge)} edge={_fmt_edge(edge)} body={_fmt_set(body)}"
             )
-        raise _RestartRequested()
+        return triple
 
     # -- main loop ---------------------------------------------------------
 
@@ -349,21 +362,13 @@ class Tableau:
         root_label = frozenset({self.problem.goal}) | self._core_label
         with _RECURSION_LIMIT:
             try:
-                # each pass stores a new triple or ends the run, and the
-                # store raises at capacity; the root's own label test is
-                # this one, and an empty store is not asked
+                # the root's own label test is this one; a store seeded
+                # before the run may cover the root label
                 nogoods = self.nogoods
-                while not (nogoods and nogoods.hit(EMPTY_CUT_SET, None, root_label)):
-                    self.witnesses.clear()
-                    self._tree_nodes = 0
-                    try:
-                        self._expand(root_label, EMPTY_CUT_SET, None)
-                        return Verdict(satisfiable=True, stats=self.stats)
-                    except _RestartRequested:
-                        self.stats.restarts += 1
-                        if self.trace is not None:
-                            self.trace(f"RESTART {self.stats.restarts}")
-                return Verdict(satisfiable=False, stats=self.stats)
+                if nogoods and nogoods.hit(EMPTY_CUT_SET, None, root_label):
+                    return Verdict(satisfiable=False, stats=self.stats)
+                failed = self._expand(root_label, EMPTY_CUT_SET, None)
+                return Verdict(satisfiable=failed is None, stats=self.stats)
             except (ResourceLimitError, SolverLimitError) as exc:
                 exc.stats = self.stats
                 raise
@@ -371,12 +376,11 @@ class Tableau:
     # -- expansion ---------------------------------------------------------
 
     def _new_node(self) -> int:
-        """Count a new node against the run and the tree's budget; its id
-        is the number of nodes the whole run expanded before it."""
+        """Count a new node against the run's budget; its id is the number
+        of nodes the run expanded before it."""
         node_id = self.stats.nodes
         self.stats.nodes += 1
-        self._tree_nodes += 1
-        if self._tree_nodes > self.limits.node_budget:
+        if node_id >= self.limits.node_budget:
             raise ResourceLimitError(
                 f"node budget of {self.limits.node_budget} exceeded in one tree"
             )
@@ -385,36 +389,34 @@ class Tableau:
     def _expand(self, label: frozenset, cut: CutSet, edge: Role | None) -> NogoodTriple | None:
         """Expand a new node with the label, reached over edge with the
         parent's filler decisions cut.  None when its subtree completed,
-        otherwise the stored triple that already rules its label out.
+        otherwise the triple that rules its label out: a stored one that
+        covers it, or, when the walk finds no branch, the one `_record`
+        returns for the label.  The parent's solve loop zeroes the node's
+        atom either way.
 
         A branch registers its key as a witness before it solves its roles.
         When a role fails the branch, the key goes, and so does every
         witness registered since: a subtree of an earlier role may have
-        completed only because the branch blocked one of its nodes."""
+        completed only because the branch blocked one of its nodes.  A
+        node that fails has dropped every witness it registered."""
         node_id = self._new_node()
-        # the store grows only in _record, which aborts the tree, so what
-        # is read here holds for the whole node: an empty store is not asked
         nogoods = self.nogoods
-        stored = bool(nogoods)
-        if stored:
-            if edge is not None:  # decide's loop test is the root's
-                hit = nogoods.hit(cut, edge, label)
-                if hit is not None:
-                    return hit
-            # every branch holds the definite literals; when a stored triple
-            # covers them, the checks below would skip every branch
-            if nogoods.hit(cut, edge, definite_literals(label)) is not None:
-                self._record(cut, edge, label)
+        if edge is not None and nogoods:  # decide's entry test is the root's
+            hit = nogoods.hit(cut, edge, label)
+            if hit is not None:
+                return hit
 
         witnesses = self.witnesses
         for index, branch in enumerate(enumerate_branches(label)):
             tuned = fine_tune(branch, cut, edge)
             # the walk yields clash-free sets, fine_tune returns the branch
             # itself when it changes nothing, and hit reads the wildcards
-            # on the branch: only a changed set is tested on its own
+            # on the branch: only a changed set is tested on its own.  The
+            # store grows during the walk, so it is asked whenever it holds
+            # a triple
             if tuned is not branch and (
-                primitive_clash(tuned) or stored and nogoods.hit_wildcard(tuned)
-            ) or stored and nogoods.hit(cut, edge, branch):
+                primitive_clash(tuned) or nogoods and nogoods.hit_wildcard(tuned)
+            ) or nogoods and nogoods.hit(cut, edge, branch):
                 continue
             if self.trace is not None:
                 self.trace(f"PB node={node_id} branch={index}")
@@ -446,9 +448,7 @@ class Tableau:
             while len(witnesses) > mark:
                 witnesses.popitem()
 
-        # the label test above missed and a triple added during the walk
-        # restarts the tree, so this triple is new
-        self._record(cut, edge, label)
+        return self._record(cut, edge, label)
 
     def _settle(self, label: frozenset, cut: CutSet, edge: Role) -> NogoodTriple | None:
         """_expand for a successor with a plain label (`_plain`), at the cost
@@ -487,13 +487,14 @@ class Tableau:
 
         A problem without cut formulas hands no filler decisions to a
         child, so then the child's cut set is empty and no wildcard is
-        tested against the decisions.  A child that hits a cached nogood
-        zeroes its column and the system is re-solved.  A fresh child
-        failure, and a system that turns out infeasible, store a new triple
-        and abort the tree before this returns.  True when the role
-        completed, False when a stored unconditional triple already covers
-        the restrictions with the branch's filler decisions (branch fails);
-        that check is also why an infeasible system's triple is new."""
+        tested against the decisions.  A child that fails, whether its
+        label hits a stored triple or its walk finds no branch and stores
+        one, zeroes its column and the system is re-solved; a child that
+        completed stays completed.  True when the role completed, False
+        when the branch fails: a stored unconditional triple already covers
+        the restrictions with the branch's filler decisions, or the system
+        turns out infeasible, and then its restrictions are recorded (with
+        the decisions, when a context-keyed failure zeroed a column)."""
         if self.problem.cuts:
             child_cut = cut_set_for_child(branch, role, self.problem.cuts)
             # the branch satisfies every choice literal (that is how
@@ -548,6 +549,7 @@ class Tableau:
                     # cached set must carry the branch's filler commitments
                     body |= choices
                 self._record(EMPTY_CUT_SET, None, body)
+                return False
 
             for mask in solution:
                 if mask in completed:

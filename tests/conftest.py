@@ -7,6 +7,7 @@ import itertools
 import random
 from pathlib import Path
 
+import alcqisat.engine as engine
 from alcqisat import (
     And,
     AtLeast,
@@ -14,6 +15,7 @@ from alcqisat import (
     Atom,
     Interpretation,
     LiiSystem,
+    NogoodStore,
     NoneFound,
     Not,
     OracleLimitError,
@@ -54,6 +56,29 @@ def bench_module(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def assert_nogoods_are_new(tableau, trace: list[str]) -> None:
+    """A run builds one tree and stores each failure once: no restart, one
+    NOGOOD line per stored triple, no triple covered by one stored before
+    it, and at most one triple per node (its label) and per solve (an
+    infeasible system)."""
+    stats = tableau.stats
+    lines = [line for line in trace if line.startswith("NOGOOD ")]
+    assert stats.restarts == 0
+    assert stats.nogoods == len(lines) == len(tableau.nogoods)
+    position = {line: i for i, line in enumerate(lines)}
+    assert len(position) == len(lines), "a NOGOOD line repeats"
+
+    def line_of(t):
+        return (f"NOGOOD cut={engine._fmt_cut(t.cut, t.edge)} edge={engine._fmt_edge(t.edge)} "
+                f"body={engine._fmt_set(t.body)}")
+
+    earlier = NogoodStore()
+    for triple in sorted(tableau.nogoods, key=lambda t: position[line_of(t)]):
+        assert earlier.hit(*triple) is None, f"{triple} is covered by an earlier triple"
+        earlier.add(triple)
+    assert stats.nogoods <= stats.nodes + stats.lii_solves
 
 
 def random_raw_concept(rng: random.Random, depth: int, atoms=("A", "B", "C"), roles=("R", "S")):

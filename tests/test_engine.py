@@ -38,7 +38,13 @@ from alcqisat import (
     parse_problem_text,
     primitive_clash,
 )
-from conftest import bench_module, closed_form_agrees, with_every_cut, with_named_inverse_cuts
+from conftest import (
+    assert_nogoods_are_new,
+    bench_module,
+    closed_form_agrees,
+    with_every_cut,
+    with_named_inverse_cuts,
+)
 
 A, B = Atom("A"), Atom("B")
 R = Role("R")
@@ -188,85 +194,91 @@ def test_infeasible_system_with_a_stored_body_fails_the_branch(monkeypatch):
 
     monkeypatch.setattr(engine.Tableau, "_apply_lii", counted)
     # the inputs sit under an S-restriction: only a node other than the
-    # root decides the pair (R, (atmost 0 (inv R) ...)) that R's children read
+    # root decides the pair (R, (atmost 0 (inv R) ...)) that R's children read.
+    # Two systems are infeasible, node 1's first branch's and the root's;
+    # each other False is a branch of node 1 failed on the stored body
+    # without a solve
     v = decide_text("(atleast 1 S (atleast 2 R (atmost 0 (inv R) (or top A))))")
     assert not v.satisfiable
-    assert outcomes.count(False) == 9
-    assert (v.stats.nodes, v.stats.lii_solves) == (10, 8)
+    assert outcomes.count(False) == 10
+    assert (v.stats.nodes, v.stats.lii_solves, v.stats.nogoods) == (3, 4, 4)
     # an atomic filler's decision, here top, is in no branch either
     outcomes.clear()
     v = decide_text("(atleast 1 S (atleast 2 R (atmost 0 (inv R) top)))")
     assert not v.satisfiable
-    assert outcomes.count(False) == 2
-    assert (v.stats.nodes, v.stats.lii_solves) == (10, 8)
+    assert outcomes.count(False) == 4
+    assert (v.stats.nodes, v.stats.lii_solves, v.stats.nogoods) == (3, 4, 4)
 
 
-def _assert_one_nogood_per_restart(tableau):
-    stats = tableau.stats
-    assert stats.restarts == stats.nogoods == len(tableau.nogoods)
-
-
-def test_restarts_bounded_by_nogoods():
-    # every restart stores exactly one new triple (`_record`); backjumping
-    # to the parent instead of restarting the tree (ROADMAP item 3) would
-    # end this equality
-    for text in [
+def test_every_stored_nogood_is_new():
+    # a run builds one tree and never restarts; every failure it stores is
+    # new, one NOGOOD line each, and a run stopped at the store's capacity
+    # keeps that as well
+    texts = [
         "(and A (not A))",
         "(and (atleast 2 R C) (atmost 1 R top))",
         "(and A (atleast 1 R (atmost 0 (inv R) A)))",
-    ]:
-        tableau = Tableau(build_problem(parse_concept(text)))
-        tableau.decide()
-        _assert_one_nogood_per_restart(tableau)
-
-
-def test_restarts_equal_nogoods_on_the_acceptance_corpus():
-    # a run stopped at the store's capacity keeps the equality as well
-    for pf in generate_corpus(seed=20260809, count=200):
-        tableau = Tableau(build_problem(pf.query, pf.tbox), Limits(nogood_capacity=250))
+        "(and (atleast 3 R (or A B)) (atmost 1 R A) (atmost 1 R B))",
+    ]
+    for text, limits in [(text, None) for text in texts] + [(texts[-1], Limits(nogood_capacity=2))]:
+        trace = []
+        tableau = Tableau(build_problem(parse_concept(text)), limits, trace=trace.append)
         try:
             tableau.decide()
         except ResourceLimitError:
-            pass
-        _assert_one_nogood_per_restart(tableau)
+            assert limits is not None
+        assert_nogoods_are_new(tableau, trace)
 
 
-def test_new_nogood_between_restarts():
-    trace = []
-    decide_text("(and A (atleast 1 R (atmost 0 (inv R) A)))", trace=trace.append)
-    count_since_restart = None
-    for line in trace:
-        if line.startswith("NOGOOD"):
-            if count_since_restart is not None:
-                count_since_restart += 1
-        if line.startswith("RESTART"):
-            if count_since_restart is not None:
-                assert count_since_restart >= 1
-            count_since_restart = 0
-
-
-def test_record_stores_only_new_failures_and_always_restarts():
-    # every caller of _record has just found no stored triple covering the
-    # failure, so storing one again is an internal error, not a no-op
+def test_record_returns_a_covering_triple_and_stores_only_new_ones():
+    # the store grows while a node is open, so _record first asks it: a
+    # failure a stored triple covers gets that triple back and stores
+    # nothing; a new one is stored and returned
     tableau = Tableau(build_problem(parse_concept("(and A (atleast 1 R (atmost 0 (inv R) A)))")))
     assert not tableau.decide().satisfiable
     stored = list(tableau.nogoods)
     assert any(triple.cut for triple in stored)
     for triple in stored:
-        with pytest.raises(AssertionError):
-            tableau._record(triple.cut, triple.edge, triple.body)
+        assert tableau._record(triple.cut, triple.edge, triple.body | {B}) == triple
     assert list(tableau.nogoods) == stored
-    with pytest.raises(engine._RestartRequested):
-        tableau._record(EMPTY_CUT_SET, None, frozenset({B}))
+    new = tableau._record(EMPTY_CUT_SET, None, frozenset({B}) | tableau._core_label)
+    assert new == NogoodTriple(EMPTY_CUT_SET, None, frozenset({B}))
     assert tableau.stats.nogoods == len(tableau.nogoods) == len(stored) + 1
+    assert tableau.stats.restarts == 0
+    # storing a triple again is an internal error, not a no-op
+    tableau.nogoods.hit = lambda *args: None
+    with pytest.raises(AssertionError, match="already stored"):
+        tableau._record(EMPTY_CUT_SET, None, frozenset({B}))
+
+
+def test_a_fresh_child_failure_is_zeroed_and_re_solved_in_the_same_tree():
+    # node 1's full-atom R-child, node 2, has no branch under the axiom: it
+    # stores its label and returns to node 1's solve loop, which zeroes the
+    # atom and re-solves; the root's S is solved once and nothing restarts
+    problem = build_problem(
+        parse_concept("(atleast 1 S (and (atleast 1 R A) (atleast 1 R B)))"), [(conj([A, B]), BOTTOM)]
+    )
+    trace = []
+    v = Tableau(problem, trace=trace.append).decide()
+    assert v == (True, RunStats(nodes=5, nogoods=1, lii_solves=3, max_lambda=2))
+    assert trace == [
+        "PB node=0 branch=0",
+        "LII node=0 role=S atoms=1 verdict=feasible",
+        "PB node=1 branch=0",
+        "LII node=1 role=R atoms=3 verdict=feasible",
+        "NOGOOD cut={} edge=R body={A, B}",
+        "LII node=1 role=R atoms=3 verdict=feasible",
+        "PB node=3 branch=0",
+        "PB node=4 branch=0",
+    ]
 
 
 def test_each_branch_reads_the_wildcards_once():
     # fine_tune hands back the branch itself when it changes nothing, and at
     # the root the empty context is the wildcards' own: either way, one
     # scan of the wildcard bodies per branch, plus the edge's context below
-    # the root.  decide's loop test is the root's label test, so the root
-    # label is scanned once per pass
+    # the root.  decide's entry test is the root's label test, so the root
+    # label is scanned once
     calls = []
 
     def hook(name, fn):
@@ -298,12 +310,11 @@ def test_each_branch_reads_the_wildcards_once():
         if edge is None:
             root_label = frozenset({tableau.problem.goal})
             root_scans = [args for name, args in calls if args == (root_label,)]
-            assert len(root_scans) == tableau.stats.restarts + 1 == 1, calls
+            assert len(root_scans) == 1, calls
 
 
 def test_an_empty_store_is_never_queried(monkeypatch):
-    # the store grows only in _record, which aborts the tree, so a node
-    # reads once whether it is empty; counting #1 stores no triple, so its
+    # an empty store is never asked; counting #1 stores no triple, so its
     # run asks the store nothing
     corpora = bench_module("corpora")
     pf = corpora.generate("counting")[1]
@@ -668,8 +679,8 @@ def test_full_atom_answers_a_role_exactly_when_feasible_would(monkeypatch):
 
 def test_a_failed_full_atom_child_falls_back_to_the_system(monkeypatch):
     # the full atom {A, B} answers R, but the axiom kills its child; the
-    # tree restarts, the stored body blocks the child again, and the role
-    # goes to the system with the full atom (mask 3) zeroed.  A dump prints
+    # child stores its label and fails, and the role goes to the system
+    # with the full atom (mask 3) zeroed, in the same tree.  A dump prints
     # the system of each answered solve without decomposing it, so only
     # the fallback, which expands children, takes the atoms, dump or not
     problem = build_problem(
@@ -690,10 +701,10 @@ def test_a_failed_full_atom_child_falls_back_to_the_system(monkeypatch):
     v = Tableau(problem, trace=trace.append, dump_systems=dumps.append).decide()
     assert len(decompositions) == 1
     assert v.satisfiable
-    assert v.stats.lii_solves == 3
-    solves = [line for line in trace if line.startswith("LII node=2 role=R")]
-    assert solves == ["LII node=2 role=R atoms=3 verdict=feasible"] * 2
-    node_dumps = [d for d in dumps if d.startswith("lii node=2 role=R")]
+    assert v.stats.lii_solves == 2
+    solves = [line for line in trace if line.startswith("LII")]
+    assert solves == ["LII node=0 role=R atoms=3 verdict=feasible"] * 2
+    node_dumps = [d for d in dumps if d.startswith("lii node=0 role=R")]
     assert len(node_dumps) == 2
     assert "zeroed" not in node_dumps[0]
     assert node_dumps[1].endswith("zeroed: [3]")
@@ -723,7 +734,7 @@ def test_unread_cuts_change_no_verdict():
 def test_chain_with_an_inverse_decides_only_the_pairs_a_successor_reads():
     # the chain's at-leasts on R nest, so nodes below the root hold its
     # pairs on R; the root's own (atleast 1 (inv R) B) and chain head get
-    # no cut formula, and deciding them too costs 34 more restarts
+    # no cut formula, and deciding them too costs about twice the nodes
     chain = "top"
     for _ in range(6):
         chain = f"(atleast 1 R {chain})"
@@ -731,12 +742,12 @@ def test_chain_with_an_inverse_decides_only_the_pairs_a_successor_reads():
     assert len(problem.cuts) == 5
     v = decide(problem, Limits(lambda_max=16))
     assert v.satisfiable
-    assert v.stats == RunStats(restarts=87, nodes=296, nogoods=87, lii_solves=286, max_lambda=5)
+    assert v.stats == RunStats(nodes=92, nogoods=87, lii_solves=169, max_lambda=5)
     named = with_named_inverse_cuts(problem)
     assert len(named.cuts) == 7
     v = decide(named, Limits(lambda_max=16))
     assert v.satisfiable
-    assert v.stats == RunStats(restarts=121, nodes=441, nogoods=121, lii_solves=423, max_lambda=6)
+    assert v.stats == RunStats(nodes=187, nogoods=121, lii_solves=290, max_lambda=6)
     # a filler's own guard counts the parent against it
     assert not decide_text("(atleast 2 R (atmost 0 (inv R) top))").satisfiable
 
@@ -798,67 +809,30 @@ def test_contradictory_counting_instance_decides_within_small_budget():
     assert not v.satisfiable
 
 
-def test_dead_label_skips_the_walk(monkeypatch):
-    # a label whose definite literals a stored triple covers goes straight
-    # to the nogood; with definite_literals patched to return the label,
-    # the short-circuit only repeats the label test made before it, so the
-    # engine walks as it did without it
-    corpora = bench_module("corpora")
-    walk = engine.enumerate_branches
-    calls = 0
-
-    def counted(label):
-        nonlocal calls
-        calls += 1
-        return walk(label)
-
-    def run(problem):
-        nonlocal calls
-        calls = 0
-        verdict = Tableau(problem, Limits(nogood_capacity=250)).decide()
-        return verdict, calls
-
-    monkeypatch.setattr(engine, "enumerate_branches", counted)
-    with_skip, without = [], []
-    for pf in corpora.generate("counting"):
-        problem = build_problem(pf.query, pf.tbox)
-        verdict, walks = run(problem)
-        if verdict.satisfiable:
-            continue
-        with_skip.append((verdict, walks))
-        with monkeypatch.context() as m:
-            m.setattr(engine, "definite_literals", lambda label: label)
-            without.append(run(problem))
-    assert len(with_skip) == 68
-    assert [v for v, _ in with_skip] == [v for v, _ in without]
-    # 121 walks is what the engine makes without the short-circuit, now
-    # that a successor with a plain label is settled without a walk
-    assert sum(n for _, n in without) == 121
-    assert sum(n for _, n in with_skip) < 121
-
-
 def test_a_failed_branch_drops_the_witnesses_its_subtree_registered():
-    # node 7's branch 15 expands child node 8, then a later role of the
-    # branch hits a stored wildcard and fails it; node 8 completed under a
-    # branch that no longer holds, so it must not block node 7's later
-    # branches' children
+    # node 0's branch 0 expands its R1-child, node 1, which registers a
+    # witness; then the branch fails on role (inv R2).  Node 1 completed
+    # under a branch that no longer holds, so it must not block node 4,
+    # the R1-child of node 0's branch 1, whose label is node 1's
     pf = parse_problem_text(
-        "gci (and top A2 A3) (atleast 5 R0 top)\n"
-        "gci (and top A1 (not A3)) (or (not A0) A1)\n"
-        "sat (or A2 (atleast 1 (inv R1) (atleast 3 (inv R0) "
-        "(and (not A2) A3 (not A3) (or A1 A3)))))\n"
+        "gci A3 (not A3)\n"
+        "gci (atleast 4 R0 (not A3)) A3\n"
+        "gci (or (not A2) A3) (atleast 5 (inv R2) A3)\n"
+        "sat (atleast 2 R1 A1)\n"
     )
-    seen = {}
+    seen, lines = {}, []
 
     def trace(line):
-        if line in ("PB node=8 branch=0", "PB node=7 branch=16"):
+        lines.append(line)
+        if line in ("PB node=1 branch=1", "PB node=0 branch=1"):
             seen[line] = set(tableau.witnesses.values())
 
     tableau = Tableau(build_problem(pf.query, pf.tbox), trace=trace)
-    assert tableau.decide().satisfiable
-    assert 7 in seen["PB node=8 branch=0"]
-    assert 8 not in seen["PB node=7 branch=16"]
-    assert 7 not in seen["PB node=7 branch=16"]
+    assert tableau.decide() == (True, RunStats(nodes=5, nogoods=2, lii_solves=6, max_lambda=1))
+    assert seen == {"PB node=1 branch=1": {0}, "PB node=0 branch=1": set()}
+    assert lines[-3:] == ["PB node=0 branch=1", "LII node=0 role=R1 atoms=1 verdict=feasible",
+                          "PB node=4 branch=1"]
+    assert not any(line.startswith("BLOCKED") for line in lines)
 
 
 def plain_runs(monkeypatch, text, tbox=(), limits=None, seed=None):
@@ -961,7 +935,7 @@ def test_only_plain_labels_skip_the_walk(monkeypatch):
 # sha256 over every deep-profile instance's trace lines, verdict and RunStats;
 # a change to the search that alters any of them must update it on purpose,
 # to the value deep_traces_digest() then returns
-DEEP_TRACES_DIGEST = "8841810796c55897384192ec2b1e8802efbf063fa9b6815096561202a5869d4c"
+DEEP_TRACES_DIGEST = "ddd38ef4ceb22102b2d9198d0ff8e015b2bf89cfae5c0f319d05d4c441ae6dc1"
 
 
 def deep_traces_digest() -> str:
@@ -985,7 +959,7 @@ def test_deep_corpus_traces_are_pinned():
 
 # the same over all 300 counting-workload instances, with every inequality
 # system --dump-lii prints: the workload where clash zeroing runs
-COUNTING_TRACES_DIGEST = "ea06bb63cd5a0e8fd8624993714687499716f218529a671ff7dbc1a43f1e2a51"
+COUNTING_TRACES_DIGEST = "875f1d1387d022c2024a6be649ff795f6ebb639601bf24642c011b09bba2f9b0"
 
 
 def counting_traces_digest() -> str:
