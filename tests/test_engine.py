@@ -210,23 +210,58 @@ def test_infeasible_system_with_a_stored_body_fails_the_branch(monkeypatch):
     assert (v.stats.nodes, v.stats.lii_solves, v.stats.nogoods) == (3, 4, 4)
 
 
-def test_every_stored_nogood_is_new():
-    # a run builds one tree and never restarts; every failure it stores is
-    # new, one NOGOOD line each, and a run stopped at the store's capacity
-    # keeps that as well
-    texts = [
+def _decide_traced(text, limits=None):
+    trace = []
+    tableau = Tableau(build_problem(parse_concept(text)), limits, trace=trace.append)
+    try:
+        tableau.decide()
+    except ResourceLimitError:
+        assert limits is not None
+    return tableau, trace
+
+
+def test_restarts_bounded_by_nogoods():
+    # a run builds one tree: it never restarts, and every failure it stores
+    # is new, one NOGOOD line each
+    for text in [
         "(and A (not A))",
         "(and (atleast 2 R C) (atmost 1 R top))",
         "(and A (atleast 1 R (atmost 0 (inv R) A)))",
-        "(and (atleast 3 R (or A B)) (atmost 1 R A) (atmost 1 R B))",
-    ]
-    for text, limits in [(text, None) for text in texts] + [(texts[-1], Limits(nogood_capacity=2))]:
+    ]:
+        tableau, trace = _decide_traced(text)
+        assert_nogoods_are_new(tableau, trace)
+
+
+def test_restarts_equal_nogoods_on_the_acceptance_corpus():
+    # no restart on any of them, and a run stopped at the store's capacity
+    # keeps its stored nogoods new as well
+    stopped = 0
+    for pf in generate_corpus(seed=20260809, count=200):
         trace = []
-        tableau = Tableau(build_problem(parse_concept(text)), limits, trace=trace.append)
+        tableau = Tableau(build_problem(pf.query, pf.tbox), Limits(nogood_capacity=250), trace=trace.append)
         try:
             tableau.decide()
         except ResourceLimitError:
-            assert limits is not None
+            stopped += 1
+        assert_nogoods_are_new(tableau, trace)
+    assert stopped < 200
+
+
+def test_new_nogood_between_restarts():
+    # the failed child's label is stored once, mid-tree, and no RESTART line
+    # follows it: the parent answers the failure in its own solve loop
+    tableau, trace = _decide_traced("(and A (atleast 1 R (atmost 0 (inv R) A)))")
+    assert not any(line.startswith("RESTART") for line in trace)
+    first = next(i for i, line in enumerate(trace) if line.startswith("NOGOOD"))
+    assert trace[first + 1] == "LII node=0 role=R atoms=1 verdict=infeasible"
+    assert_nogoods_are_new(tableau, trace)
+
+
+def test_every_stored_nogood_is_new():
+    # a run stopped at the store's capacity keeps every stored failure new
+    text = "(and (atleast 3 R (or A B)) (atmost 1 R A) (atmost 1 R B))"
+    for limits in [None, Limits(nogood_capacity=2)]:
+        tableau, trace = _decide_traced(text, limits)
         assert_nogoods_are_new(tableau, trace)
 
 
