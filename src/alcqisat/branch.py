@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .syntax import (
+    BOTTOM,
     And,
     AtLeast,
     AtMost,
@@ -154,6 +155,34 @@ def enumerate_branches(label: Iterable[Concept]) -> Iterator[Branch]:
             else:
                 trail.append(part)
                 members.add(part)
+
+
+def sole_branch(label: Iterable[Concept]) -> Branch | None:
+    """What enumerate_branches yields for a label none of whose concepts
+    reaches an or-node through and-nodes (`Concept._splits`), without the
+    walk: its one disjunct, the literals reachable through and-nodes, or
+    None when they clash (bottom, or a complementary pair) and it yields
+    nothing."""
+    literals = label if type(label) is frozenset else frozenset(label)
+    while True:  # replace the and-nodes by their parts, one level a round
+        for part in literals:
+            if type(part) is And:
+                break
+        else:
+            break
+        flat = []
+        for part in literals:
+            if type(part) is And:
+                flat.extend(part.parts)
+            else:
+                flat.append(part)
+        literals = frozenset(flat)
+    if BOTTOM in literals:
+        return None
+    for lit in literals:
+        if (lit._neg or negate(lit)) in literals:
+            return None
+    return literals
 
 
 def branch_satisfies(branch: Branch, c: Concept) -> bool:

@@ -10,16 +10,20 @@ build none either: where the restrictions force the system's answer,
 `closed_form` reads it off them (everything on the full atom or on the
 highest live atom, or a refutation).  That answer is the first solve of the
 role's one solve loop, and the system is built only if its child fails;
-where `closed_form` declines, the system is built from the sorted
-restrictions and clash mask it read (`Reading`).  Cut formulas exist only
-for the pairs a node other than the root can hold (`cut_table`), and a
-problem without them hands its successors no filler decisions.  A child
-none of whose literals, nor the axiom, can force a successor is a leaf: no
-successor reads its filler decisions, so its label leaves the cut formulas
-out (`_leaf_core`); the root and every other child keep them.  A child
-whose label holds only atoms and negated atoms, none complementary, has
-one branch, the label, and no role to solve, so it is settled with its
-bookkeeping alone (`_settle`), without a walk.  The branch walk prunes
+where `closed_form` declines, the system is built from the restrictions,
+fillers and clash mask it read (`Reading`), with the clashed atoms zeroed
+in one copy, and only the atoms a solution expands get a literal set
+(`atomic_decomposition`).  Cut formulas exist only for the pairs a node
+other than the root can hold (`cut_table`), and a problem without them
+hands its successors no filler decisions.  A child none of whose literals,
+nor the axiom, can force a successor is a leaf: no successor reads its
+filler decisions, so its label leaves the cut formulas out (`_leaf_core`);
+the root and every other child keep them.  A child whose label holds only
+atoms and negated atoms, none complementary, has one branch, the label, and
+no role to solve, so it is settled with its bookkeeping alone (`_settle`),
+without a walk.  A label none of whose concepts reaches an or-node through
+and-nodes (`Concept._splits`) has one branch at most, its literals, and
+`_expand` takes it without the walk (`sole_branch`).  The branch walk prunes
 clashed disjuncts and never branches on a satisfied disjunction, and a
 branch that clashes only after the bound adjustment is skipped; such local
 clashes are never cached.
@@ -66,6 +70,7 @@ from .branch import (
     enumerate_branches,
     fine_tune,
     primitive_clash,
+    sole_branch,
 )
 from .lii import (
     LiiSystem,
@@ -81,7 +86,6 @@ from .lii import (
 )
 from .syntax import (
     AtLeast,
-    AtMost,
     Atom,
     Concept,
     NegAtom,
@@ -278,13 +282,12 @@ def _plain(label: frozenset) -> bool:
 
 
 def _system(tuned: Branch, role: Role, reading: Reading | None = None) -> LiiSystem:
-    """The role's system with its clashed atoms zeroed; the caller has
-    checked its width, and takes its atoms only to expand children.  A
-    reading closed_form filled gives the restrictions and the clash mask."""
+    """The role's system with its clashed atoms zeroed, in one copy; the
+    caller has checked its width.  A reading closed_form filled gives the
+    fillers, the restrictions and the clash mask."""
     system = build_lii(tuned, role, None, reading)
-    for mask in clashed_atoms(system.fillers, reading):
-        system = zero_column(system, mask)
-    return system
+    clashed = clashed_atoms(system.fillers, reading)
+    return zero_column(system, *clashed) if clashed else system
 
 
 def _fmt_set(concepts: Iterable[Concept]) -> str:
@@ -331,6 +334,9 @@ class Tableau:
         # of a label exactly when it is one of the label without them
         self._core_label = frozenset(core)
         self._leaf_core = _leaf_core(problem)
+        # the axiom labels every node, so when it reaches an or-node, every
+        # label does and is walked without a look
+        self._axiom_splits = problem.axiom._splits
 
     # -- helpers ----------------------------------------------------------
 
@@ -392,7 +398,9 @@ class Tableau:
         otherwise the triple that rules its label out: a stored one that
         covers it, or, when the walk finds no branch, the one `_record`
         returns for the label.  The parent's solve loop zeroes the node's
-        atom either way.
+        atom either way.  A label that reaches no or-node through and-nodes
+        gets its one branch, or none, without the walk (`sole_branch`): the
+        walk would yield the same.
 
         A branch registers its key as a witness before it solves its roles.
         When a role fails the branch, the key goes, and so does every
@@ -407,7 +415,18 @@ class Tableau:
                 return hit
 
         witnesses = self.witnesses
-        for index, branch in enumerate(enumerate_branches(label)):
+        walk = self._axiom_splits
+        if not walk:
+            for c in label:
+                if c._splits:
+                    walk = True
+                    break
+        if walk:
+            branches = enumerate_branches(label)
+        else:  # one branch at most, found without the walk
+            sole = sole_branch(label)
+            branches = () if sole is None else (sole,)
+        for index, branch in enumerate(branches):
             tuned = fine_tune(branch, cut, edge)
             # the walk yields clash-free sets, fine_tune returns the branch
             # itself when it changes nothing, and hit reads the wildcards
@@ -476,14 +495,17 @@ class Tableau:
         """Decompose the role's restrictions, solve, expand the children.
 
         When closed_form reads the first solve off the restrictions, its
-        answer stands in for feasible's and no system is built until a
-        child fails.  Otherwise the role's system is built with its clashed
-        atoms zeroed, from the restrictions and the clash mask closed_form
-        read before it declined, and solved.  Under dump_systems each solve
-        prints the system first, built for the purpose when the answer
-        stands in for it.  A child none of whose literals can force a
-        successor is labelled without the cut formulas (`_leaf_core`); a
-        child with a plain label is settled without a walk (`_settle`).
+        answer stands in for feasible's and no system is built until a child
+        fails.  Otherwise the role's system is built with its clashed atoms
+        zeroed, from what closed_form read before it declined (`Reading`),
+        and solved.  Each solve then gives literal sets only to the atoms it
+        expands, those of its solution not yet completed, and an infeasible
+        system records the restrictions the reading holds.  Under
+        dump_systems each solve prints the system first, built for the
+        purpose when the answer stands in for it.  A child none of whose
+        literals can force a successor is labelled without the cut formulas
+        (`_leaf_core`); a child with a plain label is settled without a walk
+        (`_settle`).
 
         A problem without cut formulas hands no filler decisions to a
         child, so then the child's cut set is empty and no wildcard is
@@ -517,10 +539,9 @@ class Tableau:
             raise ResourceLimitError(f"node {node_id} role {role}: {exc}") from None
         if answer is None:
             system = _system(tuned, role, reading)
-            atoms = atomic_decomposition(system.fillers, self.limits.lambda_max)
             width = len(system.fillers)
         else:
-            system = atoms = None
+            system = None
             width, solution, atom = answer
         self.stats.max_lambda = max(self.stats.max_lambda, width)
         leaf_core = self._leaf_core
@@ -539,11 +560,9 @@ class Tableau:
                     f"verdict={'feasible' if solution is not None else 'infeasible'}"
                 )
             if solution is None:
-                # every restriction on the role, a row each
-                body = frozenset(
-                    lit for lit in tuned
-                    if (type(lit) is AtLeast or type(lit) is AtMost) and lit.role is role
-                )
+                # every restriction on the role, a row each; closed_form
+                # reads them before it refutes or declines
+                body = frozenset(reading.restrictions)
                 if context_zeroing:
                     # zeroing relied on context-keyed child failures, so the
                     # cached set must carry the branch's filler commitments
@@ -551,10 +570,15 @@ class Tableau:
                 self._record(EMPTY_CUT_SET, None, body)
                 return False
 
-            for mask in solution:
-                if mask in completed:
-                    continue
-                child = atom if atoms is None else atoms[mask - 1]
+            if system is None:
+                expanded, atoms = solution, (atom,)
+            else:
+                # only the atoms a child is expanded for get a literal set
+                expanded = [mask for mask in solution if mask not in completed]
+                if not expanded:
+                    return True
+                atoms = atomic_decomposition(system.fillers, self.limits.lambda_max, expanded)
+            for mask, child in zip(expanded, atoms):
                 if leaf_core is not None and not any(lit._forces for lit in child):
                     core = leaf_core
                 else:
@@ -569,7 +593,6 @@ class Tableau:
                     continue
                 if system is None:
                     system = _system(tuned, role, reading)
-                    atoms = atomic_decomposition(system.fillers, self.limits.lambda_max)
                 system = zero_column(system, mask)
                 if not blocking.is_wildcard():
                     context_zeroing = True

@@ -8,26 +8,31 @@ its negation does.  Each atom is an unknown non-negative integer
 multiplicity; each restriction becomes a subset-sum inequality over the
 atoms containing its filler positively.  Feasibility of the system decides
 local consistency of the restrictions.  Atoms, zeroed columns and solutions
-are plain values: a list of literal sets indexed by mask - 1, a frozenset of
-masks and a {mask: multiplicity} dict.
+are plain values: literal sets, a frozenset of masks and a {mask:
+multiplicity} dict.
 
 Building a system is cheap in the width: the coefficient masks come from a
 table cached per width, the width is checked against the limit before that
-table is built, and the clashing atoms are read off the filler list
-(`clashed_atoms`) rather than tested one literal set at a time.
+table is built, the clashing atoms are read off the filler list
+(`clashed_atoms`) rather than tested one literal set at a time, and they
+are zeroed in one copy of the system (`zero_column`).  No atom gets a
+literal set until a solution expands it: `atomic_decomposition` builds the
+sets of the masks it is given.
 
 Most roles the engine solves need no system at all: `closed_form` reads
 the restrictions off the branch and gives what `feasible` would answer on
-the clash-zeroed system wherever that answer is forced.  When the full
-atom does not clash and no at-most bound is below the largest at-least
-bound, the answer is everything on the full atom, found in one pass over
-the branch.  Otherwise, when one filler's at-least and at-most bounds
-contradict each other, the system is infeasible; and when the highest atom
-that is neither clashed nor under an at-most 0 holds every at-least filler
-and no at-most bound below the largest at-least bound, the answer is
-everything on that atom.  Where it declines, it leaves what it read in a
-`Reading` (the sorted restrictions, the clash mask), and the system is
-built from that without sorting or clash-testing again.
+the clash-zeroed system wherever that answer is forced.  It reads the
+branch once, for the role's restrictions, their fillers and the largest
+at-least and smallest at-most bound.  When the full atom does not clash
+and no at-most bound is below the largest at-least bound, the answer is
+everything on the full atom.  Otherwise, when one filler's at-least and
+at-most bounds contradict each other, the system is infeasible; and when
+the highest atom that is neither clashed nor under an at-most 0 holds
+every at-least filler and no at-most bound below the largest at-least
+bound, the answer is everything on that atom.  It leaves what it read in
+a `Reading` (the restrictions, the fillers in key order, their clash
+mask), and a system built after it declines is built from that, without
+reading the branch, sorting the fillers or clash-testing again.
 
 `feasible` returns the lexicographically smallest solution, found by an
 iterative depth-first search.  Rows bounding the same sum are merged into
@@ -42,10 +47,12 @@ entered once.
 from __future__ import annotations
 
 from functools import cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .branch import primitive_clash
 from .syntax import (
+    BOTTOM,
+    TOP,
     AtLeast,
     AtMost,
     Bottom,
@@ -98,16 +105,18 @@ class LiiSystem(NamedTuple):
 
 
 class Reading:
-    """What closed_form read of one role's restrictions before it declined:
-    the restrictions in canonical order and the clash mask of their fillers
-    (`_clash_bits`).  Both stay None until closed_form gets past the full
-    atom, the one case that reads neither; build_lii and clashed_atoms take
-    them from here instead of reading them again."""
+    """What closed_form read of one role, for build_lii, clashed_atoms and
+    the engine to take instead of reading the branch again.  closed_form
+    fills `restrictions`, the role's restrictions in branch order, on every
+    call, and the rest once it gets past the full atom and the refutation:
+    the fillers in build_lii's order and `clashed`, their clash mask
+    (`_clash_bits`).  Whatever it has not filled is None."""
 
-    __slots__ = ("restrictions", "clashed")
+    __slots__ = ("restrictions", "fillers", "clashed")
 
     def __init__(self):
         self.restrictions: list[Concept] | None = None
+        self.fillers: tuple[Concept, ...] | None = None
         self.clashed: int | None = None
 
 
@@ -146,39 +155,32 @@ def _coefficients(width: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def atomic_decomposition(fillers: list[Concept], lambda_max: int = 10) -> list[frozenset]:
-    """The literal sets of all 2^n - 1 atoms, ascending by mask: entry
-    mask - 1 holds filler k where bit k of mask is set and its negation
-    where it is clear.  Each filler is negated once, and the sets are built
-    by doubling: the masks below 2^(k+1) are those below 2^k with filler k's
-    negation, then the same with filler k."""
+def atomic_decomposition(
+    fillers: list[Concept], lambda_max: int = 10, masks: Iterable[int] | None = None
+) -> list[frozenset]:
+    """The literal sets of the atoms with the masks given, in their order,
+    every atom's by default, ascending from mask 1, so that entry mask - 1
+    is the atom's: filler k where bit k of the mask is set, its negation
+    where it is clear.  The engine gives the masks a solution expands, a
+    few where the full list has 2^n - 1.  Each filler is negated once."""
     n = len(fillers)
     if n < 1:
         raise ValueError("need at least one filler")
     _check_width(n, lambda_max)
-    signed = [()]
-    for f in fillers:
-        neg, pos = (negate(f),), (f,)
-        signed = [s + neg for s in signed] + [s + pos for s in signed]
-    return [frozenset(s) for s in signed[1:]]
+    if masks is None:
+        masks = range(1, 1 << n)
+    signed = [(f, negate(f)) for f in fillers]
+    return [
+        frozenset([pos if (mask >> k) & 1 else neg for k, (pos, neg) in enumerate(signed)])
+        for mask in masks
+    ]
 
 
 def clashed_atoms(fillers: tuple[Concept, ...], reading: Reading | None = None) -> list[int]:
     """The masks of the atoms whose literal set clashes, ascending: the
     masks m for which primitive_clash(atomic_decomposition(fillers)[m - 1])
     holds, found without building a literal set.  A reading of the same
-    fillers that holds their clash mask gives it without a second test.
-
-    An atom holds one literal per filler, the filler or its negation, so it
-    clashes through a literal that clashes alone (bottom, an at-most below
-    0; in practice the negation of a top filler or a bottom filler) or
-    through two literals of different fillers that negate each other.  Each
-    literal maps to the coefficient mask of the atoms holding it, OR-ed over
-    the fillers that give it, since a filler can be another's negation.
-    The clashing atoms are then the masks of the lone clashes joined with
-    each literal's atoms met with its negation's.  A filler's own negation
-    is held by the complementary atoms, so that meet is empty unless
-    another filler gives it too: O(n) set operations, no 2^n walk."""
+    fillers that holds their clash mask gives it without a second test."""
     clashed = None if reading is None else reading.clashed
     if clashed is None:
         clashed = _clash_bits(fillers)
@@ -192,9 +194,43 @@ def clashed_atoms(fillers: tuple[Concept, ...], reading: Reading | None = None) 
 
 def _clash_bits(fillers: tuple[Concept, ...]) -> int:
     """clashed_atoms as a coefficient mask: bit m - 1 set for each clashing
-    atom m."""
+    atom m.
+
+    An atom holds one literal per filler, the filler or its negation, so it
+    clashes through a literal that clashes alone (bottom, an at-most below
+    0) or through two literals of different fillers that negate each other.
+    Where negation is an involution on the fillers, as on every filler in
+    negation normal form, that is read off which fillers negate which: a
+    bottom filler clashes on the atoms holding it, a top filler on those
+    holding its negation, and two fillers that negate each other on the
+    atoms holding both and on those holding neither (their negations
+    negate each other too).  Otherwise (at-least 0, at-most -1, or a
+    junction that folds when negated), each literal maps to the coefficient
+    mask of the atoms holding it, OR-ed over the fillers that give it, and
+    the clashing atoms are the masks of the lone clashes joined with each
+    literal's atoms met with its negation's.  O(n) set operations, no 2^n
+    walk."""
     coeffs = _coefficients(len(fillers))
     every = (1 << ((1 << len(fillers)) - 1)) - 1
+    position = dict(zip(fillers, coeffs))
+    clashed = 0
+    for f, coeff in zip(fillers, coeffs):
+        neg = f._neg or negate(f)
+        if (neg._neg or negate(neg)) is not f:
+            return _clash_walk(fillers, coeffs, every)
+        if f is BOTTOM:
+            clashed |= coeff
+        elif f is TOP:
+            clashed |= every ^ coeff
+        else:
+            other = position.get(neg)
+            if other is not None:
+                clashed |= coeff & other | every & ~(coeff | other)
+    return clashed
+
+
+def _clash_walk(fillers: tuple[Concept, ...], coeffs: tuple[int, ...], every: int) -> int:
+    """_clash_bits over every literal an atom can hold, for any fillers."""
     holding: dict[Concept, int] = {}
     for f, coeff in zip(fillers, coeffs):
         holding[f] = holding.get(f, 0) | coeff
@@ -213,25 +249,29 @@ def _clash_bits(fillers: tuple[Concept, ...]) -> int:
 def build_lii(
     branch: frozenset, role: Role, lambda_max: int | None = None, reading: Reading | None = None
 ) -> LiiSystem:
-    """One row per restriction on the role; coefficients select the atoms
-    containing the row's filler positively.  Nothing zeroed yet.  Fillers
-    are indexed on first occurrence, as collect_fillers lists them.  More
+    """One row per restriction on the role, in canonical order;
+    coefficients select the atoms containing the row's filler positively.
+    Nothing zeroed yet.  Fillers are indexed on first occurrence, as
+    collect_fillers lists them, which is their key order, since a
+    restriction's key leads with its role and then its filler.  More
     fillers than lambda_max raise SolverLimitError before any coefficient
     mask, which has 2^width bits, is built.  A reading of the same branch
-    and role that holds the restrictions gives them without a second sort."""
-    restrictions = None if reading is None else reading.restrictions
-    if restrictions is None:
+    and role gives the restrictions, and the fillers when it holds them,
+    so the branch is not read again."""
+    if reading is None or reading.restrictions is None:
         restrictions = _restrictions(branch, role)
-    index: dict[Concept, int] = {}
-    for lit in restrictions:
-        index.setdefault(lit.filler, len(index))
-    _check_width(len(index), lambda_max)
-    coeffs = _coefficients(len(index))
+    else:
+        restrictions = sorted_concepts(reading.restrictions)
+    if reading is None or reading.fillers is None:
+        fillers = tuple(dict.fromkeys(lit.filler for lit in restrictions))
+    else:
+        fillers = reading.fillers
+    _check_width(len(fillers), lambda_max)
+    coeff = dict(zip(fillers, _coefficients(len(fillers))))
     rows = tuple(
-        Row(coeffs[index[lit.filler]], type(lit) is AtMost, lit.bound, lit)
-        for lit in restrictions
+        Row(coeff[lit.filler], type(lit) is AtMost, lit.bound, lit) for lit in restrictions
     )
-    return LiiSystem(tuple(index), rows)
+    return LiiSystem(fillers, rows)
 
 
 def closed_form(
@@ -253,8 +293,7 @@ def closed_form(
       at-most row since its bound is at least `most`.  The full atom comes
       last in feasible's order, so a smaller solution would hold every
       earlier atom at 0 and the full atom below `most`, which misses the
-      at-least row with that bound.  This case costs one pass over the
-      branch and one clash test, and is tried first.
+      at-least row with that bound.  This case is tried first.
     - Refutation.  When some filler's largest at-least bound exceeds its
       smallest at-most bound, the two rows bound one sum from both sides
       and no solution exists: feasible's interval pre-check.
@@ -267,16 +306,22 @@ def closed_form(
       Conversely, a solution {M: most} needs exactly that, so the rule
       answers exactly when feasible returns {M: most}.
 
-    Counts the fillers as build_lii does: more than lambda_max raise
-    SolverLimitError with the same message, before any case is read.  Past
-    the full atom, the restrictions are sorted and their fillers' clash mask
-    is taken; a reading, when given, keeps both, so a caller that builds the
-    system after a decline reads neither again."""
+    The branch is read once, for the restrictions, their fillers, `most`
+    and the smallest at-most bound; the later cases read the restrictions
+    alone, for each filler's interval.  The width is counted as build_lii
+    counts it: more than lambda_max raise SolverLimitError with the same
+    message, before any case is read.  Past the refutation, the fillers
+    are sorted into build_lii's order and their clash mask is taken from
+    which fillers negate which (`_clash_bits`); a reading, when given,
+    keeps what was read (`Reading`), so a caller that builds the system
+    after a decline reads none of it again."""
+    restrictions = []
     fillers = set()
     most, fewest = 0, None
     for lit in branch:
         kind = type(lit)
         if (kind is AtLeast or kind is AtMost) and lit.role is role:
+            restrictions.append(lit)
             fillers.add(lit.filler)
             if kind is AtLeast:
                 if lit.bound > most:
@@ -285,28 +330,34 @@ def closed_form(
                 fewest = lit.bound
     width = len(fillers)
     _check_width(width, lambda_max)
+    if reading is not None:
+        reading.restrictions = restrictions
     if fewest is None or most <= fewest:
         full = frozenset(fillers)
         if not primitive_clash(full):
             return width, {(1 << width) - 1: most}, full
-    # per filler, in build_lii's order: [its largest at-least bound, its
-    # smallest at-most bound or None], the interval of feasible's check
-    restrictions = _restrictions(branch, role)
+    # per filler: [its largest at-least bound, its smallest at-most bound or
+    # None], the interval of feasible's check, read off the restrictions
     bounds: dict[Concept, list] = {}
     for lit in restrictions:
-        interval = bounds.setdefault(lit.filler, [0, None])
+        interval = bounds.get(lit.filler)
+        if interval is None:
+            interval = bounds[lit.filler] = [0, None]
         if type(lit) is AtLeast:
             if lit.bound > interval[0]:
                 interval[0] = lit.bound
         elif interval[1] is None or lit.bound < interval[1]:
             interval[1] = lit.bound
-    intervals = list(bounds.values())
-    if any(hi is not None and lo > hi for lo, hi in intervals):
-        return width, None, None
-    # the atoms that are not live: clashed, or holding a filler under at-most 0
-    dead = _clash_bits(tuple(bounds))
+    for lo, hi in bounds.values():
+        if hi is not None and lo > hi:
+            return width, None, None
+    fillers = tuple(sorted_concepts(bounds))
+    intervals = [bounds[f] for f in fillers]
+    clashed = _clash_bits(fillers)
     if reading is not None:
-        reading.restrictions, reading.clashed = restrictions, dead
+        reading.fillers, reading.clashed = fillers, clashed
+    # the atoms that are not live: clashed, or holding a filler under at-most 0
+    dead = clashed
     for coeff, (_, hi) in zip(_coefficients(width), intervals):
         if hi == 0:
             dead |= coeff
@@ -319,15 +370,19 @@ def closed_form(
                 return None  # {mask: most} breaks this filler's at-most
         elif lo:
             return None  # and misses this one's at-least
-    atom = frozenset(f if (mask >> k) & 1 else negate(f) for k, f in enumerate(bounds))
+    atom = frozenset(f if (mask >> k) & 1 else negate(f) for k, f in enumerate(fillers))
     return width, {mask: most}, atom
 
 
-def zero_column(system: LiiSystem, atom_mask: int) -> LiiSystem:
-    """Force the atom's multiplicity to zero; returns a new system."""
-    if not 1 <= atom_mask < (1 << len(system.fillers)):
-        raise ValueError(f"atom mask {atom_mask} out of range")
-    return LiiSystem(system.fillers, system.rows, system.zeroed | {atom_mask})
+def zero_column(system: LiiSystem, *atom_masks: int) -> LiiSystem:
+    """Force the multiplicity of each atom given to zero; returns a new
+    system, one however many atoms are given, so a system's clashed atoms
+    are zeroed in one copy."""
+    end = 1 << len(system.fillers)
+    for mask in atom_masks:
+        if not 1 <= mask < end:
+            raise ValueError(f"atom mask {mask} out of range")
+    return LiiSystem(system.fillers, system.rows, system.zeroed.union(atom_masks))
 
 
 def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | None:
@@ -377,7 +432,7 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
                 interval[0] = row.bound
         elif interval[1] is None or row.bound < interval[1]:
             interval[1] = row.bound
-    intervals = []
+    intervals = []  # (index, coefficient mask, at-least, at-most or None)
     dead = 0  # the atoms in a sum bounded by at-most 0
     for coeff, (lo, hi) in bounds.items():
         if hi is not None:
@@ -385,7 +440,7 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
                 return None
             if hi == 0:
                 dead |= coeff
-        intervals.append((coeff, lo, hi))
+        intervals.append((len(intervals), coeff, lo, hi))
 
     masks = [
         m for m in system.atom_masks() if not (dead >> (m - 1)) & 1 and m not in system.zeroed
@@ -409,19 +464,20 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
         bit = 1 << (masks[i] - 1)
         cap, limit = 0, None
         raise_, limit_, add_ = [], [], []
-        for g, (coeff, lo, hi) in enumerate(intervals):
-            if coeff & bit:
-                if lo > cap:
-                    cap = lo
-                if lo > room[g]:
-                    raise_.append((g, lo - room[g]))
-                if hi is None:
-                    add_.append((g, lo))
-                else:
-                    if limit is None or hi < limit:
-                        limit = hi
-                    limit_.append((g, hi))
-                    add_.append((g, hi))
+        for g, coeff, lo, hi in intervals:
+            if not coeff & bit:
+                continue
+            if lo > cap:
+                cap = lo
+            if lo > room[g]:
+                raise_.append((g, lo - room[g]))
+            if hi is None:
+                add_.append((g, lo))
+            else:
+                if limit is None or hi < limit:
+                    limit = hi
+                limit_.append((g, hi))
+                add_.append((g, hi))
         if limit is not None and limit < cap:
             cap = limit
         caps[i], raising[i], limiting[i], adding[i] = cap, raise_, limit_, add_
@@ -436,7 +492,8 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
                         shared[g] += hi
             room[g] = reach[g] if shared[g] is None or reach[g] < shared[g] else shared[g]
 
-    failed: dict[int, set] = {}  # position -> states whose subtree failed
+    needs = [(g, lo) for g, _, lo, _ in intervals if lo]  # the at-least sums
+    failed: list = [None] * n    # per position, the states whose subtree failed
     entered: list = [None] * n   # state on entry, per position on the stack
     chosen = [0] * n
     highest = [0] * n
@@ -448,9 +505,12 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
         if steps > max_steps:
             raise SolverLimitError(f"feasibility search exceeded {max_steps} steps")
         if i == n:
-            if all(s >= lo for s, (_, lo, _) in zip(state, intervals)):
+            for g, lo in needs:
+                if state[g] < lo:
+                    break
+            else:
                 break
-        elif state not in failed.get(i, ()):
+        elif failed[i] is None or state not in failed[i]:
             lo, hi = 0, caps[i]
             for g, need in raising[i]:
                 if need - state[g] > lo:
@@ -474,7 +534,10 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
                 state = _add(entered[i], adding[i], chosen[i])
                 i += 1
                 break
-            failed.setdefault(i, set()).add(entered[i])
+            if failed[i] is None:
+                failed[i] = {entered[i]}
+            else:
+                failed[i].add(entered[i])
 
     solution = {m: v for m, v in zip(masks, chosen) if v}
     _validate(system, solution)
@@ -494,9 +557,10 @@ def _validate(system: LiiSystem, solution: dict[int, int]) -> None:
     if not system.zeroed.isdisjoint(solution):
         raise AssertionError("solution assigns a zeroed atom")
     for row in system.rows:
-        total = sum(
-            v for m, v in solution.items() if (row.coeff_mask >> (m - 1)) & 1
-        )
+        total = 0
+        for m, v in solution.items():
+            if (row.coeff_mask >> (m - 1)) & 1:
+                total += v
         ok = total <= row.bound if row.is_at_most else total >= row.bound
         if not ok:
             raise AssertionError(f"solution violates row {row}")

@@ -5,11 +5,14 @@ in one table and returns the node already there, so equal concepts are one
 object and compare and hash by identity.  Each node computes its order key
 once, from its children's, so it never recurses; the same goes for `_forces`,
 whether a positive at-least is reachable from the node through and/or nodes
-alone, that is, whether a label holding it can force a successor.  And/Or nodes keep their
-children flattened, deduplicated and sorted under a fixed total order, so a
-set of concepts behaves like a set in every cache and comparison downstream.
-The node classes are frozen slotted classes whose `_fields` name their
-fields in constructor order; `Problem` is a named tuple.
+alone, that is, whether a label holding it can force a successor, and for
+`_splits`, whether an or-node is reachable through and-nodes alone, that
+is, whether a label holding it can have more than one branch.  And/Or
+nodes keep their children flattened, deduplicated and sorted under a fixed
+total order, so a set of concepts behaves like a set in every cache and
+comparison downstream.  The node classes are frozen slotted classes whose
+`_fields` name their fields in constructor order; `Problem` is a named
+tuple.
 
 The parser reads the tokens of a text, taken from one regular-expression
 `findall`; it works out a token's character offset only when it raises a
@@ -90,12 +93,15 @@ class Concept:
     frozen: assigning or deleting an attribute raises AttributeError.
 
     Beside the fields, a node holds its order key (`_key`), its negation
-    once `negate` has asked for it (`_neg`) and `_forces`: whether an
+    once `negate` has asked for it (`_neg`), `_forces`: whether an
     at-least with a positive bound is reachable from it through and/or
-    nodes alone.  Only such an at-least forces a successor, so a label none
-    of whose concepts has the flag gives a node without successors."""
+    nodes alone, and `_splits`: whether an or-node is reachable from it
+    through and-nodes alone.  Only such an at-least forces a successor, so
+    a label none of whose concepts has `_forces` gives a node without
+    successors; and a label none of whose concepts has `_splits` has one
+    branch at most, the literals reachable through and-nodes."""
 
-    __slots__ = ("_key", "_neg", "_forces")
+    __slots__ = ("_key", "_neg", "_forces", "_splits")
     _fields: tuple[str, ...] = ()
 
     def __new__(cls, *fields):
@@ -111,6 +117,9 @@ class Concept:
             object.__setattr__(node, "_key", _order_key(node))
             object.__setattr__(node, "_neg", None)  # filled in by negate
             object.__setattr__(node, "_forces", _forces(node))
+            object.__setattr__(
+                node, "_splits", cls is Or or cls is And and any(p._splits for p in fields[0])
+            )
             _NODES[key] = node
         return node
 

@@ -24,8 +24,8 @@ Every family is a function from a size to a problem text:
 pins and the sizes the report runs.  The report prints one line per
 instance with the run's counts and wall time under `LIMITS`, and the
 factor by which the node count grew over the family's previous size.  It
-exits 1 when an instance gets the wrong answer; a run stopped by a limit
-is reported as such, not failed.
+exits 1 when an instance gets the wrong answer or a limit stops its run:
+every reported size decides under `LIMITS`, so a limit is a regression.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def main() -> int:
     print(f"limits: lambda_max={LIMITS.lambda_max} node_budget={LIMITS.node_budget}")
     print(f"{'family':24} {'size':>4} {'answer':>6} {'nodes':>8} {'growth':>7} "
           f"{'nogoods':>8} {'solves':>8} {'ms':>9}")
-    wrong = []
+    wrong, stopped = [], []
     for name, family in FAMILIES.items():
         previous = None
         for size in family.reported:
@@ -139,12 +139,16 @@ def main() -> int:
             growth = f"x{stats.nodes / previous:.1f}" if previous else "-"
             print(f"{name:24} {size:>4} {answer:>6} {stats.nodes:>8} {growth:>7} "
                   f"{stats.nogoods:>8} {stats.lii_solves:>8} {ms:>9.1f}", flush=True)
-            if verdict is not None and verdict != family.satisfiable:
+            if verdict is None:
+                stopped.append(f"{name} {size}")
+            elif verdict != family.satisfiable:
                 wrong.append(f"{name} {size}")
             previous = stats.nodes
     if wrong:
         print("WRONG ANSWER: " + ", ".join(wrong))
-    return 1 if wrong else 0
+    if stopped:
+        print("STOPPED BY A LIMIT: " + ", ".join(stopped))
+    return 1 if wrong or stopped else 0
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from alcqisat import (
     primitive_clash,
     to_nnf,
 )
+from alcqisat.branch import sole_branch
 from conftest import (
     propositional_skeleton,
     random_raw_concept,
@@ -207,6 +208,36 @@ WALK_SEQUENCES_DIGEST = "a8375dc1fb6409654318b812fe5f861f728129fefe5b92fe4166027
 
 def test_walk_yields_are_pinned():
     assert walk_sequences_digest() == WALK_SEQUENCES_DIGEST
+
+
+def reaches_an_or(c) -> bool:
+    """Reference for Concept._splits: an or-node reachable through and-nodes."""
+    if isinstance(c, Or):
+        return True
+    return isinstance(c, And) and any(reaches_an_or(p) for p in c.parts)
+
+
+def test_a_label_without_an_or_has_the_walk_s_one_branch():
+    # sole_branch gives what the walk yields for a label none of whose
+    # concepts reaches an or-node through and-nodes: its literals, or
+    # nothing when they clash; the and-nodes come nested, repeated and
+    # unsorted, as random_walk_concept builds them
+    rng = random.Random(2030)
+    kinds = Counter()
+    for _ in range(3000):
+        parts = [random_walk_concept(rng, rng.randint(0, 3)) for _ in range(rng.randint(1, 4))]
+        for part in parts:
+            assert part._splits == reaches_an_or(part), part
+        if any(part._splits for part in parts):
+            continue
+        label = frozenset(parts)
+        want = branches(label)
+        got = sole_branch(label)
+        assert ([] if got is None else [got]) == want, [str(p) for p in parts]
+        kinds["none" if got is None else "nested" if any(
+            isinstance(q, And) for p in parts if isinstance(p, And) for q in p.parts
+        ) else "one"] += 1
+    assert kinds["one"] > 100 and kinds["none"] > 100 and kinds["nested"] > 10, kinds
 
 
 def make_cuts(goal):

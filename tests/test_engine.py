@@ -950,21 +950,37 @@ def test_plain_successors_count_against_the_node_budget(monkeypatch):
 
 
 def test_only_plain_labels_skip_the_walk(monkeypatch):
-    # a successor holding a number restriction or a junction is walked,
-    # one holding only atoms is not; a core label with a junction makes
-    # every label walked, and a label with a complementary pair is walked
-    # too, which finds no branch
+    # a successor holding only atoms is settled, without _expand; one
+    # holding a number restriction or a junction is expanded.  Of the
+    # expanded labels, only one that reaches an or-node through and-nodes
+    # is walked: any other has one branch at most, its literals, which
+    # _expand takes without the walk.  A core label with a junction makes
+    # every label walked, and a label with a complementary pair gets no
+    # branch, walked or not
+    walked = []
+    walk = engine.enumerate_branches
+
+    def recorded_walk(label):
+        walked.append(label)
+        return walk(label)
+
+    monkeypatch.setattr(engine, "enumerate_branches", recorded_walk)
     text = "(and (atleast 1 R (or A B)) (atleast 1 S (atmost 2 R A)) (atleast 1 T A))"
     tableau, _, expanded, settled = plain_runs(monkeypatch, text)
     assert tableau.decide().satisfiable
     assert expanded[1:] == [frozenset({parse_concept("(or A B)")}), frozenset({parse_concept("(atmost 2 R A)")})]
     assert settled == [frozenset({A})]
+    assert walked == [frozenset({parse_concept("(or A B)")})]
+    walked.clear()
     tableau, _, expanded, settled = plain_runs(monkeypatch, text, [(TOP, parse_concept("(or A C)"))])
     assert tableau.decide().satisfiable
     assert len(expanded) == 4 and settled == []
+    assert walked == expanded
+    walked.clear()
     tableau, _, expanded, settled = plain_runs(monkeypatch, "(atleast 1 R A)", [(TOP, NegAtom("A"))])
     assert not tableau.decide().satisfiable
     assert frozenset({A, NegAtom("A")}) in expanded and settled == []
+    assert walked == []
 
 
 # sha256 over every deep-profile instance's trace lines, verdict and RunStats;

@@ -3,6 +3,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import alcqisat.engine as engine
 from alcqisat import (
@@ -507,3 +508,94 @@ def test_closed_form_checks_the_width_like_build_lii():
     assert closed_form(branch, R, 4) == (4, {15: 1}, full)
     # restrictions on other roles are not read
     assert closed_form(branch | {AtMost(0, S, A)}, R) == closed_form(branch, R)
+
+
+def test_the_memo_clamps_at_least_sums():
+    # the chain with an inverse, d=9 in tests/families.py, solves this
+    # system at one of its nodes: fillers top and C1..C7, Ck being k nested
+    # (atleast 1 R ...) around top; at least one successor in top, none in
+    # C1, at least one in each of C2..C7.  Zeroed are the 127 atoms without
+    # top (they clash) and the 32 that hold top and C2 but not C1, whose
+    # children failed.  Every atom that could hold C2 is then dead or
+    # zeroed, so the search must try every way to meet the rows of C3..C7
+    # before it fails.  The memo tells those ways apart only by the sums
+    # clamped at their at-least bound: keyed by the raw sums, the search
+    # runs past 50,000 steps, against 1,335
+    chain = [TOP]
+    for _ in range(7):
+        chain.append(AtLeast(1, R, chain[-1]))
+    branch = frozenset({AtLeast(1, R, TOP), AtMost(0, R, chain[1])} | {
+        AtLeast(1, R, c) for c in chain[2:]
+    })
+    system = build_lii(branch, R)
+    assert system.fillers == tuple(chain)
+    failed = [m for m in system.atom_masks() if m & 0b111 == 0b101]
+    system = zero_column(system, *clashed_atoms(system.fillers), *failed)
+    assert len(system.zeroed) == 159
+    assert feasible(system, max_steps=2_000) is None
+
+
+# fillers over three names, top, bottom and a junction with its negation:
+# complementary pairs, lone clashes and fillers primitive_clash reads as
+# opaque.  Without the junctions at most eight atoms survive the clash
+# zeroing, one per sign of A, B and C, which the brute force can search
+READING_FILLERS = [
+    A, NegAtom("A"), B, NegAtom("B"), C, NegAtom("C"), TOP, BOTTOM,
+    conj([A, B]), negate(conj([A, B])),
+]
+
+
+@st.composite
+def role_restrictions(draw):
+    """A branch with restrictions on R over one to six distinct fillers,
+    some fillers under several (at-most 0 among them), at least one
+    positive at-least, and restrictions on S beside them."""
+    fillers = draw(st.lists(st.sampled_from(READING_FILLERS), min_size=1, max_size=6, unique=True))
+    restriction = st.one_of(
+        st.builds(AtLeast, st.integers(1, 2), st.just(R), st.sampled_from(fillers)),
+        st.builds(AtMost, st.integers(0, 4), st.just(R), st.sampled_from(fillers)),
+    )
+    branch = set(draw(st.lists(restriction, min_size=len(fillers), max_size=len(fillers) + 3)))
+    for f in fillers:
+        if not any(c.filler is f for c in branch):
+            branch.add(AtMost(draw(st.integers(0, 4)), R, f))
+    branch.add(AtLeast(draw(st.integers(1, 2)), R, draw(st.sampled_from(fillers))))
+    other = st.builds(AtMost, st.integers(0, 2), st.just(S), st.sampled_from(READING_FILLERS))
+    branch.update(draw(st.lists(other, max_size=2)))
+    return frozenset(branch)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(role_restrictions())
+def test_the_role_reading_matches_the_brute_force(branch):
+    # closed_form's answer, the first solve of the system built from its
+    # reading and the reading's clash mask, each against the plain
+    # definitions: the brute-force lexicographic search over the full
+    # decomposition with the atoms primitive_clash finds zeroed
+    reading = Reading()
+    answer = closed_form(branch, R, None, reading)
+    reference = zero_clashed_atoms(build_lii(branch, R))
+    atoms = atomic_decomposition(list(reference.fillers))
+    clashed = [m for m, atom in enumerate(atoms, 1) if primitive_clash(atom)]
+    assert clashed_atoms(reference.fillers) == clashed
+    if reading.clashed is not None:
+        assert clashed_atoms(reference.fillers, reading) == clashed
+    system = engine._system(branch, R, reading)
+    assert (system.fillers, system.rows, system.zeroed) == (
+        reference.fillers, reference.rows, reference.zeroed
+    )
+    assert reading.restrictions is not None
+    assert frozenset(reading.restrictions) == frozenset(c for c in branch if c.role is R)
+    # no atom of the smallest solution exceeds the largest at-least bound
+    most = max(c.bound for c in branch if type(c) is AtLeast and c.role is R)
+    if (most + 1) ** (len(atoms) - len(reference.zeroed)) > 10_000:
+        return  # past what the brute force searches in time
+    found = brute_force_feasible(reference, cap=most)
+    want = None if found is None else {m: v for m, v in found.items() if v}
+    assert feasible(system) == want
+    if answer is not None:
+        width, solution, atom = answer
+        assert (width, solution) == (reference.width, want)
+        if solution is not None:
+            (mask,) = solution
+            assert atom == atoms[mask - 1]
