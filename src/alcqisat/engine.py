@@ -10,8 +10,8 @@ build none either: where the restrictions force the system's answer,
 `closed_form` reads it off them (everything on the full atom or on the
 highest live atom, or a refutation).  That answer is the first solve of the
 role's one solve loop, and the system is built only if its child fails;
-where `closed_form` declines, the system is built from the restrictions,
-fillers and clash mask it read (`Reading`), with the clashed atoms zeroed
+where `closed_form` declines, the system is built from the restrictions
+and clash mask it read (`Reading`), with the clashed atoms zeroed
 in one copy, and only the atoms a solution expands get a literal set
 (`atomic_decomposition`).  Cut formulas exist only for the pairs a node
 other than the root can hold (`cut_table`), and a problem without them
@@ -284,7 +284,7 @@ def _plain(label: frozenset) -> bool:
 def _system(tuned: Branch, role: Role, reading: Reading | None = None) -> LiiSystem:
     """The role's system with its clashed atoms zeroed, in one copy; the
     caller has checked its width.  A reading closed_form filled gives the
-    fillers, the restrictions and the clash mask."""
+    restrictions and the clash mask."""
     system = build_lii(tuned, role, None, reading)
     clashed = clashed_atoms(system.fillers, reading)
     return zero_column(system, *clashed) if clashed else system

@@ -30,9 +30,9 @@ at-most bounds contradict each other, the system is infeasible; and when
 the highest atom that is neither clashed nor under an at-most 0 holds
 every at-least filler and no at-most bound below the largest at-least
 bound, the answer is everything on that atom.  It leaves what it read in
-a `Reading` (the restrictions, the fillers in key order, their clash
-mask), and a system built after it declines is built from that, without
-reading the branch, sorting the fillers or clash-testing again.
+a `Reading` (the restrictions, the clash mask), and a system built after
+it declines is built from that, without reading the branch or
+clash-testing again.
 
 `feasible` returns the lexicographically smallest solution, found by an
 iterative depth-first search.  Rows bounding the same sum are merged into
@@ -51,8 +51,6 @@ from typing import Iterable, NamedTuple
 
 from .branch import primitive_clash
 from .syntax import (
-    BOTTOM,
-    TOP,
     AtLeast,
     AtMost,
     Bottom,
@@ -108,15 +106,14 @@ class Reading:
     """What closed_form read of one role, for build_lii, clashed_atoms and
     the engine to take instead of reading the branch again.  closed_form
     fills `restrictions`, the role's restrictions in branch order, on every
-    call, and the rest once it gets past the full atom and the refutation:
-    the fillers in build_lii's order and `clashed`, their clash mask
-    (`_clash_bits`).  Whatever it has not filled is None."""
+    call, and `clashed`, the clash mask (`_clash_bits`) of the fillers in
+    build_lii's order, once it gets past the full atom and the refutation.
+    Whatever it has not filled is None."""
 
-    __slots__ = ("restrictions", "fillers", "clashed")
+    __slots__ = ("restrictions", "clashed")
 
     def __init__(self):
         self.restrictions: list[Concept] | None = None
-        self.fillers: tuple[Concept, ...] | None = None
         self.clashed: int | None = None
 
 
@@ -180,7 +177,18 @@ def clashed_atoms(fillers: tuple[Concept, ...], reading: Reading | None = None) 
     """The masks of the atoms whose literal set clashes, ascending: the
     masks m for which primitive_clash(atomic_decomposition(fillers)[m - 1])
     holds, found without building a literal set.  A reading of the same
-    fillers that holds their clash mask gives it without a second test."""
+    fillers that holds their clash mask gives it without a second test.
+
+    An atom holds one literal per filler, the filler or its negation, so it
+    clashes through a literal that clashes alone (bottom, an at-most below
+    0; in practice the negation of a top filler or a bottom filler) or
+    through two literals of different fillers that negate each other.  Each
+    literal maps to the coefficient mask of the atoms holding it, OR-ed over
+    the fillers that give it, since a filler can be another's negation.
+    The clashing atoms are then the masks of the lone clashes joined with
+    each literal's atoms met with its negation's.  A filler's own negation
+    is held by the complementary atoms, so that meet is empty unless
+    another filler gives it too: O(n) set operations, no 2^n walk."""
     clashed = None if reading is None else reading.clashed
     if clashed is None:
         clashed = _clash_bits(fillers)
@@ -194,43 +202,9 @@ def clashed_atoms(fillers: tuple[Concept, ...], reading: Reading | None = None) 
 
 def _clash_bits(fillers: tuple[Concept, ...]) -> int:
     """clashed_atoms as a coefficient mask: bit m - 1 set for each clashing
-    atom m.
-
-    An atom holds one literal per filler, the filler or its negation, so it
-    clashes through a literal that clashes alone (bottom, an at-most below
-    0) or through two literals of different fillers that negate each other.
-    Where negation is an involution on the fillers, as on every filler in
-    negation normal form, that is read off which fillers negate which: a
-    bottom filler clashes on the atoms holding it, a top filler on those
-    holding its negation, and two fillers that negate each other on the
-    atoms holding both and on those holding neither (their negations
-    negate each other too).  Otherwise (at-least 0, at-most -1, or a
-    junction that folds when negated), each literal maps to the coefficient
-    mask of the atoms holding it, OR-ed over the fillers that give it, and
-    the clashing atoms are the masks of the lone clashes joined with each
-    literal's atoms met with its negation's.  O(n) set operations, no 2^n
-    walk."""
+    atom m."""
     coeffs = _coefficients(len(fillers))
     every = (1 << ((1 << len(fillers)) - 1)) - 1
-    position = dict(zip(fillers, coeffs))
-    clashed = 0
-    for f, coeff in zip(fillers, coeffs):
-        neg = f._neg or negate(f)
-        if (neg._neg or negate(neg)) is not f:
-            return _clash_walk(fillers, coeffs, every)
-        if f is BOTTOM:
-            clashed |= coeff
-        elif f is TOP:
-            clashed |= every ^ coeff
-        else:
-            other = position.get(neg)
-            if other is not None:
-                clashed |= coeff & other | every & ~(coeff | other)
-    return clashed
-
-
-def _clash_walk(fillers: tuple[Concept, ...], coeffs: tuple[int, ...], every: int) -> int:
-    """_clash_bits over every literal an atom can hold, for any fillers."""
     holding: dict[Concept, int] = {}
     for f, coeff in zip(fillers, coeffs):
         holding[f] = holding.get(f, 0) | coeff
@@ -252,26 +226,24 @@ def build_lii(
     """One row per restriction on the role, in canonical order;
     coefficients select the atoms containing the row's filler positively.
     Nothing zeroed yet.  Fillers are indexed on first occurrence, as
-    collect_fillers lists them, which is their key order, since a
-    restriction's key leads with its role and then its filler.  More
-    fillers than lambda_max raise SolverLimitError before any coefficient
-    mask, which has 2^width bits, is built.  A reading of the same branch
-    and role gives the restrictions, and the fillers when it holds them,
-    so the branch is not read again."""
+    collect_fillers lists them.  More fillers than lambda_max raise
+    SolverLimitError before any coefficient mask, which has 2^width bits,
+    is built.  A reading of the same branch and role gives the
+    restrictions, so the branch is not read again."""
     if reading is None or reading.restrictions is None:
         restrictions = _restrictions(branch, role)
     else:
         restrictions = sorted_concepts(reading.restrictions)
-    if reading is None or reading.fillers is None:
-        fillers = tuple(dict.fromkeys(lit.filler for lit in restrictions))
-    else:
-        fillers = reading.fillers
-    _check_width(len(fillers), lambda_max)
-    coeff = dict(zip(fillers, _coefficients(len(fillers))))
+    index: dict[Concept, int] = {}
+    for lit in restrictions:
+        index.setdefault(lit.filler, len(index))
+    _check_width(len(index), lambda_max)
+    coeffs = _coefficients(len(index))
     rows = tuple(
-        Row(coeff[lit.filler], type(lit) is AtMost, lit.bound, lit) for lit in restrictions
+        Row(coeffs[index[lit.filler]], type(lit) is AtMost, lit.bound, lit)
+        for lit in restrictions
     )
-    return LiiSystem(fillers, rows)
+    return LiiSystem(tuple(index), rows)
 
 
 def closed_form(
@@ -310,11 +282,11 @@ def closed_form(
     and the smallest at-most bound; the later cases read the restrictions
     alone, for each filler's interval.  The width is counted as build_lii
     counts it: more than lambda_max raise SolverLimitError with the same
-    message, before any case is read.  Past the refutation, the fillers
-    are sorted into build_lii's order and their clash mask is taken from
-    which fillers negate which (`_clash_bits`); a reading, when given,
-    keeps what was read (`Reading`), so a caller that builds the system
-    after a decline reads none of it again."""
+    message, before any case is read.  Past the full atom, the restrictions
+    are sorted, which puts the fillers in build_lii's order, and past the
+    refutation their clash mask is taken (`_clash_bits`); a reading, when
+    given, keeps the restrictions and the clash mask (`Reading`), so a
+    caller that builds the system after a decline reads neither again."""
     restrictions = []
     fillers = set()
     most, fewest = 0, None
@@ -336,28 +308,23 @@ def closed_form(
         full = frozenset(fillers)
         if not primitive_clash(full):
             return width, {(1 << width) - 1: most}, full
-    # per filler: [its largest at-least bound, its smallest at-most bound or
-    # None], the interval of feasible's check, read off the restrictions
+    # per filler, in build_lii's order: [its largest at-least bound, its
+    # smallest at-most bound or None], the interval of feasible's check
     bounds: dict[Concept, list] = {}
-    for lit in restrictions:
-        interval = bounds.get(lit.filler)
-        if interval is None:
-            interval = bounds[lit.filler] = [0, None]
+    for lit in sorted_concepts(restrictions):
+        interval = bounds.setdefault(lit.filler, [0, None])
         if type(lit) is AtLeast:
             if lit.bound > interval[0]:
                 interval[0] = lit.bound
         elif interval[1] is None or lit.bound < interval[1]:
             interval[1] = lit.bound
-    for lo, hi in bounds.values():
-        if hi is not None and lo > hi:
-            return width, None, None
-    fillers = tuple(sorted_concepts(bounds))
-    intervals = [bounds[f] for f in fillers]
-    clashed = _clash_bits(fillers)
-    if reading is not None:
-        reading.fillers, reading.clashed = fillers, clashed
+    intervals = list(bounds.values())
+    if any(hi is not None and lo > hi for lo, hi in intervals):
+        return width, None, None
     # the atoms that are not live: clashed, or holding a filler under at-most 0
-    dead = clashed
+    dead = _clash_bits(tuple(bounds))
+    if reading is not None:
+        reading.clashed = dead
     for coeff, (_, hi) in zip(_coefficients(width), intervals):
         if hi == 0:
             dead |= coeff
@@ -370,7 +337,7 @@ def closed_form(
                 return None  # {mask: most} breaks this filler's at-most
         elif lo:
             return None  # and misses this one's at-least
-    atom = frozenset(f if (mask >> k) & 1 else negate(f) for k, f in enumerate(fillers))
+    atom = frozenset(f if (mask >> k) & 1 else negate(f) for k, f in enumerate(bounds))
     return width, {mask: most}, atom
 
 
@@ -432,7 +399,7 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
                 interval[0] = row.bound
         elif interval[1] is None or row.bound < interval[1]:
             interval[1] = row.bound
-    intervals = []  # (index, coefficient mask, at-least, at-most or None)
+    intervals = []
     dead = 0  # the atoms in a sum bounded by at-most 0
     for coeff, (lo, hi) in bounds.items():
         if hi is not None:
@@ -440,7 +407,7 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
                 return None
             if hi == 0:
                 dead |= coeff
-        intervals.append((len(intervals), coeff, lo, hi))
+        intervals.append((coeff, lo, hi))
 
     masks = [
         m for m in system.atom_masks() if not (dead >> (m - 1)) & 1 and m not in system.zeroed
@@ -464,20 +431,19 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
         bit = 1 << (masks[i] - 1)
         cap, limit = 0, None
         raise_, limit_, add_ = [], [], []
-        for g, coeff, lo, hi in intervals:
-            if not coeff & bit:
-                continue
-            if lo > cap:
-                cap = lo
-            if lo > room[g]:
-                raise_.append((g, lo - room[g]))
-            if hi is None:
-                add_.append((g, lo))
-            else:
-                if limit is None or hi < limit:
-                    limit = hi
-                limit_.append((g, hi))
-                add_.append((g, hi))
+        for g, (coeff, lo, hi) in enumerate(intervals):
+            if coeff & bit:
+                if lo > cap:
+                    cap = lo
+                if lo > room[g]:
+                    raise_.append((g, lo - room[g]))
+                if hi is None:
+                    add_.append((g, lo))
+                else:
+                    if limit is None or hi < limit:
+                        limit = hi
+                    limit_.append((g, hi))
+                    add_.append((g, hi))
         if limit is not None and limit < cap:
             cap = limit
         caps[i], raising[i], limiting[i], adding[i] = cap, raise_, limit_, add_
@@ -492,8 +458,7 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
                         shared[g] += hi
             room[g] = reach[g] if shared[g] is None or reach[g] < shared[g] else shared[g]
 
-    needs = [(g, lo) for g, _, lo, _ in intervals if lo]  # the at-least sums
-    failed: list = [None] * n    # per position, the states whose subtree failed
+    failed: dict[int, set] = {}  # position -> states whose subtree failed
     entered: list = [None] * n   # state on entry, per position on the stack
     chosen = [0] * n
     highest = [0] * n
@@ -505,12 +470,9 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
         if steps > max_steps:
             raise SolverLimitError(f"feasibility search exceeded {max_steps} steps")
         if i == n:
-            for g, lo in needs:
-                if state[g] < lo:
-                    break
-            else:
+            if all(s >= lo for s, (_, lo, _) in zip(state, intervals)):
                 break
-        elif failed[i] is None or state not in failed[i]:
+        elif state not in failed.get(i, ()):
             lo, hi = 0, caps[i]
             for g, need in raising[i]:
                 if need - state[g] > lo:
@@ -534,10 +496,7 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
                 state = _add(entered[i], adding[i], chosen[i])
                 i += 1
                 break
-            if failed[i] is None:
-                failed[i] = {entered[i]}
-            else:
-                failed[i].add(entered[i])
+            failed.setdefault(i, set()).add(entered[i])
 
     solution = {m: v for m, v in zip(masks, chosen) if v}
     _validate(system, solution)
@@ -557,10 +516,9 @@ def _validate(system: LiiSystem, solution: dict[int, int]) -> None:
     if not system.zeroed.isdisjoint(solution):
         raise AssertionError("solution assigns a zeroed atom")
     for row in system.rows:
-        total = 0
-        for m, v in solution.items():
-            if (row.coeff_mask >> (m - 1)) & 1:
-                total += v
+        total = sum(
+            v for m, v in solution.items() if (row.coeff_mask >> (m - 1)) & 1
+        )
         ok = total <= row.bound if row.is_at_most else total >= row.bound
         if not ok:
             raise AssertionError(f"solution violates row {row}")
