@@ -62,6 +62,7 @@ from .syntax import (
     TOP,
     Top,
     build_problem,
+    complement,
     conj,
     cut_formula,
     cut_table,

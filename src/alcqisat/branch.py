@@ -11,6 +11,11 @@ partial disjunct on a trail that choice points rewind.  So not every
 clash-free disjunct is yielded, but each contains one that is.  The clash
 test on a tuned branch says whether it clashes (bottom, a complementary
 pair, an at-most below zero), not how: the engine reads nothing else.
+
+Every clash test here, the walk's two, `sole_branch`'s and
+`primitive_clash`, looks a literal's negation up (`complement`) and builds
+no node: a negation never built is in no set, so it clashes with nothing.
+A negation found is cached on the literal, a miss never is.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .syntax import (
     Or,
     Role,
     Top,
+    complement,
     negate,
     sorted_concepts,
 )
@@ -93,8 +99,9 @@ def enumerate_branches(label: Iterable[Concept]) -> Iterator[Branch]:
                 for later in range(len(parts) - 1, parts.index(part) - 1, -1):
                     work = (parts[later], work)
                 break
-            # a literal's negation is cached on it once negate has run
-            if kind is Bottom or (part._neg or negate(part)) in members:
+            # a literal's negation is cached on it once it has been found;
+            # one never built is in no set, and complement builds none
+            if kind is Bottom or (part._neg or complement(part)) in members:
                 parts = None
                 break
             if part not in members:
@@ -125,7 +132,7 @@ def enumerate_branches(label: Iterable[Concept]) -> Iterator[Branch]:
             for alt in head.parts:
                 kind = type(alt)
                 if kind is And or kind is Or or (
-                    kind is not Bottom and (alt._neg or negate(alt)) not in members
+                    kind is not Bottom and (alt._neg or complement(alt)) not in members
                 ):
                     live.append(alt)
             if len(live) > 1:
@@ -180,7 +187,7 @@ def sole_branch(label: Iterable[Concept]) -> Branch | None:
     if BOTTOM in literals:
         return None
     for lit in literals:
-        if (lit._neg or negate(lit)) in literals:
+        if (lit._neg or complement(lit)) in literals:
             return None
     return literals
 
@@ -257,7 +264,7 @@ def primitive_clash(branch: Branch) -> bool:
     or an at-most with a negative bound."""
     for lit in branch:
         kind = type(lit)
-        if kind is Bottom or negate(lit) in branch or (kind is AtMost and lit.bound < 0):
+        if kind is Bottom or complement(lit) in branch or (kind is AtMost and lit.bound < 0):
             return True
     return False
 

@@ -92,8 +92,8 @@ from .syntax import (
     Problem,
     Role,
     TOP,
+    complement,
     concept_key,
-    negate,
     sorted_concepts,
 )
 
@@ -276,7 +276,7 @@ def _plain(label: frozenset) -> bool:
     lower against a parent, no role to solve."""
     for lit in label:
         kind = type(lit)
-        if kind is not Atom and kind is not NegAtom or (lit._neg or negate(lit)) in label:
+        if kind is not Atom and kind is not NegAtom or (lit._neg or complement(lit)) in label:
             return False
     return True
 

@@ -17,7 +17,9 @@ table is built, the clashing atoms are read off the filler list
 (`clashed_atoms`) rather than tested one literal set at a time, and they
 are zeroed in one copy of the system (`zero_column`).  No atom gets a
 literal set until a solution expands it: `atomic_decomposition` builds the
-sets of the masks it is given.
+sets of the masks it is given, and negates a filler only when one of
+them holds its negation.  The clash mask negates no filler: it looks the
+negations up (`complement`), and one never built clashes with nothing.
 
 Most roles the engine solves need no system at all: `closed_form` reads
 the restrictions off the branch and gives what `feasible` would answer on
@@ -37,11 +39,12 @@ clash-testing again.
 `feasible` returns the lexicographically smallest solution, found by an
 iterative depth-first search.  Rows bounding the same sum are merged into
 one interval first, so contradictory bounds are refuted before any search
-step; each atom is capped by the bounds of the rows covering it, and one
-under an at-most 0 gets no search position; what later atoms can add to a
-sum is bounded by their caps and by the at-most bounds they lie under; and
-failed search states are memoized, so a subtree already proven empty is
-entered once.
+step, as is an at-least sum that no live atom (neither zeroed nor under
+an at-most 0) adds to; each atom is capped by the bounds of the rows
+covering it, and one under an at-most 0 gets no search position; what
+later atoms can add to a sum is bounded by their caps and by the at-most
+bounds they lie under; and failed search states are memoized, so a
+subtree already proven empty is entered once.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .syntax import (
     Bottom,
     Concept,
     Role,
+    complement,
     negate,
     sorted_concepts,
 )
@@ -107,8 +111,8 @@ class Reading:
     the engine to take instead of reading the branch again.  closed_form
     fills `restrictions`, the role's restrictions in branch order, on every
     call, and `clashed`, the clash mask (`_clash_bits`) of the fillers in
-    build_lii's order, once it gets past the full atom and the refutation.
-    Whatever it has not filled is None."""
+    build_lii's order, once it gets past the full atom and the interval
+    refutation.  Whatever it has not filled is None."""
 
     __slots__ = ("restrictions", "clashed")
 
@@ -159,14 +163,18 @@ def atomic_decomposition(
     every atom's by default, ascending from mask 1, so that entry mask - 1
     is the atom's: filler k where bit k of the mask is set, its negation
     where it is clear.  The engine gives the masks a solution expands, a
-    few where the full list has 2^n - 1.  Each filler is negated once."""
+    few where the full list has 2^n - 1.  Each filler is negated once, and
+    only when an atom given holds its negation."""
     n = len(fillers)
     if n < 1:
         raise ValueError("need at least one filler")
     _check_width(n, lambda_max)
-    if masks is None:
-        masks = range(1, 1 << n)
-    signed = [(f, negate(f)) for f in fillers]
+    masks = range(1, 1 << n) if masks is None else list(masks)
+    full = (1 << n) - 1
+    clear = 0  # bit k set when an atom given holds the negation of filler k
+    for mask in masks:
+        clear |= full ^ mask
+    signed = [(f, negate(f) if (clear >> k) & 1 else None) for k, f in enumerate(fillers)]
     return [
         frozenset([pos if (mask >> k) & 1 else neg for k, (pos, neg) in enumerate(signed)])
         for mask in masks
@@ -202,21 +210,27 @@ def clashed_atoms(fillers: tuple[Concept, ...], reading: Reading | None = None) 
 
 def _clash_bits(fillers: tuple[Concept, ...]) -> int:
     """clashed_atoms as a coefficient mask: bit m - 1 set for each clashing
-    atom m."""
+    atom m.  No filler is negated: a negation never built (`complement`)
+    is left out of the literals, since no atom clashes through it.  It is
+    no lone clash, as bottom and an at-most below 0 are built nodes; and
+    the one literal it clashes with is its filler, which no atom holding it
+    holds, as long as negate is its own inverse on the fillers.  It is on
+    every filler a label holds: NNF, with no at-least 0 inside."""
     coeffs = _coefficients(len(fillers))
     every = (1 << ((1 << len(fillers)) - 1)) - 1
     holding: dict[Concept, int] = {}
     for f, coeff in zip(fillers, coeffs):
         holding[f] = holding.get(f, 0) | coeff
-        neg = negate(f)
-        holding[neg] = holding.get(neg, 0) | (every ^ coeff)
+        neg = complement(f)
+        if neg is not None:
+            holding[neg] = holding.get(neg, 0) | (every ^ coeff)
     clashed = 0
     for lit, atoms in holding.items():
         kind = type(lit)
         if kind is Bottom or kind is AtMost and lit.bound < 0:
             clashed |= atoms
         else:
-            clashed |= atoms & holding.get(negate(lit), 0)
+            clashed |= atoms & holding.get(complement(lit), 0)
     return clashed
 
 
@@ -277,6 +291,11 @@ def closed_form(
       carries over with M last: every later atom is dead or zeroed.
       Conversely, a solution {M: most} needs exactly that, so the rule
       answers exactly when feasible returns {M: most}.
+    - Live-atom refutation.  When the rule above declines and a filler of
+      a positive at-least is held by no live atom, its sum stays 0 and no
+      solution exists: feasible's live-atom pre-check.  Where the rule
+      answers, M holds every such filler, so the check is made only where
+      it declines.
 
     The branch is read once, for the restrictions, their fillers, `most`
     and the smallest at-most bound; the later cases read the restrictions
@@ -284,9 +303,10 @@ def closed_form(
     counts it: more than lambda_max raise SolverLimitError with the same
     message, before any case is read.  Past the full atom, the restrictions
     are sorted, which puts the fillers in build_lii's order, and past the
-    refutation their clash mask is taken (`_clash_bits`); a reading, when
-    given, keeps the restrictions and the clash mask (`Reading`), so a
-    caller that builds the system after a decline reads neither again."""
+    interval refutation their clash mask is taken (`_clash_bits`); a
+    reading, when given, keeps the restrictions and the clash mask
+    (`Reading`), so a caller that builds the system after a decline reads
+    neither again."""
     restrictions = []
     fillers = set()
     most, fewest = 0, None
@@ -325,20 +345,26 @@ def closed_form(
     dead = _clash_bits(tuple(bounds))
     if reading is not None:
         reading.clashed = dead
-    for coeff, (_, hi) in zip(_coefficients(width), intervals):
+    coeffs = _coefficients(width)
+    for coeff, (_, hi) in zip(coeffs, intervals):
         if hi == 0:
             dead |= coeff
-    mask = (((1 << ((1 << width) - 1)) - 1) & ~dead).bit_length()  # bit m - 1 is atom m
-    if not mask:
-        return None
+    live = ((1 << ((1 << width) - 1)) - 1) & ~dead  # bit m - 1 is atom m
+    mask = live.bit_length()
     for k, (lo, hi) in enumerate(intervals):
         if (mask >> k) & 1:
             if hi is not None and hi < most:
-                return None  # {mask: most} breaks this filler's at-most
+                break  # {mask: most} breaks this filler's at-most
         elif lo:
-            return None  # and misses this one's at-least
-    atom = frozenset(f if (mask >> k) & 1 else negate(f) for k, f in enumerate(bounds))
-    return width, {mask: most}, atom
+            break  # and misses this one's at-least
+    else:
+        if mask:
+            atom = frozenset(f if (mask >> k) & 1 else negate(f) for k, f in enumerate(bounds))
+            return width, {mask: most}, atom
+    for coeff, (lo, _) in zip(coeffs, intervals):
+        if lo and not coeff & live:
+            return width, None, None  # an at-least sum no live atom adds to
+    return None
 
 
 def zero_column(system: LiiSystem, *atom_masks: int) -> LiiSystem:
@@ -367,6 +393,9 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
     - Interval pre-check: rows with the same coefficients bound one sum, so
       they merge into one interval [largest at-least, smallest at-most]; an
       empty interval refutes the system before any search step.
+    - Live-atom pre-check: an at-least sum with a positive bound that no
+      live atom (neither zeroed nor dead, below) adds to stays at 0; the
+      caps below tell, and it refutes the system before any search step.
     - Dead atoms: an atom in a sum bounded by at-most 0 can only be 0, so
       like a zeroed atom it gets no search position.
     - Per-atom cap: each atom is capped at the smallest at-most bound
@@ -386,8 +415,8 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
 
     One step is one search node entered, so the search takes no more steps
     than it would without these prunings; more than max_steps raises
-    SolverLimitError.  The interval pre-check takes no step, so it answers
-    at any max_steps.
+    SolverLimitError.  The pre-checks take no step, so they answer at any
+    max_steps.
     """
     bounds: dict[int, list] = {}  # coeff_mask -> [at-least, at-most or None]
     for row in system.rows:
@@ -457,6 +486,11 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
                         cover[g] |= 1 << h
                         shared[g] += hi
             room[g] = reach[g] if shared[g] is None or reach[g] < shared[g] else shared[g]
+    # a live atom under a positive at-least gets a positive cap, so an
+    # at-least sum with no reach has no live atom and stays at 0
+    for g, (_, lo, _) in enumerate(intervals):
+        if lo and not reach[g]:
+            return None
 
     failed: dict[int, set] = {}  # position -> states whose subtree failed
     entered: list = [None] * n   # state on entry, per position on the stack

@@ -20,6 +20,13 @@ ConceptSyntaxError.  `to_nnf` returns a node none of whose children changes
 itself, so a concept already in NNF comes back as the same object.
 `walk_concepts` and `to_nnf` visit each distinct node once, so a subterm
 shared by many parents costs one visit, not one per occurrence.
+
+A node's negation is built by `negate`, where a negation enters a label,
+and looked up by `complement`, which builds nothing and answers None for a
+negation never built.  Clash tests read `complement`: a label holds only
+built nodes, so a negation never built clashes with nothing in it.  A
+negation found is cached on its node; a miss never is, since the negation
+may be built later.
 """
 
 from __future__ import annotations
@@ -93,13 +100,14 @@ class Concept:
     frozen: assigning or deleting an attribute raises AttributeError.
 
     Beside the fields, a node holds its order key (`_key`), its negation
-    once `negate` has asked for it (`_neg`), `_forces`: whether an
-    at-least with a positive bound is reachable from it through and/or
-    nodes alone, and `_splits`: whether an or-node is reachable from it
-    through and-nodes alone.  Only such an at-least forces a successor, so
-    a label none of whose concepts has `_forces` gives a node without
-    successors; and a label none of whose concepts has `_splits` has one
-    branch at most, the literals reachable through and-nodes."""
+    once `negate` has built it or `complement` found it (`_neg`),
+    `_forces`: whether an at-least with a positive bound is reachable from
+    it through and/or nodes alone, and `_splits`: whether an or-node is
+    reachable from it through and-nodes alone.  Only such an at-least
+    forces a successor, so a label none of whose concepts has `_forces`
+    gives a node without successors; and a label none of whose concepts
+    has `_splits` has one branch at most, the literals reachable through
+    and-nodes."""
 
     __slots__ = ("_key", "_neg", "_forces", "_splits")
     _fields: tuple[str, ...] = ()
@@ -115,7 +123,7 @@ class Concept:
             for name, value in zip(names, fields):
                 object.__setattr__(node, name, value)
             object.__setattr__(node, "_key", _order_key(node))
-            object.__setattr__(node, "_neg", None)  # filled in by negate
+            object.__setattr__(node, "_neg", None)  # filled in by negate or complement
             object.__setattr__(node, "_forces", _forces(node))
             object.__setattr__(
                 node, "_splits", cls is Or or cls is And and any(p._splits for p in fields[0])
@@ -268,15 +276,20 @@ def sorted_concepts(concepts: Iterable[Concept]) -> list[Concept]:
     return sorted(concepts, key=_KEY)
 
 
-def _junction(parts: Iterable[Concept], cls: type, unit: Concept) -> Concept:
+def _flat(parts: Iterable[Concept], cls: type) -> list[Concept]:
+    """The parts of a cls-node over parts: flattened, deduplicated and in
+    canonical order."""
     out: list[Concept] = []
     for p in parts:
         if isinstance(p, cls):
             out.extend(p.parts)  # type: ignore[attr-defined]
         else:
             out.append(p)
-    # dedupe, then canonical order
-    flat = sorted_concepts(set(out))
+    return sorted_concepts(set(out))
+
+
+def _junction(parts: Iterable[Concept], cls: type, unit: Concept) -> Concept:
+    flat = _flat(parts, cls)
     if not flat:
         return unit
     return flat[0] if len(flat) == 1 else cls(tuple(flat))
@@ -450,6 +463,53 @@ def _negate(c: Concept) -> Concept:
     if isinstance(c, Not):
         return to_nnf(c.sub)
     raise TypeError(f"unknown concept node: {c!r}")
+
+
+def complement(c: Concept) -> Concept | None:
+    """The node negate(c) returns, when it has been built, and None when it
+    has not; builds no node.  A clash test asks whether a set holds a
+    concept and its negation, and a negation never built is in no set, so
+    a clash test reads this instead of negate.
+
+    A literal's negation is looked up under its key: at-most b against
+    at-least b+1, atom against negated atom; at-least 0 gives bottom, as in
+    negate.  A junction's is an or-node (an and-node) over its parts'
+    negations, which exists only if each of them does: negate neither
+    flattens nor folds a part there, since no part of an and-node negates
+    to an or-node, nor the other way round.  So it is looked up under the
+    key those negations give.  A hit is cached on c as negate caches it; a
+    miss never is, since the negation may be built later.  c is in NNF."""
+    neg = c._neg
+    if neg is not None:
+        return neg
+    kind = type(c)
+    if kind is AtLeast:
+        neg = BOTTOM if c.bound == 0 else _NODES.get((AtMost, c.bound - 1, c.role, c.filler))
+    elif kind is AtMost:
+        neg = _NODES.get((AtLeast, c.bound + 1, c.role, c.filler))
+    elif kind is Atom:
+        neg = _NODES.get((NegAtom, c.name))
+    elif kind is NegAtom:
+        neg = _NODES.get((Atom, c.name))
+    elif kind is And or kind is Or:
+        parts = []
+        for p in c.parts:
+            q = complement(p)
+            if q is None:
+                return None
+            parts.append(q)
+        dual = Or if kind is And else And
+        flat = _flat(parts, dual)
+        neg = flat[0] if len(flat) == 1 else _NODES.get((dual, tuple(flat)))
+    elif kind is Top:
+        neg = BOTTOM
+    elif kind is Bottom:
+        neg = TOP
+    else:
+        raise TypeError(f"not a concept in NNF: {c!r}")
+    if neg is not None:
+        object.__setattr__(c, "_neg", neg)
+    return neg
 
 
 def to_nnf(c: Concept) -> Concept:

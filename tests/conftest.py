@@ -152,8 +152,9 @@ def brute_force_feasible(system: LiiSystem, cap: int | None = None) -> dict | No
 def closed_form_agrees(branch, role) -> str | None:
     """Assert that closed_form answers exactly where feasible's answer, on
     build_lii's system with the clashed atoms zeroed, is forced.  It
-    refutes exactly when feasible refutes by its interval pre-check, the
-    one answer it gives without a search step.  Otherwise it answers
+    refutes exactly when feasible refutes by its pre-checks (an empty
+    interval, an at-least sum no live atom adds to), the answers it gives
+    without a search step.  Otherwise it answers
     exactly when feasible puts the largest at-least bound on the highest
     live atom (not clashed, under no at-most 0), and then with that
     solution and that atom's literal set.  Returns "refuted", "full" (the

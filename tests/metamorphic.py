@@ -18,7 +18,10 @@ and under every relation:
   those only the root holds included (`with_named_inverse_cuts`);
 - mirror: every role replaced by its inverse, which reads each role as its
   converse;
-- rename: atoms and roles renamed so that their order flips.
+- rename: atoms and roles renamed so that their order flips;
+- tautology: `gci X X` added for the first atom and for the first number
+  restriction, in canonical order, so that every label carries
+  `(or (not X) X)` and the walk's clash tests meet restrictions.
 
 A relation's verdict must equal the input's wherever both decide; a run
 stopped by a limit is counted apart.  The sweep prints one line per
@@ -60,12 +63,12 @@ from alcqisat import (
     generate_corpus,
     parse_problem_text,
 )
-from alcqisat.syntax import signature_of
+from alcqisat.syntax import concept_key, signature_of, walk_concepts
 from conftest import bench_module, with_every_cut, with_named_inverse_cuts
 
 LIMITS = Limits(nogood_capacity=250)  # the bench's engine limits
 DEEP_PROFILE = CorpusProfile(max_depth=5, max_bound=5, max_roles=3, max_atoms=4, max_gcis=3)
-RELATIONS = ("leaf cuts", "every cut", "named cuts", "mirror", "rename")
+RELATIONS = ("leaf cuts", "every cut", "named cuts", "mirror", "rename", "tautology")
 # sha256 of the full sweep's outcome letters (11,827 S, 828 U, no L); a
 # change that flips a verdict or runs into a limit must explain itself
 VERDICTS_DIGEST = "406874a4f926cd8ec7b1a932248364ffdd03b1f7d804340057924d4e358989a9"
@@ -141,6 +144,20 @@ def renamed(pf: ProblemFile) -> ProblemFile:
     return rewrite(pf, atom_map.__getitem__, lambda r: Role(role_map[r.base], r.inverted))
 
 
+def with_tautologies(pf: ProblemFile) -> ProblemFile:
+    """The problem file with `gci X X` added for X its first atom and its
+    first number restriction in NNF, in canonical order, where it has
+    them."""
+    problem = build_problem(pf.query, pf.tbox)
+    concepts = list(walk_concepts(problem.goal, problem.axiom))
+    atoms = [c for c in concepts if type(c) is Atom or type(c) is NegAtom]
+    restrictions = [c for c in concepts if type(c) is AtLeast or type(c) is AtMost]
+    firsts = [Atom(min(atoms, key=concept_key).name)] if atoms else []
+    if restrictions:
+        firsts.append(min(restrictions, key=concept_key))
+    return ProblemFile(pf.tbox + tuple((x, x) for x in firsts), pf.query)
+
+
 def outcomes(pf: ProblemFile) -> dict[str, str]:
     """The input's outcome, under "default", and each relation's."""
     problem = build_problem(pf.query, pf.tbox)
@@ -149,7 +166,8 @@ def outcomes(pf: ProblemFile) -> dict[str, str]:
         out["leaf cuts"] = outcome(problem)
     out["every cut"] = outcome(with_every_cut(problem))
     out["named cuts"] = outcome(with_named_inverse_cuts(problem))
-    for name, change in (("mirror", mirrored), ("rename", renamed)):
+    changes = (("mirror", mirrored), ("rename", renamed), ("tautology", with_tautologies))
+    for name, change in changes:
         changed = change(pf)
         out[name] = outcome(build_problem(changed.query, changed.tbox))
     return out

@@ -10,6 +10,7 @@ import pytest
 
 import alcqisat
 import alcqisat.engine as engine
+import alcqisat.syntax as syntax
 from alcqisat import (
     AtLeast,
     Atom,
@@ -38,6 +39,7 @@ from alcqisat import (
     parse_problem_text,
     primitive_clash,
 )
+from alcqisat.syntax import walk_concepts
 from conftest import (
     assert_nogoods_are_new,
     bench_module,
@@ -1062,3 +1064,54 @@ def test_counting_traces_do_not_depend_on_the_hash_seed(hash_seed):
 @pytest.mark.parametrize("hash_seed", ["0", "5"])
 def test_deep_traces_do_not_depend_on_the_hash_seed(hash_seed):
     assert digest_in_fresh_process("deep_traces_digest", hash_seed) == DEEP_TRACES_DIGEST
+
+
+def nodes_interned_outside_labels() -> str:
+    """Over the acceptance, deep and counting corpora, decided once each
+    in this process: the number of nodes the runs interned, and those no
+    label, branch or tuned branch of their own run holds as a subterm."""
+    corpora = bench_module("corpora")
+    problems = [
+        build_problem(pf.query, pf.tbox)
+        for workload in ("oracle", "deep", "counting")  # oracle: the acceptance corpus
+        for pf in corpora.generate(workload)
+    ]
+    held = []
+    expand, settle, tune = Tableau._expand, Tableau._settle, engine.fine_tune
+
+    def on_expand(self, label, cut, edge):
+        held.append(label)
+        return expand(self, label, cut, edge)
+
+    def on_settle(self, label, cut, edge):
+        held.append(label)
+        return settle(self, label, cut, edge)
+
+    def on_tune(branch, cut, edge):
+        tuned = tune(branch, cut, edge)
+        held.extend((branch, tuned))
+        return tuned
+
+    Tableau._expand, Tableau._settle, engine.fine_tune = on_expand, on_settle, on_tune
+    interned, outside = 0, []
+    for problem in problems:
+        held.clear()
+        before = len(syntax._NODES)
+        Tableau(problem, Limits(nogood_capacity=250)).decide()
+        new = list(syntax._NODES.values())[before:]
+        interned += len(new)
+        subterms = set(walk_concepts(*(c for concepts in held for c in concepts)))
+        outside += [str(c) for c in new if c not in subterms]
+    return f"{interned} {len(outside)} {outside[:3]}"
+
+
+def test_decide_interns_only_what_a_label_holds():
+    # a clash test looks a negation up (complement) and builds none, so a
+    # run interns only what enters a label: a tuned bound, an expanded
+    # atom's negated fillers.  In a fresh process, so that no earlier test
+    # has built the nodes already
+    interned, outside, examples = digest_in_fresh_process(
+        "nodes_interned_outside_labels", "0"
+    ).split(" ", 2)
+    assert (int(outside), examples) == (0, "[]")
+    assert int(interned) > 0

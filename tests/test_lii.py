@@ -510,28 +510,61 @@ def test_closed_form_checks_the_width_like_build_lii():
     assert closed_form(branch | {AtMost(0, S, A)}, R) == closed_form(branch, R)
 
 
-def test_the_memo_clamps_at_least_sums():
+def chain_system(depth, rows, failed):
+    """The system on fillers top, C1..C(depth), Ck being k nested
+    (atleast 1 R ...) around top, with the given rows, its clashed atoms
+    zeroed (those without top) and the atoms `failed` picks, as the chain
+    with an inverse in tests/families.py zeroes atoms whose children
+    failed."""
+    chain = [TOP]
+    for _ in range(depth):
+        chain.append(AtLeast(1, R, chain[-1]))
+    system = build_lii(frozenset(row(c) for row, c in zip(rows, chain)), R)
+    assert system.fillers == tuple(chain)
+    dead = [m for m in system.atom_masks() if failed(m)]
+    return zero_column(system, *clashed_atoms(system.fillers), *dead)
+
+
+def at_least(bound):
+    return lambda filler: AtLeast(bound, R, filler)
+
+
+def at_most(bound):
+    return lambda filler: AtMost(bound, R, filler)
+
+
+def test_an_at_least_sum_no_live_atom_adds_to_is_refuted_before_any_step():
     # the chain with an inverse, d=9 in tests/families.py, solves this
-    # system at one of its nodes: fillers top and C1..C7, Ck being k nested
-    # (atleast 1 R ...) around top; at least one successor in top, none in
+    # system at one of its nodes: at least one successor in top, none in
     # C1, at least one in each of C2..C7.  Zeroed are the 127 atoms without
     # top (they clash) and the 32 that hold top and C2 but not C1, whose
-    # children failed.  Every atom that could hold C2 is then dead or
-    # zeroed, so the search must try every way to meet the rows of C3..C7
-    # before it fails.  The memo tells those ways apart only by the sums
-    # clamped at their at-least bound: keyed by the raw sums, the search
-    # runs past 50,000 steps, against 1,335
-    chain = [TOP]
-    for _ in range(7):
-        chain.append(AtLeast(1, R, chain[-1]))
-    branch = frozenset({AtLeast(1, R, TOP), AtMost(0, R, chain[1])} | {
-        AtLeast(1, R, c) for c in chain[2:]
-    })
-    system = build_lii(branch, R)
-    assert system.fillers == tuple(chain)
-    failed = [m for m in system.atom_masks() if m & 0b111 == 0b101]
-    system = zero_column(system, *clashed_atoms(system.fillers), *failed)
+    # children failed; every other atom holding C2 holds C1, under the
+    # at-most 0.  No live atom adds to C2's sum, so no search step is
+    # taken: the search alone took 1,335
+    system = chain_system(
+        7, [at_least(1), at_most(0)] + [at_least(1)] * 6, lambda m: m & 0b111 == 0b101
+    )
     assert len(system.zeroed) == 159
+    assert feasible(system, max_steps=0) is None
+
+
+def test_the_memo_clamps_at_least_sums():
+    # on top and C1..C6: at least one successor in top, at most one in C1,
+    # at least two in C2, at least one in each of C3..C6.  Zeroed are the
+    # 63 atoms without top and the 16 that hold top and C2 but not C1.  The
+    # 16 live atoms holding C2 all hold C1, so together they add at most 1
+    # to C2's sum: infeasible, but every at-least sum has a live atom, so
+    # the search must try the ways to meet the rows of C3..C6 before it
+    # fails.  The memo tells those ways apart only by the sums clamped at
+    # their at-least bound: keyed by the raw sums, the search runs past
+    # 50,000 steps, against 643
+    system = chain_system(
+        6, [at_least(1), at_most(1), at_least(2)] + [at_least(1)] * 4,
+        lambda m: m & 0b111 == 0b101,
+    )
+    assert len(system.zeroed) == 79
+    with pytest.raises(SolverLimitError):
+        feasible(system, max_steps=0)  # no pre-check refutes it
     assert feasible(system, max_steps=2_000) is None
 
 

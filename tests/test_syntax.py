@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import alcqisat
-
+import alcqisat.syntax as syntax
 from alcqisat import (
     And,
     AtLeast,
@@ -22,6 +22,7 @@ from alcqisat import (
     Role,
     TOP,
     build_problem,
+    complement,
     conj,
     cut_formula,
     cut_table,
@@ -415,6 +416,34 @@ def test_negation_cache_points_one_way():
     at_least_zero = AtLeast(0, R, A)
     assert negate(at_least_zero) is BOTTOM
     assert negate(BOTTOM) is TOP
+
+
+def test_complement_never_builds():
+    # names no other test builds, so every negation starts unbuilt
+    x, y = Atom("ComplementX"), Atom("ComplementY")
+    at_least, at_most = AtLeast(2, R, x), AtMost(1, R, y)
+    junction = conj([x, disj([y, at_least])])
+    literals = (x, y, at_least, at_most)
+    for c in literals + (junction,):
+        size = len(syntax._NODES)
+        assert complement(c) is None
+        assert len(syntax._NODES) == size
+        assert c._neg is None  # the miss is not cached
+    for c in literals:
+        neg = negate(c)
+        assert complement(c) is neg
+        assert complement(neg) is c
+    # at-least 0 negates to bottom, which is always built
+    assert complement(AtLeast(0, R, x)) is BOTTOM
+    # every part's negation is built, the or-node over them is not
+    inner = disj([y, at_least])
+    assert complement(inner) is None and complement(junction) is None
+    # built by hand, not by negate, so nothing caches it on the junction:
+    # a clash test must still find it
+    built = disj([NegAtom("ComplementX"), conj([negate(y), negate(at_least)])])
+    assert junction._neg is None
+    assert complement(junction) is built
+    assert negate(junction) is built
 
 
 def reference_forces(c) -> bool:
