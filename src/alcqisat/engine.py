@@ -10,9 +10,9 @@ build none either: where the restrictions force the system's answer,
 `closed_form` reads it off them (everything on the full atom or on the
 highest live atom, or a refutation).  That answer is the first solve of the
 role's one solve loop, and the system is built only if its child fails;
-where `closed_form` declines, the system is built from the restrictions
-and clash mask it read (`Reading`), with the clashed atoms zeroed
-in one copy, and only the atoms a solution expands get a literal set
+where `closed_form` declines, the system is built from the fillers, their
+intervals and the clash mask it read (`Reading`), the mask OR-ed into the
+zeroed atoms, and only the atoms a solution expands get a literal set
 (`atomic_decomposition`).  Cut formulas exist only for the pairs a node
 other than the root can hold (`cut_table`), and a problem without them
 hands its successors no filler decisions.  A child none of whose literals,
@@ -284,10 +284,10 @@ def _plain(label: frozenset) -> bool:
 def _system(tuned: Branch, role: Role, reading: Reading | None = None) -> LiiSystem:
     """The role's system with its clashed atoms zeroed, in one copy; the
     caller has checked its width.  A reading closed_form filled gives the
-    restrictions and the clash mask."""
+    restrictions, the intervals and the clash mask."""
     system = build_lii(tuned, role, None, reading)
     clashed = clashed_atoms(system.fillers, reading)
-    return zero_column(system, *clashed) if clashed else system
+    return zero_column(system, clashed) if clashed else system
 
 
 def _fmt_set(concepts: Iterable[Concept]) -> str:
@@ -497,15 +497,15 @@ class Tableau:
         When closed_form reads the first solve off the restrictions, its
         answer stands in for feasible's and no system is built until a child
         fails.  Otherwise the role's system is built with its clashed atoms
-        zeroed, from what closed_form read before it declined (`Reading`),
-        and solved.  Each solve then gives literal sets only to the atoms it
-        expands, those of its solution not yet completed, and an infeasible
-        system records the restrictions the reading holds.  Under
-        dump_systems each solve prints the system first, built for the
-        purpose when the answer stands in for it.  A child none of whose
-        literals can force a successor is labelled without the cut formulas
-        (`_leaf_core`); a child with a plain label is settled without a walk
-        (`_settle`).
+        zeroed, from the intervals and clash mask closed_form read before
+        it declined (`Reading`), and solved.  Each solve then gives literal
+        sets only to the atoms it expands, those of its solution not yet
+        completed, and an infeasible system records the restrictions the
+        reading holds.  Under dump_systems each solve prints the system
+        first, built for the purpose when the answer stands in for it.  A
+        child none of whose literals can force a successor is labelled
+        without the cut formulas (`_leaf_core`); a child with a plain label
+        is settled without a walk (`_settle`).
 
         A problem without cut formulas hands no filler decisions to a
         child, so then the child's cut set is empty and no wildcard is
@@ -560,8 +560,8 @@ class Tableau:
                     f"verdict={'feasible' if solution is not None else 'infeasible'}"
                 )
             if solution is None:
-                # every restriction on the role, a row each; closed_form
-                # reads them before it refutes or declines
+                # every restriction on the role; closed_form reads them
+                # before it refutes or declines
                 body = frozenset(reading.restrictions)
                 if context_zeroing:
                     # zeroing relied on context-keyed child failures, so the
@@ -593,7 +593,7 @@ class Tableau:
                     continue
                 if system is None:
                     system = _system(tuned, role, reading)
-                system = zero_column(system, mask)
+                system = zero_column(system, 1 << (mask - 1))
                 if not blocking.is_wildcard():
                     context_zeroing = True
                 break

@@ -5,46 +5,47 @@ successors into 2^n - 1 sign-complete combinations, the atoms (the
 all-negative one is irrelevant, no restriction counts it).  An atom is a
 bit mask over the filler list: bit k set means filler k holds, clear means
 its negation does.  Each atom is an unknown non-negative integer
-multiplicity; each restriction becomes a subset-sum inequality over the
-atoms containing its filler positively.  Feasibility of the system decides
-local consistency of the restrictions.  Atoms, zeroed columns and solutions
-are plain values: literal sets, a frozenset of masks and a {mask:
-multiplicity} dict.
+multiplicity, and each filler bounds the sum over the atoms holding it
+positively: one interval, from the largest at-least bound on it to the
+smallest at-most bound, when there is one.  Feasibility of the system
+decides local consistency of the restrictions.  Atoms, zeroed atoms and
+solutions are plain values: literal sets, one int with bit m - 1 set for
+each zeroed atom m, and a {mask: multiplicity} dict.
 
 Building a system is cheap in the width: the coefficient masks come from a
 table cached per width, the width is checked against the limit before that
-table is built, the clashing atoms are read off the filler list
-(`clashed_atoms`) rather than tested one literal set at a time, and they
-are zeroed in one copy of the system (`zero_column`).  No atom gets a
-literal set until a solution expands it: `atomic_decomposition` builds the
-sets of the masks it is given, and negates a filler only when one of
-them holds its negation.  The clash mask negates no filler: it looks the
-negations up (`complement`), and one never built clashes with nothing.
+table is built, the clashing atoms are read off the filler list as one bit
+mask (`clashed_atoms`) rather than tested one literal set at a time, and
+`zero_column` ORs a mask into the zeroed atoms.  No atom gets a literal
+set until a solution expands it: `atomic_decomposition` builds the sets of
+the masks it is given, and negates a filler only when one of them holds its
+negation.  The clash mask negates no filler: it looks the negations up
+(`complement`), and one never built clashes with nothing.
 
-Most roles the engine solves need no system at all: `closed_form` reads
-the restrictions off the branch and gives what `feasible` would answer on
-the clash-zeroed system wherever that answer is forced.  It reads the
-branch once, for the role's restrictions, their fillers and the largest
-at-least and smallest at-most bound.  When the full atom does not clash
-and no at-most bound is below the largest at-least bound, the answer is
-everything on the full atom.  Otherwise, when one filler's at-least and
-at-most bounds contradict each other, the system is infeasible; and when
-the highest atom that is neither clashed nor under an at-most 0 holds
-every at-least filler and no at-most bound below the largest at-least
-bound, the answer is everything on that atom.  It leaves what it read in
-a `Reading` (the restrictions, the clash mask), and a system built after
-it declines is built from that, without reading the branch or
-clash-testing again.
+Most roles the engine solves need no search: `closed_form` reads the
+restrictions off the branch and gives what `feasible` would answer on the
+clash-zeroed system wherever that answer is forced.  It reads the branch
+once, for the role's restrictions, their fillers and the largest at-least
+and smallest at-most bound.  When the full atom does not clash and no
+at-most bound is below the largest at-least bound, the answer is
+everything on the full atom.  Otherwise it reads each filler's interval,
+and when one is empty the system is infeasible; and when the highest atom
+that is neither clashed nor under an at-most 0 holds every at-least
+filler and no at-most bound below the largest at-least bound, the answer
+is everything on that atom.  It leaves what it read in a `Reading` (the
+restrictions, the intervals, the clash mask), and the system solved after
+it declines, or after the child of its answer fails, is built from that:
+neither the branch nor the fillers are read again.
 
 `feasible` returns the lexicographically smallest solution, found by an
-iterative depth-first search.  Rows bounding the same sum are merged into
-one interval first, so contradictory bounds are refuted before any search
-step, as is an at-least sum that no live atom (neither zeroed nor under
-an at-most 0) adds to; each atom is capped by the bounds of the rows
-covering it, and one under an at-most 0 gets no search position; what
-later atoms can add to a sum is bounded by their caps and by the at-most
-bounds they lie under; and failed search states are memoized, so a
-subtree already proven empty is entered once.
+iterative depth-first search laid out from the intervals and the zeroed
+mask.  An empty interval is refuted before any search step, as is an
+at-least sum that no live atom (neither zeroed nor under an at-most 0)
+adds to; each atom is capped by the intervals covering it, and one under
+an at-most 0 gets no search position; what later atoms can add to a sum
+is bounded by their caps and by the at-most bounds they lie under; and
+failed search states are memoized, so a subtree already proven empty is
+entered once.
 """
 
 from __future__ import annotations
@@ -71,20 +72,18 @@ class SolverLimitError(RuntimeError):
     Tableau.decide, it carries the run's partial RunStats as `stats`."""
 
 
-class Row(NamedTuple):
-    """One inequality: sum of the variables whose atom contains the filler
-    positively, compared against the bound."""
-
-    coeff_mask: int          # bit j set means atom with mask j+1 participates
-    is_at_most: bool
-    bound: int
-    source: Concept          # the restriction this row came from
-
-
 class LiiSystem(NamedTuple):
+    """A role's system: its fillers in build_lii's order; one (coefficient
+    mask, largest at-least bound, smallest at-most bound or None) interval
+    per sum, bit m - 1 of the mask set when atom m adds to the sum, and in
+    build_lii's systems one sum per filler, that of the atoms holding it;
+    the zeroed atoms, bit m - 1 set for atom m; and the restrictions in
+    canonical order, which `describe` prints one row each."""
+
     fillers: tuple[Concept, ...]
-    rows: tuple[Row, ...]
-    zeroed: frozenset = frozenset()  # frozenset[int], atom masks
+    intervals: tuple[tuple[int, int, int | None], ...]
+    zeroed: int = 0
+    restrictions: tuple[Concept, ...] = ()
 
     @property
     def width(self) -> int:
@@ -94,30 +93,35 @@ class LiiSystem(NamedTuple):
         return range(1, 1 << self.width)
 
     def describe(self) -> str:
+        """The fillers, one row per restriction over the atoms holding its
+        filler, and the zeroed atoms in ascending order."""
+        columns = dict(zip(self.fillers, _coefficients(self.width)))
         lines = [f"fillers: {[str(f) for f in self.fillers]}"]
-        for row in self.rows:
-            terms = [
-                f"v{m}" for m in self.atom_masks() if (row.coeff_mask >> (m - 1)) & 1
-            ]
-            op = "<=" if row.is_at_most else ">="
-            lines.append(f"{' + '.join(terms) or '0'} {op} {row.bound}")
+        for lit in self.restrictions:
+            coeff = columns[lit.filler]
+            terms = [f"v{m}" for m in self.atom_masks() if (coeff >> (m - 1)) & 1]
+            op = "<=" if type(lit) is AtMost else ">="
+            lines.append(f"{' + '.join(terms)} {op} {lit.bound}")
         if self.zeroed:
-            lines.append(f"zeroed: {sorted(self.zeroed)}")
+            zeroed = [m for m in self.atom_masks() if (self.zeroed >> (m - 1)) & 1]
+            lines.append(f"zeroed: {zeroed}")
         return "\n".join(lines)
 
 
 class Reading:
     """What closed_form read of one role, for build_lii, clashed_atoms and
     the engine to take instead of reading the branch again.  closed_form
-    fills `restrictions`, the role's restrictions in branch order, on every
-    call, and `clashed`, the clash mask (`_clash_bits`) of the fillers in
-    build_lii's order, once it gets past the full atom and the interval
-    refutation.  Whatever it has not filled is None."""
+    fills `restrictions`, the role's restrictions, on every call, in branch
+    order; once it gets past the full atom, it puts them in canonical order
+    and fills `bounds`, each filler's interval in build_lii's order
+    (`_bounds`); and once it gets past the interval refutation, `clashed`,
+    the clash mask of those fillers.  Whatever it has not filled is None."""
 
-    __slots__ = ("restrictions", "clashed")
+    __slots__ = ("restrictions", "bounds", "clashed")
 
     def __init__(self):
         self.restrictions: list[Concept] | None = None
+        self.bounds: dict[Concept, list] | None = None
         self.clashed: int | None = None
 
 
@@ -181,11 +185,12 @@ def atomic_decomposition(
     ]
 
 
-def clashed_atoms(fillers: tuple[Concept, ...], reading: Reading | None = None) -> list[int]:
-    """The masks of the atoms whose literal set clashes, ascending: the
-    masks m for which primitive_clash(atomic_decomposition(fillers)[m - 1])
-    holds, found without building a literal set.  A reading of the same
-    fillers that holds their clash mask gives it without a second test.
+def clashed_atoms(fillers: tuple[Concept, ...], reading: Reading | None = None) -> int:
+    """The atoms whose literal set clashes, as a mask: bit m - 1 set for
+    each mask m for which primitive_clash(atomic_decomposition(fillers)[m -
+    1]) holds, found without building a literal set.  A reading of the
+    same fillers that holds their clash mask gives it without a second
+    test.
 
     An atom holds one literal per filler, the filler or its negation, so it
     clashes through a literal that clashes alone (bottom, an at-most below
@@ -196,26 +201,16 @@ def clashed_atoms(fillers: tuple[Concept, ...], reading: Reading | None = None) 
     The clashing atoms are then the masks of the lone clashes joined with
     each literal's atoms met with its negation's.  A filler's own negation
     is held by the complementary atoms, so that meet is empty unless
-    another filler gives it too: O(n) set operations, no 2^n walk."""
-    clashed = None if reading is None else reading.clashed
-    if clashed is None:
-        clashed = _clash_bits(fillers)
-    masks = []
-    while clashed:
-        low = clashed & -clashed
-        masks.append(low.bit_length())
-        clashed ^= low
-    return masks
+    another filler gives it too: O(n) set operations, no 2^n walk.
 
-
-def _clash_bits(fillers: tuple[Concept, ...]) -> int:
-    """clashed_atoms as a coefficient mask: bit m - 1 set for each clashing
-    atom m.  No filler is negated: a negation never built (`complement`)
-    is left out of the literals, since no atom clashes through it.  It is
-    no lone clash, as bottom and an at-most below 0 are built nodes; and
-    the one literal it clashes with is its filler, which no atom holding it
-    holds, as long as negate is its own inverse on the fillers.  It is on
-    every filler a label holds: NNF, with no at-least 0 inside."""
+    No filler is negated: a negation never built (`complement`) is left
+    out of the literals, since no atom clashes through it.  It is no lone
+    clash, as bottom and an at-most below 0 are built nodes; and the one
+    literal it clashes with is its filler, which no atom holding it holds,
+    as long as negate is its own inverse on the fillers.  It is on every
+    filler a label holds: NNF, with no at-least 0 inside."""
+    if reading is not None and reading.clashed is not None:
+        return reading.clashed
     coeffs = _coefficients(len(fillers))
     every = (1 << ((1 << len(fillers)) - 1)) - 1
     holding: dict[Concept, int] = {}
@@ -234,37 +229,55 @@ def _clash_bits(fillers: tuple[Concept, ...]) -> int:
     return clashed
 
 
+def _bounds(restrictions: list[Concept]) -> dict[Concept, list]:
+    """Per filler of the restrictions, given in canonical order, and in
+    first occurrence order: [its largest at-least bound, its smallest
+    at-most bound or None], the interval of the sum of the atoms holding
+    it."""
+    bounds: dict[Concept, list] = {}
+    for lit in restrictions:
+        interval = bounds.setdefault(lit.filler, [0, None])
+        if type(lit) is AtLeast:
+            if lit.bound > interval[0]:
+                interval[0] = lit.bound
+        elif interval[1] is None or lit.bound < interval[1]:
+            interval[1] = lit.bound
+    return bounds
+
+
 def build_lii(
     branch: frozenset, role: Role, lambda_max: int | None = None, reading: Reading | None = None
 ) -> LiiSystem:
-    """One row per restriction on the role, in canonical order;
-    coefficients select the atoms containing the row's filler positively.
-    Nothing zeroed yet.  Fillers are indexed on first occurrence, as
-    collect_fillers lists them.  More fillers than lambda_max raise
-    SolverLimitError before any coefficient mask, which has 2^width bits,
-    is built.  A reading of the same branch and role gives the
-    restrictions, so the branch is not read again."""
-    if reading is None or reading.restrictions is None:
-        restrictions = _restrictions(branch, role)
+    """The role's system: its fillers, indexed on first occurrence as
+    collect_fillers lists them; one interval per filler, from the largest
+    at-least bound on it to the smallest at-most bound, over the atoms
+    holding it; nothing zeroed yet; and the restrictions in canonical
+    order.  More fillers than lambda_max raise SolverLimitError before any
+    coefficient mask, which has 2^width bits, is built.  A reading of the
+    same branch and role gives the intervals closed_form read, or, when it
+    stopped at the full atom, the restrictions, so the branch is not read
+    again."""
+    if reading is not None and reading.bounds is not None:
+        restrictions, bounds = reading.restrictions, reading.bounds
     else:
-        restrictions = sorted_concepts(reading.restrictions)
-    index: dict[Concept, int] = {}
-    for lit in restrictions:
-        index.setdefault(lit.filler, len(index))
-    _check_width(len(index), lambda_max)
-    coeffs = _coefficients(len(index))
-    rows = tuple(
-        Row(coeffs[index[lit.filler]], type(lit) is AtMost, lit.bound, lit)
-        for lit in restrictions
+        if reading is None or reading.restrictions is None:
+            restrictions = _restrictions(branch, role)
+        else:
+            restrictions = sorted_concepts(reading.restrictions)
+        bounds = _bounds(restrictions)
+    width = len(bounds)
+    _check_width(width, lambda_max)
+    intervals = tuple(
+        (coeff, lo, hi) for coeff, (lo, hi) in zip(_coefficients(width), bounds.values())
     )
-    return LiiSystem(tuple(index), rows)
+    return LiiSystem(tuple(bounds), intervals, 0, tuple(restrictions))
 
 
 def closed_form(
     branch: frozenset, role: Role, lambda_max: int | None = None, reading: Reading | None = None
 ) -> tuple[int, dict[int, int] | None, frozenset | None] | None:
     """The role's first solve read straight off its restrictions in the
-    branch, without a system, or None when it is not forced.  The answer
+    branch, without a search, or None when it is not forced.  The answer
     is (width, solution, atom): the number of distinct fillers, what
     feasible returns on build_lii's system with the clashed atoms zeroed,
     and the literal set of the solution's one atom; (width, None, None)
@@ -274,20 +287,20 @@ def closed_form(
 
     - Full atom.  When the full atom, every filler positive, does not clash
       (so the clash zeroing leaves it live) and no at-most bound is below
-      `most`, the solution is {full: most}.  Every row of build_lii counts
-      the full atom, so {full: most} meets every at-least row, and every
-      at-most row since its bound is at least `most`.  The full atom comes
-      last in feasible's order, so a smaller solution would hold every
-      earlier atom at 0 and the full atom below `most`, which misses the
-      at-least row with that bound.  This case is tried first.
+      `most`, the solution is {full: most}.  Every interval of build_lii
+      counts the full atom, so {full: most} meets every at-least bound,
+      and every at-most bound since it is at least `most`.  The full atom
+      comes last in feasible's order, so a smaller solution would hold
+      every earlier atom at 0 and the full atom below `most`, which misses
+      the at-least bound `most`.  This case is tried first.
     - Refutation.  When some filler's largest at-least bound exceeds its
-      smallest at-most bound, the two rows bound one sum from both sides
-      and no solution exists: feasible's interval pre-check.
+      smallest at-most bound, its interval is empty and no solution
+      exists: feasible's interval pre-check.
     - Highest live atom.  An atom is live when it does not clash and holds
       no filler under an at-most 0 (feasible gives it no search position).
       Take the highest live mask M.  When M holds every filler of a
       positive at-least and no at-most bound below `most` is on a filler
-      M holds, {M: most} meets every row, and the full-atom argument
+      M holds, {M: most} meets every interval, and the full-atom argument
       carries over with M last: every later atom is dead or zeroed.
       Conversely, a solution {M: most} needs exactly that, so the rule
       answers exactly when feasible returns {M: most}.
@@ -301,12 +314,13 @@ def closed_form(
     and the smallest at-most bound; the later cases read the restrictions
     alone, for each filler's interval.  The width is counted as build_lii
     counts it: more than lambda_max raise SolverLimitError with the same
-    message, before any case is read.  Past the full atom, the restrictions
-    are sorted, which puts the fillers in build_lii's order, and past the
-    interval refutation their clash mask is taken (`_clash_bits`); a
-    reading, when given, keeps the restrictions and the clash mask
+    message, before any case is read.  Past the full atom, the
+    restrictions are sorted, which puts the fillers and their intervals in
+    build_lii's order (`_bounds`), and past the interval refutation the
+    clash mask of the fillers is taken (`clashed_atoms`); a reading, when
+    given, keeps the restrictions, the intervals and the clash mask
     (`Reading`), so a caller that builds the system after a decline reads
-    neither again."""
+    none of them again."""
     restrictions = []
     fillers = set()
     most, fewest = 0, None
@@ -328,21 +342,16 @@ def closed_form(
         full = frozenset(fillers)
         if not primitive_clash(full):
             return width, {(1 << width) - 1: most}, full
-    # per filler, in build_lii's order: [its largest at-least bound, its
-    # smallest at-most bound or None], the interval of feasible's check
-    bounds: dict[Concept, list] = {}
-    for lit in sorted_concepts(restrictions):
-        interval = bounds.setdefault(lit.filler, [0, None])
-        if type(lit) is AtLeast:
-            if lit.bound > interval[0]:
-                interval[0] = lit.bound
-        elif interval[1] is None or lit.bound < interval[1]:
-            interval[1] = lit.bound
+    restrictions = sorted_concepts(restrictions)
+    bounds = _bounds(restrictions)
+    if reading is not None:
+        reading.restrictions, reading.bounds = restrictions, bounds
     intervals = list(bounds.values())
-    if any(hi is not None and lo > hi for lo, hi in intervals):
-        return width, None, None
+    for lo, hi in intervals:
+        if hi is not None and lo > hi:
+            return width, None, None
     # the atoms that are not live: clashed, or holding a filler under at-most 0
-    dead = _clash_bits(tuple(bounds))
+    dead = clashed_atoms(tuple(bounds))
     if reading is not None:
         reading.clashed = dead
     coeffs = _coefficients(width)
@@ -367,32 +376,31 @@ def closed_form(
     return None
 
 
-def zero_column(system: LiiSystem, *atom_masks: int) -> LiiSystem:
-    """Force the multiplicity of each atom given to zero; returns a new
-    system, one however many atoms are given, so a system's clashed atoms
-    are zeroed in one copy."""
-    end = 1 << len(system.fillers)
-    for mask in atom_masks:
-        if not 1 <= mask < end:
-            raise ValueError(f"atom mask {mask} out of range")
-    return LiiSystem(system.fillers, system.rows, system.zeroed.union(atom_masks))
+def zero_column(system: LiiSystem, atoms: int) -> LiiSystem:
+    """Force the multiplicity of each atom in the mask to zero, bit m - 1
+    for atom m; returns a new system, one however many atoms are given, so
+    a system's clashed atoms are zeroed in one copy.  A bit outside the
+    system's 2^width - 1 atoms raises ValueError."""
+    if atoms < 0 or atoms >> ((1 << system.width) - 1):
+        raise ValueError(f"atom mask {atoms:#x} out of range")
+    return LiiSystem(system.fillers, system.intervals, system.zeroed | atoms, system.restrictions)
 
 
 def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | None:
     """Find a non-negative integer solution, or None when infeasible.  The
     solution maps each atom mask with a positive multiplicity to it, in
-    ascending mask order; zeroed and zero-valued atoms are absent.
+    ascending mask order; zeroed and zero-valued atoms are absent.  Any
+    coefficient masks will do, and two intervals may bound one sum.
 
     Depth-first over atoms in ascending mask order, smallest value
     first, so the solution returned is the lexicographically smallest one:
     every pruning below only skips subtrees that hold no solution or only
-    solutions after it.  Per-variable value ranges come from the rows,
+    solutions after it.  Per-variable value ranges come from the intervals,
     arithmetic on bounds rather than unary counting, which keeps large
     bounds cheap.
 
-    - Interval pre-check: rows with the same coefficients bound one sum, so
-      they merge into one interval [largest at-least, smallest at-most]; an
-      empty interval refutes the system before any search step.
+    - Interval pre-check: an empty interval refutes the system before any
+      search step.
     - Live-atom pre-check: an at-least sum with a positive bound that no
       live atom (neither zeroed nor dead, below) adds to stays at 0; the
       caps below tell, and it refutes the system before any search step.
@@ -401,7 +409,7 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
     - Per-atom cap: each atom is capped at the smallest at-most bound
       covering it, and at the largest at-least bound covering it (0 when
       none does): a value above the latter could be lowered to it without
-      breaking a row, giving a smaller solution.
+      breaking a bound, giving a smaller solution.
     - Room: what the atoms after a position can still add to an at-least
       sum is at most the sum of their caps and, when each of them lies in
       some at-most sum, at most the sum of those at-most bounds, since
@@ -416,31 +424,26 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
     One step is one search node entered, so the search takes no more steps
     than it would without these prunings; more than max_steps raises
     SolverLimitError.  The pre-checks take no step, so they answer at any
-    max_steps.
+    max_steps.  A negative bound raises ValueError: clash detection zeroes
+    what an at-most below 0 forbids.  Every solution is checked against
+    every interval and the zeroed mask before it is returned.
     """
-    bounds: dict[int, list] = {}  # coeff_mask -> [at-least, at-most or None]
-    for row in system.rows:
-        if row.bound < 0:
-            raise ValueError("negative row bound; clash detection should run first")
-        interval = bounds.setdefault(row.coeff_mask, [0, None])
-        if not row.is_at_most:
-            if row.bound > interval[0]:
-                interval[0] = row.bound
-        elif interval[1] is None or row.bound < interval[1]:
-            interval[1] = row.bound
-    intervals = []
-    dead = 0  # the atoms in a sum bounded by at-most 0
-    for coeff, (lo, hi) in bounds.items():
+    intervals = system.intervals
+    for _, lo, hi in intervals:
+        if lo < 0 or hi is not None and hi < 0:
+            raise ValueError("negative bound; clash detection should run first")
+    dead = system.zeroed  # and the atoms in a sum bounded by at-most 0
+    for coeff, lo, hi in intervals:
         if hi is not None:
             if lo > hi:
                 return None
             if hi == 0:
                 dead |= coeff
-        intervals.append((coeff, lo, hi))
 
-    masks = [
-        m for m in system.atom_masks() if not (dead >> (m - 1)) & 1 and m not in system.zeroed
-    ]
+    live = ((1 << ((1 << system.width) - 1)) - 1) & ~dead
+    # bit m - 1 of live is atom m, so the reversed binary digits run from
+    # atom 1 up: one conversion, where a shift per atom costs 2^width bits
+    masks = [m for m, bit in enumerate(bin(live)[:1:-1], 1) if bit == "1"]
     n = len(masks)
     # per position, built back to front: the atom's cap; the at-least sums
     # it adds to, each with its bound less what later atoms can still add;
@@ -547,12 +550,10 @@ def _add(state: tuple, updates: tuple, value: int) -> tuple:
 
 
 def _validate(system: LiiSystem, solution: dict[int, int]) -> None:
-    if not system.zeroed.isdisjoint(solution):
-        raise AssertionError("solution assigns a zeroed atom")
-    for row in system.rows:
-        total = sum(
-            v for m, v in solution.items() if (row.coeff_mask >> (m - 1)) & 1
-        )
-        ok = total <= row.bound if row.is_at_most else total >= row.bound
-        if not ok:
-            raise AssertionError(f"solution violates row {row}")
+    for m in solution:
+        if (system.zeroed >> (m - 1)) & 1:
+            raise AssertionError(f"solution assigns zeroed atom {m}")
+    for coeff, lo, hi in system.intervals:
+        total = sum(v for m, v in solution.items() if (coeff >> (m - 1)) & 1)
+        if total < lo or hi is not None and total > hi:
+            raise AssertionError(f"solution violates interval {(coeff, lo, hi)}")

@@ -675,7 +675,8 @@ class Problem(NamedTuple):
     """A satisfiability problem: goal concept, internalized axiom, the
     (role, filler) pairs of its cut formulas (those whose inverse role a
     number restriction names and which a node other than the root can
-    hold, see `cut_table`) and the formulas themselves (all in NNF)."""
+    hold, see `cut_table`) and the formulas themselves (all in NNF), but
+    for the pairs with filler top, whose formula is a tautology."""
 
     goal: Concept
     axiom: Concept
@@ -687,8 +688,13 @@ def build_problem(goal: Concept, axioms: Iterable[tuple[Concept, Concept]] = ())
     """The problem of the goal under the axioms: both in NNF, the axioms
     internalized into one concept, and a cut formula for each pair of
     `cut_table`: none for an ALCQ input, nor for one whose restrictions
-    only the root holds."""
+    only the root holds.  A pair (R, top) stays in `cuts`, since a node's
+    decision on it is read off any branch (`cut_set_for_child`) and
+    `fine_tune` reads it, but gets no formula: `(or top bottom (atmost 0
+    (inv R) top))` holds in every node, so a label gains nothing by it,
+    and a walk that tried its guard disjunct after top failed would only
+    forbid more."""
     e = to_nnf(goal)
     g = internalize(list(axioms))
     cuts = cut_table(e, g)
-    return Problem(e, g, cuts, frozenset(cut_formula(r, f) for r, f in cuts))
+    return Problem(e, g, cuts, frozenset(cut_formula(r, f) for r, f in cuts if f is not TOP))

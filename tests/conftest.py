@@ -6,6 +6,7 @@ import importlib.util
 import itertools
 import random
 from pathlib import Path
+from typing import NamedTuple
 
 import alcqisat.engine as engine
 from alcqisat import (
@@ -123,21 +124,60 @@ def random_interpretation(rng: random.Random, max_domain=3, atoms=("A", "B", "C"
     )
 
 
+class Row(NamedTuple):
+    """One inequality: the sum of the atoms in the coefficient mask (bit
+    m - 1 for atom m) compared against the bound."""
+
+    coeff_mask: int
+    is_at_most: bool
+    bound: int
+
+
+def rows_of(system: LiiSystem) -> list[Row]:
+    """The system's intervals as rows: an at-least row per interval, and
+    an at-most row per interval with an upper bound."""
+    rows = []
+    for coeff, lo, hi in system.intervals:
+        rows.append(Row(coeff, False, lo))
+        if hi is not None:
+            rows.append(Row(coeff, True, hi))
+    return rows
+
+
+def system_from_rows(fillers, rows, zeroed=()) -> LiiSystem:
+    """The system of the rows with the atoms of `zeroed` zeroed.  Rows
+    with the same coefficient mask bound one sum, so they merge into one
+    interval, in the order their masks first occur, as build_lii merges
+    the restrictions on one filler."""
+    bounds: dict[int, list] = {}
+    for coeff, is_at_most, bound in rows:
+        interval = bounds.setdefault(coeff, [0, None])
+        if not is_at_most:
+            interval[0] = max(interval[0], bound)
+        elif interval[1] is None or bound < interval[1]:
+            interval[1] = bound
+    mask = 0
+    for m in zeroed:
+        mask |= 1 << (m - 1)
+    return LiiSystem(tuple(fillers), tuple((c, lo, hi) for c, (lo, hi) in bounds.items()), mask)
+
+
+def zeroed_masks(system: LiiSystem) -> list[int]:
+    """The zeroed atoms, ascending."""
+    return [m for m in system.atom_masks() if (system.zeroed >> (m - 1)) & 1]
+
+
 def brute_force_feasible(system: LiiSystem, cap: int | None = None) -> dict | None:
     """Exhaustive search over all assignments with each variable bounded by
     the sum of the at-least bounds.  Reference for the solver.  Candidates
     run in lexicographic order, the first variable slowest."""
-    masks = [m for m in system.atom_masks() if m not in system.zeroed]
+    masks = [m for m in system.atom_masks() if not (system.zeroed >> (m - 1)) & 1]
     if cap is None:
-        cap = sum(r.bound for r in system.rows if not r.is_at_most)
+        cap = sum(lo for _, lo, _ in system.intervals)
     # per row: the positions of the variables it sums, its bound and kind
     rows = [
-        (
-            [i for i, m in enumerate(masks) if (row.coeff_mask >> (m - 1)) & 1],
-            row.bound,
-            row.is_at_most,
-        )
-        for row in system.rows
+        ([i for i, m in enumerate(masks) if (coeff >> (m - 1)) & 1], bound, is_at_most)
+        for coeff, is_at_most, bound in rows_of(system)
     ]
     for values in itertools.product(range(cap + 1), repeat=len(masks)):
         for columns, bound, is_at_most in rows:
@@ -162,8 +202,7 @@ def closed_form_agrees(branch, role) -> str | None:
     did not answer.  The branch needs a positive at-least on the role, as
     every role the engine solves has."""
     system = build_lii(branch, role)
-    for mask in clashed_atoms(system.fillers):
-        system = zero_column(system, mask)
+    system = zero_column(system, clashed_atoms(system.fillers))
     most = max(c.bound for c in branch if type(c) is AtLeast and c.role is role)
     assert most > 0
     answer = closed_form(branch, role)
@@ -174,11 +213,11 @@ def closed_form_agrees(branch, role) -> str | None:
     assert (answer is not None and answer[1] is None) == refuted, system.describe()
     if refuted:
         return "refuted"
-    dead = set(system.zeroed)
-    for row in system.rows:
-        if row.is_at_most and row.bound == 0:
-            dead.update(m for m in system.atom_masks() if (row.coeff_mask >> (m - 1)) & 1)
-    live = [m for m in system.atom_masks() if m not in dead]
+    dead = system.zeroed
+    for coeff, _, hi in system.intervals:
+        if hi == 0:
+            dead |= coeff
+    live = [m for m in system.atom_masks() if not (dead >> (m - 1)) & 1]
     want = {live[-1]: most} if live else None
     assert (answer is not None) == (want is not None and feasible(system) == want), system.describe()
     if answer is None:
@@ -192,13 +231,12 @@ def reference_feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[in
     """The plain recursive search `lii.feasible` replaced: every variable
     capped at the sum of the at-least bounds, no interval pre-check, no
     memo.  Reference for the solution `feasible` must return."""
-    for row in system.rows:
-        if row.bound < 0:
-            raise ValueError("negative row bound; clash detection should run first")
+    rows = rows_of(system)
+    if any(bound < 0 for _, _, bound in rows):
+        raise ValueError("negative row bound; clash detection should run first")
 
-    masks = [m for m in system.atom_masks() if m not in system.zeroed]
-    cap = sum(row.bound for row in system.rows if not row.is_at_most)
-    rows = system.rows
+    masks = [m for m in system.atom_masks() if not (system.zeroed >> (m - 1)) & 1]
+    cap = sum(bound for _, is_at_most, bound in rows if not is_at_most)
     n_rows = len(rows)
     # max the atoms after position i can still add to each row
     suffix_cap = [[0] * n_rows for _ in range(len(masks) + 1)]

@@ -9,7 +9,6 @@ import pytest
 from alcqisat import (
     Atom,
     Interpretation,
-    LiiSystem,
     TOP,
     atomic_decomposition,
     build_problem,
@@ -21,9 +20,8 @@ from alcqisat import (
     parse_concept,
 )
 from alcqisat.engine import Tableau
-from alcqisat.lii import Row
 from alcqisat.syntax import NegAtom
-from conftest import assert_nogoods_are_new, brute_force_feasible
+from conftest import Row, assert_nogoods_are_new, brute_force_feasible, system_from_rows
 
 CORPUS_SEED = 20260809
 CORPUS_SIZE = 200
@@ -148,16 +146,9 @@ def test_criterion_5_solver_equivalence():
             for mask in range(1, 1 << width):
                 if (mask >> k) & 1:
                     coeff |= 1 << (mask - 1)
-            rows.append(
-                Row(
-                    coeff_mask=coeff,
-                    is_at_most=rng.random() < 0.5,
-                    bound=rng.randint(0, 4),
-                    source=fillers[k],
-                )
-            )
-        zeroed = frozenset(m for m in range(1, 1 << width) if rng.random() < 0.2)
-        system = LiiSystem(fillers=fillers, rows=tuple(rows), zeroed=zeroed)
+            rows.append(Row(coeff, rng.random() < 0.5, rng.randint(0, 4)))
+        zeroed = [m for m in range(1, 1 << width) if rng.random() < 0.2]
+        system = system_from_rows(fillers, rows, zeroed)
         got = feasible(system)
         want = brute_force_feasible(system)
         if (got is None) == (want is None):

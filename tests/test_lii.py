@@ -26,13 +26,16 @@ from alcqisat import (
     primitive_clash,
     zero_column,
 )
-from alcqisat.lii import Reading, Row, clashed_atoms
+from alcqisat.lii import Reading, clashed_atoms
 from alcqisat.syntax import sorted_concepts, to_nnf
 from conftest import (
+    Row,
     brute_force_feasible,
     closed_form_agrees,
     random_raw_concept,
     reference_feasible,
+    system_from_rows,
+    zeroed_masks,
 )
 
 A, B = Atom("A"), Atom("B")
@@ -118,21 +121,22 @@ def test_atomic_decomposition_limit():
 def test_build_single_constraint():
     sys_ = build_lii(frozenset({AtLeast(2, R, C)}), R)
     assert sys_.fillers == (C,)
-    assert sys_.rows == (Row(coeff_mask=1, is_at_most=False, bound=2, source=AtLeast(2, R, C)),)
+    assert sys_.intervals == ((1, 2, None),)
+    assert sys_.restrictions == (AtLeast(2, R, C),)
 
 
 def test_build_two_fillers():
     sys_ = build_lii(frozenset({AtLeast(2, R, A), AtMost(1, R, B)}), R)
     assert sys_.fillers == (A, B)
-    # atoms by mask: 1 = A only, 2 = B only, 3 = A and B
-    by_source = {row.source: row for row in sys_.rows}
-    assert by_source[AtLeast(2, R, A)].coeff_mask == 0b101
-    assert by_source[AtMost(1, R, B)].coeff_mask == 0b110
+    # atoms by mask: 1 = A only, 2 = B only, 3 = A and B; per filler, the
+    # atoms holding it, its largest at-least and its smallest at-most
+    assert sys_.intervals == ((0b101, 2, None), (0b110, 0, 1))
 
 
 def test_build_matches_the_atom_by_atom_construction():
-    # rows in canonical order, fillers indexed on first occurrence, on
-    # branches that mix roles and share fillers between rows
+    # one row per restriction in canonical order, merged per filler into
+    # one interval, fillers indexed on first occurrence, on branches that
+    # mix roles and share fillers between rows
     rng = random.Random(7)
     pool = [TOP, A, NegAtom("A"), B, NegAtom("B"), C, NegAtom("C"), conj([A, B])]
     for _ in range(300):
@@ -149,8 +153,9 @@ def test_build_matches_the_atom_by_atom_construction():
                 continue
             k = fillers.index(lit.filler)
             coeff = sum(1 << (m - 1) for m in range(1, 1 << len(fillers)) if (m >> k) & 1)
-            want.append(Row(coeff, isinstance(lit, AtMost), lit.bound, lit))
-        assert system.rows == tuple(want)
+            want.append(Row(coeff, isinstance(lit, AtMost), lit.bound))
+        assert system.intervals == system_from_rows(fillers, want).intervals
+        assert system.restrictions == tuple(c for c in sorted_concepts(branch) if c.role == R)
 
 
 def test_at_most_rows_alone_solve_to_nothing():
@@ -192,9 +197,11 @@ def test_clashed_atoms_match_the_literal_set_test():
                 f = to_nnf(random_raw_concept(rng, rng.randint(0, 2)))
             if f not in fillers:
                 fillers.append(f)
-        want = [
-            m for m, atom in enumerate(atomic_decomposition(fillers), 1) if primitive_clash(atom)
-        ]
+        want = sum(
+            1 << (m - 1)
+            for m, atom in enumerate(atomic_decomposition(fillers), 1)
+            if primitive_clash(atom)
+        )
         assert clashed_atoms(tuple(fillers)) == want, [str(f) for f in fillers]
         paired += any(negate(f) in fillers for f in fillers if f not in (TOP, BOTTOM))
     assert paired > 100
@@ -203,7 +210,7 @@ def test_clashed_atoms_match_the_literal_set_test():
 def zero_clashed_atoms(sys_):
     for mask, literals in enumerate(atomic_decomposition(list(sys_.fillers)), 1):
         if primitive_clash(literals):
-            sys_ = zero_column(sys_, mask)
+            sys_ = zero_column(sys_, 1 << (mask - 1))
     return sys_
 
 
@@ -218,23 +225,20 @@ def test_guard_with_required_successor_is_infeasible():
 def test_zero_column_turns_lower_bound_infeasible():
     sys_ = build_lii(frozenset({AtLeast(2, R, C)}), R)
     assert feasible(sys_) is not None
-    assert feasible(zero_column(sys_, 1)) is None
+    assert feasible(zero_column(sys_, 0b1)) is None  # atom 1, bit 0
 
 
 def test_zero_column_on_slack_atom():
     sys_ = build_lii(frozenset({AtLeast(1, R, A), AtMost(3, R, B)}), R)
-    # mask 2 carries only B, no lower bound needs it
-    assert feasible(zero_column(sys_, 2)) is not None
+    # mask 2 (bit 1) carries only B, no lower bound needs it
+    assert feasible(zero_column(sys_, 0b10)) is not None
 
 
 def test_zero_column_shared_atom():
-    rows = (
-        Row(coeff_mask=0b011, is_at_most=False, bound=2, source=A),   # v1 + v2 >= 2
-        Row(coeff_mask=0b101, is_at_most=True, bound=1, source=B),    # v1 + v3 <= 1
-    )
-    sys_ = LiiSystem(fillers=(A, B), rows=rows)
+    # v1 + v2 >= 2 and v1 + v3 <= 1: coefficient masks that are no filler's
+    sys_ = LiiSystem(fillers=(A, B), intervals=((0b011, 2, None), (0b101, 0, 1)))
     assert brute_force_feasible(sys_) is not None
-    zeroed = zero_column(sys_, 2)
+    zeroed = zero_column(sys_, 0b10)  # atom 2
     assert brute_force_feasible(zeroed) is None
     assert feasible(zeroed) is None
 
@@ -272,18 +276,9 @@ def random_system(rng, max_width=3, max_bound=4):
         for mask in range(1, 1 << width):
             if (mask >> k) & 1:
                 coeff |= 1 << (mask - 1)
-        rows.append(
-            Row(
-                coeff_mask=coeff,
-                is_at_most=rng.random() < 0.5,
-                bound=rng.randint(0, max_bound),
-                source=fillers[k],
-            )
-        )
-    zeroed = frozenset(
-        m for m in range(1, 1 << width) if rng.random() < 0.25
-    )
-    return LiiSystem(fillers=fillers, rows=tuple(rows), zeroed=zeroed)
+        rows.append(Row(coeff, rng.random() < 0.5, rng.randint(0, max_bound)))
+    zeroed = [m for m in range(1, 1 << width) if rng.random() < 0.25]
+    return system_from_rows(fillers, rows, zeroed)
 
 
 def test_solver_agrees_with_enumeration():
@@ -302,7 +297,7 @@ def test_solution_respects_zeroed_columns():
         sol = feasible(sys_)
         if sol is None:
             continue
-        assert sys_.zeroed.isdisjoint(sol)
+        assert not set(zeroed_masks(sys_)) & set(sol)
 
 
 def test_zeroing_is_monotone():
@@ -312,7 +307,7 @@ def test_zeroing_is_monotone():
         if feasible(sys_) is not None:
             continue
         mask = rng.randrange(1, 1 << sys_.width)
-        assert feasible(zero_column(sys_, mask)) is None
+        assert feasible(zero_column(sys_, 1 << (mask - 1))) is None
 
 
 def test_solver_deterministic():
@@ -335,7 +330,7 @@ def test_solver_returns_the_reference_solution():
             continue
         got = feasible(sys_, max_steps=20_000)
         # equal values, and the same masks in the same ascending order
-        assert got == want and list(got or ()) == list(want or ()), sys_.describe()
+        assert got == want and list(got or ()) == list(want or ()), sys_
         compared += 1
     assert compared >= 1000
 
@@ -456,16 +451,22 @@ def test_closed_form_answers_exactly_where_feasible_is_forced():
     assert kinds[None] > 300
 
 
-def test_a_declined_reading_builds_the_system_from_scratch():
-    # on the branches of the test above, whenever closed_form declines, the
-    # system built from what it read (the sorted restrictions, the clash
-    # mask) equals the one built without it: same fillers, rows and zeroed
-    # set.  Past the full atom closed_form always fills the reading
-    rng = random.Random(20261020)
+def same_system(built, scratch):
+    """Whether two systems have the same fillers, intervals, zeroed mask
+    and dump."""
+    return (built.fillers, built.intervals, built.zeroed, built.describe()) == (
+        scratch.fillers, scratch.intervals, scratch.zeroed, scratch.describe()
+    )
+
+
+def reading_branches(seed, count):
+    """The branches of the test above: restrictions on R over A, B, C,
+    their negations and top, at-most 0 often, a positive at-least on R and
+    an at-most on S."""
+    rng = random.Random(seed)
     letters = [A, B, C]
     fillers = letters + [negate(a) for a in letters] + [TOP]
-    declined = 0
-    for _ in range(5000):
+    for _ in range(count):
         branch = set()
         for _ in range(rng.randint(1, 6)):
             kind = rng.choice((AtLeast, AtMost))
@@ -473,15 +474,76 @@ def test_a_declined_reading_builds_the_system_from_scratch():
             branch.add(kind(bound, R, rng.choice(fillers)))
         branch.add(AtLeast(rng.randint(1, 6), R, rng.choice(fillers)))
         branch.add(AtMost(rng.randint(0, 3), S, A))  # another role's
-        branch = frozenset(branch)
+        yield frozenset(branch)
+
+
+def test_a_declined_reading_builds_the_system_from_scratch():
+    # on the branches of the test above, whenever closed_form declines, the
+    # system built from what it read (the sorted restrictions, the
+    # intervals, the clash mask) equals the one built without it: same
+    # fillers, intervals, zeroed mask and dump.  Past the full atom
+    # closed_form always fills the reading
+    declined = 0
+    for branch in reading_branches(20261020, 5000):
         reading = Reading()
         if closed_form(branch, R, None, reading) is not None:
             continue
         declined += 1
-        assert reading.restrictions is not None and reading.clashed is not None
-        built, scratch = engine._system(branch, R, reading), engine._system(branch, R)
-        assert (built.fillers, built.rows, built.zeroed) == (scratch.fillers, scratch.rows, scratch.zeroed)
+        assert reading.bounds is not None and reading.clashed is not None
+        assert same_system(engine._system(branch, R, reading), engine._system(branch, R))
     assert declined > 300
+
+
+def test_an_answered_reading_builds_the_system_of_a_failed_child():
+    # when the child of closed_form's answer fails, the engine builds the
+    # system from the reading and zeroes the answer's atom: on the full
+    # atom the reading holds only the restrictions, on another atom the
+    # intervals and the clash mask too; either way the system equals the
+    # one built from the branch alone
+    kinds = {"full": 0, "atom": 0}
+    for branch in reading_branches(20261021, 3000):
+        reading = Reading()
+        answer = closed_form(branch, R, None, reading)
+        if answer is None or answer[1] is None:
+            continue
+        (mask,) = answer[1]
+        full = mask == (1 << answer[0]) - 1
+        kinds["full" if full else "atom"] += 1
+        assert (reading.bounds is None) == full
+        failed = 1 << (mask - 1)
+        built = zero_column(engine._system(branch, R, reading), failed)
+        assert same_system(built, zero_column(engine._system(branch, R), failed))
+    assert kinds["full"] > 300 and kinds["atom"] > 300, kinds
+
+
+def test_describe_prints_a_row_per_restriction():
+    # two restrictions on one filler merge into one interval, but the dump
+    # prints a row for each, in canonical order, and the zeroed atoms in
+    # ascending order whatever order they were zeroed in
+    branch = frozenset({AtLeast(2, R, A), AtLeast(1, R, A), AtMost(3, R, A), AtMost(1, R, B)})
+    system = build_lii(branch, R)
+    assert system.intervals == ((0b101, 2, 3), (0b110, 0, 1))
+    zeroed = zero_column(zero_column(system, 0b100), 0b010)
+    assert zeroed.zeroed == 0b110
+    assert zeroed.describe() == "\n".join([
+        "fillers: ['A', 'B']",
+        "v1 + v3 <= 3",
+        "v1 + v3 >= 1",
+        "v1 + v3 >= 2",
+        "v2 + v3 <= 1",
+        "zeroed: [2, 3]",
+    ])
+
+
+def test_zero_column_and_feasible_reject_what_is_out_of_range():
+    system = build_lii(frozenset({AtLeast(1, R, A), AtMost(2, R, B)}), R)
+    assert zero_column(system, 0b111).zeroed == 0b111  # the three atoms
+    for atoms in (0b1000, -1):
+        with pytest.raises(ValueError):
+            zero_column(system, atoms)
+    for intervals in (((0b1, -1, None),), ((0b1, 0, -1),)):
+        with pytest.raises(ValueError):
+            feasible(LiiSystem((A,), intervals))
 
 
 def test_closed_form_reads_the_highest_live_atom():
@@ -521,8 +583,8 @@ def chain_system(depth, rows, failed):
         chain.append(AtLeast(1, R, chain[-1]))
     system = build_lii(frozenset(row(c) for row, c in zip(rows, chain)), R)
     assert system.fillers == tuple(chain)
-    dead = [m for m in system.atom_masks() if failed(m)]
-    return zero_column(system, *clashed_atoms(system.fillers), *dead)
+    dead = sum(1 << (m - 1) for m in system.atom_masks() if failed(m))
+    return zero_column(system, clashed_atoms(system.fillers) | dead)
 
 
 def at_least(bound):
@@ -544,7 +606,7 @@ def test_an_at_least_sum_no_live_atom_adds_to_is_refuted_before_any_step():
     system = chain_system(
         7, [at_least(1), at_most(0)] + [at_least(1)] * 6, lambda m: m & 0b111 == 0b101
     )
-    assert len(system.zeroed) == 159
+    assert bin(system.zeroed).count("1") == 159
     assert feasible(system, max_steps=0) is None
 
 
@@ -562,7 +624,7 @@ def test_the_memo_clamps_at_least_sums():
         6, [at_least(1), at_most(1), at_least(2)] + [at_least(1)] * 4,
         lambda m: m & 0b111 == 0b101,
     )
-    assert len(system.zeroed) == 79
+    assert bin(system.zeroed).count("1") == 79
     with pytest.raises(SolverLimitError):
         feasible(system, max_steps=0)  # no pre-check refutes it
     assert feasible(system, max_steps=2_000) is None
@@ -604,24 +666,27 @@ def test_the_role_reading_matches_the_brute_force(branch):
     # closed_form's answer, the first solve of the system built from its
     # reading and the reading's clash mask, each against the plain
     # definitions: the brute-force lexicographic search over the full
-    # decomposition with the atoms primitive_clash finds zeroed
+    # decomposition with the atoms primitive_clash finds zeroed.  The
+    # system built from the reading, whether closed_form declined or
+    # answered (then the engine builds it when the answer's child fails),
+    # equals the one built from the branch alone, dump included
     reading = Reading()
     answer = closed_form(branch, R, None, reading)
     reference = zero_clashed_atoms(build_lii(branch, R))
     atoms = atomic_decomposition(list(reference.fillers))
     clashed = [m for m, atom in enumerate(atoms, 1) if primitive_clash(atom)]
-    assert clashed_atoms(reference.fillers) == clashed
+    assert zeroed_masks(reference) == clashed
+    assert clashed_atoms(reference.fillers) == reference.zeroed
     if reading.clashed is not None:
-        assert clashed_atoms(reference.fillers, reading) == clashed
+        assert clashed_atoms(reference.fillers, reading) == reference.zeroed
     system = engine._system(branch, R, reading)
-    assert (system.fillers, system.rows, system.zeroed) == (
-        reference.fillers, reference.rows, reference.zeroed
-    )
+    assert same_system(system, reference)
+    assert same_system(system, engine._system(branch, R))
     assert reading.restrictions is not None
     assert frozenset(reading.restrictions) == frozenset(c for c in branch if c.role is R)
     # no atom of the smallest solution exceeds the largest at-least bound
     most = max(c.bound for c in branch if type(c) is AtLeast and c.role is R)
-    if (most + 1) ** (len(atoms) - len(reference.zeroed)) > 10_000:
+    if (most + 1) ** (len(atoms) - len(clashed)) > 10_000:
         return  # past what the brute force searches in time
     found = brute_force_feasible(reference, cap=most)
     want = None if found is None else {m: v for m, v in found.items() if v}

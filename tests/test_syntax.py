@@ -35,6 +35,7 @@ from alcqisat import (
     parse_problem_text,
     to_nnf,
 )
+from alcqisat.branch import cut_set_for_child
 from alcqisat.syntax import signature_of, walk_concepts
 from conftest import (
     bench_module,
@@ -308,6 +309,22 @@ def test_cut_table_keeps_the_top_pairs_that_kept_guards_hold():
     assert two_rounds.cuts == ((R, TOP), (R, A), (R.inverse(), TOP))
 
 
+def test_a_top_pair_stays_in_cuts_without_a_formula():
+    # cut_formula(R, top) is (or top bottom (atmost 0 (inv R) top)), which
+    # holds in every node, so no label carries it; the pair stays in cuts,
+    # since a child reads the decision on it off its parent's branch
+    pf = parse_problem_text("gci (atmost 0 R A) B\nsat (atmost 0 (inv R) top)\n")
+    p = build_problem(pf.query, pf.tbox)
+    assert p.cuts == ((R, A), (R.inverse(), TOP))
+    assert p.cut_concepts == {cut_formula(R, A)}
+    two_rounds = build_problem(conj([pf.query, AtMost(1, R, TOP)]), pf.tbox)
+    assert two_rounds.cuts == ((R, TOP), (R, A), (R.inverse(), TOP))
+    assert two_rounds.cut_concepts == {cut_formula(R, A)}
+    # any branch decides top: an R-child gets (top, +), an (inv R)-child too
+    assert cut_set_for_child(frozenset({B}), R, p.cuts) == {(TOP, True)}
+    assert cut_set_for_child(frozenset({B}), R.inverse(), two_rounds.cuts) == {(TOP, True)}
+
+
 def test_no_counting_instance_gets_a_cut_formula():
     # flat number restrictions in the goal's own and-node: the rule that
     # kept every pair whose inverse role is named gave 1,055 cut formulas
@@ -512,6 +529,7 @@ def test_walk_yields_each_distinct_node_once_in_preorder():
 DAG_SCRIPT = r"""
 from alcqisat import AtLeast, Atom, Interpretation, Not, Role, Tableau, build_problem, conj, disj
 from alcqisat import cut_table, find_model, negate, to_nnf
+from alcqisat.branch import cut_set_for_child
 from alcqisat.syntax import signature_of, walk_concepts
 
 R, B = Role("R"), Atom("B")
