@@ -411,10 +411,12 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
       none does): a value above the latter could be lowered to it without
       breaking a bound, giving a smaller solution.
     - Room: what the atoms after a position can still add to an at-least
-      sum is at most the sum of their caps and, when each of them lies in
-      some at-most sum, at most the sum of those at-most bounds, since
-      together they add no more than that to those sums.  The smaller of
-      the two sets how much the atom at the position must add.
+      sum is at most the sum of their caps; when each of them lies in some
+      at-most sum, at most the sum of those at-most bounds, since together
+      they add no more than that to those sums; and at most the bound of
+      any at-most sum that holds all of them, which they add to in full.
+      The smallest of these sets how much the atom at the position must
+      add.
     - Memo: a state is a position and the sums so far, with each at-least
       sum clamped at its bound since no later check tells larger sums
       apart.  A state whose subtree failed is stored and skipped on entry;
@@ -453,15 +455,17 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
     raising, limiting, adding = [()] * n, [()] * n, [()] * n
     # per sum, over the atoms after the position: the sum of their caps;
     # the at-most sums they lie in and the sum of those bounds, or None once
-    # one of them lies in no at-most sum; and the room, what they can still
-    # add, the smaller of the two sums
+    # one of them lies in no at-most sum; the at-most sums that hold every
+    # one of them; and the room, what they can still add, the smallest of
+    # the two sums and the bounds of the sums that hold them all
     reach = [0] * len(intervals)
     cover = [0] * len(intervals)
     shared: list = [0] * len(intervals)
+    every = [-1] * len(intervals)
     room = [0] * len(intervals)
     for i in range(n - 1, -1, -1):
         bit = 1 << (masks[i] - 1)
-        cap, limit = 0, None
+        cap, limit, within = 0, None, 0  # within: the at-most sums it lies in
         raise_, limit_, add_ = [], [], []
         for g, (coeff, lo, hi) in enumerate(intervals):
             if coeff & bit:
@@ -475,6 +479,7 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
                     if limit is None or hi < limit:
                         limit = hi
                     limit_.append((g, hi))
+                    within |= 1 << g
                     add_.append((g, hi))
         if limit is not None and limit < cap:
             cap = limit
@@ -489,6 +494,10 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
                         cover[g] |= 1 << h
                         shared[g] += hi
             room[g] = reach[g] if shared[g] is None or reach[g] < shared[g] else shared[g]
+            every[g] &= within
+            for h, hi in limit_:  # every[g] lies within this atom's sums
+                if (every[g] >> h) & 1 and hi < room[g]:
+                    room[g] = hi
     # a live atom under a positive at-least gets a positive cap, so an
     # at-least sum with no reach has no live atom and stays at 0
     for g, (_, lo, _) in enumerate(intervals):

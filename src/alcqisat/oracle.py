@@ -2,13 +2,17 @@
 
 Ground-truth semantics for tests: interprets concepts over explicit finite
 structures and searches all interpretations up to a small domain size, in a
-fixed candidate order.  For each domain size n the search compiles goal and
-axiom into bitmask ops in one recursive pass, folding every number
-restriction whose value n decides (an at-least above n, an at-most of n or
-more) to a constant; equal subterms are one hash-consed node and get one
-slot.  A raw negation is compiled through its NNF, which has the same
-extension.  The candidate loops are grouped into blocks of at most
-SLICE_BITS bits, and a block evaluates each op once for all its
+fixed candidate order.  Size 1 is one recursive pass over goal and axiom,
+memoized per hash-consed node, that gives each subterm its extension over
+every size-1 candidate as one int; there a number restriction counts the
+element's self-loop alone, so the first model is the lowest candidate
+whose bit goal and axiom both set.  For sizes 2 and 3 the search compiles
+goal and axiom into bitmask ops in one recursive pass, folding every
+number restriction whose value n decides (an at-least above n, an at-most
+of n or more) to a constant; equal subterms are one hash-consed node and
+get one slot.  Both passes read a raw negation through its NNF, which has
+the same extension.  The candidate loops are grouped into blocks of at
+most SLICE_BITS bits, and a block evaluates each op once for all its
 candidates, bit-sliced: an extension is one int whose bit c*n + x holds
 element x under the block's candidate c, so a junction or a negated atom
 is one bitwise operation.  A block's passing candidates are entered in
@@ -23,7 +27,7 @@ unsatisfiability; the result type says how far it went.
 from __future__ import annotations
 
 from functools import cache
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .syntax import (
     And,
@@ -121,8 +125,10 @@ def evaluate(interp: Interpretation, c: Concept, element: int) -> bool:
 _ATOM, _NEG_ATOM, _AND, _OR, _AT_MOST, _AT_LEAST = range(6)
 
 # A block of loops takes at most this many candidate bits, unless one loop
-# alone has more (a role loop at size 3 has 9).  Measured on the oracle
-# corpus with fresh tables: 8 and 10 tie, 4, 6 and 16 are slower
+# alone has more (a role loop at size 3 has 9).  Blocks serve sizes 2 and 3
+# only.  On the `oracle` bench workload, 10 alternating pairs of 10 s runs
+# against 8: 6 reads 24% fewer decided/s (0/10 pairs won); 10 reads 4.3%
+# more (10/10) but a 5.9% higher p90 latency (0/10), so neither wins
 SLICE_BITS = 8
 
 
@@ -286,6 +292,71 @@ def _fold(c: Concept, n: int, atom_list: list[str], role_list: list[str], block_
     return slot
 
 
+@cache  # one entry per (atom count, role count); the guards bound the table
+def _planes(n_atoms: int, n_roles: int) -> tuple[int, list[int], list[int]]:
+    """The full mask, the atom planes and the loop planes over the size-1
+    candidates: bit c of plane g is bit g of index c, so role k's loop is
+    plane k and atom i's plane is `n_roles + i`, as `_layout` lays them
+    out at n = 1."""
+    bits = n_atoms + n_roles
+    full = (1 << (1 << bits)) - 1
+    # plane g repeats 2**g clear candidates, then 2**g set
+    planes = [(((1 << (1 << g)) - 1) << (1 << g)) * (full // ((1 << (2 << g)) - 1)) for g in range(bits)]
+    return full, planes[n_roles:], planes[:n_roles]
+
+
+def _one_element(atom_list: list[str], role_list: list[str]) -> Callable[[Concept], int]:
+    """A function giving a concept's extension over every size-1 candidate
+    as one int, memoized per hash-consed node: bit c is set when the
+    concept holds at element 0 under candidate c (see `_planes`).  A number
+    restriction counts the element's self-loop alone, so it holds wherever
+    its bound, the loop and the filler say; a raw negation is read as its
+    NNF, and a junction stops at a part that decides it."""
+    full, atoms, loops = _planes(len(atom_list), len(role_list))
+    seen: dict[Concept, int] = {}
+
+    def extension(c: Concept) -> int:
+        ext = seen.get(c)
+        if ext is not None:
+            return ext
+        kind = type(c)
+        if kind is And:
+            ext = full
+            for p in c.parts:
+                ext &= extension(p)
+                if not ext:
+                    break
+        elif kind is Or:
+            ext = 0
+            for p in c.parts:
+                ext |= extension(p)
+                if ext == full:
+                    break
+        elif kind is AtLeast or kind is AtMost:
+            # an at-most b is the complement of the at-least b + 1
+            bound = c.bound + (kind is AtMost)
+            if bound == 1:
+                ext = loops[role_list.index(c.role.base)] & extension(c.filler)
+            else:
+                ext = full if bound <= 0 else 0
+            if kind is AtMost:
+                ext ^= full
+        elif kind is Atom:
+            ext = atoms[atom_list.index(c.name)]
+        elif kind is NegAtom:
+            ext = full ^ atoms[atom_list.index(c.name)]
+        elif kind is Top or kind is Bottom:
+            ext = full if kind is Top else 0
+        elif kind is Not:
+            ext = extension(to_nnf(c))
+        else:
+            raise TypeError(f"unknown concept node: {c!r}")
+        seen[c] = ext
+        return ext
+
+    return extension
+
+
 def _passing(program: _Program, b: int, n: int, ext: list[int], index: int, meet: int) -> tuple[int, int, list[int]]:
     """Evaluate block b's ops, children before parents, over all its
     candidates, given the extensions (in ext), index bits and goal meet that
@@ -390,8 +461,10 @@ def find_model(
     with the largest fully searched size when the search space for the next
     size would blow the candidate budget.
 
-    One walk over the distinct subterms reads the signature.  For each size
-    n, one pass of `_compile` turns goal and axiom into bitmask ops, with
+    One walk over the distinct subterms reads the signature.  Size 1 is one
+    pass of `_one_element` over goal and axiom, and the lowest candidate
+    whose bit both extensions set is the first model.  For sizes 2 and 3,
+    one pass of `_compile` turns goal and axiom into bitmask ops, with
     every subterm that has one value on all size-n candidates folded to a
     constant, and `_descend` walks the candidates in that same order, block
     of loops by block (`_layout`), skipping every candidate nested in a
@@ -415,11 +488,16 @@ def find_model(
         spent += 1 << (n * len(atom_list) + n * n * len(role_list))
         if spent > budget:
             return NoneFound(n - 1)
-        try:
-            program = _compile(goal, axiom, atom_list, role_list, n)
-        except RecursionError:  # one frame per nesting level
+        try:  # both passes take one frame per nesting level
+            if n == 1:
+                extension = _one_element(atom_list, role_list)
+                models = extension(goal) & extension(axiom)
+                index = (models & -models).bit_length() - 1 if models else None
+            else:
+                program = _compile(goal, axiom, atom_list, role_list, n)
+                index = _descend(program, n, [0] * len(program.depths), 0, (1 << n) - 1, 0)
+        except RecursionError:
             raise OracleLimitError("concept nesting too deep for the model search") from None
-        index = _descend(program, n, [0] * len(program.depths), 0, (1 << n) - 1, 0)
         if index is not None:
             return _materialize(n, atom_list, role_list, index)
     return NoneFound(max(max_domain, 0))

@@ -630,6 +630,21 @@ def test_the_memo_clamps_at_least_sums():
     assert feasible(system, max_steps=2_000) is None
 
 
+def test_an_at_most_sum_holding_every_later_atom_caps_the_room():
+    # counting #219's role: at least 10 successors in A0, 7 in A1, at most
+    # 3 in A2 and 5 in (not A3).  Past atom 11 every atom holding A0 or A1
+    # also holds A2, so together they add at most 3 to either sum, though
+    # the sum of the at-most bounds they lie in allows 8: the search took
+    # 568 steps with that room alone
+    branch = frozenset({
+        AtLeast(10, R, Atom("A0")), AtLeast(7, R, Atom("A1")),
+        AtMost(3, R, Atom("A2")), AtMost(5, R, NegAtom("A3")),
+    })
+    system = build_lii(branch, R)
+    assert system.fillers == (Atom("A0"), Atom("A1"), Atom("A2"), NegAtom("A3"))
+    assert feasible(system, max_steps=64) == {3: 2, 7: 3, 11: 5}
+
+
 # fillers over three names, top, bottom and a junction with its negation:
 # complementary pairs, lone clashes and fillers primitive_clash reads as
 # opaque.  Without the junctions at most eight atoms survive the clash

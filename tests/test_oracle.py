@@ -23,8 +23,9 @@ from alcqisat import (
     parse_concept,
     to_nnf,
 )
-from alcqisat.oracle import _AT_LEAST, _compile, _materialize, _passing
-from alcqisat.syntax import BOTTOM, Not, signature_of
+import alcqisat.oracle as oracle
+from alcqisat.oracle import _AT_LEAST, _compile, _materialize, _one_element, _passing
+from alcqisat.syntax import BOTTOM, Not, signature_of, walk_concepts
 from conftest import (
     bench_module,
     random_interpretation,
@@ -297,8 +298,9 @@ def test_equal_subterms_share_one_slot():
 
 
 def test_find_model_on_a_600_deep_chain():
-    # the compile takes one frame per level, so a chain this deep stays
-    # under the default recursion limit, and so does evaluate
+    # at size 1 the search reads the chain in one recursive pass, one frame
+    # per level, so a chain this deep stays under the default recursion
+    # limit, and so does evaluate
     chain = A
     for _ in range(600):
         chain = AtLeast(1, R, chain)
@@ -308,7 +310,7 @@ def test_find_model_on_a_600_deep_chain():
 
 
 def test_find_model_refuses_a_5000_deep_chain():
-    # the compile recurses once per level, past the default recursion
+    # the size-1 pass recurses once per level, past the default recursion
     # limit here: a refusal, not a RecursionError
     chain = A
     for _ in range(5000):
@@ -363,6 +365,53 @@ def test_block_extensions_match_evaluate():
     # one block at size 1; at size 2 the atom loop outside the two role
     # loops, and at size 3 one block per loop
     assert set(blocks) == {(1, 1), (2, 2), (3, 3)}, blocks
+
+
+def test_size_one_extensions_match_evaluate():
+    # bit c of a concept's size-1 extension is set exactly when evaluate
+    # says the concept holds at the one element of candidate c, for every
+    # candidate: on random concepts, and on every subterm of the acceptance
+    # corpus's goals and axioms
+    rng = random.Random(67)
+    cases = [(random_bounded_concept(rng, rng.randint(1, 3), 1, ("A", "B"), ("R", "S")),) for _ in range(300)]
+    for pf in generate_corpus(seed=20260809, count=200):
+        problem = build_problem(pf.query, pf.tbox)
+        cases.append(tuple(walk_concepts(problem.goal, problem.axiom)))
+    seen = Counter()
+    for concepts in cases:
+        atoms, roles = (sorted(names) for names in signature_of(*concepts))
+        extension = _one_element(atoms, roles)
+        models = [_materialize(1, atoms, roles, c) for c in range(1 << len(atoms) + len(roles))]
+        for concept in walk_concepts(*concepts):
+            ext = extension(concept)
+            assert ext >> len(models) == 0
+            for c, model in enumerate(models):
+                assert (ext >> c) & 1 == evaluate(model, concept, 0), (concept, c)
+            kind = type(concept)
+            seen[kind.__name__] += 1
+            if kind is AtMost and concept.bound < 0:
+                seen["at-most -1"] += 1
+            if kind in (AtMost, AtLeast) and concept.role.inverted:
+                seen["inverse"] += 1
+    assert all(seen[k] for k in ("at-most -1", "inverse", "Not", "Top", "Bottom", "AtLeast", "Or")), seen
+
+
+def test_size_one_compiles_no_program(monkeypatch):
+    # size 1 is read by the recursive pass alone: on the oracle corpus at
+    # max_domain=2, every compile is for size 2
+    sizes = Counter()
+
+    def counted_compile(goal, axiom, atom_list, role_list, n):
+        sizes[n] += 1
+        return _compile(goal, axiom, atom_list, role_list, n)
+
+    monkeypatch.setattr(oracle, "_compile", counted_compile)
+    outcomes = Counter()
+    for pf in generate_corpus(seed=20260809, count=200):
+        problem = build_problem(pf.query, pf.tbox)
+        result = find_model(problem.goal, problem.axiom, max_domain=2)
+        outcomes[result.domain_size if isinstance(result, Interpretation) else "none"] += 1
+    assert set(sizes) == {2} and sizes[2] == 200 - outcomes[1], (sizes, outcomes)
 
 
 def test_lifted_budget_decides_size_3_where_the_default_stops():
