@@ -2,14 +2,16 @@
 
 Ground-truth semantics for tests: interprets concepts over explicit finite
 structures and searches all interpretations up to a small domain size, in a
-fixed candidate order.  Size 1 is one recursive pass over goal and axiom,
-memoized per hash-consed node, that gives each subterm its extension over
-every size-1 candidate as one int; there a number restriction counts the
-element's self-loop alone, so the first model is the lowest candidate
-whose bit goal and axiom both set.  For sizes 2 and 3 the search compiles
-goal and axiom into bitmask ops in one recursive pass, folding every
-number restriction whose value n decides (an at-least above n, an at-most
-of n or more) to a constant; equal subterms are one hash-consed node and
+fixed candidate order.  The atom and role names to interpret are read off
+the goal's and the axiom's hash-consed nodes (`sorted_signature`), with no
+walk unless a node names more than SIGNATURE_WIDTH of a kind.  Size 1 is
+one recursive pass over goal and axiom, memoized per hash-consed node,
+that gives each subterm its extension over every size-1 candidate as one
+int; there a number restriction counts the element's self-loop alone, so
+the first model is the lowest candidate whose bit goal and axiom both
+set.  For sizes 2 and 3 the search compiles goal and axiom into bitmask
+ops in one recursive pass, folding every number restriction whose value
+n decides (an at-least above n, an at-most of n or more) to a constant; equal subterms are one hash-consed node and
 get one slot.  Both passes read a raw negation through its NNF, which has
 the same extension.  The candidate loops are grouped into blocks of at
 most SLICE_BITS bits, and a block evaluates each op once for all its
@@ -42,7 +44,7 @@ from .syntax import (
     Role,
     TOP,
     Top,
-    signature_of,
+    sorted_signature,
     to_nnf,
 )
 
@@ -461,8 +463,10 @@ def find_model(
     with the largest fully searched size when the search space for the next
     size would blow the candidate budget.
 
-    One walk over the distinct subterms reads the signature.  Size 1 is one
-    pass of `_one_element` over goal and axiom, and the lowest candidate
+    The signature is the union of the goal's and the axiom's, which their
+    nodes carry (`sorted_signature`); only a node past SIGNATURE_WIDTH
+    names is walked.  Size 1 is one pass of `_one_element` over goal and
+    axiom, and the lowest candidate
     whose bit both extensions set is the first model.  For sizes 2 and 3,
     one pass of `_compile` turns goal and axiom into bitmask ops, with
     every subterm that has one value on all size-n candidates folded to a
@@ -474,15 +478,14 @@ def find_model(
     it.  The budget still counts each size's whole candidate space, skipped
     candidates included.
     """
-    atoms, roles = signature_of(goal, axiom)
-    if len(atoms) > max_atoms or len(roles) > max_roles:
+    atom_list, role_list = sorted_signature(goal, axiom)
+    if len(atom_list) > max_atoms or len(role_list) > max_roles:
         raise OracleLimitError(
-            f"signature too large for brute-force search: {len(atoms)} atoms, {len(roles)} roles"
+            f"signature too large for brute-force search: {len(atom_list)} atoms, {len(role_list)} roles"
         )
     if max_domain > 3:
         raise OracleLimitError(f"max_domain {max_domain} exceeds the search guard of 3")
 
-    atom_list, role_list = sorted(atoms), sorted(roles)
     spent = 0
     for n in range(1, max_domain + 1):
         spent += 1 << (n * len(atom_list) + n * n * len(role_list))

@@ -7,7 +7,11 @@ once, from its children's, so it never recurses; the same goes for `_forces`,
 whether a positive at-least is reachable from the node through and/or nodes
 alone, that is, whether a label holding it can force a successor, and for
 `_splits`, whether an or-node is reachable through and-nodes alone, that
-is, whether a label holding it can have more than one branch.  And/Or
+is, whether a label holding it can have more than one branch, and for
+`_sig`, the atom names and role base names the node mentions, kept only up
+to SIGNATURE_WIDTH of each kind, so a deep chain of distinct names costs
+memory linear in its nodes.  `signature_of` unions its arguments'
+signatures, and walks the subterms only for a node past that width.  And/Or
 nodes keep their children flattened, deduplicated and sorted under a fixed
 total order, so a set of concepts behaves like a set in every cache and
 comparison downstream.  The node classes are frozen slotted classes whose
@@ -102,14 +106,22 @@ class Concept:
     Beside the fields, a node holds its order key (`_key`), its negation
     once `negate` has built it or `complement` found it (`_neg`),
     `_forces`: whether an at-least with a positive bound is reachable from
-    it through and/or nodes alone, and `_splits`: whether an or-node is
-    reachable from it through and-nodes alone.  Only such an at-least
-    forces a successor, so a label none of whose concepts has `_forces`
-    gives a node without successors; and a label none of whose concepts
-    has `_splits` has one branch at most, the literals reachable through
-    and-nodes."""
+    it through and/or nodes alone, `_splits`: whether an or-node is
+    reachable from it through and-nodes alone, and `_sig`: its signature.
+    Only such an at-least forces a successor, so a label none of whose
+    concepts has `_forces` gives a node without successors; and a label
+    none of whose concepts has `_splits` has one branch at most, the
+    literals reachable through and-nodes.
 
-    __slots__ = ("_key", "_neg", "_forces", "_splits")
+    The signature is the pair of frozensets of the atom names and the role
+    base names in the node's subterms, built from the children's alone,
+    and equal signatures are one object.  A node naming more than
+    SIGNATURE_WIDTH atoms or more than SIGNATURE_WIDTH roles carries None,
+    the wide marker, instead, and so does every node above it: a full name
+    set on every node of a chain that adds names at each level grows
+    quadratically."""
+
+    __slots__ = ("_key", "_neg", "_forces", "_splits", "_sig")
     _fields: tuple[str, ...] = ()
 
     def __new__(cls, *fields):
@@ -128,6 +140,7 @@ class Concept:
             object.__setattr__(
                 node, "_splits", cls is Or or cls is And and any(p._splits for p in fields[0])
             )
+            object.__setattr__(node, "_sig", _signature(cls, fields))
             _NODES[key] = node
         return node
 
@@ -255,6 +268,61 @@ def _forces(c: Concept) -> bool:
     if kind is And or kind is Or:
         return any(p._forces for p in c.parts)
     return False
+
+
+# A signature names at most this many atoms and this many roles; a wider
+# node carries None.  No bench or tier-1 search reads more than 4 atoms or
+# 3 roles, so the cap leaves every searched signature on its nodes.
+SIGNATURE_WIDTH = 8
+
+_NO_NAMES = (frozenset(), frozenset())
+# every signature a node carries, keyed by itself: equal ones are one object
+_SIGNATURES: dict[tuple, tuple] = {_NO_NAMES: _NO_NAMES}
+
+
+def _signature(cls: type, fields: tuple) -> tuple | None:
+    """The signature of a new node of class cls over fields, from its
+    children's (see `Concept`)."""
+    if cls is And or cls is Or:
+        return _union([p._sig for p in fields[0]], SIGNATURE_WIDTH)
+    if cls is AtMost or cls is AtLeast:
+        sig = fields[2]._sig
+        if sig is None or fields[1].base in sig[1]:
+            return sig
+        roles = sig[1] | {fields[1].base}
+        sig = (sig[0], roles)
+        return None if len(roles) > SIGNATURE_WIDTH else _SIGNATURES.setdefault(sig, sig)
+    if cls is Atom or cls is NegAtom:
+        sig = (frozenset((fields[0],)), _NO_NAMES[1])
+        return _SIGNATURES.setdefault(sig, sig)
+    if cls is Not:
+        return fields[0]._sig
+    return _NO_NAMES  # top, bottom
+
+
+def _union(sigs: list, width: int | None = None) -> tuple | None:
+    """The signature naming every name of sigs, or None when one of them is
+    None.  Given a width, also None when it would name more than width
+    atoms or roles, and otherwise the interned one."""
+    first = sigs[0] if sigs else _NO_NAMES
+    atoms = roles = None
+    for sig in sigs:
+        if sig is first:
+            continue
+        if sig is None or first is None:
+            return None
+        if atoms is None:
+            atoms, roles = first
+        atoms = atoms | sig[0]
+        roles = roles | sig[1]
+    if atoms is None:
+        return first
+    if width is None:
+        return atoms, roles
+    if len(atoms) > width or len(roles) > width:
+        return None
+    sig = (atoms, roles)
+    return _SIGNATURES.setdefault(sig, sig)
 
 
 def concept_key(c: Concept) -> tuple:
@@ -658,8 +726,13 @@ def cut_formula(role: Role, filler: Concept) -> Concept:
 
 
 def signature_of(*concepts: Concept) -> tuple[frozenset[str], frozenset[str]]:
-    """Atomic concept names and role base names occurring in the concepts,
-    read in one walk over their distinct nodes."""
+    """Atomic concept names and role base names occurring in the concepts:
+    the union of their signatures, read off their nodes.  Only when a
+    concept is past SIGNATURE_WIDTH does one walk over the distinct
+    subterms read the names."""
+    sigs = [c._sig for c in concepts]
+    if None not in sigs:
+        return _union(sigs)
     atoms: set[str] = set()
     roles: set[str] = set()
     for c in walk_concepts(*concepts):
@@ -669,6 +742,25 @@ def signature_of(*concepts: Concept) -> tuple[frozenset[str], frozenset[str]]:
         elif kind is AtMost or kind is AtLeast:
             roles.add(c.role.base)
     return frozenset(atoms), frozenset(roles)
+
+
+# the sorted names of each tuple of signatures `sorted_signature` has read
+_SORTED: dict[tuple, tuple] = {}
+_SIG = attrgetter("_sig")
+
+
+def sorted_signature(*concepts: Concept) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The names of `signature_of`, each kind sorted.  Kept per tuple of
+    the concepts' signatures, so a repeated one costs a lookup; a tuple
+    with a node past SIGNATURE_WIDTH is walked on every call."""
+    sigs = tuple(map(_SIG, concepts))
+    names = _SORTED.get(sigs)
+    if names is None:
+        atoms, roles = signature_of(*concepts)
+        names = (tuple(sorted(atoms)), tuple(sorted(roles)))
+        if None not in sigs:
+            _SORTED[sigs] = names
+    return names
 
 
 class Problem(NamedTuple):

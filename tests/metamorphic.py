@@ -21,7 +21,10 @@ and under every relation:
 - rename: atoms and roles renamed so that their order flips;
 - tautology: `gci X X` added for the first atom and for the first number
   restriction, in canonical order, so that every label carries
-  `(or (not X) X)` and the walk's clash tests meet restrictions.
+  `(or (not X) X)` and the walk's clash tests meet restrictions;
+- split: each `gci C (and D E ...)` written as one GCI per conjunct,
+  `gci C D`, `gci C E`, ..., so the axiom holds one clause per conjunct
+  where it held one clause over their conjunction.
 
 A relation's verdict must equal the input's wherever both decide; a run
 stopped by a limit is counted apart.  The sweep prints one line per
@@ -68,7 +71,7 @@ from conftest import bench_module, with_every_cut, with_named_inverse_cuts
 
 LIMITS = Limits(nogood_capacity=250)  # the bench's engine limits
 DEEP_PROFILE = CorpusProfile(max_depth=5, max_bound=5, max_roles=3, max_atoms=4, max_gcis=3)
-RELATIONS = ("leaf cuts", "every cut", "named cuts", "mirror", "rename", "tautology")
+RELATIONS = ("leaf cuts", "every cut", "named cuts", "mirror", "rename", "tautology", "split")
 # sha256 of the full sweep's outcome letters (11,827 S, 828 U, no L); a
 # change that flips a verdict or runs into a limit must explain itself
 VERDICTS_DIGEST = "406874a4f926cd8ec7b1a932248364ffdd03b1f7d804340057924d4e358989a9"
@@ -158,6 +161,13 @@ def with_tautologies(pf: ProblemFile) -> ProblemFile:
     return ProblemFile(pf.tbox + tuple((x, x) for x in firsts), pf.query)
 
 
+def split(pf: ProblemFile) -> ProblemFile:
+    """The problem file with each GCI whose right-hand side is an and-node
+    written as one GCI per conjunct, with the same left-hand side."""
+    tbox = tuple((lhs, part) for lhs, rhs in pf.tbox for part in (rhs.parts if type(rhs) is And else (rhs,)))
+    return ProblemFile(tbox, pf.query)
+
+
 def outcomes(pf: ProblemFile) -> dict[str, str]:
     """The input's outcome, under "default", and each relation's."""
     problem = build_problem(pf.query, pf.tbox)
@@ -166,7 +176,7 @@ def outcomes(pf: ProblemFile) -> dict[str, str]:
         out["leaf cuts"] = outcome(problem)
     out["every cut"] = outcome(with_every_cut(problem))
     out["named cuts"] = outcome(with_named_inverse_cuts(problem))
-    changes = (("mirror", mirrored), ("rename", renamed), ("tautology", with_tautologies))
+    changes = (("mirror", mirrored), ("rename", renamed), ("tautology", with_tautologies), ("split", split))
     for name, change in changes:
         changed = change(pf)
         out[name] = outcome(build_problem(changed.query, changed.tbox))

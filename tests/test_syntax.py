@@ -5,8 +5,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import alcqisat
+import alcqisat.oracle as oracle
 import alcqisat.syntax as syntax
 from alcqisat import (
     And,
@@ -16,9 +18,11 @@ from alcqisat import (
     BOTTOM,
     ConceptSyntaxError,
     CorpusProfile,
+    Interpretation,
     NegAtom,
     Not,
     Or,
+    OracleLimitError,
     Role,
     TOP,
     build_problem,
@@ -28,6 +32,7 @@ from alcqisat import (
     cut_table,
     disj,
     evaluate,
+    find_model,
     generate_corpus,
     internalize,
     negate,
@@ -36,7 +41,7 @@ from alcqisat import (
     to_nnf,
 )
 from alcqisat.branch import cut_set_for_child
-from alcqisat.syntax import signature_of, walk_concepts
+from alcqisat.syntax import SIGNATURE_WIDTH, signature_of, sorted_signature, walk_concepts
 from conftest import (
     bench_module,
     random_interpretation,
@@ -382,6 +387,209 @@ def test_deep_chain_needs_no_recursion():
     assert len(list(walk_concepts(c))) == depth + 1
     assert sum(isinstance(sub, AtLeast) for sub in walk_concepts(c)) == depth
     assert signature_of(c) == (frozenset({"A"}), frozenset({"R"}))
+
+
+def reference_signature(*concepts):
+    """Atom names and role base names, read in one walk over the distinct
+    subterms: the reference for the signatures nodes carry."""
+    atoms, roles = set(), set()
+    for c in walk_concepts(*concepts):
+        if isinstance(c, (Atom, NegAtom)):
+            atoms.add(c.name)
+        elif isinstance(c, (AtMost, AtLeast)):
+            roles.add(c.role.base)
+    return frozenset(atoms), frozenset(roles)
+
+
+def reference_sorted_signature(*concepts):
+    return tuple(tuple(sorted(names)) for names in reference_signature(*concepts))
+
+
+def assert_signature_is_the_walk(c) -> bool:
+    """c carries the walk's signature, interned, or the wide marker None
+    exactly when the walk finds more than SIGNATURE_WIDTH names of a kind;
+    signature_of reads the walk's names either way.  Returns whether c is
+    wide."""
+    atoms, roles = reference_signature(c)
+    wide = len(atoms) > SIGNATURE_WIDTH or len(roles) > SIGNATURE_WIDTH
+    if wide:
+        assert c._sig is None, c
+    else:
+        assert c._sig == (atoms, roles), c
+        assert syntax._SIGNATURES[c._sig] is c._sig
+    assert signature_of(c) == (atoms, roles)
+    return wide
+
+
+def test_node_signatures_match_the_walk_on_the_corpora():
+    corpora = bench_module("corpora")
+    kinds = set()
+    for workload in ("oracle", "deep", "counting"):
+        for pf in corpora.generate(workload):
+            problem = build_problem(pf.query, pf.tbox)
+            raw = [pf.query, *(c for gci in pf.tbox for c in gci)]
+            for sub in walk_concepts(*raw, problem.goal, problem.axiom, *problem.cut_concepts):
+                assert not assert_signature_is_the_walk(sub)
+                kinds.add(type(sub))
+                if isinstance(sub, (AtMost, AtLeast)):
+                    kinds.add(sub.role.inverted)
+            goal, axiom = problem.goal, problem.axiom
+            assert signature_of(goal, axiom) == reference_signature(goal, axiom)
+            assert sorted_signature(goal, axiom) == reference_sorted_signature(goal, axiom)
+    # raw negation, top, bottom and inverse roles all occur
+    assert {Not, type(TOP), type(BOTTOM), True, False} <= kinds
+
+
+SIG_ATOMS = st.sampled_from([f"W{i}" for i in range(SIGNATURE_WIDTH + 3)])
+SIG_ROLES = st.builds(Role, st.sampled_from([f"Q{i}" for i in range(SIGNATURE_WIDTH + 3)]), st.booleans())
+
+
+def _role_chain(roles):
+    c = TOP
+    for role in roles:
+        c = AtLeast(1, role, c)
+    return c
+
+
+# beside literals, top and bottom, leaves near the cap: a disjunction of
+# one atom short of it to two past it, and a chain of at-leasts over as
+# many distinct roles
+NEAR_CAP = {"min_size": SIGNATURE_WIDTH - 1, "max_size": SIGNATURE_WIDTH + 2}
+SIG_LEAVES = st.one_of(
+    SIG_ATOMS.map(Atom),
+    SIG_ATOMS.map(NegAtom),
+    st.sampled_from([TOP, BOTTOM]),
+    st.lists(SIG_ATOMS, unique=True, **NEAR_CAP).map(lambda names: disj(map(Atom, names))),
+    st.lists(SIG_ROLES, unique_by=lambda role: role.base, **NEAR_CAP).map(_role_chain),
+)
+
+
+def _sig_compound(parts):
+    return st.one_of(
+        st.lists(parts, min_size=1, max_size=4).map(conj),
+        st.lists(parts, min_size=1, max_size=4).map(disj),
+        st.builds(AtLeast, st.integers(0, 2), SIG_ROLES, parts),
+        st.builds(AtMost, st.integers(-1, 2), SIG_ROLES, parts),
+        st.builds(Not, parts),
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.recursive(SIG_LEAVES, _sig_compound, max_leaves=12), st.recursive(SIG_LEAVES, _sig_compound, max_leaves=4))
+def test_node_signatures_match_the_walk(c, d):
+    # names from a pool three past the cap of each kind, so that some
+    # subterms are wide and others stop at or one short of the cap
+    for sub in walk_concepts(c, d, to_nnf(c)):
+        assert_signature_is_the_walk(sub)
+    assert signature_of(c, d) == reference_signature(c, d)
+    assert sorted_signature(c, d) == reference_sorted_signature(c, d)
+
+
+def test_one_name_past_the_cap_is_wide():
+    names = [Atom(f"Cap{i}") for i in range(SIGNATURE_WIDTH + 1)]
+    at_cap = conj(names[:SIGNATURE_WIDTH])
+    past = conj(names)
+    assert at_cap._sig == (frozenset(a.name for a in names[:SIGNATURE_WIDTH]), frozenset())
+    assert past._sig is None
+    assert disj([past, A])._sig is None  # a wide node's parents are wide
+    assert signature_of(past, A) == (frozenset(a.name for a in names) | {"A"}, frozenset())
+    # roles count by base name: a role and its inverse are one name
+    roles = [Role(f"CapR{i}", i % 2 == 1) for i in range(SIGNATURE_WIDTH + 1)]
+    c = TOP
+    for role in roles[:SIGNATURE_WIDTH]:
+        c = AtLeast(1, role, c)
+    assert c._sig == (frozenset(), frozenset(r.base for r in roles[:SIGNATURE_WIDTH]))
+    assert AtMost(1, roles[0].inverse(), c)._sig is c._sig
+    assert AtLeast(1, roles[-1], c)._sig is None
+    # the width holds for each kind on its own
+    assert conj([at_cap, c])._sig is not None
+    # equal signatures are one object
+    assert conj([A, B])._sig is disj([NegAtom("A"), B])._sig
+    assert NegAtom("A")._sig is A._sig
+    assert Not(at_cap)._sig is at_cap._sig
+    assert TOP._sig is BOTTOM._sig == (frozenset(), frozenset())
+    assert signature_of() == (frozenset(), frozenset())
+
+
+def wide_goals():
+    """Goals naming one atom or one role past SIGNATURE_WIDTH."""
+    atoms = [Atom(f"Wide{i}") for i in range(SIGNATURE_WIDTH + 1)]
+    roles = [Role(f"WideR{i}") for i in range(SIGNATURE_WIDTH + 1)]
+    chain = atoms[0]
+    for role in roles:
+        chain = AtLeast(1, role, chain)
+    return [
+        conj(atoms),  # a model at size 1
+        conj([*atoms, AtLeast(2, roles[0], TOP)]),  # needs two elements
+        disj([conj(atoms[:2]), conj([NegAtom(a.name) for a in atoms])]),
+        chain,
+        Not(conj(atoms)),
+    ]
+
+
+def test_find_model_on_a_wide_goal_reads_what_the_walk_reads(monkeypatch):
+    cases = []
+    for goal in wide_goals():
+        assert goal._sig is None
+        for axiom in (TOP, disj([NegAtom("Wide0"), Atom("Wide1")])):
+            for limits in ({}, {"max_atoms": SIGNATURE_WIDTH + 1, "max_roles": SIGNATURE_WIDTH + 1}):
+                cases.append((goal, axiom, limits))
+
+    def outcomes():
+        out = []
+        for goal, axiom, limits in cases:
+            try:
+                out.append(find_model(goal, axiom, max_domain=2, budget=1 << 14, **limits))
+            except OracleLimitError as exc:
+                out.append(str(exc))
+        return out
+
+    got = outcomes()
+    monkeypatch.setattr(oracle, "sorted_signature", reference_sorted_signature)
+    assert got == outcomes()
+    # models, searches cut by the budget and refusals all occur
+    assert {type(o) for o in got} == {Interpretation, oracle.NoneFound, str}
+
+
+GROWTH_SCRIPT = r"""
+import resource, tracemalloc
+# a signature that keeps every name below it needs gigabytes here: fail
+# with MemoryError rather than take the machine's memory
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from alcqisat import Atom, conj, disj
+
+def chain(depth):
+    # test_branch's or/and chain, with names no other chain shares
+    tag = f"G{depth}_"
+    c = Atom(tag + "base")
+    for i in range(depth):
+        c = disj([conj([Atom(f"{tag}A{i}"), c]), conj([Atom(f"{tag}B{i}"), Atom(f"{tag}C{i}")])])
+    return c
+
+peaks = []
+for depth in (500, 5000):
+    tracemalloc.start()
+    chain(depth)
+    peaks.append(tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+print(peaks[1] / peaks[0])
+"""
+
+
+def test_a_chain_of_distinct_names_costs_memory_linear_in_its_depth():
+    # ten times the depth: linear growth reads about 10x, a name set kept
+    # whole on every node about 100x.  In a process of its own, so that
+    # no earlier test's nodes or table sizes enter the peaks.
+    src = Path(alcqisat.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", GROWTH_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 15
 
 
 def corpus_files():
