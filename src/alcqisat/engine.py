@@ -15,15 +15,14 @@ intervals and the clash mask it read (`Reading`), the mask OR-ed into the
 zeroed atoms, and only the atoms a solution expands get a literal set
 (`atomic_decomposition`).  Cut formulas exist only for the pairs a node
 other than the root can hold (`cut_table`), and a problem without them
-hands its successors no filler decisions.  A child none of whose literals,
-nor the axiom, can force a successor is a leaf: no successor reads its
-filler decisions, so its label leaves the cut formulas out (`_leaf_core`);
-the root and every other child keep them.  A child whose label holds only
-atoms and negated atoms, none complementary, has one branch, the label, and
-no role to solve, so it is settled with its bookkeeping alone (`_settle`),
-without a walk.  A label none of whose concepts reaches an or-node through
-and-nodes (`Concept._splits`) has one branch at most, its literals, and
-`_expand` takes it without the walk (`sole_branch`).  The branch walk prunes
+hands its successors no filler decisions.  Every label holds the axiom
+and the cut formulas, and a child's holds besides them only its atom's
+literals.  A child whose label holds only atoms and negated atoms, none
+complementary, has one branch, the label, and no role to solve, so it is
+settled with its bookkeeping alone (`_settle`), without a walk.  A label
+none of whose concepts reaches an or-node through and-nodes
+(`Concept._splits`) has one branch at most, its literals, and `_expand`
+takes it without the walk (`sole_branch`).  The branch walk prunes
 clashed disjuncts and never branches on a satisfied disjunction, and a
 branch that clashes only after the bound adjustment is skipped; such local
 clashes are never cached.
@@ -35,11 +34,11 @@ to its parent's solve loop, which zeroes the child's atom and re-solves,
 as it does for a child whose label a stored triple already covers; a
 system that turns out infeasible records its restrictions and fails only
 its branch, and the node goes on to its next branch.  A stored body leaves
-out the axiom and the cut formulas, which label every node but those
-leaves, so a label is queried as it is.  The store is monotone and an
-empty store is never asked.  The run builds one tree: it answers
-unsatisfiable when a triple subsumes the root label or the root's walk
-finds no branch, and satisfiable when the root completes.
+out the axiom and the cut formulas, which label every node, so a label is
+queried as it is.  The store is monotone and an empty store is never
+asked.  The run builds one tree: it answers unsatisfiable when a triple
+subsumes the root label or the root's walk finds no branch, and
+satisfiable when the root completes.
 
 Why this is sound.  Every stored triple is a failure of the same kind as
 when each failure restarted the tree: a label none of whose branches
@@ -253,23 +252,6 @@ _RECURSION_LIMIT = _RecursionLimit(20_000)
 _ROLE_KEY = attrgetter("base", "inverted")
 
 
-def _leaf_core(problem: Problem) -> frozenset | None:
-    """What labels a child, beside its atom's literals, when none of them
-    can force a successor (`Concept._forces`): the axiom alone, without the
-    cut formulas.  None when such a child keeps the cut formulas too: the
-    axiom can force a successor, or there is no cut formula to leave out,
-    as when only the root holds restrictions on inverse-named roles
-    (`cut_table`).
-
-    Such a child has no successor, since only a positive at-least forces
-    one and no branch of its label holds one.  Only a successor reads a
-    node's filler decisions (`cut_set_for_child`), and each cut formula
-    holds `F or not F`, so leaving them out of that label loses no model."""
-    if not problem.cut_concepts or problem.axiom._forces:
-        return None
-    return frozenset() if problem.axiom is TOP else frozenset({problem.axiom})
-
-
 def _plain(label: frozenset) -> bool:
     """Whether the label holds only atoms and negated atoms, no two of them
     complementary.  Its one branch is then the label itself: nothing to
@@ -329,23 +311,19 @@ class Tableau:
         core = set(problem.cut_concepts)
         if problem.axiom != TOP:
             core.add(problem.axiom)
-        # the axiom and the cut formulas label every node but the leaves
-        # below; stored bodies leave them out, so a stored body is a subset
-        # of a label exactly when it is one of the label without them
+        # the axiom and the cut formulas label every node; stored bodies
+        # leave them out, so a stored body is a subset of a label exactly
+        # when it is one of the label without them
         self._core_label = frozenset(core)
-        self._leaf_core = _leaf_core(problem)
-        # the axiom labels every node, so when it reaches an or-node, every
-        # label does and is walked without a look
-        self._axiom_splits = problem.axiom._splits
 
     # -- helpers ----------------------------------------------------------
 
     def _record(self, cut: CutSet, edge: Role | None, body: frozenset) -> NogoodTriple:
-        """Store a failure, without the axiom and the cut formulas, and
-        return its triple.  The store grows while a node is open, so a
-        triple stored since the caller's own tests may already cover the
-        failure: then that triple is returned and nothing is stored, and
-        every stored triple is new."""
+        """Store a failure, without the axiom and the cut formulas, which
+        every label holds, and return its triple.  The store grows while a
+        node is open, so a triple stored since the caller's own tests may
+        already cover the failure: then that triple is returned and nothing
+        is stored, and every stored triple is new."""
         body -= self._core_label
         nogoods = self.nogoods
         if nogoods:
@@ -415,14 +393,10 @@ class Tableau:
                 return hit
 
         witnesses = self.witnesses
-        walk = self._axiom_splits
-        if not walk:
-            for c in label:
-                if c._splits:
-                    walk = True
-                    break
-        if walk:
-            branches = enumerate_branches(label)
+        for c in label:
+            if c._splits:
+                branches = enumerate_branches(label)
+                break
         else:  # one branch at most, found without the walk
             sole = sole_branch(label)
             branches = () if sole is None else (sole,)
@@ -503,9 +477,9 @@ class Tableau:
         completed, and an infeasible system records the restrictions the
         reading holds.  Under dump_systems each solve prints the system
         first, built for the purpose when the answer stands in for it.  A
-        child none of whose literals can force a successor is labelled
-        without the cut formulas (`_leaf_core`); a child with a plain label
-        is settled without a walk (`_settle`).
+        child's label is its atom's literals with the axiom and the cut
+        formulas; a child with a plain label is settled without a walk
+        (`_settle`).
 
         A problem without cut formulas hands no filler decisions to a
         child, so then the child's cut set is empty and no wildcard is
@@ -544,7 +518,7 @@ class Tableau:
             system = None
             width, solution, atom = answer
         self.stats.max_lambda = max(self.stats.max_lambda, width)
-        leaf_core = self._leaf_core
+        core = self._core_label
         context_zeroing = False
         completed: set[int] = set()
         while True:
@@ -579,10 +553,6 @@ class Tableau:
                     return True
                 atoms = atomic_decomposition(system.fillers, self.limits.lambda_max, expanded)
             for mask, child in zip(expanded, atoms):
-                if leaf_core is not None and not any(lit._forces for lit in child):
-                    core = leaf_core
-                else:
-                    core = self._core_label
                 label = child | core if core else child
                 if _plain(label):
                     blocking = self._settle(label, child_cut, role)

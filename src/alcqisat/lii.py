@@ -19,8 +19,10 @@ mask (`clashed_atoms`) rather than tested one literal set at a time, and
 `zero_column` ORs a mask into the zeroed atoms.  No atom gets a literal
 set until a solution expands it: `atomic_decomposition` builds the sets of
 the masks it is given, and negates a filler only when one of them holds its
-negation.  The clash mask negates no filler: it looks the negations up
-(`complement`), and one never built clashes with nothing.
+negation.  No literal set holds `top`: it holds in every node, and labels
+that differ only in it should block each other.  The clash mask negates
+no filler: it looks the negations up (`complement`), and one never built
+clashes with nothing.
 
 Most roles the engine solves need no search: `closed_form` reads the
 restrictions off the branch and gives what `feasible` would answer on the
@@ -43,9 +45,8 @@ mask.  An empty interval is refuted before any search step, as is an
 at-least sum that no live atom (neither zeroed nor under an at-most 0)
 adds to; each atom is capped by the intervals covering it, and one under
 an at-most 0 gets no search position; what later atoms can add to a sum
-is bounded by their caps and by the at-most bounds they lie under; and
-failed search states are memoized, so a subtree already proven empty is
-entered once.
+is bounded by any at-most sum that holds them all; and failed search
+states are memoized, so a subtree already proven empty is entered once.
 """
 
 from __future__ import annotations
@@ -57,9 +58,11 @@ from .branch import primitive_clash
 from .syntax import (
     AtLeast,
     AtMost,
+    BOTTOM,
     Bottom,
     Concept,
     Role,
+    TOP,
     complement,
     negate,
     sorted_concepts,
@@ -166,9 +169,11 @@ def atomic_decomposition(
     """The literal sets of the atoms with the masks given, in their order,
     every atom's by default, ascending from mask 1, so that entry mask - 1
     is the atom's: filler k where bit k of the mask is set, its negation
-    where it is clear.  The engine gives the masks a solution expands, a
-    few where the full list has 2^n - 1.  Each filler is negated once, and
-    only when an atom given holds its negation."""
+    where it is clear, but for `top`, which holds in every node and is
+    left out: a top filler's literal, and a bottom filler's negation.  The
+    engine gives the masks a solution expands, a few where the full list
+    has 2^n - 1.  Each filler is negated once, and only when an atom given
+    holds its negation."""
     n = len(fillers)
     if n < 1:
         raise ValueError("need at least one filler")
@@ -179,10 +184,11 @@ def atomic_decomposition(
     for mask in masks:
         clear |= full ^ mask
     signed = [(f, negate(f) if (clear >> k) & 1 else None) for k, f in enumerate(fillers)]
-    return [
+    atoms = [
         frozenset([pos if (mask >> k) & 1 else neg for k, (pos, neg) in enumerate(signed)])
         for mask in masks
     ]
+    return [atom - {TOP} if TOP in atom else atom for atom in atoms]
 
 
 def clashed_atoms(fillers: tuple[Concept, ...], reading: Reading | None = None) -> int:
@@ -280,10 +286,10 @@ def closed_form(
     branch, without a search, or None when it is not forced.  The answer
     is (width, solution, atom): the number of distinct fillers, what
     feasible returns on build_lii's system with the clashed atoms zeroed,
-    and the literal set of the solution's one atom; (width, None, None)
-    when that system is infeasible.  The role needs a positive at-least,
-    as every role the engine solves has; `most` below is the largest
-    at-least bound.
+    and the literal set of the solution's one atom, as atomic_decomposition
+    gives it, without `top`; (width, None, None) when that system is
+    infeasible.  The role needs a positive at-least, as every role the
+    engine solves has; `most` below is the largest at-least bound.
 
     - Full atom.  When the full atom, every filler positive, does not clash
       (so the clash zeroing leaves it live) and no at-most bound is below
@@ -339,6 +345,7 @@ def closed_form(
     if reading is not None:
         reading.restrictions = restrictions
     if fewest is None or most <= fewest:
+        fillers.discard(TOP)
         full = frozenset(fillers)
         if not primitive_clash(full):
             return width, {(1 << width) - 1: most}, full
@@ -368,7 +375,13 @@ def closed_form(
             break  # and misses this one's at-least
     else:
         if mask:
-            atom = frozenset(f if (mask >> k) & 1 else negate(f) for k, f in enumerate(bounds))
+            # a live atom holds a top filler and negates a bottom one, and
+            # either literal is top, which it leaves out
+            atom = frozenset(
+                f if (mask >> k) & 1 else negate(f)
+                for k, f in enumerate(bounds)
+                if f is not TOP and f is not BOTTOM
+            )
             return width, {mask: most}, atom
     for coeff, (lo, _) in zip(coeffs, intervals):
         if lo and not coeff & live:
@@ -402,8 +415,8 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
     - Interval pre-check: an empty interval refutes the system before any
       search step.
     - Live-atom pre-check: an at-least sum with a positive bound that no
-      live atom (neither zeroed nor dead, below) adds to stays at 0; the
-      caps below tell, and it refutes the system before any search step.
+      live atom (neither zeroed nor dead, below) adds to stays at 0, so it
+      refutes the system before any search step, as in `closed_form`.
     - Dead atoms: an atom in a sum bounded by at-most 0 can only be 0, so
       like a zeroed atom it gets no search position.
     - Per-atom cap: each atom is capped at the smallest at-most bound
@@ -411,12 +424,10 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
       none does): a value above the latter could be lowered to it without
       breaking a bound, giving a smaller solution.
     - Room: what the atoms after a position can still add to an at-least
-      sum is at most the sum of their caps; when each of them lies in some
-      at-most sum, at most the sum of those at-most bounds, since together
-      they add no more than that to those sums; and at most the bound of
-      any at-most sum that holds all of them, which they add to in full.
-      The smallest of these sets how much the atom at the position must
-      add.
+      sum is at most the bound of any at-most sum that holds all of them,
+      which they add to in full.  The smallest such bound sets how much
+      the atom at the position must add; with no such sum, the room is
+      unbounded and sets nothing.
     - Memo: a state is a position and the sums so far, with each at-least
       sum clamped at its bound since no later check tells larger sums
       apart.  A state whose subtree failed is stored and skipped on entry;
@@ -443,6 +454,9 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
                 dead |= coeff
 
     live = ((1 << ((1 << system.width) - 1)) - 1) & ~dead
+    for coeff, lo, _ in intervals:
+        if lo and not coeff & live:
+            return None  # an at-least sum no live atom adds to
     # bit m - 1 of live is atom m, so the reversed binary digits run from
     # atom 1 up: one conversion, where a shift per atom costs 2^width bits
     masks = [m for m, bit in enumerate(bin(live)[:1:-1], 1) if bit == "1"]
@@ -453,16 +467,12 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
     # goes to, with their clamp (an at-most sum never passes its bound)
     caps = [0] * n
     raising, limiting, adding = [()] * n, [()] * n, [()] * n
-    # per sum, over the atoms after the position: the sum of their caps;
-    # the at-most sums they lie in and the sum of those bounds, or None once
-    # one of them lies in no at-most sum; the at-most sums that hold every
-    # one of them; and the room, what they can still add, the smallest of
-    # the two sums and the bounds of the sums that hold them all
-    reach = [0] * len(intervals)
-    cover = [0] * len(intervals)
-    shared: list = [0] * len(intervals)
+    # per sum, over the atoms after the position: the at-most sums that
+    # hold every one of them, and the room, what they can still add: 0
+    # with no such atom, the smallest bound of those sums, or None when
+    # there is none
     every = [-1] * len(intervals)
-    room = [0] * len(intervals)
+    room: list = [0] * len(intervals)
     for i in range(n - 1, -1, -1):
         bit = 1 << (masks[i] - 1)
         cap, limit, within = 0, None, 0  # within: the at-most sums it lies in
@@ -471,7 +481,7 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
             if coeff & bit:
                 if lo > cap:
                     cap = lo
-                if lo > room[g]:
+                if room[g] is not None and lo > room[g]:
                     raise_.append((g, lo - room[g]))
                 if hi is None:
                     add_.append((g, lo))
@@ -485,24 +495,12 @@ def feasible(system: LiiSystem, max_steps: int = 2_000_000) -> dict[int, int] | 
             cap = limit
         caps[i], raising[i], limiting[i], adding[i] = cap, raise_, limit_, add_
         for g, _ in add_:
-            reach[g] += cap
-            if shared[g] is not None:
-                if not limit_:
-                    shared[g] = None
-                for h, hi in limit_:
-                    if not (cover[g] >> h) & 1:
-                        cover[g] |= 1 << h
-                        shared[g] += hi
-            room[g] = reach[g] if shared[g] is None or reach[g] < shared[g] else shared[g]
-            every[g] &= within
-            for h, hi in limit_:  # every[g] lies within this atom's sums
-                if (every[g] >> h) & 1 and hi < room[g]:
-                    room[g] = hi
-    # a live atom under a positive at-least gets a positive cap, so an
-    # at-least sum with no reach has no live atom and stays at 0
-    for g, (_, lo, _) in enumerate(intervals):
-        if lo and not reach[g]:
-            return None
+            holding = every[g] = every[g] & within
+            least = None
+            for h, hi in limit_:  # every sum in holding is one of this atom's
+                if (holding >> h) & 1 and (least is None or hi < least):
+                    least = hi
+            room[g] = least
 
     failed: dict[int, set] = {}  # position -> states whose subtree failed
     entered: list = [None] * n   # state on entry, per position on the stack

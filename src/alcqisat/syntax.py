@@ -3,9 +3,7 @@
 Concepts are hash-consed: constructing a node looks up its class and fields
 in one table and returns the node already there, so equal concepts are one
 object and compare and hash by identity.  Each node computes its order key
-once, from its children's, so it never recurses; the same goes for `_forces`,
-whether a positive at-least is reachable from the node through and/or nodes
-alone, that is, whether a label holding it can force a successor, and for
+once, from its children's, so it never recurses; the same goes for
 `_splits`, whether an or-node is reachable through and-nodes alone, that
 is, whether a label holding it can have more than one branch, and for
 `_sig`, the atom names and role base names the node mentions, kept only up
@@ -105,13 +103,10 @@ class Concept:
 
     Beside the fields, a node holds its order key (`_key`), its negation
     once `negate` has built it or `complement` found it (`_neg`),
-    `_forces`: whether an at-least with a positive bound is reachable from
-    it through and/or nodes alone, `_splits`: whether an or-node is
-    reachable from it through and-nodes alone, and `_sig`: its signature.
-    Only such an at-least forces a successor, so a label none of whose
-    concepts has `_forces` gives a node without successors; and a label
-    none of whose concepts has `_splits` has one branch at most, the
-    literals reachable through and-nodes.
+    `_splits`: whether an or-node is reachable from it through and-nodes
+    alone, and `_sig`: its signature.  A label none of whose concepts has
+    `_splits` has one branch at most, the literals reachable through
+    and-nodes.
 
     The signature is the pair of frozensets of the atom names and the role
     base names in the node's subterms, built from the children's alone,
@@ -121,7 +116,7 @@ class Concept:
     set on every node of a chain that adds names at each level grows
     quadratically."""
 
-    __slots__ = ("_key", "_neg", "_forces", "_splits", "_sig")
+    __slots__ = ("_key", "_neg", "_splits", "_sig")
     _fields: tuple[str, ...] = ()
 
     def __new__(cls, *fields):
@@ -136,7 +131,6 @@ class Concept:
                 object.__setattr__(node, name, value)
             object.__setattr__(node, "_key", _order_key(node))
             object.__setattr__(node, "_neg", None)  # filled in by negate or complement
-            object.__setattr__(node, "_forces", _forces(node))
             object.__setattr__(
                 node, "_splits", cls is Or or cls is And and any(p._splits for p in fields[0])
             )
@@ -259,15 +253,6 @@ def _order_key(c: Concept) -> tuple:
     if isinstance(c, Not):
         return (6, c.sub._key)
     raise TypeError(f"unknown concept node: {c!r}")
-
-
-def _forces(c: Concept) -> bool:
-    kind = type(c)
-    if kind is AtLeast:
-        return c.bound > 0
-    if kind is And or kind is Or:
-        return any(p._forces for p in c.parts)
-    return False
 
 
 # A signature names at most this many atoms and this many roles; a wider
@@ -693,11 +678,9 @@ def cut_table(goal: Concept, axiom: Concept) -> tuple[tuple[Role, Concept], ...]
     (inverse(S), top), whose guard is on S with filler top, the second
     (S, top), whose guard is on inverse(S) with filler top again.
 
-    The same argument lets the engine leave every cut formula out of a
-    child that cannot have a successor: one whose literals and axiom hold
-    no positive at-least reachable through and/or nodes (`_forces`).  No
-    node reads that child's decisions, so only the root and the children
-    that can force a successor carry the formulas."""
+    Every node, the root and every child, carries the formulas of the
+    kept pairs, as in the calculus, so every label holds them, even that
+    of a child whose decisions no successor reads."""
     restrictions = [c for c in walk_concepts(goal, axiom) if type(c) is AtMost or type(c) is AtLeast]
     named = {c.role for c in restrictions}
     pairs = {(c.role, c.filler) for c in restrictions if c.role.inverse() in named}

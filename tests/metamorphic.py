@@ -11,8 +11,6 @@ in the default and the `deep` profile, and a few hand-made ones
 node, which no random input above does.  Each input is decided as it is
 and under every relation:
 
-- leaf cuts: every child label carries the cut formulas, the engine's leaf
-  labels (`engine._leaf_core`) patched out for the run;
 - every cut: a cut formula for every (role, filler) pair (`with_every_cut`);
 - named cuts: a cut formula for every pair whose inverse role is named,
   those only the root holds included (`with_named_inverse_cuts`);
@@ -42,9 +40,7 @@ import argparse
 import hashlib
 import sys
 import time
-from contextlib import contextmanager
 
-import alcqisat.engine as engine
 from alcqisat import (
     And,
     AtLeast,
@@ -71,7 +67,7 @@ from conftest import bench_module, with_every_cut, with_named_inverse_cuts
 
 LIMITS = Limits(nogood_capacity=250)  # the bench's engine limits
 DEEP_PROFILE = CorpusProfile(max_depth=5, max_bound=5, max_roles=3, max_atoms=4, max_gcis=3)
-RELATIONS = ("leaf cuts", "every cut", "named cuts", "mirror", "rename", "tautology", "split")
+RELATIONS = ("every cut", "named cuts", "mirror", "rename", "tautology", "split")
 # sha256 of the full sweep's outcome letters (11,827 S, 828 U, no L); a
 # change that flips a verdict or runs into a limit must explain itself
 VERDICTS_DIGEST = "406874a4f926cd8ec7b1a932248364ffdd03b1f7d804340057924d4e358989a9"
@@ -96,17 +92,6 @@ def outcome(problem) -> str:
         return "SAT" if Tableau(problem, LIMITS).decide().satisfiable else "UNSAT"
     except (ResourceLimitError, SolverLimitError):
         return "limit"
-
-
-@contextmanager
-def cuts_in_every_label():
-    """Every child keeps the cut formulas, leaves included, while inside."""
-    leaf_core = engine._leaf_core
-    engine._leaf_core = lambda problem: None
-    try:
-        yield
-    finally:
-        engine._leaf_core = leaf_core
 
 
 def rewrite(pf: ProblemFile, atom, role) -> ProblemFile:
@@ -172,8 +157,6 @@ def outcomes(pf: ProblemFile) -> dict[str, str]:
     """The input's outcome, under "default", and each relation's."""
     problem = build_problem(pf.query, pf.tbox)
     out = {"default": outcome(problem)}
-    with cuts_in_every_label():
-        out["leaf cuts"] = outcome(problem)
     out["every cut"] = outcome(with_every_cut(problem))
     out["named cuts"] = outcome(with_named_inverse_cuts(problem))
     changes = (("mirror", mirrored), ("rename", renamed), ("tautology", with_tautologies), ("split", split))

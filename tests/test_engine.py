@@ -13,6 +13,7 @@ import alcqisat.engine as engine
 import alcqisat.syntax as syntax
 from alcqisat import (
     AtLeast,
+    AtMost,
     Atom,
     BOTTOM,
     CorpusProfile,
@@ -47,6 +48,8 @@ from conftest import (
     with_every_cut,
     with_named_inverse_cuts,
 )
+from families import chain_with_inverse
+from metamorphic import HAND_MADE
 
 A, B = Atom("A"), Atom("B")
 R = Role("R")
@@ -792,37 +795,40 @@ def test_chain_with_an_inverse_decides_only_the_pairs_a_successor_reads():
     assert not decide_text("(atleast 2 R (atmost 0 (inv R) top))").satisfiable
 
 
-def test_only_children_that_can_force_a_successor_keep_the_cut_formulas(monkeypatch):
-    # the root and its R-successor, which has an at-least on R, carry the
-    # cut formulas; the successor's own R-successor holds at-most bounds
-    # alone, so its label is its literals without them.  An axiom that can
-    # force a successor keeps them in every label, and so does the engine
-    # with its leaf labels patched out
-    expand = engine.Tableau._expand
+def test_every_label_holds_the_axiom_and_the_cut_formulas(monkeypatch):
+    # every label _expand and _settle receive, the root's included, holds
+    # the axiom and the cut formulas, so _record's stripping holds at every
+    # node: over the deep instances with cut pairs, the hand-made inputs
+    # whose verdicts hang on an inner node's decisions, and the chain with
+    # an inverse, whose children hold at-most bounds alone
     labels = []
 
-    def recorded(self, label, cut, edge):
-        labels.append(label)
-        return expand(self, label, cut, edge)
+    def recording(method):
+        def recorded(self, label, cut, edge):
+            labels.append((label, self._core_label, edge))
+            return method(self, label, cut, edge)
+        return recorded
 
-    monkeypatch.setattr(engine.Tableau, "_expand", recorded)
-    text = "(atleast 1 R (atleast 1 R (and (atmost 0 (inv R) B) (atmost 1 (inv R) (not B)))))"
-    problem = build_problem(parse_concept(text))
-    forcing = build_problem(parse_concept(text), [(TOP, parse_concept("(or A (atleast 1 S A))"))])
-    for p, leaves_without_cuts in ((problem, True), (forcing, False)):
+    monkeypatch.setattr(engine.Tableau, "_expand", recording(engine.Tableau._expand))
+    monkeypatch.setattr(engine.Tableau, "_settle", recording(engine.Tableau._settle))
+    corpora = bench_module("corpora")
+    deep = [build_problem(pf.query, pf.tbox) for pf in corpora.generate("deep")]
+    problems = [p for p in deep if p.cuts]
+    assert len(problems) == 20
+    for text in HAND_MADE:
+        pf = parse_problem_text(text)
+        problems.append(build_problem(pf.query, pf.tbox))
+    for d in range(1, 7):
+        pf = parse_problem_text(chain_with_inverse(d))
+        problems.append(build_problem(pf.query, pf.tbox))
+    children = 0  # labels of children that carry a cut formula
+    for problem in problems:
         labels.clear()
-        assert decide(p).satisfiable
-        cuts = p.cut_concepts
-        assert cuts
-        bare = [label for label in labels if not label >= cuts]
-        assert all(label.isdisjoint(cuts) for label in bare)
-        assert bool(bare) == leaves_without_cuts
-        assert all(label >= cuts for label in labels if any(c._forces for c in label - cuts))
-    labels.clear()
-    with monkeypatch.context() as m:
-        m.setattr(engine, "_leaf_core", lambda problem: None)
-        assert decide(problem).satisfiable
-    assert labels and all(label >= problem.cut_concepts for label in labels)
+        Tableau(problem, Limits(lambda_max=16, nogood_capacity=250)).decide()
+        assert labels and labels[0][2] is None  # the root's comes first
+        assert all(label >= core for label, core, _ in labels)
+        children += sum(1 for _, _, edge in labels if edge is not None and problem.cut_concepts)
+    assert children > 100
 
 
 def test_forward_chain_gets_no_cuts():
@@ -917,6 +923,37 @@ def test_an_equal_plain_successor_is_blocked_by_the_first(monkeypatch):
     ]
     assert len(tableau.witnesses) == 2
     assert tableau.witnesses[frozenset({A}), frozenset({A})] == 1
+
+
+def test_top_is_in_no_atom_literal_set():
+    # top holds in every node, so a label that differs from another only in
+    # top must block like it.  Generated seed 7 #98, (atleast 1 R0 top)
+    # under two axioms: node 2's atom is {(not A2)}, node 1's was {top,
+    # (not A2)}, and node 2 was expanded where it is now blocked by node 1
+    pf = generate_corpus(seed=7, count=100)[98]
+    assert pf.query == parse_concept("(atleast 1 R0 top)")
+    v = decide(build_problem(pf.query, pf.tbox))
+    assert v == (True, RunStats(nodes=3, lii_solves=2, max_lambda=2))
+    # no literal set atomic_decomposition or closed_form gives holds top,
+    # a top filler's literal or a bottom filler's negation, on seeded
+    # filler lists that hold top
+    rng = random.Random(20261021)
+    pool = [A, B, NegAtom("A"), NegAtom("B"), Atom("C"), BOTTOM, conj([A, B])]
+    answered = 0
+    for _ in range(400):
+        fillers = rng.sample(pool, rng.randint(0, 4)) + [TOP]
+        rng.shuffle(fillers)
+        every = range(1, 1 << len(fillers))
+        masks = rng.sample(every, min(len(every), rng.randint(1, 3)))
+        for atoms in (atomic_decomposition(fillers), atomic_decomposition(fillers, 10, masks)):
+            assert not any(TOP in atom for atom in atoms), fillers
+        branch = {AtLeast(rng.randint(1, 3), R, TOP)}
+        branch |= {rng.choice((AtLeast, AtMost))(rng.randint(0, 3), R, f) for f in fillers}
+        answer = closed_form(frozenset(branch), R)
+        if answer is not None and answer[2] is not None:
+            assert TOP not in answer[2], [str(c) for c in branch]
+            answered += 1
+    assert answered > 100
 
 
 def test_a_plain_successor_returns_the_stored_hit(monkeypatch):

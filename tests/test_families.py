@@ -17,8 +17,8 @@ PINNED = {
         (64, 127, 126, 7), (128, 255, 254, 8),
     ],
     "counter SAT": [
-        (4, 0, 3, 2), (6, 0, 5, 3), (10, 0, 9, 4), (18, 0, 17, 5), (34, 0, 33, 6),
-        (66, 0, 65, 7), (130, 0, 129, 8),
+        (3, 0, 2, 2), (5, 0, 4, 3), (9, 0, 8, 4), (17, 0, 16, 5), (33, 0, 32, 6),
+        (65, 0, 64, 7), (129, 0, 128, 8),
     ],
     "pigeonhole h=m-1": [
         (1, 2, 1, 2), (2, 3, 2, 3), (6, 6, 5, 4), (14, 13, 12, 5), (30, 28, 27, 6),

@@ -633,9 +633,9 @@ def test_the_memo_clamps_at_least_sums():
 def test_an_at_most_sum_holding_every_later_atom_caps_the_room():
     # counting #219's role: at least 10 successors in A0, 7 in A1, at most
     # 3 in A2 and 5 in (not A3).  Past atom 11 every atom holding A0 or A1
-    # also holds A2, so together they add at most 3 to either sum, though
-    # the sum of the at-most bounds they lie in allows 8: the search took
-    # 568 steps with that room alone
+    # also holds A2, so together they add at most 3 to either sum, and that
+    # room makes atom 11 take the rest.  Bounding the room by the sum of
+    # the at-most bounds those atoms lie in, 8, took the search 568 steps
     branch = frozenset({
         AtLeast(10, R, Atom("A0")), AtLeast(7, R, Atom("A1")),
         AtMost(3, R, Atom("A2")), AtMost(5, R, NegAtom("A3")),

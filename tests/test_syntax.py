@@ -671,33 +671,6 @@ def test_complement_never_builds():
     assert negate(junction) is built
 
 
-def reference_forces(c) -> bool:
-    """Whether an at-least with a positive bound is reachable from c
-    through and/or nodes alone, recomputed recursively: the reference for
-    the flag each node computes when it is built."""
-    if isinstance(c, AtLeast):
-        return c.bound > 0
-    if isinstance(c, (And, Or)):
-        return any(reference_forces(p) for p in c.parts)
-    return False
-
-
-def test_forces_flag_matches_the_recursive_reference():
-    rng = random.Random(20261020)
-    seen = {True: 0, False: 0}
-    for _ in range(400):
-        c = random_raw_concept(rng, rng.randint(0, 4))
-        for sub in walk_concepts(c, to_nnf(c), negate(to_nnf(c))):
-            assert sub._forces is reference_forces(sub), sub
-            seen[sub._forces] += 1
-    assert min(seen.values()) > 200
-    # the filler of a number restriction is its successors' business, and
-    # at-least 0 forces nothing
-    assert not AtMost(2, R, AtLeast(1, R, A))._forces
-    assert not disj([A, AtLeast(0, R, A)])._forces
-    assert conj([A, disj([B, AtLeast(1, R, TOP)])])._forces
-
-
 def occurrences(c):
     """Every node of c's AST in preorder, a repeated subterm once per
     occurrence: the reference for walk_concepts' order."""
