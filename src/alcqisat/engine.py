@@ -50,15 +50,16 @@ its key before it solves its roles, and when one of them fails the branch
 drops its key and every witness registered since.  The tree grows depth
 first, so every node registered or blocked after that mark lies in the
 failed branch's subtree, which is discarded with it; a witness therefore
-always belongs to a node whose branch still holds.  Runs raise the
-interpreter's recursion limit while any of them is active.
+always belongs to a node whose branch still holds.  Depth first is also
+how the run holds the tree: each open node is a suspended generator on
+one list, the path from the root to the node being expanded, so the
+tree's depth is bounded by memory and the node budget, and a run leaves
+the interpreter's recursion limit as it found it.
 """
 from __future__ import annotations
 
-import _thread
-import sys
 from operator import attrgetter
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Generator, Iterable, NamedTuple
 
 from .branch import (
     Branch,
@@ -211,44 +212,6 @@ class NogoodStore:
         return None
 
 
-class _RecursionLimit:
-    """Holds the interpreter's recursion limit at `limit` or more while any
-    run is active.  The limit is process-wide and runs in other threads
-    overlap, so the first run to enter raises it, when it finds it below
-    `limit`, and the last to leave restores what the first found.  A limit
-    already at `limit` or more is neither set nor restored, so then a run
-    costs a lock round trip and a counter update on entry and on exit."""
-
-    def __init__(self, limit: int):
-        self._limit = limit
-        self._lock = _thread.allocate_lock()
-        self._active = 0
-        self._saved = 0  # the limit to restore, 0 when the first run left it
-
-    def __enter__(self) -> None:
-        lock = self._lock
-        lock.acquire()
-        if not self._active:
-            saved = sys.getrecursionlimit()
-            if saved < self._limit:
-                sys.setrecursionlimit(self._limit)
-                self._saved = saved
-        self._active += 1
-        lock.release()
-
-    def __exit__(self, *exc_info) -> None:
-        lock = self._lock
-        lock.acquire()
-        self._active -= 1
-        if not self._active and self._saved:
-            sys.setrecursionlimit(self._saved)
-            self._saved = 0
-        lock.release()
-
-
-_RECURSION_LIMIT = _RecursionLimit(20_000)
-
-
 _ROLE_KEY = attrgetter("base", "inverted")
 
 
@@ -267,7 +230,7 @@ def _system(tuned: Branch, role: Role, reading: Reading | None = None) -> LiiSys
     """The role's system with its clashed atoms zeroed, in one copy; the
     caller has checked its width.  A reading closed_form filled gives the
     restrictions, the intervals and the clash mask."""
-    system = build_lii(tuned, role, None, reading)
+    system = build_lii(tuned, role, reading)
     clashed = clashed_atoms(system.fillers, reading)
     return zero_column(system, clashed) if clashed else system
 
@@ -289,9 +252,9 @@ def _fmt_edge(edge: Role | None) -> str:
 
 
 class Tableau:
-    """One satisfiability run.  State is confined to the instance, apart
-    from the process-wide recursion limit, which every active run holds
-    raised (`_RecursionLimit`)."""
+    """One satisfiability run.  State is confined to the instance: a run
+    changes no process-wide setting, so runs in several threads may
+    overlap."""
 
     def __init__(
         self,
@@ -343,19 +306,40 @@ class Tableau:
     # -- main loop ---------------------------------------------------------
 
     def decide(self) -> Verdict:
+        """Grow the tree from the root.  The open nodes are a plain list of
+        their generators' send methods (`_expand`): the last one is resumed
+        with the result of the successor it asked for, a successor it asks
+        for is pushed, and one that returns is popped and its result goes
+        to the node below it.  A limit raised out of the run carries its
+        partial stats, and so does the ResourceLimitError that stands in
+        for a RecursionError: only `complement` and `branch_satisfies`
+        still recurse, once or twice per junction level, so only a concept
+        built under a higher limit than the run's can raise one."""
         root_label = frozenset({self.problem.goal}) | self._core_label
-        with _RECURSION_LIMIT:
-            try:
-                # the root's own label test is this one; a store seeded
-                # before the run may cover the root label
-                nogoods = self.nogoods
-                if nogoods and nogoods.hit(EMPTY_CUT_SET, None, root_label):
-                    return Verdict(satisfiable=False, stats=self.stats)
-                failed = self._expand(root_label, EMPTY_CUT_SET, None)
-                return Verdict(satisfiable=failed is None, stats=self.stats)
-            except (ResourceLimitError, SolverLimitError) as exc:
-                exc.stats = self.stats
-                raise
+        try:
+            # the root's own label test is this one; a store seeded
+            # before the run may cover the root label
+            nogoods = self.nogoods
+            if nogoods and nogoods.hit(EMPTY_CUT_SET, None, root_label):
+                return Verdict(satisfiable=False, stats=self.stats)
+            open_nodes = [self._expand(root_label, EMPTY_CUT_SET, None).send]
+            failed = None
+            while open_nodes:
+                try:
+                    successor = open_nodes[-1](failed)
+                except StopIteration as done:
+                    open_nodes.pop()
+                    failed = done.value
+                else:
+                    open_nodes.append(self._expand(*successor).send)
+                    failed = None
+            return Verdict(satisfiable=failed is None, stats=self.stats)
+        except RecursionError:
+            limit = ResourceLimitError("concept nesting too deep for the recursion limit")
+        except (ResourceLimitError, SolverLimitError) as exc:
+            limit = exc
+        limit.stats = self.stats
+        raise limit
 
     # -- expansion ---------------------------------------------------------
 
@@ -370,15 +354,17 @@ class Tableau:
             )
         return node_id
 
-    def _expand(self, label: frozenset, cut: CutSet, edge: Role | None) -> NogoodTriple | None:
+    def _expand(self, label: frozenset, cut: CutSet, edge: Role | None) -> Generator:
         """Expand a new node with the label, reached over edge with the
-        parent's filler decisions cut.  None when its subtree completed,
-        otherwise the triple that rules its label out: a stored one that
-        covers it, or, when the walk finds no branch, the one `_record`
-        returns for the label.  The parent's solve loop zeroes the node's
-        atom either way.  A label that reaches no or-node through and-nodes
-        gets its one branch, or none, without the walk (`sole_branch`): the
-        walk would yield the same.
+        parent's filler decisions cut.  A generator, driven by `decide`: it
+        yields (label, cut, edge) for each successor that needs a walk, is
+        resumed with that successor's result, and returns its own: None
+        when its subtree completed, otherwise the triple that rules its
+        label out, a stored one that covers it or, when the walk finds no
+        branch, the one `_record` returns for the label.  The parent's
+        solve loop zeroes the node's atom either way.  A label that reaches
+        no or-node through and-nodes gets its one branch, or none, without
+        the walk (`sole_branch`): the walk would yield the same.
 
         A branch registers its key as a witness before it solves its roles.
         When a role fails the branch, the key goes, and so does every
@@ -432,7 +418,7 @@ class Tableau:
             if len(roles) > 1:
                 roles = sorted(roles, key=_ROLE_KEY)
             for role in roles:
-                if not self._apply_lii(node_id, branch, tuned, role):
+                if not (yield from self._apply_lii(node_id, branch, tuned, role)):
                     break
             else:
                 return None
@@ -465,8 +451,10 @@ class Tableau:
             self.trace(f"BLOCKED node={node_id} by={blocker}")
         return None
 
-    def _apply_lii(self, node_id: int, branch: Branch, tuned: Branch, role: Role) -> bool:
-        """Decompose the role's restrictions, solve, expand the children.
+    def _apply_lii(self, node_id: int, branch: Branch, tuned: Branch, role: Role) -> Generator:
+        """Decompose the role's restrictions, solve, expand the children;
+        `_expand` enters it with `yield from`, so its successors are the
+        node's.
 
         When closed_form reads the first solve off the restrictions, its
         answer stands in for feasible's and no system is built until a child
@@ -557,7 +545,7 @@ class Tableau:
                 if _plain(label):
                     blocking = self._settle(label, child_cut, role)
                 else:
-                    blocking = self._expand(label, child_cut, role)
+                    blocking = yield label, child_cut, role
                 if blocking is None:
                     completed.add(mask)
                     continue

@@ -251,18 +251,16 @@ def _bounds(restrictions: list[Concept]) -> dict[Concept, list]:
     return bounds
 
 
-def build_lii(
-    branch: frozenset, role: Role, lambda_max: int | None = None, reading: Reading | None = None
-) -> LiiSystem:
+def build_lii(branch: frozenset, role: Role, reading: Reading | None = None) -> LiiSystem:
     """The role's system: its fillers, indexed on first occurrence as
     collect_fillers lists them; one interval per filler, from the largest
     at-least bound on it to the smallest at-most bound, over the atoms
     holding it; nothing zeroed yet; and the restrictions in canonical
-    order.  More fillers than lambda_max raise SolverLimitError before any
-    coefficient mask, which has 2^width bits, is built.  A reading of the
-    same branch and role gives the intervals closed_form read, or, when it
-    stopped at the full atom, the restrictions, so the branch is not read
-    again."""
+    order.  A reading of the same branch and role gives the intervals
+    closed_form read, or, when it stopped at the full atom, the
+    restrictions, so the branch is not read again.  Each coefficient mask
+    has 2^width bits, so the caller has checked the width: the engine's
+    closed_form has."""
     if reading is not None and reading.bounds is not None:
         restrictions, bounds = reading.restrictions, reading.bounds
     else:
@@ -272,7 +270,6 @@ def build_lii(
             restrictions = sorted_concepts(reading.restrictions)
         bounds = _bounds(restrictions)
     width = len(bounds)
-    _check_width(width, lambda_max)
     intervals = tuple(
         (coeff, lo, hi) for coeff, (lo, hi) in zip(_coefficients(width), bounds.values())
     )
@@ -319,8 +316,8 @@ def closed_form(
     The branch is read once, for the restrictions, their fillers, `most`
     and the smallest at-most bound; the later cases read the restrictions
     alone, for each filler's interval.  The width is counted as build_lii
-    counts it: more than lambda_max raise SolverLimitError with the same
-    message, before any case is read.  Past the full atom, the
+    counts it: more than lambda_max raise SolverLimitError before any case
+    is read.  Past the full atom, the
     restrictions are sorted, which puts the fillers and their intervals in
     build_lii's order (`_bounds`), and past the interval refutation the
     clash mask of the fillers is taken (`clashed_atoms`); a reading, when

@@ -22,6 +22,9 @@ ConceptSyntaxError.  `to_nnf` returns a node none of whose children changes
 itself, so a concept already in NNF comes back as the same object.
 `walk_concepts` and `to_nnf` visit each distinct node once, so a subterm
 shared by many parents costs one visit, not one per occurrence.
+`walk_concepts`, `negate` and `str` are loops over an explicit stack, so
+nesting depth is bounded by memory there; the parser and `to_nnf` recurse
+once per level.
 
 A node's negation is built by `negate`, where a negation enters a label,
 and looked up by `complement`, which builds nothing and answers None for a
@@ -148,12 +151,39 @@ class Concept:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
+    def __str__(self) -> str:
+        """The concept's text, written in one loop: the stack holds the
+        nodes still to write and the text between them, so nesting depth
+        is bounded by memory only."""
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            c = stack.pop()
+            kind = type(c)
+            if kind is str:
+                out.append(c)
+            elif kind is Atom:
+                out.append(c.name)
+            elif kind is NegAtom:
+                out.append(f"(not {c.name})")
+            elif kind is Top or kind is Bottom:
+                out.append("top" if kind is Top else "bottom")
+            elif kind is And or kind is Or:
+                out.append("(and" if kind is And else "(or")
+                stack.append(")")
+                for part in reversed(c.parts):
+                    stack += (part, " ")
+            elif kind is Not:
+                out.append("(not ")
+                stack += (")", c.sub)
+            else:
+                out.append(f"({'atleast' if kind is AtLeast else 'atmost'} {c.bound} {c.role} ")
+                stack += (")", c.filler)
+        return "".join(out)
+
 
 class Top(Concept):
     __slots__ = ()
-
-    def __str__(self) -> str:
-        return "top"
 
 
 class Bottom(Concept):
@@ -161,24 +191,15 @@ class Bottom(Concept):
 
     __slots__ = ()
 
-    def __str__(self) -> str:
-        return "bottom"
-
 
 class Atom(Concept):
     __slots__ = _fields = ("name",)
     name: str
 
-    def __str__(self) -> str:
-        return self.name
-
 
 class NegAtom(Concept):
     __slots__ = _fields = ("name",)
     name: str
-
-    def __str__(self) -> str:
-        return f"(not {self.name})"
 
 
 class Not(Concept):
@@ -187,24 +208,15 @@ class Not(Concept):
     __slots__ = _fields = ("sub",)
     sub: Concept
 
-    def __str__(self) -> str:
-        return f"(not {self.sub})"
-
 
 class And(Concept):
     __slots__ = _fields = ("parts",)
     parts: tuple[Concept, ...]
 
-    def __str__(self) -> str:
-        return "(and " + " ".join(str(p) for p in self.parts) + ")"
-
 
 class Or(Concept):
     __slots__ = _fields = ("parts",)
     parts: tuple[Concept, ...]
-
-    def __str__(self) -> str:
-        return "(or " + " ".join(str(p) for p in self.parts) + ")"
 
 
 class AtMost(Concept):
@@ -219,18 +231,12 @@ class AtMost(Concept):
     role: Role
     filler: Concept
 
-    def __str__(self) -> str:
-        return f"(atmost {self.bound} {self.role} {self.filler})"
-
 
 class AtLeast(Concept):
     __slots__ = _fields = ("bound", "role", "filler")
     bound: int
     role: Role
     filler: Concept
-
-    def __str__(self) -> str:
-        return f"(atleast {self.bound} {self.role} {self.filler})"
 
 
 def _order_key(c: Concept) -> tuple:
@@ -485,37 +491,42 @@ def parse_concept(text: str) -> Concept:
 def negate(c: Concept) -> Concept:
     """Negation of an NNF concept, in NNF.  Structural dual: top/bottom swap,
     atom polarity flips, De Morgan on and/or, bounds shift on at-most/at-least.
-    Computed once per node and cached on it; later calls read the cache."""
+    Computed once per node and cached on it; later calls read the cache.  A
+    junction's parts are negated before it, innermost first, from an
+    explicit stack, so nesting depth is bounded by memory only."""
     neg = c._neg
-    if neg is None:
-        neg = _negate(c)
-        object.__setattr__(c, "_neg", neg)
-    return neg
-
-
-def _negate(c: Concept) -> Concept:
-    if isinstance(c, Top):
-        return BOTTOM
-    if isinstance(c, Bottom):
-        return TOP
-    if isinstance(c, Atom):
-        return NegAtom(c.name)
-    if isinstance(c, NegAtom):
-        return Atom(c.name)
-    if isinstance(c, And):
-        return disj(negate(p) for p in c.parts)
-    if isinstance(c, Or):
-        return conj(negate(p) for p in c.parts)
-    if isinstance(c, AtMost):
-        return AtLeast(c.bound + 1, c.role, c.filler)
-    if isinstance(c, AtLeast):
-        if c.bound == 0:
+    if neg is not None:
+        return neg
+    stack = [c]
+    while stack:
+        node = stack.pop()
+        if node._neg is not None:  # a shared part, negated since it was pushed
+            continue
+        kind = type(node)
+        if kind is And or kind is Or:
+            pending = [p for p in node.parts if p._neg is None]
+            if pending:
+                stack += (node, *pending)
+                continue
+            negs = [p._neg for p in node.parts]
+            neg = disj(negs) if kind is And else conj(negs)
+        elif kind is Top or kind is Bottom:
+            neg = BOTTOM if kind is Top else TOP
+        elif kind is Atom:
+            neg = NegAtom(node.name)
+        elif kind is NegAtom:
+            neg = Atom(node.name)
+        elif kind is AtMost:
+            neg = AtLeast(node.bound + 1, node.role, node.filler)
+        elif kind is AtLeast:
             # at-least 0 is a tautology, so its negation is bottom
-            return BOTTOM
-        return AtMost(c.bound - 1, c.role, c.filler)
-    if isinstance(c, Not):
-        return to_nnf(c.sub)
-    raise TypeError(f"unknown concept node: {c!r}")
+            neg = BOTTOM if node.bound == 0 else AtMost(node.bound - 1, node.role, node.filler)
+        elif kind is Not:
+            neg = to_nnf(node.sub)
+        else:
+            raise TypeError(f"unknown concept node: {node!r}")
+        object.__setattr__(node, "_neg", neg)
+    return c._neg
 
 
 def complement(c: Concept) -> Concept | None:

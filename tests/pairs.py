@@ -17,8 +17,11 @@ won, whether the claim rule holds: the change wins at least nine in ten
 pairs, and its median is better than the parent's by more than the
 parent's interquartile range; and whether its mirror holds, which marks
 the metric `worse`: the change loses at least nine in ten pairs, and its
-median is worse than the parent's by more than that range.  It exits 1
-when any run is not `correct` or any metric is worse.
+median is worse than the parent's by more than that range; and whether
+the change's median is `within bound` or `PAST BOUND`: worse than the
+parent's by more than the metric's BENCHMARK.json `bound` times the
+parent's median.  It exits 1 when any run is not `correct`, or any metric
+is worse or past its bound.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def report(metrics: list[dict], parent: list[dict], change: list[dict]) -> tuple[list[str], bool]:
     """One line per metric: the parent's median [q1, q3], the change's
-    median, pairs won, the claim rule and its mirror; and whether any
-    metric is worse."""
+    median, pairs won, the claim rule, its mirror and the metric's bound;
+    and whether any metric is worse or past its bound."""
     lines, any_worse = [], False
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
@@ -66,11 +69,12 @@ def report(metrics: list[dict], parent: list[dict], change: list[dict]) -> tuple
         most = math.ceil(0.9 * len(before))
         claim = wins >= most and sign * (new - median) > q3 - q1
         worse = losses >= most and sign * (median - new) > q3 - q1
-        any_worse = any_worse or worse
+        past = sign * (median - new) > metric["bound"] * median
+        any_worse = any_worse or worse or past
         lines.append(
             f"{name:<16} parent {median:.6g} [{q1:.6g}, {q3:.6g}]  change {new:.6g} "
             f"({(new - median) / median:+.1%})  won {wins}/{len(before)}  claim {'holds' if claim else 'fails'}"
-            + ("  WORSE" if worse else "")
+            + ("  WORSE" if worse else "") + ("  PAST BOUND" if past else "  within bound")
         )
     return lines, any_worse
 
@@ -115,7 +119,7 @@ def main() -> None:
     if not correct:
         print("a run was not correct", file=sys.stderr)
     if worse:
-        print("a metric got worse", file=sys.stderr)
+        print("a metric got worse or past its bound", file=sys.stderr)
     if worse or not correct:
         sys.exit(1)
 

@@ -23,6 +23,7 @@ from alcqisat import (
     NegAtom,
     NogoodStore,
     NogoodTriple,
+    Problem,
     ResourceLimitError,
     Role,
     RunStats,
@@ -34,6 +35,7 @@ from alcqisat import (
     closed_form,
     conj,
     decide,
+    disj,
     find_model,
     generate_corpus,
     parse_concept,
@@ -194,7 +196,7 @@ def test_infeasible_system_with_a_stored_body_fails_the_branch(monkeypatch):
     apply_lii = engine.Tableau._apply_lii
 
     def counted(self, *args):
-        outcomes.append(apply_lii(self, *args))
+        outcomes.append((yield from apply_lii(self, *args)))
         return outcomes[-1]
 
     monkeypatch.setattr(engine.Tableau, "_apply_lii", counted)
@@ -386,10 +388,9 @@ def test_an_empty_store_is_never_queried(monkeypatch):
     ]
 
 
-def test_overlapping_runs_keep_the_recursion_limit_raised():
-    # the limit is process-wide: run A ends while run B, in another thread,
-    # is still active; B's 900-deep chain needs the raised limit to its end,
-    # and the limit drops back only when the last run leaves
+def test_overlapping_runs_in_two_threads_both_decide():
+    # run A ends while run B, in another thread, is still active on a
+    # 900-deep chain, which its open nodes' list holds, not the stack
     chain = A
     for _ in range(900):
         chain = AtLeast(1, R, chain)
@@ -434,16 +435,23 @@ def test_overlapping_runs_keep_the_recursion_limit_raised():
     assert sys.getrecursionlimit() == old_limit
 
 
-def test_runs_in_many_threads_keep_the_recursion_limit_raised():
-    # a lost update of the active-run count would restore the limit under
-    # a live run, or leave it raised after the last one
+def test_a_run_leaves_the_recursion_limit_as_it_found_it():
+    # no run sets the process-wide limit: not while it runs, after any
+    # outcome, nor in overlapping runs, here 4 threads of 100 runs each
+    # with a thread switch as often as the interpreter allows
     old_limit = sys.getrecursionlimit()
-    problem = build_problem(parse_concept("(and (atleast 1 R A) (or B C))"))
-    low, done = [], []
+    seen = []
 
     def check(line):
-        if sys.getrecursionlimit() < 20_000:
-            low.append(line)
+        seen.append(sys.getrecursionlimit())
+
+    assert decide_text("(atleast 1 R A)", trace=check).satisfiable
+    assert not decide_text("(and (atleast 2 R A) (atmost 1 R A))", trace=check).satisfiable
+    with pytest.raises(ResourceLimitError):
+        decide_text("(atleast 1 R A)", limits=Limits(node_budget=1), trace=check)
+    assert sys.getrecursionlimit() == old_limit
+    problem = build_problem(parse_concept("(and (atleast 1 R A) (or B C))"))
+    done = []
 
     def runs():
         for _ in range(100):
@@ -461,22 +469,75 @@ def test_runs_in_many_threads_keep_the_recursion_limit_raised():
         sys.setswitchinterval(old_interval)
     assert not any(thread.is_alive() for thread in threads)
     assert done == [True] * 400
-    assert low == []
+    assert len(seen) > 400 and set(seen) == {old_limit}
     assert sys.getrecursionlimit() == old_limit
 
 
-def test_the_recursion_limit_is_restored_after_every_outcome():
-    old_limit = sys.getrecursionlimit()
-    during = []
-    v = decide_text("(atleast 1 R A)", trace=lambda line: during.append(sys.getrecursionlimit()))
-    assert v.satisfiable
-    assert during and min(during) >= 20_000
-    assert sys.getrecursionlimit() == old_limit
-    assert not decide_text("(and A (not A))").satisfiable
-    assert sys.getrecursionlimit() == old_limit
-    with pytest.raises(ResourceLimitError):
-        decide_text("(atleast 1 R A)", limits=Limits(node_budget=1))
-    assert sys.getrecursionlimit() == old_limit
+def test_a_chain_far_past_the_recursion_limit_decides():
+    # the open nodes are a list, not nested calls: 15,000 levels decide
+    # under the limit the test runs with.  The chain is built in NNF, so
+    # it needs no build_problem
+    chain = A
+    for _ in range(15_000):
+        chain = AtLeast(1, R, chain)
+    verdict = decide(Problem(chain, TOP, (), frozenset()))
+    assert verdict == (True, RunStats(nodes=15_001, lii_solves=15_000, max_lambda=1))
+
+
+def junction_tower(depth):
+    """G, depth alternating levels of or- and and-nodes around C, as
+    (or A0 (and B1 (or A2 ...))), and its text."""
+    g, text = Atom("C"), "C"
+    for i in reversed(range(depth)):
+        if i % 2:
+            g, text = conj((Atom(f"B{i}"), g)), f"(and B{i} {text})"
+        else:
+            g, text = disj((Atom(f"A{i}"), g)), f"(or A{i} {text})"
+    return g, text
+
+
+def test_a_deeply_nested_filler_is_negated_traced_and_dumped():
+    # a run negates G and prints it in a NOGOOD line and in a dumped
+    # system, none of which recurses once per level of G
+    g, text = junction_tower(400)
+    c = Atom("C")
+
+    def run(*parts, **kw):
+        return decide(Problem(conj(parts), TOP, (), frozenset()), **kw)
+
+    assert run(AtLeast(1, R, c), AtMost(0, R, g)) == (
+        True, RunStats(nodes=2, lii_solves=1, max_lambda=2)
+    )
+    assert g._neg is not None
+    trace = []
+    assert run(AtLeast(2, R, g), AtMost(1, R, g), trace=trace.append) == (
+        False, RunStats(nodes=1, nogoods=1)
+    )
+    assert trace == [f"NOGOOD cut={{}} edge=eps body={{(and (atmost 1 R {text}) (atleast 2 R {text}))}}"]
+    dumped = []
+    assert run(AtLeast(1, R, c), AtLeast(1, R, g), AtMost(1, R, c), dump_systems=dumped.append) == (
+        True, RunStats(nodes=2, lii_solves=1, max_lambda=2)
+    )
+    assert dumped == [
+        f"lii node=0 role=R\nfillers: ['C', '{text}']\nv1 + v3 <= 1\nv1 + v3 >= 1\nv2 + v3 >= 1"
+    ]
+
+
+def test_a_recursion_error_in_a_run_is_a_resource_limit(monkeypatch):
+    # complement and branch_satisfies still recurse, so a concept built
+    # under a higher limit than the run's can make them raise; the run
+    # then stops on a limit with its partial stats, never on a bare error
+    tune = engine.fine_tune
+
+    def too_deep_below_the_root(branch, cut, edge):
+        if edge is not None:
+            raise RecursionError("maximum recursion depth exceeded")
+        return tune(branch, cut, edge)
+
+    monkeypatch.setattr(engine, "fine_tune", too_deep_below_the_root)
+    with pytest.raises(ResourceLimitError, match="concept nesting too deep") as info:
+        decide_text("(atleast 1 R (or A B))")
+    assert info.value.stats == RunStats(nodes=2, lii_solves=1, max_lambda=1)
 
 
 def test_node_budget_aborts():
@@ -598,9 +659,9 @@ def test_apply_lii_zeroes_exactly_the_clashed_atoms(monkeypatch):
     unsolved, first_solves = [], []
     build_lii, feasible = engine.build_lii, engine.feasible
 
-    def record_build(*args):
-        system = build_lii(*args)
-        answer = closed_form(*args)
+    def record_build(branch, role, reading):
+        system = build_lii(branch, role, reading)
+        answer = closed_form(branch, role, None, reading)
         unsolved.append((system, None if answer is None else next(iter(answer[1]))))
         return system
 

@@ -564,8 +564,6 @@ def test_closed_form_checks_the_width_like_build_lii():
     branch = frozenset(AtLeast(1, R, Atom(f"A{i}")) for i in range(4))
     with pytest.raises(SolverLimitError, match="4 distinct fillers exceed lambda_max=3"):
         closed_form(branch, R, 3)
-    with pytest.raises(SolverLimitError, match="4 distinct fillers exceed lambda_max=3"):
-        build_lii(branch, R, 3)
     full = frozenset(c.filler for c in branch)
     assert closed_form(branch, R, 4) == (4, {15: 1}, full)
     # restrictions on other roles are not read

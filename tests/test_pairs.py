@@ -2,7 +2,10 @@
 
 from pairs import report
 
-METRICS = [{"name": "rate", "better": "higher"}, {"name": "latency", "better": "lower"}]
+METRICS = [
+    {"name": "rate", "better": "higher", "bound": 0.25},
+    {"name": "latency", "better": "lower", "bound": 0.25},
+]
 
 
 def runs(rates, latencies):
@@ -29,3 +32,18 @@ def test_a_metric_is_worse_under_the_mirror_of_the_claim_rule():
     # lost by a wide margin in 9 of 10 pairs: worse
     nine = runs([80] * 9 + [200], [10] * 10)
     assert verdicts(parent, nine) == ([(False, True), (False, False)], True)
+
+
+def test_a_metric_is_past_its_bound_when_its_median_is_worse_by_more():
+    parent = runs(range(100, 110), [10] * 10)  # rate median 104.5
+    # rate lost in 8 of 10 pairs only, so the mirror does not hold; its
+    # median is 20.0% worse, within the 25% bound
+    within = runs([83.6] * 8 + [200] * 2, [10] * 10)
+    lines, failed = report(METRICS, parent, within)
+    assert ["within bound" in line for line in lines] == [True, True]
+    assert not failed
+    # 25.4% worse, past the bound, and that alone fails it
+    past = runs([78] * 8 + [200] * 2, [10] * 10)
+    lines, failed = report(METRICS, parent, past)
+    assert [("WORSE" in line, "PAST BOUND" in line) for line in lines] == [(False, True), (False, False)]
+    assert failed
