@@ -435,29 +435,24 @@ def test_overlapping_runs_in_two_threads_both_decide():
     assert sys.getrecursionlimit() == old_limit
 
 
-def test_a_run_leaves_the_recursion_limit_as_it_found_it():
-    # no run sets the process-wide limit: not while it runs, after any
-    # outcome, nor in overlapping runs, here 4 threads of 100 runs each
-    # with a thread switch as often as the interpreter allows
+def test_runs_in_many_threads_keep_the_recursion_limit_raised():
+    # no run sets the process-wide limit, so one its caller raised stays
+    # raised through 4 threads of 100 overlapping runs each, with a thread
+    # switch as often as the interpreter allows
     old_limit = sys.getrecursionlimit()
-    seen = []
+    raised = old_limit + 10_000
+    problem = build_problem(parse_concept("(and (atleast 1 R A) (or B C))"))
+    seen, done = [], []
 
     def check(line):
         seen.append(sys.getrecursionlimit())
-
-    assert decide_text("(atleast 1 R A)", trace=check).satisfiable
-    assert not decide_text("(and (atleast 2 R A) (atmost 1 R A))", trace=check).satisfiable
-    with pytest.raises(ResourceLimitError):
-        decide_text("(atleast 1 R A)", limits=Limits(node_budget=1), trace=check)
-    assert sys.getrecursionlimit() == old_limit
-    problem = build_problem(parse_concept("(and (atleast 1 R A) (or B C))"))
-    done = []
 
     def runs():
         for _ in range(100):
             done.append(Tableau(problem, trace=check).decide().satisfiable)
 
     old_interval = sys.getswitchinterval()
+    sys.setrecursionlimit(raised)
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=runs) for _ in range(4)]
@@ -465,12 +460,33 @@ def test_a_run_leaves_the_recursion_limit_as_it_found_it():
             thread.start()
         for thread in threads:
             thread.join(60)
+        after = sys.getrecursionlimit()
     finally:
         sys.setswitchinterval(old_interval)
+        sys.setrecursionlimit(old_limit)
     assert not any(thread.is_alive() for thread in threads)
     assert done == [True] * 400
-    assert len(seen) > 400 and set(seen) == {old_limit}
+    assert len(seen) > 400 and set(seen) == {raised}
+    assert after == raised
+
+
+def test_the_recursion_limit_is_restored_after_every_outcome():
+    # no run sets the process-wide limit: it reads the same while a run
+    # is active and after a SAT, an UNSAT and a ResourceLimitError outcome
+    old_limit = sys.getrecursionlimit()
+    during = []
+
+    def check(line):
+        during.append(sys.getrecursionlimit())
+
+    assert decide_text("(atleast 1 R A)", trace=check).satisfiable
     assert sys.getrecursionlimit() == old_limit
+    assert not decide_text("(and (atleast 2 R A) (atmost 1 R A))", trace=check).satisfiable
+    assert sys.getrecursionlimit() == old_limit
+    with pytest.raises(ResourceLimitError):
+        decide_text("(atleast 1 R A)", limits=Limits(node_budget=1), trace=check)
+    assert sys.getrecursionlimit() == old_limit
+    assert during and set(during) == {old_limit}
 
 
 def test_a_chain_far_past_the_recursion_limit_decides():
