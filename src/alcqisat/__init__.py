@@ -62,7 +62,6 @@ from .syntax import (
     TOP,
     Top,
     build_problem,
-    complement,
     conj,
     cut_formula,
     cut_table,

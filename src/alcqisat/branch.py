@@ -13,9 +13,9 @@ test on a tuned branch says whether it clashes (bottom, a complementary
 pair, an at-most below zero), not how: the engine reads nothing else.
 
 Every clash test here, the walk's two, `sole_branch`'s and
-`primitive_clash`, looks a literal's negation up (`complement`) and builds
-no node: a negation never built is in no set, so it clashes with nothing.
-A negation found is cached on the literal, a miss never is.
+`primitive_clash`, reads a literal's negation off the literal
+(`Concept._neg`) and builds no node: a negation never built is None and
+in no set, so it clashes with nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .syntax import (
     Or,
     Role,
     Top,
-    complement,
     negate,
     sorted_concepts,
 )
@@ -99,9 +98,9 @@ def enumerate_branches(label: Iterable[Concept]) -> Iterator[Branch]:
                 for later in range(len(parts) - 1, parts.index(part) - 1, -1):
                     work = (parts[later], work)
                 break
-            # a literal's negation is cached on it once it has been found;
-            # one never built is in no set, and complement builds none
-            if kind is Bottom or (part._neg or complement(part)) in members:
+            # a literal holds its negation once that is built, and None,
+            # which is in no set, before
+            if kind is Bottom or part._neg in members:
                 parts = None
                 break
             if part not in members:
@@ -132,7 +131,7 @@ def enumerate_branches(label: Iterable[Concept]) -> Iterator[Branch]:
             for alt in head.parts:
                 kind = type(alt)
                 if kind is And or kind is Or or (
-                    kind is not Bottom and (alt._neg or complement(alt)) not in members
+                    kind is not Bottom and alt._neg not in members
                 ):
                     live.append(alt)
             if len(live) > 1:
@@ -187,21 +186,35 @@ def sole_branch(label: Iterable[Concept]) -> Branch | None:
     if BOTTOM in literals:
         return None
     for lit in literals:
-        if (lit._neg or complement(lit)) in literals:
+        if lit._neg in literals:
             return None
     return literals
 
 
 def branch_satisfies(branch: Branch, c: Concept) -> bool:
     """Whether the branch's literal set covers one DNF disjunct of c.  Top is
-    always covered; other literals by membership."""
-    if isinstance(c, Top):
-        return True
-    if isinstance(c, And):
-        return all(branch_satisfies(branch, p) for p in c.parts)
-    if isinstance(c, Or):
-        return any(branch_satisfies(branch, p) for p in c.parts)
-    return c in branch
+    always covered; other literals by membership.  The junctions still open
+    sit on an explicit stack, so nesting depth is bounded by memory only."""
+    pending = []  # per open junction: whether it is an or-node, its unread parts
+    while True:
+        kind = type(c)
+        if kind is And or kind is Or:
+            parts = iter(c.parts)
+            pending.append((kind is Or, parts))
+            c = next(parts)
+            continue
+        holds = kind is Top or c in branch
+        # an or-node holds with its first part that holds, an and-node
+        # fails with its first part that fails
+        while pending:
+            is_or, parts = pending[-1]
+            if holds is not is_or:
+                c = next(parts, None)
+                if c is not None:
+                    break
+            pending.pop()
+        else:
+            return holds
 
 
 def cut_set_for_child(
@@ -264,7 +277,7 @@ def primitive_clash(branch: Branch) -> bool:
     or an at-most with a negative bound."""
     for lit in branch:
         kind = type(lit)
-        if kind is Bottom or complement(lit) in branch or (kind is AtMost and lit.bound < 0):
+        if kind is Bottom or lit._neg in branch or (kind is AtMost and lit.bound < 0):
             return True
     return False
 

@@ -25,7 +25,9 @@ none of whose concepts reaches an or-node through and-nodes
 takes it without the walk (`sole_branch`).  The branch walk prunes
 clashed disjuncts and never branches on a satisfied disjunction, and a
 branch that clashes only after the bound adjustment is skipped; such local
-clashes are never cached.
+clashes are never cached.  Every clash test, `_plain`'s too, reads a
+literal's negation off the literal (`Concept._neg`), so a run builds no
+negation to test a clash.
 
 Failures are cached as nogood triples (context cut-set, incoming role,
 concept set) in one place, `_record`, and every failure takes one path: a
@@ -92,7 +94,6 @@ from .syntax import (
     Problem,
     Role,
     TOP,
-    complement,
     concept_key,
     sorted_concepts,
 )
@@ -107,7 +108,6 @@ class Limits(NamedTuple):
     lambda_max: int = 10
     node_budget: int = 1_000_000          # node expansions per run, its one tree
     nogood_capacity: int = 100_000
-    solver_max_steps: int = 2_000_000
 
 
 class RunStats:
@@ -221,7 +221,7 @@ def _plain(label: frozenset) -> bool:
     lower against a parent, no role to solve."""
     for lit in label:
         kind = type(lit)
-        if kind is not Atom and kind is not NegAtom or (lit._neg or complement(lit)) in label:
+        if kind is not Atom and kind is not NegAtom or lit._neg in label:
             return False
     return True
 
@@ -312,9 +312,11 @@ class Tableau:
         for is pushed, and one that returns is popped and its result goes
         to the node below it.  A limit raised out of the run carries its
         partial stats, and so does the ResourceLimitError that stands in
-        for a RecursionError: only `complement` and `branch_satisfies`
-        still recurse, once or twice per junction level, so only a concept
-        built under a higher limit than the run's can raise one."""
+        for a RecursionError.  No function a run calls recurses per level
+        of a concept, but comparing two order keys does, in C, once per
+        level the keys share: sorting two restrictions whose fillers are
+        3,000-deep chains that differ only in their leaf raises one under
+        the default limit (`closed_form` sorts a role's restrictions)."""
         root_label = frozenset({self.problem.goal}) | self._core_label
         try:
             # the root's own label test is this one; a store seeded
@@ -515,7 +517,7 @@ class Tableau:
                 self.dump_systems(f"lii node={node_id} role={role}\n{shown.describe()}")
             self.stats.lii_solves += 1
             if system is not None:
-                solution = feasible(system, self.limits.solver_max_steps)
+                solution = feasible(system)
             if self.trace is not None:
                 self.trace(
                     f"LII node={node_id} role={role} atoms={(1 << width) - 1} "

@@ -21,8 +21,8 @@ set until a solution expands it: `atomic_decomposition` builds the sets of
 the masks it is given, and negates a filler only when one of them holds its
 negation.  No literal set holds `top`: it holds in every node, and labels
 that differ only in it should block each other.  The clash mask negates
-no filler: it looks the negations up (`complement`), and one never built
-clashes with nothing.
+no filler: it reads the negation held on each (`Concept._neg`), and one
+never built clashes with nothing.
 
 Most roles the engine solves need no search: `closed_form` reads the
 restrictions off the branch and gives what `feasible` would answer on the
@@ -63,7 +63,6 @@ from .syntax import (
     Concept,
     Role,
     TOP,
-    complement,
     negate,
     sorted_concepts,
 )
@@ -209,11 +208,12 @@ def clashed_atoms(fillers: tuple[Concept, ...], reading: Reading | None = None) 
     is held by the complementary atoms, so that meet is empty unless
     another filler gives it too: O(n) set operations, no 2^n walk.
 
-    No filler is negated: a negation never built (`complement`) is left
-    out of the literals, since no atom clashes through it.  It is no lone
-    clash, as bottom and an at-most below 0 are built nodes; and the one
-    literal it clashes with is its filler, which no atom holding it holds,
-    as long as negate is its own inverse on the fillers.  It is on every
+    No filler is negated: a negation never built (a filler's `_neg` is
+    None) is left out of the literals, since no atom clashes through it.
+    It is no lone clash, as bottom and an at-most below 0 are built nodes;
+    and the one literal it clashes with is its filler, which no atom
+    holding it holds, as long as negate is its own inverse on the fillers,
+    so that a built negation holds its filler in turn.  It is on every
     filler a label holds: NNF, with no at-least 0 inside."""
     if reading is not None and reading.clashed is not None:
         return reading.clashed
@@ -222,7 +222,7 @@ def clashed_atoms(fillers: tuple[Concept, ...], reading: Reading | None = None) 
     holding: dict[Concept, int] = {}
     for f, coeff in zip(fillers, coeffs):
         holding[f] = holding.get(f, 0) | coeff
-        neg = complement(f)
+        neg = f._neg
         if neg is not None:
             holding[neg] = holding.get(neg, 0) | (every ^ coeff)
     clashed = 0
@@ -231,7 +231,7 @@ def clashed_atoms(fillers: tuple[Concept, ...], reading: Reading | None = None) 
         if kind is Bottom or kind is AtMost and lit.bound < 0:
             clashed |= atoms
         else:
-            clashed |= atoms & holding.get(complement(lit), 0)
+            clashed |= atoms & holding.get(lit._neg, 0)
     return clashed
 
 

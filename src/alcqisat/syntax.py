@@ -27,11 +27,12 @@ nesting depth is bounded by memory there; the parser and `to_nnf` recurse
 once per level.
 
 A node's negation is built by `negate`, where a negation enters a label,
-and looked up by `complement`, which builds nothing and answers None for a
-negation never built.  Clash tests read `complement`: a label holds only
-built nodes, so a negation never built clashes with nothing in it.  A
-negation found is cached on its node; a miss never is, since the negation
-may be built later.
+and is linked to the node when the later of the two is built: building a
+node looks its negation up under one key (`_dual_key`) and, where it is
+there, each is stored on the other, as a role's two directions are.  So a
+node holds its negation once both are built and None before, and linking
+builds no node.  Clash tests read that slot: a label holds only built
+nodes, so a negation never built clashes with nothing in it.
 """
 
 from __future__ import annotations
@@ -105,11 +106,16 @@ class Concept:
     frozen: assigning or deleting an attribute raises AttributeError.
 
     Beside the fields, a node holds its order key (`_key`), its negation
-    once `negate` has built it or `complement` found it (`_neg`),
-    `_splits`: whether an or-node is reachable from it through and-nodes
-    alone, and `_sig`: its signature.  A label none of whose concepts has
-    `_splits` has one branch at most, the literals reachable through
-    and-nodes.
+    (`_neg`), `_splits`: whether an or-node is reachable from it through
+    and-nodes alone, and `_sig`: its signature.  A label none of whose
+    concepts has `_splits` has one branch at most, the literals reachable
+    through and-nodes.
+
+    `_neg` is the node negate returns, once it is built, and None before.
+    A node built after its negation finds it under `_dual_key` and stores
+    it; the negation stores the node back only where negating it gives the
+    node again, since negation is no involution on at-least 0 (bottom's
+    negation is top) nor on a Not node, whose negation negate alone sets.
 
     The signature is the pair of frozensets of the atom names and the role
     base names in the node's subterms, built from the children's alone,
@@ -133,11 +139,17 @@ class Concept:
             for name, value in zip(names, fields):
                 object.__setattr__(node, name, value)
             object.__setattr__(node, "_key", _order_key(node))
-            object.__setattr__(node, "_neg", None)  # filled in by negate or complement
+            object.__setattr__(node, "_neg", None)
             object.__setattr__(
                 node, "_splits", cls is Or or cls is And and any(p._splits for p in fields[0])
             )
             object.__setattr__(node, "_sig", _signature(cls, fields))
+            dual = _dual_key(node)
+            neg = None if dual is None else _NODES.get(dual)
+            if neg is not None:
+                object.__setattr__(node, "_neg", neg)
+                if _dual_key(neg) == key:  # at-least 0 and bottom are not
+                    object.__setattr__(neg, "_neg", node)
             _NODES[key] = node
         return node
 
@@ -259,6 +271,37 @@ def _order_key(c: Concept) -> tuple:
     if isinstance(c, Not):
         return (6, c.sub._key)
     raise TypeError(f"unknown concept node: {c!r}")
+
+
+def _dual_key(c: Concept) -> tuple | None:
+    """The `_NODES` key of c's negation, or None when c is a Not node or a
+    junction one of whose parts has no negation built.  A literal's is read
+    off it: at-most b against at-least b+1, atom against negated atom; the
+    negation of at-least 0 is bottom.  A junction's is the dual junction
+    over its parts' negations, flattened, deduplicated and sorted as conj
+    and disj build it, so it is the key of the node they return."""
+    kind = type(c)
+    if kind is Atom:
+        return (NegAtom, c.name)
+    if kind is NegAtom:
+        return (Atom, c.name)
+    if kind is AtMost:
+        return (AtLeast, c.bound + 1, c.role, c.filler)
+    if kind is AtLeast:
+        return (Bottom,) if c.bound == 0 else (AtMost, c.bound - 1, c.role, c.filler)
+    if kind is And or kind is Or:
+        negs = [p._neg for p in c.parts]
+        if None in negs:
+            return None
+        dual = Or if kind is And else And
+        flat = _flat(negs, dual)
+        if len(flat) > 1:
+            return (dual, tuple(flat))
+        lone = flat[0]  # parts whose negations coincide or flatten
+        return (type(lone), *(getattr(lone, name) for name in lone._fields))
+    if kind is Top or kind is Bottom:
+        return (Bottom,) if kind is Top else (Top,)
+    return None
 
 
 # A signature names at most this many atoms and this many roles; a wider
@@ -491,9 +534,11 @@ def parse_concept(text: str) -> Concept:
 def negate(c: Concept) -> Concept:
     """Negation of an NNF concept, in NNF.  Structural dual: top/bottom swap,
     atom polarity flips, De Morgan on and/or, bounds shift on at-most/at-least.
-    Computed once per node and cached on it; later calls read the cache.  A
-    junction's parts are negated before it, innermost first, from an
-    explicit stack, so nesting depth is bounded by memory only."""
+    Built from the key `_dual_key` gives, so a junction's negation is
+    flattened as conj and disj flatten it, and cached on the node; later
+    calls read the cache.  A junction's parts are negated before it,
+    innermost first, from an explicit stack, so nesting depth is bounded
+    by memory only."""
     neg = c._neg
     if neg is not None:
         return neg
@@ -508,72 +553,13 @@ def negate(c: Concept) -> Concept:
             if pending:
                 stack += (node, *pending)
                 continue
-            negs = [p._neg for p in node.parts]
-            neg = disj(negs) if kind is And else conj(negs)
-        elif kind is Top or kind is Bottom:
-            neg = BOTTOM if kind is Top else TOP
-        elif kind is Atom:
-            neg = NegAtom(node.name)
-        elif kind is NegAtom:
-            neg = Atom(node.name)
-        elif kind is AtMost:
-            neg = AtLeast(node.bound + 1, node.role, node.filler)
-        elif kind is AtLeast:
-            # at-least 0 is a tautology, so its negation is bottom
-            neg = BOTTOM if node.bound == 0 else AtMost(node.bound - 1, node.role, node.filler)
-        elif kind is Not:
+        if kind is Not:
             neg = to_nnf(node.sub)
         else:
-            raise TypeError(f"unknown concept node: {node!r}")
+            dual = _dual_key(node)  # a junction's parts are negated by now
+            neg = dual[0](*dual[1:])
         object.__setattr__(node, "_neg", neg)
     return c._neg
-
-
-def complement(c: Concept) -> Concept | None:
-    """The node negate(c) returns, when it has been built, and None when it
-    has not; builds no node.  A clash test asks whether a set holds a
-    concept and its negation, and a negation never built is in no set, so
-    a clash test reads this instead of negate.
-
-    A literal's negation is looked up under its key: at-most b against
-    at-least b+1, atom against negated atom; at-least 0 gives bottom, as in
-    negate.  A junction's is an or-node (an and-node) over its parts'
-    negations, which exists only if each of them does: negate neither
-    flattens nor folds a part there, since no part of an and-node negates
-    to an or-node, nor the other way round.  So it is looked up under the
-    key those negations give.  A hit is cached on c as negate caches it; a
-    miss never is, since the negation may be built later.  c is in NNF."""
-    neg = c._neg
-    if neg is not None:
-        return neg
-    kind = type(c)
-    if kind is AtLeast:
-        neg = BOTTOM if c.bound == 0 else _NODES.get((AtMost, c.bound - 1, c.role, c.filler))
-    elif kind is AtMost:
-        neg = _NODES.get((AtLeast, c.bound + 1, c.role, c.filler))
-    elif kind is Atom:
-        neg = _NODES.get((NegAtom, c.name))
-    elif kind is NegAtom:
-        neg = _NODES.get((Atom, c.name))
-    elif kind is And or kind is Or:
-        parts = []
-        for p in c.parts:
-            q = complement(p)
-            if q is None:
-                return None
-            parts.append(q)
-        dual = Or if kind is And else And
-        flat = _flat(parts, dual)
-        neg = flat[0] if len(flat) == 1 else _NODES.get((dual, tuple(flat)))
-    elif kind is Top:
-        neg = BOTTOM
-    elif kind is Bottom:
-        neg = TOP
-    else:
-        raise TypeError(f"not a concept in NNF: {c!r}")
-    if neg is not None:
-        object.__setattr__(c, "_neg", neg)
-    return neg
 
 
 def to_nnf(c: Concept) -> Concept:

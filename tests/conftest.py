@@ -36,11 +36,13 @@ from alcqisat import (
 )
 from alcqisat.lii import clashed_atoms
 from alcqisat.syntax import (
+    _NODES,
     BOTTOM,
     Bottom,
     Concept,
     NegAtom,
     Top,
+    _flat,
     concept_key,
     negate,
     signature_of,
@@ -335,6 +337,42 @@ def reference_negate(c: Concept) -> Concept:
         return BOTTOM if c.bound == 0 else AtMost(c.bound - 1, c.role, c.filler)
     assert isinstance(c, Not)
     return _reference_nnf(c.sub)
+
+
+def complement(c: Concept) -> Concept | None:
+    """The node negate(c) returns, when it has been built, and None when it
+    has not; builds no node and reads no negation cached on a node.
+    Reference for the negation `Concept` links when it builds a node.
+
+    A literal's negation is looked up under its key: at-most b against
+    at-least b+1, atom against negated atom; at-least 0 gives bottom, as in
+    negate.  A junction's is an or-node (an and-node) over its parts'
+    negations, which exists only if each of them does, looked up under the
+    key negate would build it with.  c is in NNF."""
+    kind = type(c)
+    if kind is AtLeast:
+        return BOTTOM if c.bound == 0 else _NODES.get((AtMost, c.bound - 1, c.role, c.filler))
+    if kind is AtMost:
+        return _NODES.get((AtLeast, c.bound + 1, c.role, c.filler))
+    if kind is Atom:
+        return _NODES.get((NegAtom, c.name))
+    if kind is NegAtom:
+        return _NODES.get((Atom, c.name))
+    if kind is And or kind is Or:
+        parts = []
+        for p in c.parts:
+            q = complement(p)
+            if q is None:
+                return None
+            parts.append(q)
+        dual = Or if kind is And else And
+        flat = _flat(parts, dual)
+        return flat[0] if len(flat) == 1 else _NODES.get((dual, tuple(flat)))
+    if kind is Top:
+        return BOTTOM
+    if kind is Bottom:
+        return TOP
+    raise TypeError(f"not a concept in NNF: {c!r}")
 
 
 def _reference_nnf(c: Concept) -> Concept:

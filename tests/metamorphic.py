@@ -24,8 +24,15 @@ and under every relation:
   `gci C D`, `gci C E`, ..., so the axiom holds one clause per conjunct
   where it held one clause over their conjunction.
 
-A relation's verdict must equal the input's wherever both decide; a run
-stopped by a limit is counted apart.  The sweep prints one line per
+A relation's verdict must equal the input's wherever both decide.  Two
+more relations hold in one direction only, and each input is checked
+under the one its verdict implies, with D the next input's goal (the
+first input's after the last) under the input's own TBox:
+
+- and next: an UNSAT goal C keeps `(and C D)` UNSAT;
+- or next: a SAT goal C keeps `(or C D)` SAT.
+
+A run stopped by a limit is counted apart.  The sweep prints one line per
 relation and exits 1 when any verdict differs, listing those inputs.
 
 The full sweep also pins the inputs' own outcomes: it prints the sha256 of
@@ -68,6 +75,9 @@ from conftest import bench_module, with_every_cut, with_named_inverse_cuts
 LIMITS = Limits(nogood_capacity=250)  # the bench's engine limits
 DEEP_PROFILE = CorpusProfile(max_depth=5, max_bound=5, max_roles=3, max_atoms=4, max_gcis=3)
 RELATIONS = ("every cut", "named cuts", "mirror", "rename", "tautology", "split")
+# the relations an input's own verdict implies: name, that verdict, and
+# the junction of the input's goal with the next input's
+IMPLIED = (("and next", "UNSAT", conj), ("or next", "SAT", disj))
 # sha256 of the full sweep's outcome letters (11,827 S, 828 U, no L); a
 # change that flips a verdict or runs into a limit must explain itself
 VERDICTS_DIGEST = "406874a4f926cd8ec7b1a932248364ffdd03b1f7d804340057924d4e358989a9"
@@ -180,25 +190,40 @@ def inputs(seeds: range) -> list[tuple[str, ProblemFile]]:
     return out
 
 
+def implied(pf: ProblemFile, default: str, following: ProblemFile) -> tuple[str, ProblemFile] | None:
+    """The implied relation the input's outcome default carries, and the
+    input it is checked on: its goal joined with following's, under its
+    own TBox.  None when a limit stopped the input."""
+    for relation, verdict, join in IMPLIED:
+        if default == verdict:
+            return relation, ProblemFile(pf.tbox, join((pf.query, following.query)))
+    return None
+
+
 def sweep(named: list[tuple[str, ProblemFile]], letters: list | None = None) -> tuple[dict, list]:
-    """Per relation, how many inputs it decided alike, how many a limit
-    stopped on one side, and the mismatches: (name, relation, default
-    outcome, relation's outcome, input text).  Each input's own outcome
-    letter is appended to letters, when given."""
-    counts = {name: {"agree": 0, "limit": 0} for name in RELATIONS}
+    """Per relation, how many inputs it decided as it must, how many a
+    limit stopped on one side, and the mismatches: (name, relation,
+    default outcome, relation's outcome, text of the input checked).  Each
+    input's own outcome letter is appended to letters, when given."""
+    counts = {name: {"agree": 0, "limit": 0} for name in RELATIONS + tuple(r for r, _, _ in IMPLIED)}
     mismatches = []
-    for name, pf in named:
+    for index, (name, pf) in enumerate(named):
         got = outcomes(pf)
         default = got["default"]
         if letters is not None:
             letters.append(LETTERS[default])
-        for relation in RELATIONS:
-            if "limit" in (default, got[relation]):
+        checks = [(relation, got[relation], pf) for relation in RELATIONS]
+        found = implied(pf, default, named[(index + 1) % len(named)][1])
+        if found is not None:
+            relation, joined = found
+            checks.append((relation, outcome(build_problem(joined.query, joined.tbox)), joined))
+        for relation, changed, checked in checks:
+            if "limit" in (default, changed):
                 counts[relation]["limit"] += 1
-            elif default == got[relation]:
+            elif default == changed:
                 counts[relation]["agree"] += 1
             else:
-                mismatches.append((name, relation, default, got[relation], pf.to_text()))
+                mismatches.append((name, relation, default, changed, checked.to_text()))
     return counts, mismatches
 
 
@@ -211,13 +236,14 @@ def main(argv: list[str] | None = None) -> int:
     letters: list[str] = []
     counts, mismatches = sweep(named, letters)
     elapsed = time.perf_counter() - start
-    print(f"{len(named)} inputs, {len(named) * len(RELATIONS)} checks in {elapsed:.1f} s")
+    checks = sum(c["agree"] + c["limit"] for c in counts.values()) + len(mismatches)
+    print(f"{len(named)} inputs, {checks} checks in {elapsed:.1f} s")
     digest = hashlib.sha256("".join(letters).encode()).hexdigest()
     # only the full sweep's outcomes are pinned
     flipped = args.seeds == 40 and digest != VERDICTS_DIGEST
     print(f"verdicts sha256 {digest}"
           + (f", pinned {VERDICTS_DIGEST}: FLIPPED" if flipped else ""))
-    for relation in RELATIONS:
+    for relation in counts:
         wrong = sum(1 for m in mismatches if m[1] == relation)
         print(f"{relation:10} agree {counts[relation]['agree']:6}  "
               f"limit {counts[relation]['limit']:4}  mismatch {wrong}")

@@ -402,3 +402,15 @@ def test_branch_satisfies_complex_filler():
     assert not branch_satisfies(frozenset({NegAtom("A")}), filler)
     assert branch_satisfies(frozenset(), TOP)
 
+
+def test_branch_satisfies_needs_no_recursion():
+    # 2,000 alternating and- and or-levels, (and X0 (or Y1 (and X2 ...
+    # L))): the branch holds no Yi, so the filler holds only through L,
+    # read through every level
+    filler = Atom("L")
+    for i in reversed(range(2000)):
+        filler = disj((Atom(f"Y{i}"), filler)) if i % 2 else conj((Atom(f"X{i}"), filler))
+    branch = frozenset([Atom("L")] + [Atom(f"X{i}") for i in range(0, 2000, 2)])
+    assert branch_satisfies(branch, filler)
+    assert not branch_satisfies(branch - {Atom("L")}, filler)
+

@@ -539,10 +539,38 @@ def test_a_deeply_nested_filler_is_negated_traced_and_dumped():
     ]
 
 
+def test_a_filler_2000_junction_levels_deep_decides():
+    # every atom of G has its negation built, so the clash mask of the
+    # R-system reads a negation on each; a clash test reads the one linked
+    # on the node and never descends G's and/or levels
+    g, _ = junction_tower(2000)
+    for c in walk_concepts(g):
+        if type(c) is Atom:
+            NegAtom(c.name)
+    problem = Problem(conj((AtLeast(1, R, Atom("C")), AtMost(0, R, g))), TOP, (), frozenset())
+    assert decide(problem) == (True, RunStats(nodes=2, lii_solves=1, max_lambda=2))
+
+
+def test_comparing_two_deep_order_keys_is_a_resource_limit():
+    # two (atleast 1 R ...) chains 3,000 deep that differ only in their
+    # leaf: closed_form sorts the root's restrictions, and comparing their
+    # order keys recurses in C once per level, so the run stops on a
+    # limit with its partial stats, never on a bare RecursionError
+    def chain(leaf):
+        for _ in range(3000):
+            leaf = AtLeast(1, R, leaf)
+        return leaf
+
+    problem = Problem(AtLeast(1, R, chain(Atom("CA"))), AtMost(0, R, chain(Atom("CB"))), (), frozenset())
+    with pytest.raises(ResourceLimitError, match="concept nesting too deep") as info:
+        decide(problem)
+    assert info.value.stats == RunStats(nodes=1)
+
+
 def test_a_recursion_error_in_a_run_is_a_resource_limit(monkeypatch):
-    # complement and branch_satisfies still recurse, so a concept built
-    # under a higher limit than the run's can make them raise; the run
-    # then stops on a limit with its partial stats, never on a bare error
+    # comparing deeply nested order keys recurses in C, so a concept built
+    # under a higher limit than the run's can make a run raise; it then
+    # stops on a limit with its partial stats, never on a bare error
     tune = engine.fine_tune
 
     def too_deep_below_the_root(branch, cut, edge):
@@ -647,7 +675,7 @@ def test_nogood_count_is_live_when_store_overflows():
     assert tableau.stats.nogoods == len(tableau.nogoods) == 2
 
 
-def test_limit_errors_carry_the_partial_stats():
+def test_limit_errors_carry_the_partial_stats(monkeypatch):
     problem = build_problem(
         parse_concept("(and (atleast 3 R (or A B)) (atmost 1 R A) (atmost 1 R B))")
     )
@@ -664,8 +692,10 @@ def test_limit_errors_carry_the_partial_stats():
     # role, so the solver searches, and that takes more than one step;
     # at-least rows alone are solved without one
     problem = build_problem(parse_concept("(and (atleast 2 R A) (atmost 1 R B))"))
+    feasible = engine.feasible
+    monkeypatch.setattr(engine, "feasible", lambda system: feasible(system, max_steps=1))
     with pytest.raises(SolverLimitError) as info:
-        Tableau(problem, Limits(solver_max_steps=1)).decide()
+        Tableau(problem).decide()
     assert info.value.stats == RunStats(nodes=1, lii_solves=1, max_lambda=2)
 
 
@@ -922,12 +952,13 @@ def test_forward_chain_gets_no_cuts():
     assert v.stats.max_lambda == 1
 
 
-def test_contradictory_counting_instance_decides_within_small_budget():
+def test_contradictory_counting_instance_decides_within_small_budget(monkeypatch):
     # counting corpus #138 used to run the solver to its step limit
+    feasible = engine.feasible
+    monkeypatch.setattr(engine, "feasible", lambda system: feasible(system, max_steps=1000))
     v = decide_text(
         "(and (atmost 6 R (not A0)) (atmost 3 R (not A1)) (atleast 3 R A2) "
-        "(atmost 5 R A3) (atleast 9 R A3) (atmost 2 (inv R) (not A0)))",
-        limits=Limits(solver_max_steps=1000),
+        "(atmost 5 R A3) (atleast 9 R A3) (atmost 2 (inv R) (not A0)))"
     )
     assert not v.satisfiable
 
@@ -1223,8 +1254,8 @@ def nodes_interned_outside_labels() -> str:
 
 
 def test_decide_interns_only_what_a_label_holds():
-    # a clash test looks a negation up (complement) and builds none, so a
-    # run interns only what enters a label: a tuned bound, an expanded
+    # a clash test reads the negation linked on a node and builds none, so
+    # a run interns only what enters a label: a tuned bound, an expanded
     # atom's negated fillers.  In a fresh process, so that no earlier test
     # has built the nodes already
     interned, outside, examples = digest_in_fresh_process(

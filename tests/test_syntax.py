@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -26,7 +27,6 @@ from alcqisat import (
     Role,
     TOP,
     build_problem,
-    complement,
     conj,
     cut_formula,
     cut_table,
@@ -44,6 +44,7 @@ from alcqisat.branch import cut_set_for_child
 from alcqisat.syntax import SIGNATURE_WIDTH, signature_of, sorted_signature, walk_concepts
 from conftest import (
     bench_module,
+    complement,
     random_interpretation,
     random_raw_concept,
     reference_negate,
@@ -644,7 +645,9 @@ def test_negation_cache_points_one_way():
 
 
 def test_complement_never_builds():
-    # names no other test builds, so every negation starts unbuilt
+    # names no other test builds, so every negation starts unbuilt; a
+    # node's negation is linked when the later of the two is built, and
+    # neither the link nor the reference lookup builds a node
     x, y = Atom("ComplementX"), Atom("ComplementY")
     at_least, at_most = AtLeast(2, R, x), AtMost(1, R, y)
     junction = conj([x, disj([y, at_least])])
@@ -653,22 +656,113 @@ def test_complement_never_builds():
         size = len(syntax._NODES)
         assert complement(c) is None
         assert len(syntax._NODES) == size
-        assert c._neg is None  # the miss is not cached
+        assert c._neg is None
     for c in literals:
+        size = len(syntax._NODES)
         neg = negate(c)
+        assert len(syntax._NODES) == size + 1
+        assert c._neg is neg and neg._neg is c
         assert complement(c) is neg
         assert complement(neg) is c
     # at-least 0 negates to bottom, which is always built
+    assert AtLeast(0, R, x)._neg is BOTTOM
     assert complement(AtLeast(0, R, x)) is BOTTOM
     # every part's negation is built, the or-node over them is not
     inner = disj([y, at_least])
     assert complement(inner) is None and complement(junction) is None
-    # built by hand, not by negate, so nothing caches it on the junction:
-    # a clash test must still find it
+    assert inner._neg is None and junction._neg is None
+    # built by hand, not by negate: building the and-node and the or-node
+    # over it links both to the nodes they negate, and builds nothing else
+    size = len(syntax._NODES)
     built = disj([NegAtom("ComplementX"), conj([negate(y), negate(at_least)])])
-    assert junction._neg is None
+    assert len(syntax._NODES) == size + 2
+    assert junction._neg is built and built._neg is junction
+    assert inner._neg is built.parts[1]
     assert complement(junction) is built
     assert negate(junction) is built
+
+
+# NNF recipes over atom names A-C, built under a prefix fresh to each
+# example: ("atom", name, positive), ("top",), ("bottom",), ("and" or
+# "or", parts) and ("atleast" or "atmost", bound, role, filler), with no
+# at-least 0, which is not NNF
+LINK_LEAVES = st.one_of(
+    st.tuples(st.just("atom"), st.sampled_from("ABC"), st.booleans()),
+    st.sampled_from([("top",), ("bottom",)]),
+)
+LINK_ROLES = st.sampled_from([R, R.inverse(), Role("S")])
+
+
+def _link_compound(parts):
+    return st.one_of(
+        st.tuples(st.sampled_from(["and", "or"]), st.lists(parts, min_size=1, max_size=3)),
+        st.tuples(st.just("atleast"), st.integers(1, 2), LINK_ROLES, parts),
+        st.tuples(st.just("atmost"), st.integers(0, 2), LINK_ROLES, parts),
+    )
+
+
+LINK_RECIPES = st.recursive(LINK_LEAVES, _link_compound, max_leaves=8)
+_LINK_EXAMPLES = itertools.count()
+
+
+def _build(recipe, prefix):
+    head = recipe[0]
+    if head == "atom":
+        return (Atom if recipe[2] else NegAtom)(prefix + recipe[1])
+    if head == "top" or head == "bottom":
+        return TOP if head == "top" else BOTTOM
+    if head == "and" or head == "or":
+        return (conj if head == "and" else disj)([_build(p, prefix) for p in recipe[1]])
+    bound, role, filler = recipe[1:]
+    return (AtLeast if head == "atleast" else AtMost)(bound, role, _build(filler, prefix))
+
+
+def _dual(recipe):
+    """The recipe of the negation: built from it, without the concept."""
+    head = recipe[0]
+    if head == "atom":
+        return ("atom", recipe[1], not recipe[2])
+    if head == "top" or head == "bottom":
+        return ("bottom",) if head == "top" else ("top",)
+    if head == "and" or head == "or":
+        return ("or" if head == "and" else "and", [_dual(p) for p in recipe[1]])
+    bound, role, filler = recipe[1:]
+    if head == "atleast":
+        return ("atmost", bound - 1, role, filler)
+    return ("atleast", bound + 1, role, filler)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(LINK_RECIPES, st.sampled_from(["concept", "concept first", "negation first", "negate"])),
+                min_size=1, max_size=6))
+def test_every_node_links_the_negation_built(steps):
+    # each step builds a concept, the concept and then its negation, the
+    # negation and then the concept (from the dual recipe, never through
+    # negate), or the concept and negate's answer; after every build, each
+    # node built so far holds the negation the reference finds, or None
+    prefix = f"Link{next(_LINK_EXAMPLES)}"
+    built = []
+
+    def check(c):
+        built.append(c)
+        for node in walk_concepts(*built):
+            assert node._neg is complement(node), node
+
+    for recipe, how in steps:
+        if how == "negation first":
+            check(_build(_dual(recipe), prefix))
+        c = _build(recipe, prefix)
+        check(c)
+        if how == "concept first":
+            neg = _build(_dual(recipe), prefix)
+            check(neg)
+            assert c._neg is neg and neg._neg is c
+        elif how == "negate":
+            neg = negate(c)
+            assert neg is reference_negate(c)
+            check(neg)
+        elif how == "negation first":
+            assert c._neg is _build(_dual(recipe), prefix)
 
 
 def occurrences(c):
