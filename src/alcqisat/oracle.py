@@ -2,9 +2,9 @@
 
 Ground-truth semantics for tests: interprets concepts over explicit finite
 structures and searches all interpretations up to a small domain size, in a
-fixed candidate order.  The atom and role names to interpret are read off
-the goal's and the axiom's hash-consed nodes (`sorted_signature`), with no
-walk unless a node names more than SIGNATURE_WIDTH of a kind.  Size 1 is
+fixed candidate order.  The atom and role names to interpret are the sorted
+names of goal and axiom (`sorted_signature`), kept per pair of hash-consed
+concepts, and `build_problem` has read a built problem's.  Size 1 is
 one recursive pass over goal and axiom, memoized per hash-consed node,
 that gives each subterm its extension over every size-1 candidate as one
 int; there a number restriction counts the element's self-loop alone, so
@@ -463,10 +463,10 @@ def find_model(
     with the largest fully searched size when the search space for the next
     size would blow the candidate budget.
 
-    The signature is the union of the goal's and the axiom's, which their
-    nodes carry (`sorted_signature`); only a node past SIGNATURE_WIDTH
-    names is walked.  Size 1 is one pass of `_one_element` over goal and
-    axiom, and the lowest candidate
+    The signature is the union of the goal's and the axiom's, read by one
+    walk the first time the pair is searched (`sorted_signature`); on a
+    problem's goal and axiom `build_problem` has read it.  Size 1 is one
+    pass of `_one_element` over goal and axiom, and the lowest candidate
     whose bit both extensions set is the first model.  For sizes 2 and 3,
     one pass of `_compile` turns goal and axiom into bitmask ops, with
     every subterm that has one value on all size-n candidates folded to a

@@ -5,11 +5,9 @@ in one table and returns the node already there, so equal concepts are one
 object and compare and hash by identity.  Each node computes its order key
 once, from its children's, so it never recurses; the same goes for
 `_splits`, whether an or-node is reachable through and-nodes alone, that
-is, whether a label holding it can have more than one branch, and for
-`_sig`, the atom names and role base names the node mentions, kept only up
-to SIGNATURE_WIDTH of each kind, so a deep chain of distinct names costs
-memory linear in its nodes.  `signature_of` unions its arguments'
-signatures, and walks the subterms only for a node past that width.  And/Or
+is, whether a label holding it can have more than one branch.  A node
+keeps no names: `signature_of` reads them in one walk, and
+`build_problem` reads a problem's once, for the model search.  And/Or
 nodes keep their children flattened, deduplicated and sorted under a fixed
 total order, so a set of concepts behaves like a set in every cache and
 comparison downstream.  The node classes are frozen slotted classes whose
@@ -22,8 +20,9 @@ ConceptSyntaxError.  `to_nnf` returns a node none of whose children changes
 itself, so a concept already in NNF comes back as the same object.
 `walk_concepts` and `to_nnf` visit each distinct node once, so a subterm
 shared by many parents costs one visit, not one per occurrence.
-`walk_concepts`, `negate` and `str` are loops over an explicit stack, so
-nesting depth is bounded by memory there; the parser and `to_nnf` recurse
+`walk_concepts`, `negate` and `str` are loops over an explicit stack, and
+the parser reads nested `inv` in a loop, so nesting depth is bounded by
+memory there; the parser's descent into a concept and `to_nnf` recurse
 once per level.
 
 A node's negation is built by `negate`, where a negation enters a label,
@@ -106,26 +105,17 @@ class Concept:
     frozen: assigning or deleting an attribute raises AttributeError.
 
     Beside the fields, a node holds its order key (`_key`), its negation
-    (`_neg`), `_splits`: whether an or-node is reachable from it through
-    and-nodes alone, and `_sig`: its signature.  A label none of whose
-    concepts has `_splits` has one branch at most, the literals reachable
-    through and-nodes.
+    (`_neg`) and `_splits`: whether an or-node is reachable from it through
+    and-nodes alone.  A label none of whose concepts has `_splits` has one
+    branch at most, the literals reachable through and-nodes.
 
     `_neg` is the node negate returns, once it is built, and None before.
     A node built after its negation finds it under `_dual_key` and stores
     it; the negation stores the node back only where negating it gives the
     node again, since negation is no involution on at-least 0 (bottom's
-    negation is top) nor on a Not node, whose negation negate alone sets.
+    negation is top) nor on a Not node, whose negation negate alone sets."""
 
-    The signature is the pair of frozensets of the atom names and the role
-    base names in the node's subterms, built from the children's alone,
-    and equal signatures are one object.  A node naming more than
-    SIGNATURE_WIDTH atoms or more than SIGNATURE_WIDTH roles carries None,
-    the wide marker, instead, and so does every node above it: a full name
-    set on every node of a chain that adds names at each level grows
-    quadratically."""
-
-    __slots__ = ("_key", "_neg", "_splits", "_sig")
+    __slots__ = ("_key", "_neg", "_splits")
     _fields: tuple[str, ...] = ()
 
     def __new__(cls, *fields):
@@ -143,7 +133,6 @@ class Concept:
             object.__setattr__(
                 node, "_splits", cls is Or or cls is And and any(p._splits for p in fields[0])
             )
-            object.__setattr__(node, "_sig", _signature(cls, fields))
             dual = _dual_key(node)
             neg = None if dual is None else _NODES.get(dual)
             if neg is not None:
@@ -304,61 +293,6 @@ def _dual_key(c: Concept) -> tuple | None:
     return None
 
 
-# A signature names at most this many atoms and this many roles; a wider
-# node carries None.  No bench or tier-1 search reads more than 4 atoms or
-# 3 roles, so the cap leaves every searched signature on its nodes.
-SIGNATURE_WIDTH = 8
-
-_NO_NAMES = (frozenset(), frozenset())
-# every signature a node carries, keyed by itself: equal ones are one object
-_SIGNATURES: dict[tuple, tuple] = {_NO_NAMES: _NO_NAMES}
-
-
-def _signature(cls: type, fields: tuple) -> tuple | None:
-    """The signature of a new node of class cls over fields, from its
-    children's (see `Concept`)."""
-    if cls is And or cls is Or:
-        return _union([p._sig for p in fields[0]], SIGNATURE_WIDTH)
-    if cls is AtMost or cls is AtLeast:
-        sig = fields[2]._sig
-        if sig is None or fields[1].base in sig[1]:
-            return sig
-        roles = sig[1] | {fields[1].base}
-        sig = (sig[0], roles)
-        return None if len(roles) > SIGNATURE_WIDTH else _SIGNATURES.setdefault(sig, sig)
-    if cls is Atom or cls is NegAtom:
-        sig = (frozenset((fields[0],)), _NO_NAMES[1])
-        return _SIGNATURES.setdefault(sig, sig)
-    if cls is Not:
-        return fields[0]._sig
-    return _NO_NAMES  # top, bottom
-
-
-def _union(sigs: list, width: int | None = None) -> tuple | None:
-    """The signature naming every name of sigs, or None when one of them is
-    None.  Given a width, also None when it would name more than width
-    atoms or roles, and otherwise the interned one."""
-    first = sigs[0] if sigs else _NO_NAMES
-    atoms = roles = None
-    for sig in sigs:
-        if sig is first:
-            continue
-        if sig is None or first is None:
-            return None
-        if atoms is None:
-            atoms, roles = first
-        atoms = atoms | sig[0]
-        roles = roles | sig[1]
-    if atoms is None:
-        return first
-    if width is None:
-        return atoms, roles
-    if len(atoms) > width or len(roles) > width:
-        return None
-    sig = (atoms, roles)
-    return _SIGNATURES.setdefault(sig, sig)
-
-
 def concept_key(c: Concept) -> tuple:
     """Total order key.  Atoms and negated atoms interleave by name so that
     A < (not A) < B; quantified constraints order by role, filler, sense
@@ -453,18 +387,23 @@ class _TokenStream:
 
 
 def _parse_role(ts: _TokenStream) -> Role:
-    # nested (inv (inv R)) normalizes through Role.inverse
+    # nested (inv (inv R)) normalizes through Role.inverse, read in one
+    # loop, so nesting depth is bounded by memory
+    depth = 0
     tok = ts.next()
-    if tok != "(":
-        if not _NAME_RE.match(tok):
-            raise ts.error(f"invalid role name '{tok}'")
-        return Role(tok)
-    tok = ts.next()
-    if tok != "inv":
-        raise ts.error(f"expected 'inv', found '{tok}'")
-    inner = _parse_role(ts)
-    ts.next(")")
-    return inner.inverse()
+    while tok == "(":
+        tok = ts.next()
+        if tok != "inv":
+            raise ts.error(f"expected 'inv', found '{tok}'")
+        depth += 1
+        tok = ts.next()
+    if not _NAME_RE.match(tok):
+        raise ts.error(f"invalid role name '{tok}'")
+    role = Role(tok)
+    for _ in range(depth):
+        ts.next(")")
+        role = role.inverse()
+    return role
 
 
 def _parse_bound(ts: _TokenStream) -> int:
@@ -706,13 +645,8 @@ def cut_formula(role: Role, filler: Concept) -> Concept:
 
 
 def signature_of(*concepts: Concept) -> tuple[frozenset[str], frozenset[str]]:
-    """Atomic concept names and role base names occurring in the concepts:
-    the union of their signatures, read off their nodes.  Only when a
-    concept is past SIGNATURE_WIDTH does one walk over the distinct
-    subterms read the names."""
-    sigs = [c._sig for c in concepts]
-    if None not in sigs:
-        return _union(sigs)
+    """Atomic concept names and role base names occurring in the concepts,
+    read in one walk over their distinct subterms."""
     atoms: set[str] = set()
     roles: set[str] = set()
     for c in walk_concepts(*concepts):
@@ -724,22 +658,20 @@ def signature_of(*concepts: Concept) -> tuple[frozenset[str], frozenset[str]]:
     return frozenset(atoms), frozenset(roles)
 
 
-# the sorted names of each tuple of signatures `sorted_signature` has read
+# the sorted names of each tuple of concepts `sorted_signature` has read;
+# _NODES keeps every concept alive anyway
 _SORTED: dict[tuple, tuple] = {}
-_SIG = attrgetter("_sig")
 
 
 def sorted_signature(*concepts: Concept) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The names of `signature_of`, each kind sorted.  Kept per tuple of
-    the concepts' signatures, so a repeated one costs a lookup; a tuple
-    with a node past SIGNATURE_WIDTH is walked on every call."""
-    sigs = tuple(map(_SIG, concepts))
-    names = _SORTED.get(sigs)
+    hash-consed concepts, so a repeated tuple costs one lookup:
+    `build_problem` reads its goal's and axiom's, so a model search on a
+    built problem walks nothing."""
+    names = _SORTED.get(concepts)
     if names is None:
         atoms, roles = signature_of(*concepts)
-        names = (tuple(sorted(atoms)), tuple(sorted(roles)))
-        if None not in sigs:
-            _SORTED[sigs] = names
+        names = _SORTED[concepts] = (tuple(sorted(atoms)), tuple(sorted(roles)))
     return names
 
 
@@ -765,8 +697,10 @@ def build_problem(goal: Concept, axioms: Iterable[tuple[Concept, Concept]] = ())
     `fine_tune` reads it, but gets no formula: `(or top bottom (atmost 0
     (inv R) top))` holds in every node, so a label gains nothing by it,
     and a walk that tried its guard disjunct after top failed would only
-    forbid more."""
+    forbid more.  The sorted names of goal and axiom are read here, once
+    (`sorted_signature`)."""
     e = to_nnf(goal)
     g = internalize(list(axioms))
+    sorted_signature(e, g)
     cuts = cut_table(e, g)
     return Problem(e, g, cuts, frozenset(cut_formula(r, f) for r, f in cuts if f is not TOP))

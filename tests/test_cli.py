@@ -270,6 +270,14 @@ def test_deep_concept_is_resource_limit_not_verdict(capsys):
     assert "nesting" in err
 
 
+def test_deeply_nested_inverses_decide(capsys):
+    # roles are read in a loop: 3,000 levels of inv are the role R itself
+    concept = "(atleast 1 " + "(inv " * 3000 + "R" + ")" * 3000 + " A)"
+    code, out, err = run_cli(capsys, "--concept", concept)
+    assert (code, err) == (0, ""), err
+    assert out.splitlines()[0] == "SAT"
+
+
 def test_internal_error_keeps_stdout_empty(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise KeyError("boom")

@@ -560,7 +560,7 @@ def test_closed_form_reads_the_highest_live_atom():
     assert closed_form(branch | {AtMost(1, R, NegAtom("A"))}, R) == (3, None, None)
 
 
-def test_closed_form_checks_the_width_like_build_lii():
+def test_closed_form_checks_the_width():
     branch = frozenset(AtLeast(1, R, Atom(f"A{i}")) for i in range(4))
     with pytest.raises(SolverLimitError, match="4 distinct fillers exceed lambda_max=3"):
         closed_form(branch, R, 3)

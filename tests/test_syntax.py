@@ -41,7 +41,7 @@ from alcqisat import (
     to_nnf,
 )
 from alcqisat.branch import cut_set_for_child
-from alcqisat.syntax import SIGNATURE_WIDTH, signature_of, sorted_signature, walk_concepts
+from alcqisat.syntax import signature_of, sorted_signature, walk_concepts
 from conftest import (
     bench_module,
     complement,
@@ -71,6 +71,38 @@ def test_parse_inverse_role():
 
 def test_parse_double_inverse_normalizes():
     assert parse_concept("(atleast 1 (inv (inv R)) A)") == AtLeast(1, R, A)
+
+
+def test_deeply_nested_inverses_parse_without_recursion():
+    # far past the recursion limit: an even count of inv is the role itself
+    for depth, role in ((3000, Role("R")), (2999, Role("R", True))):
+        text = "(atleast 1 " + "(inv " * depth + "R" + ")" * depth + " A)"
+        assert parse_concept(text) == AtLeast(1, role, A)
+
+
+# every way a role can be malformed, with the message and offset each gives
+ROLE_ERRORS = {
+    "(atleast 1 (inv) A)": "invalid role name ')' (at position 15)",
+    "(atleast 1 (foo R) A)": "expected 'inv', found 'foo' (at position 12)",
+    "(atleast 1 (inv R A)": "expected ')', found 'A' (at position 18)",
+    "(atleast 1 (inv (inv R) A)": "expected ')', found 'A' (at position 24)",
+    "(atleast 1 (inv 9R) A)": "invalid role name '9R' (at position 16)",
+    "(atleast 1 ) A)": "invalid role name ')' (at position 11)",
+    "(atleast 1 (inv": "unexpected end of input (at position 15)",
+    "(atleast 1 (inv (inv": "unexpected end of input (at position 20)",
+    "(atleast 1 (inv (": "unexpected end of input (at position 17)",
+    "(atleast 1 (inv (inv R": "unexpected end of input (at position 22)",
+    "(atleast 1 (inv R) A": "unexpected end of input (at position 20)",
+    "(atleast 1 ((inv R)) A)": "expected 'inv', found '(' (at position 12)",
+    "(atleast 1 (inv (inv R)))": "unexpected ')' (at position 24)",
+}
+
+
+@pytest.mark.parametrize("text", list(ROLE_ERRORS))
+def test_role_errors_keep_their_text_and_offset(text):
+    with pytest.raises(ConceptSyntaxError) as err:
+        parse_concept(text)
+    assert str(err.value) == ROLE_ERRORS[text]
 
 
 def test_parse_top_bottom_names():
@@ -368,6 +400,21 @@ def test_build_problem_signature():
     assert signature_of(p.goal, p.axiom) == ({"A", "B"}, {"R"})
 
 
+def test_find_model_on_a_built_problem_reads_the_names_build_problem_read(monkeypatch):
+    # names no other test uses, so that no search has read this pair yet
+    goal = parse_concept("(and SigOnce0 (atleast 1 SigOnceR (not SigOnce1)))")
+    p = build_problem(goal, [(Atom("SigOnce0"), Atom("SigOnce2"))])
+
+    def no_walk(*concepts):
+        raise AssertionError("the model search walked a built problem")
+
+    monkeypatch.setattr(syntax, "signature_of", no_walk)
+    model = find_model(p.goal, p.axiom)
+    assert isinstance(model, Interpretation)
+    assert sorted(model.concept_extensions) == ["SigOnce0", "SigOnce1", "SigOnce2"]
+    assert sorted(model.role_extensions) == ["SigOnceR"]
+
+
 def test_deep_chain_needs_no_recursion():
     # far past the recursion limit: hashing, equality, interning and the
     # walkers all work on the cached fields of each node
@@ -392,7 +439,7 @@ def test_deep_chain_needs_no_recursion():
 
 def reference_signature(*concepts):
     """Atom names and role base names, read in one walk over the distinct
-    subterms: the reference for the signatures nodes carry."""
+    subterms: the reference for signature_of and sorted_signature."""
     atoms, roles = set(), set()
     for c in walk_concepts(*concepts):
         if isinstance(c, (Atom, NegAtom)):
@@ -406,22 +453,6 @@ def reference_sorted_signature(*concepts):
     return tuple(tuple(sorted(names)) for names in reference_signature(*concepts))
 
 
-def assert_signature_is_the_walk(c) -> bool:
-    """c carries the walk's signature, interned, or the wide marker None
-    exactly when the walk finds more than SIGNATURE_WIDTH names of a kind;
-    signature_of reads the walk's names either way.  Returns whether c is
-    wide."""
-    atoms, roles = reference_signature(c)
-    wide = len(atoms) > SIGNATURE_WIDTH or len(roles) > SIGNATURE_WIDTH
-    if wide:
-        assert c._sig is None, c
-    else:
-        assert c._sig == (atoms, roles), c
-        assert syntax._SIGNATURES[c._sig] is c._sig
-    assert signature_of(c) == (atoms, roles)
-    return wide
-
-
 def test_node_signatures_match_the_walk_on_the_corpora():
     corpora = bench_module("corpora")
     kinds = set()
@@ -430,7 +461,7 @@ def test_node_signatures_match_the_walk_on_the_corpora():
             problem = build_problem(pf.query, pf.tbox)
             raw = [pf.query, *(c for gci in pf.tbox for c in gci)]
             for sub in walk_concepts(*raw, problem.goal, problem.axiom, *problem.cut_concepts):
-                assert not assert_signature_is_the_walk(sub)
+                assert signature_of(sub) == reference_signature(sub)
                 kinds.add(type(sub))
                 if isinstance(sub, (AtMost, AtLeast)):
                     kinds.add(sub.role.inverted)
@@ -441,81 +472,10 @@ def test_node_signatures_match_the_walk_on_the_corpora():
     assert {Not, type(TOP), type(BOTTOM), True, False} <= kinds
 
 
-SIG_ATOMS = st.sampled_from([f"W{i}" for i in range(SIGNATURE_WIDTH + 3)])
-SIG_ROLES = st.builds(Role, st.sampled_from([f"Q{i}" for i in range(SIGNATURE_WIDTH + 3)]), st.booleans())
-
-
-def _role_chain(roles):
-    c = TOP
-    for role in roles:
-        c = AtLeast(1, role, c)
-    return c
-
-
-# beside literals, top and bottom, leaves near the cap: a disjunction of
-# one atom short of it to two past it, and a chain of at-leasts over as
-# many distinct roles
-NEAR_CAP = {"min_size": SIGNATURE_WIDTH - 1, "max_size": SIGNATURE_WIDTH + 2}
-SIG_LEAVES = st.one_of(
-    SIG_ATOMS.map(Atom),
-    SIG_ATOMS.map(NegAtom),
-    st.sampled_from([TOP, BOTTOM]),
-    st.lists(SIG_ATOMS, unique=True, **NEAR_CAP).map(lambda names: disj(map(Atom, names))),
-    st.lists(SIG_ROLES, unique_by=lambda role: role.base, **NEAR_CAP).map(_role_chain),
-)
-
-
-def _sig_compound(parts):
-    return st.one_of(
-        st.lists(parts, min_size=1, max_size=4).map(conj),
-        st.lists(parts, min_size=1, max_size=4).map(disj),
-        st.builds(AtLeast, st.integers(0, 2), SIG_ROLES, parts),
-        st.builds(AtMost, st.integers(-1, 2), SIG_ROLES, parts),
-        st.builds(Not, parts),
-    )
-
-
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(st.recursive(SIG_LEAVES, _sig_compound, max_leaves=12), st.recursive(SIG_LEAVES, _sig_compound, max_leaves=4))
-def test_node_signatures_match_the_walk(c, d):
-    # names from a pool three past the cap of each kind, so that some
-    # subterms are wide and others stop at or one short of the cap
-    for sub in walk_concepts(c, d, to_nnf(c)):
-        assert_signature_is_the_walk(sub)
-    assert signature_of(c, d) == reference_signature(c, d)
-    assert sorted_signature(c, d) == reference_sorted_signature(c, d)
-
-
-def test_one_name_past_the_cap_is_wide():
-    names = [Atom(f"Cap{i}") for i in range(SIGNATURE_WIDTH + 1)]
-    at_cap = conj(names[:SIGNATURE_WIDTH])
-    past = conj(names)
-    assert at_cap._sig == (frozenset(a.name for a in names[:SIGNATURE_WIDTH]), frozenset())
-    assert past._sig is None
-    assert disj([past, A])._sig is None  # a wide node's parents are wide
-    assert signature_of(past, A) == (frozenset(a.name for a in names) | {"A"}, frozenset())
-    # roles count by base name: a role and its inverse are one name
-    roles = [Role(f"CapR{i}", i % 2 == 1) for i in range(SIGNATURE_WIDTH + 1)]
-    c = TOP
-    for role in roles[:SIGNATURE_WIDTH]:
-        c = AtLeast(1, role, c)
-    assert c._sig == (frozenset(), frozenset(r.base for r in roles[:SIGNATURE_WIDTH]))
-    assert AtMost(1, roles[0].inverse(), c)._sig is c._sig
-    assert AtLeast(1, roles[-1], c)._sig is None
-    # the width holds for each kind on its own
-    assert conj([at_cap, c])._sig is not None
-    # equal signatures are one object
-    assert conj([A, B])._sig is disj([NegAtom("A"), B])._sig
-    assert NegAtom("A")._sig is A._sig
-    assert Not(at_cap)._sig is at_cap._sig
-    assert TOP._sig is BOTTOM._sig == (frozenset(), frozenset())
-    assert signature_of() == (frozenset(), frozenset())
-
-
 def wide_goals():
-    """Goals naming one atom or one role past SIGNATURE_WIDTH."""
-    atoms = [Atom(f"Wide{i}") for i in range(SIGNATURE_WIDTH + 1)]
-    roles = [Role(f"WideR{i}") for i in range(SIGNATURE_WIDTH + 1)]
+    """Goals naming nine atoms or nine roles."""
+    atoms = [Atom(f"Wide{i}") for i in range(9)]
+    roles = [Role(f"WideR{i}") for i in range(9)]
     chain = atoms[0]
     for role in roles:
         chain = AtLeast(1, role, chain)
@@ -531,9 +491,8 @@ def wide_goals():
 def test_find_model_on_a_wide_goal_reads_what_the_walk_reads(monkeypatch):
     cases = []
     for goal in wide_goals():
-        assert goal._sig is None
         for axiom in (TOP, disj([NegAtom("Wide0"), Atom("Wide1")])):
-            for limits in ({}, {"max_atoms": SIGNATURE_WIDTH + 1, "max_roles": SIGNATURE_WIDTH + 1}):
+            for limits in ({}, {"max_atoms": 9, "max_roles": 9}):
                 cases.append((goal, axiom, limits))
 
     def outcomes():
