@@ -1,9 +1,11 @@
 """Command-line front door.
 
 Exit codes: 0 satisfiable, 1 unsatisfiable, 2 usage or parse error,
-3 resource limit (which includes input nested too deeply for the recursion
-limit), 4 internal error (nothing on standard output), which includes an
-UNSAT verdict that the --oracle-check model search contradicts.
+3 resource limit (which includes two concepts whose order keys share more
+levels than the recursion limit allows: Python compares them in C, once per
+level, the one step of parsing or a run left that recurses per level),
+4 internal error (nothing on standard output), which includes an UNSAT
+verdict that the --oracle-check model search contradicts.
 The verdict is the first line on standard output; diagnostics, including the
 rule trace, the partial --stats of a run stopped by a resource limit and the
 model behind an oracle mismatch, go to standard error.
@@ -63,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with contextlib.redirect_stdout(out):
             code = _run(args)
-    except RecursionError:  # deep nesting: a limit, never a verdict
+    except RecursionError:  # two deep order keys compared: a limit, never a verdict
         print("error: resource limit: concept nesting too deep for the recursion limit",
               file=sys.stderr)
         return EXIT_RESOURCE

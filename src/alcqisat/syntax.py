@@ -2,41 +2,44 @@
 
 Concepts are hash-consed: constructing a node looks up its class and fields
 in one table and returns the node already there, so equal concepts are one
-object and compare and hash by identity.  Each node computes its order key
-once, from its children's, so it never recurses; the same goes for
-`_splits`, whether an or-node is reachable through and-nodes alone, that
-is, whether a label holding it can have more than one branch.  A node
-keeps no names: `signature_of` reads them in one walk, and
-`build_problem` reads a problem's once, for the model search.  And/Or
-nodes keep their children flattened, deduplicated and sorted under a fixed
-total order, so a set of concepts behaves like a set in every cache and
-comparison downstream.  The node classes are frozen slotted classes whose
-`_fields` name their fields in constructor order; `Problem` is a named
-tuple.
+object and compare and hash by identity, also where threads build them at
+once.  Each node computes its order key once, from its children's, so it
+never recurses; the same goes for its NNF and for `_splits`, whether an
+or-node is reachable through and-nodes alone, that is, whether a label
+holding it can have more than one branch.  A node keeps no names:
+`signature_of` reads them in one walk, and `build_problem` reads a
+problem's once, for the model search.  And/Or nodes keep their children
+flattened, deduplicated and sorted under a fixed total order, so a set of
+concepts behaves like a set in every cache and comparison downstream.
+The node classes are frozen slotted classes whose `_fields` name their
+fields in constructor order; `Problem` is a named tuple.
 
 The parser reads the tokens of a text, taken from one regular-expression
 `findall`; it works out a token's character offset only when it raises a
-ConceptSyntaxError.  `to_nnf` returns a node none of whose children changes
-itself, so a concept already in NNF comes back as the same object.
-`walk_concepts` and `to_nnf` visit each distinct node once, so a subterm
-shared by many parents costs one visit, not one per occurrence.
-`walk_concepts`, `negate` and `str` are loops over an explicit stack, and
-the parser reads nested `inv` in a loop, so nesting depth is bounded by
-memory there; the parser's descent into a concept and `to_nnf` recurse
-once per level.
+ConceptSyntaxError.  `to_nnf` reads the NNF a node was built with, so a
+concept already in NNF comes back as the same object.  `walk_concepts`
+visits each distinct node once, so a subterm shared by many parents costs
+one visit, not one per occurrence.  The parser, `walk_concepts`, `negate`
+and `str` are loops over an explicit stack, and the parser reads nested
+`inv` in a loop, so nesting depth is bounded by memory in all of them.
+Only comparing two order keys recurses, in C, once per level the keys
+share: `conj` and `disj` sort their parts by key.
 
 A node's negation is built by `negate`, where a negation enters a label,
 and is linked to the node when the later of the two is built: building a
 node looks its negation up under one key (`_dual_key`) and, where it is
 there, each is stored on the other, as a role's two directions are.  So a
 node holds its negation once both are built and None before, and linking
-builds no node.  Clash tests read that slot: a label holds only built
-nodes, so a negation never built clashes with nothing in it.
+builds no node.  A Not node's negation is its sub's NNF, built before it,
+so a Not node holds it from the start.  Clash tests read that slot: a
+label holds only built nodes, so a negation never built clashes with
+nothing in it.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 from itertools import islice
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
@@ -51,8 +54,10 @@ class ConceptSyntaxError(ValueError):
         self.position = position
 
 
-# every role ever built, keyed by (base, inverted)
-_ROLES: dict[tuple, "Role"] = {}
+# the forward direction of every role built, keyed by its base
+_ROLES: dict[str, "Role"] = {}
+# held while a new role or node is checked against its table and inserted
+_INTERN = threading.Lock()
 
 
 class Role:
@@ -60,24 +65,24 @@ class Role:
 
     Roles are interned like concepts: constructing one returns the object
     already built for its base and marker, so equal roles are one object
-    and compare and hash by identity.  A role's two directions are built
-    together, each holding the other, so inverse() reads a slot.  Roles are
-    frozen: assigning or deleting an attribute raises AttributeError."""
+    and compare and hash by identity, also where threads build them at
+    once.  A role's two directions are built together, each holding the
+    other, so inverse() reads a slot.  Roles are frozen: assigning or
+    deleting an attribute raises AttributeError."""
 
     __slots__ = ("base", "inverted", "_inv")
 
     def __new__(cls, base: str, inverted: bool = False):
-        key = (base, bool(inverted))
-        role = _ROLES.get(key)
+        role = _ROLES.get(base)
         if role is None:
             forward, backward = object.__new__(cls), object.__new__(cls)
             for this, other, marker in ((forward, backward, False), (backward, forward, True)):
                 object.__setattr__(this, "base", base)
                 object.__setattr__(this, "inverted", marker)
                 object.__setattr__(this, "_inv", other)
-                _ROLES[(base, marker)] = this
-            role = _ROLES[key]
-        return role
+            with _INTERN:  # another thread may have built the pair meanwhile
+                role = _ROLES.setdefault(base, forward)
+        return role._inv if inverted else role
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field '{name}'")
@@ -105,17 +110,22 @@ class Concept:
     frozen: assigning or deleting an attribute raises AttributeError.
 
     Beside the fields, a node holds its order key (`_key`), its negation
-    (`_neg`) and `_splits`: whether an or-node is reachable from it through
-    and-nodes alone.  A label none of whose concepts has `_splits` has one
-    branch at most, the literals reachable through and-nodes.
+    (`_neg`), its NNF (`_nnf`) and `_splits`: whether an or-node is
+    reachable from it through and-nodes alone.  A label none of whose
+    concepts has `_splits` has one branch at most, the literals reachable
+    through and-nodes.  All but `_neg` are set from the children's when
+    the node is built, outside the table's lock, since `_nnf` may build
+    other nodes; the table is then checked again under the lock, so two
+    threads building one key get one node.
 
     `_neg` is the node negate returns, once it is built, and None before.
     A node built after its negation finds it under `_dual_key` and stores
     it; the negation stores the node back only where negating it gives the
     node again, since negation is no involution on at-least 0 (bottom's
-    negation is top) nor on a Not node, whose negation negate alone sets."""
+    negation is top) nor on a Not node (the negation of its sub's NNF is
+    no Not node)."""
 
-    __slots__ = ("_key", "_neg", "_splits")
+    __slots__ = ("_key", "_neg", "_nnf", "_splits")
     _fields: tuple[str, ...] = ()
 
     def __new__(cls, *fields):
@@ -125,21 +135,25 @@ class Concept:
             names = cls._fields
             if len(fields) != len(names):
                 raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(fields)}")
-            node = object.__new__(cls)
+            new = object.__new__(cls)
             for name, value in zip(names, fields):
-                object.__setattr__(node, name, value)
-            object.__setattr__(node, "_key", _order_key(node))
-            object.__setattr__(node, "_neg", None)
+                object.__setattr__(new, name, value)
+            object.__setattr__(new, "_key", _order_key(new))
+            object.__setattr__(new, "_neg", None)
             object.__setattr__(
-                node, "_splits", cls is Or or cls is And and any(p._splits for p in fields[0])
+                new, "_splits", cls is Or or cls is And and any(p._splits for p in fields[0])
             )
-            dual = _dual_key(node)
-            neg = None if dual is None else _NODES.get(dual)
-            if neg is not None:
-                object.__setattr__(node, "_neg", neg)
-                if _dual_key(neg) == key:  # at-least 0 and bottom are not
-                    object.__setattr__(neg, "_neg", node)
-            _NODES[key] = node
+            object.__setattr__(new, "_nnf", _nnf(new))
+            with _INTERN:
+                node = _NODES.get(key)
+                if node is None:
+                    dual = _dual_key(new)
+                    neg = None if dual is None else _NODES.get(dual)
+                    if neg is not None:
+                        object.__setattr__(new, "_neg", neg)
+                        if _dual_key(neg) == key:  # at-least 0 and bottom are not
+                            object.__setattr__(neg, "_neg", new)
+                    node = _NODES[key] = new
         return node
 
     def __setattr__(self, name, value):
@@ -263,12 +277,13 @@ def _order_key(c: Concept) -> tuple:
 
 
 def _dual_key(c: Concept) -> tuple | None:
-    """The `_NODES` key of c's negation, or None when c is a Not node or a
-    junction one of whose parts has no negation built.  A literal's is read
-    off it: at-most b against at-least b+1, atom against negated atom; the
-    negation of at-least 0 is bottom.  A junction's is the dual junction
-    over its parts' negations, flattened, deduplicated and sorted as conj
-    and disj build it, so it is the key of the node they return."""
+    """The `_NODES` key of c's negation, or None when c is a junction one
+    of whose parts has no negation built.  A literal's is read off it:
+    at-most b against at-least b+1, atom against negated atom; the
+    negation of at-least 0 is bottom; a Not node's is its sub's NNF.  A
+    junction's is the dual junction over its parts' negations, flattened,
+    deduplicated and sorted as conj and disj build it, so it is the key of
+    the node they return."""
     kind = type(c)
     if kind is Atom:
         return (NegAtom, c.name)
@@ -287,10 +302,30 @@ def _dual_key(c: Concept) -> tuple | None:
         if len(flat) > 1:
             return (dual, tuple(flat))
         lone = flat[0]  # parts whose negations coincide or flatten
-        return (type(lone), *(getattr(lone, name) for name in lone._fields))
-    if kind is Top or kind is Bottom:
+    elif kind is Not:
+        lone = c.sub._nnf
+    else:
         return (Bottom,) if kind is Top else (Top,)
-    return None
+    return (type(lone), *(getattr(lone, name) for name in lone._fields))
+
+
+def _nnf(c: Concept) -> Concept:
+    """c's NNF, from its children's: a Not node's is the negation of its
+    sub's, at-least 0's is top, a junction or restriction is rebuilt only
+    when some child's differs from the child, and any other node is its
+    own."""
+    kind = type(c)
+    if kind is Not:
+        return negate(c.sub._nnf)
+    if kind is AtLeast and c.bound == 0:
+        return TOP
+    if kind is And or kind is Or:
+        parts = [p._nnf for p in c.parts]
+        if any(new is not old for new, old in zip(parts, c.parts)):
+            return conj(parts) if kind is And else disj(parts)
+    elif (kind is AtLeast or kind is AtMost) and c.filler._nnf is not c.filler:
+        return kind(c.bound, c.role, c.filler._nnf)
+    return c
 
 
 def concept_key(c: Concept) -> tuple:
@@ -416,43 +451,56 @@ def _parse_bound(ts: _TokenStream) -> int:
 
 
 def _parse_expr(ts: _TokenStream) -> Concept:
-    tok = ts.next()
-    if tok == ")":
-        raise ts.error("unexpected ')'")
-    if tok != "(":
-        if tok == "top":
-            return TOP
-        if tok == "bottom":
-            return BOTTOM
-        if tok in _KEYWORDS:
+    """One concept, read in a loop: `stack` holds the concepts whose closing
+    parenthesis is still to come, innermost last, each as its head, the
+    index of its keyword (not, and, or) or its bound (a restriction), its
+    role and the arguments read so far."""
+    stack: list[tuple] = []
+    while True:
+        tok = ts.next()
+        if tok == "(":
+            head = ts.next()
+            if head == "atleast" or head == "atmost":
+                stack.append((head, _parse_bound(ts), _parse_role(ts), []))
+            elif head == "not" or head == "and" or head == "or":
+                stack.append((head, ts.pos - 1, None, []))
+            else:
+                raise ts.error(f"unknown keyword '{head}'")
+            c = None
+        elif tok == ")":
+            raise ts.error("unexpected ')'")
+        elif tok == "top" or tok == "bottom":
+            c = TOP if tok == "top" else BOTTOM
+        elif tok in _KEYWORDS:
             raise ts.error(f"keyword '{tok}' needs parentheses")
-        if not _NAME_RE.match(tok):
+        elif not _NAME_RE.match(tok):
             raise ts.error(f"invalid concept name '{tok}'")
-        return Atom(tok)
-    head = ts.next()
-    if head == "not":
-        sub = _parse_expr(ts)
-        ts.next(")")
-        if isinstance(sub, Atom):
-            return NegAtom(sub.name)
-        return Not(sub)
-    if head in ("and", "or"):
-        at = ts.pos - 1
-        parts = []
-        while ts.peek() not in (")", None):
-            parts.append(_parse_expr(ts))
-        ts.next(")")  # at the end of input: "unexpected end of input"
-        if len(parts) < 2:
-            raise ts.error(f"'{head}' needs at least two arguments", at)
-        return conj(parts) if head == "and" else disj(parts)
-    if head in ("atleast", "atmost"):
-        bound = _parse_bound(ts)
-        role = _parse_role(ts)
-        filler = _parse_expr(ts)
-        ts.next(")")
-        node = AtLeast if head == "atleast" else AtMost
-        return node(bound, role, filler)
-    raise ts.error(f"unknown keyword '{head}'")
+        else:
+            c = Atom(tok)
+        # c is the argument just read, or None after an opening; close
+        # each open concept whose arguments are all read
+        while stack:
+            head, at, role, parts = stack[-1]
+            if c is not None:
+                parts.append(c)
+            if head == "and" or head == "or":
+                if ts.peek() not in (")", None):
+                    break
+                ts.next(")")  # at the end of input: "unexpected end of input"
+                if len(parts) < 2:
+                    raise ts.error(f"'{head}' needs at least two arguments", at)
+                c = conj(parts) if head == "and" else disj(parts)
+            elif not parts:
+                break
+            else:
+                ts.next(")")
+                if head == "not":
+                    c = NegAtom(parts[0].name) if type(parts[0]) is Atom else Not(parts[0])
+                else:
+                    c = (AtLeast if head == "atleast" else AtMost)(at, role, parts[0])
+            stack.pop()
+        else:
+            return c
 
 
 def parse_concept(text: str) -> Concept:
@@ -492,11 +540,8 @@ def negate(c: Concept) -> Concept:
             if pending:
                 stack += (node, *pending)
                 continue
-        if kind is Not:
-            neg = to_nnf(node.sub)
-        else:
-            dual = _dual_key(node)  # a junction's parts are negated by now
-            neg = dual[0](*dual[1:])
+        dual = _dual_key(node)  # a junction's parts are negated by now
+        neg = dual[0](*dual[1:])
         object.__setattr__(node, "_neg", neg)
     return c._neg
 
@@ -506,35 +551,9 @@ def to_nnf(c: Concept) -> Concept:
     at-least-0 to top, so every bound in NNF output is meaningful.  A node
     none of whose children changes is returned itself: an And/Or node is
     already flat, deduplicated and sorted, so rebuilding it would give back
-    the same object.  Each distinct subterm is converted once per call, so
-    a shared DAG costs its distinct nodes, not its occurrences."""
-    return _nnf(c, {})
-
-
-def _nnf(c: Concept, done: dict[Concept, Concept]) -> Concept:
-    kind = type(c)
-    if kind is Top or kind is Bottom or kind is Atom or kind is NegAtom:
-        return c
-    out = done.get(c)
-    if out is not None:
-        return out
-    if kind is Not:
-        out = negate(_nnf(c.sub, done))
-    elif kind is And or kind is Or:
-        parts = [_nnf(p, done) for p in c.parts]
-        if all(new is old for new, old in zip(parts, c.parts)):
-            out = c
-        else:
-            out = conj(parts) if kind is And else disj(parts)
-    elif kind is AtLeast and c.bound == 0:
-        out = TOP
-    elif kind is AtLeast or kind is AtMost:
-        filler = _nnf(c.filler, done)
-        out = c if filler is c.filler else kind(c.bound, c.role, filler)
-    else:
-        raise TypeError(f"unknown concept node: {c!r}")
-    done[c] = out
-    return out
+    the same object.  Each node's NNF is built with the node, from its
+    children's (`_nnf`), so this reads a slot, whatever the depth."""
+    return c._nnf
 
 
 def internalize(axioms: list[tuple[Concept, Concept]]) -> Concept:

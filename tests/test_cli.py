@@ -261,13 +261,25 @@ def test_stats_on_resource_limit_go_to_stderr(capsys):
 
 
 def test_deep_concept_is_resource_limit_not_verdict(capsys):
-    # nesting this deep overflows the recursive descent parser
-    concept = "(atleast 1 R " * 3000 + "A" + ")" * 3000
-    code, out, err = run_cli(capsys, "--concept", concept)
+    # the parser reads any depth, but `and` sorts its parts by order key,
+    # and the keys of two chains that differ only in their leaf share
+    # every level: comparing them recurses in C past the recursion limit.
+    # From Python 3.12 that recursion is checked against a limit of its
+    # own, not the one sys.setrecursionlimit sets, hence 12,000 levels
+    chains = ["(atleast 1 R " * 12_000 + leaf + ")" * 12_000 for leaf in "AB"]
+    code, out, err = run_cli(capsys, "--concept", f"(and {chains[0]} {chains[1]})")
     assert code == EXIT_RESOURCE == 3
     assert out == ""
     assert err.startswith("error: resource limit: ")
     assert "nesting" in err
+
+
+def test_a_deep_chain_in_a_file_decides(tmp_path, capsys):
+    # the parser reads a concept on one explicit stack and each node is
+    # built with its NNF: 5,000 levels decide under the default limit
+    path = write(tmp_path, "deep.dl", "sat " + "(atleast 1 R " * 5000 + "A" + ")" * 5000 + "\n")
+    code, out, err = run_cli(capsys, path)
+    assert (code, out, err) == (0, "SAT\n", "")
 
 
 def test_deeply_nested_inverses_decide(capsys):

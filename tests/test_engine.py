@@ -23,6 +23,7 @@ from alcqisat import (
     NegAtom,
     NogoodStore,
     NogoodTriple,
+    Not,
     Problem,
     ResourceLimitError,
     Role,
@@ -395,11 +396,7 @@ def test_overlapping_runs_in_two_threads_both_decide():
     for _ in range(900):
         chain = AtLeast(1, R, chain)
     old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 5000))  # build_problem recurses
-    try:
-        deep = build_problem(chain)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    deep = build_problem(chain)
     b_entered, a_returned = threading.Event(), threading.Event()
     started, results = [], {}
 
@@ -498,6 +495,20 @@ def test_a_chain_far_past_the_recursion_limit_decides():
         chain = AtLeast(1, R, chain)
     verdict = decide(Problem(chain, TOP, (), frozenset()))
     assert verdict == (True, RunStats(nodes=15_001, lii_solves=15_000, max_lambda=1))
+
+
+def test_a_deep_chain_with_a_negation_goes_through_build_problem():
+    # every node is built with its NNF, so build_problem reads a slot on
+    # a 5,000-deep chain whose leaf needs De Morgan, and the chain's text
+    # reads back as the chain itself
+    chain = Not(conj([A, B]))
+    for _ in range(5000):
+        chain = AtLeast(1, R, chain)
+    problem = build_problem(chain)
+    assert problem.goal is not chain
+    verdict = decide(problem)
+    assert verdict.satisfiable and verdict.stats.nodes == 5001
+    assert parse_concept(str(chain)) is chain
 
 
 def junction_tower(depth):

@@ -75,6 +75,31 @@ def test_extra_term_location():
     assert str(err.value) == "line 2, column 18: unexpected extra term '('"
 
 
+# problem-file errors, each with the line and column it carries: the
+# column of a concept error is the offset the concept parser gives, read
+# from the start of the line
+PROBLEM_ERRORS = {
+    "sat (and A": "line 1, column 11: unexpected end of input",
+    "gci A\nsat A\n": "line 1, column 6: unexpected end of input",
+    "sat A B\n": "line 1, column 7: unexpected extra term 'B'",
+    "# c\n  axiom (foo A)\nsat A\n": "line 2, column 10: unknown keyword 'foo'",
+    "gci A (and B)\nsat A": "line 1, column 8: 'and' needs at least two arguments",
+    "gci\tA )\nsat A": "line 1, column 7: unexpected ')'",
+    "sat (not A) )": "line 1, column 13: unexpected extra term ')'",
+    "sat (atleast -2 R A)\n": "line 1, column 14: number restriction bound must be non-negative",
+    "sat (and A\r\nsat B": "line 1, column 11: unexpected end of input",
+    "gci (or A (not B)) (and (atleast 1 R B) (not))\nsat A": "line 1, column 45: unexpected ')'",
+    "sat (and A (not B C))": "line 1, column 19: expected ')', found 'C'",
+}
+
+
+@pytest.mark.parametrize("text", list(PROBLEM_ERRORS))
+def test_each_problem_error_keeps_its_line_and_column(text):
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem_text(text)
+    assert str(err.value) == PROBLEM_ERRORS[text]
+
+
 def test_tab_after_directive():
     pf = parse_problem_text("gci\tA B\nsat\tA\n")
     assert pf.tbox == ((A, B),)

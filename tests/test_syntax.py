@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,7 @@ from alcqisat import (
 from alcqisat.branch import cut_set_for_child
 from alcqisat.syntax import signature_of, sorted_signature, walk_concepts
 from conftest import (
+    _reference_nnf,
     bench_module,
     complement,
     random_interpretation,
@@ -133,6 +135,85 @@ def test_parse_rejects(text):
     with pytest.raises(ConceptSyntaxError) as err:
         parse_concept(text)
     assert err.value.position == REJECTED[text]
+
+
+# one malformed text per place the parser raises, with the message and
+# offset each gives; a concept nested in another raises at the same token
+PARSE_ERRORS = {
+    ")": "unexpected ')' (at position 0)",
+    "(not)": "unexpected ')' (at position 4)",
+    "(and A (not ))": "unexpected ')' (at position 12)",
+    "and": "keyword 'and' needs parentheses (at position 0)",
+    "(and A not)": "keyword 'not' needs parentheses (at position 7)",
+    "inv": "keyword 'inv' needs parentheses (at position 0)",
+    "(atleast 1 R atmost)": "keyword 'atmost' needs parentheses (at position 13)",
+    "9A": "invalid concept name '9A' (at position 0)",
+    "(and A B-C)": "invalid concept name 'B-C' (at position 7)",
+    "(atleast 1 R _x)": "invalid concept name '_x' (at position 13)",
+    "(foo A B)": "unknown keyword 'foo' (at position 1)",
+    "(A B)": "unknown keyword 'A' (at position 1)",
+    "(inv R)": "unknown keyword 'inv' (at position 1)",
+    "((and A B))": "unknown keyword '(' (at position 1)",
+    "(top)": "unknown keyword 'top' (at position 1)",
+    "(or A (not (bar B)))": "unknown keyword 'bar' (at position 12)",
+    "(not A B)": "expected ')', found 'B' (at position 7)",
+    "(atleast 1 R A B)": "expected ')', found 'B' (at position 15)",
+    "(atmost 2 R (and A B) C)": "expected ')', found 'C' (at position 22)",
+    "(and A (not B C))": "expected ')', found 'C' (at position 14)",
+    "(not (not A) (": "expected ')', found '(' (at position 13)",
+    "": "unexpected end of input (at position 0)",
+    "(": "unexpected end of input (at position 1)",
+    "(and": "unexpected end of input (at position 4)",
+    "(and A": "unexpected end of input (at position 6)",
+    "(not": "unexpected end of input (at position 4)",
+    "(not A": "unexpected end of input (at position 6)",
+    "(atleast": "unexpected end of input (at position 8)",
+    "(atleast 1": "unexpected end of input (at position 10)",
+    "(atleast 1 R": "unexpected end of input (at position 12)",
+    "(atleast 1 R A": "unexpected end of input (at position 14)",
+    "(or A (and B": "unexpected end of input (at position 12)",
+    "(and A (atleast 1 R (not B)": "unexpected end of input (at position 27)",
+    "(and A)": "'and' needs at least two arguments (at position 1)",
+    "(or)": "'or' needs at least two arguments (at position 1)",
+    "(and)": "'and' needs at least two arguments (at position 1)",
+    "(and A ) B)": "'and' needs at least two arguments (at position 1)",
+    "(or (and A B) (or C))": "'or' needs at least two arguments (at position 15)",
+    "(and A (or))": "'or' needs at least two arguments (at position 8)",
+    "(atleast 1 R (and B))": "'and' needs at least two arguments (at position 14)",
+    "A B": "trailing input 'B' (at position 2)",
+    "(and A B) C": "trailing input 'C' (at position 10)",
+    "(and A B))": "trailing input ')' (at position 9)",
+    "top )": "trailing input ')' (at position 4)",
+    "(not A) (": "trailing input '(' (at position 8)",
+    "(atleast -1 R C)": "number restriction bound must be non-negative (at position 9)",
+    "(atmost -0 R C)": "number restriction bound must be non-negative (at position 8)",
+    "(atleast x R C)": "expected a non-negative integer, found 'x' (at position 9)",
+    "(atleast 1.5 R C)": "expected a non-negative integer, found '1.5' (at position 9)",
+    "(atmost \u00b2 R C)": "expected a non-negative integer, found '\u00b2' (at position 8)",
+    "(atleast -x R C)": "expected a non-negative integer, found '-x' (at position 9)",
+    "(atleast - R C)": "expected a non-negative integer, found '-' (at position 9)",
+    "(atleast ( R C)": "expected a non-negative integer, found '(' (at position 9)",
+    "(atleast ) R C)": "expected a non-negative integer, found ')' (at position 9)",
+    "(and A (atmost x R C))": "expected a non-negative integer, found 'x' (at position 15)",
+}
+
+
+@pytest.mark.parametrize("text", list(PARSE_ERRORS))
+def test_each_parse_error_keeps_its_text_and_offset(text):
+    with pytest.raises(ConceptSyntaxError) as err:
+        parse_concept(text)
+    assert str(err.value) == PARSE_ERRORS[text]
+
+
+def test_a_parse_error_far_past_the_recursion_limit_keeps_its_offset():
+    # the parser holds the open concepts on a list: an error 5,000 levels
+    # down raises where it is, and the same text one level deep gives
+    # the same message
+    for depth in (1, 5000):
+        text = "(not " * depth + "(and A (foo B))" + ")" * depth
+        with pytest.raises(ConceptSyntaxError) as err:
+            parse_concept(text)
+        assert str(err.value) == f"unknown keyword 'foo' (at position {5 * depth + 8})"
 
 
 def test_parse_error_carries_position():
@@ -552,6 +633,49 @@ def test_a_chain_of_distinct_names_costs_memory_linear_in_its_depth():
     assert float(proc.stdout) <= 15
 
 
+def test_interning_is_atomic_across_threads():
+    # 4 threads build the same fresh atoms, negated atoms and roles, two in
+    # one order and two in the other, with a thread switch as often as the
+    # interpreter allows: each key is one object in every thread, and each
+    # atom is linked to its negation however the builds interleave
+    count = 10_000
+    start = threading.Barrier(4)
+    built = [None] * 4
+
+    def build(slot):
+        start.wait()
+        out = []
+        for i in range(count):
+            name = f"Intern{i}"
+            if slot % 2:
+                out += (Atom(name), NegAtom(name), Role(f"InternR{i}", True))
+            else:
+                out += (NegAtom(name), Atom(name), Role(f"InternR{i}"))
+        built[slot] = out
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(slot,)) for slot in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    unlinked, twice = [], []
+    for i in range(count):
+        atom, neg, role = Atom(f"Intern{i}"), NegAtom(f"Intern{i}"), Role(f"InternR{i}")
+        if not (atom._neg is neg and neg._neg is atom and role.inverse() is Role(f"InternR{i}", True)):
+            unlinked.append(i)
+        expected = [(neg, atom, role), (atom, neg, role.inverse())]
+        if any(not all(x is y for x, y in zip(out[3 * i:3 * i + 3], expected[slot % 2]))
+               for slot, out in enumerate(built)):
+            twice.append(i)
+    assert (unlinked, twice) == ([], [])
+
+
 def corpus_files():
     """The acceptance corpus and the deep profile's."""
     deep = CorpusProfile(max_depth=5, max_bound=5, max_roles=3, max_atoms=4, max_gcis=3)
@@ -574,6 +698,21 @@ def test_equal_concepts_are_one_object():
         n = to_nnf(c)
         assert to_nnf(n) is n
         assert negate(negate(n)) is n
+
+
+def test_to_nnf_is_the_reference_nnf():
+    # every subterm of random concepts over names fresh to each seed, so
+    # the Not nodes inside them are built before their sub's negation;
+    # then a Not node over every subterm, built after its sub's negation
+    for seed in range(40):
+        rng = random.Random(seed)
+        atoms = tuple(f"Nnf{seed}{name}" for name in "ABC")
+        c = random_raw_concept(rng, 4, atoms)
+        for sub in walk_concepts(c):
+            assert to_nnf(sub) is _reference_nnf(sub), sub
+        negated = [negate(to_nnf(sub)) for sub in walk_concepts(c)]
+        for sub, neg in zip(walk_concepts(c), negated):
+            assert to_nnf(Not(sub)) is neg is _reference_nnf(Not(sub)), sub
 
 
 def test_nnf_keeps_nnf_nodes():
