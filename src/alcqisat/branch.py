@@ -84,7 +84,8 @@ def enumerate_branches(label: Iterable[Concept]) -> Iterator[Branch]:
     """
     if not isinstance(label, (set, frozenset)):
         label = set(label)  # a repeated part would be walked twice
-    parts = sorted_concepts(label)  # the label, read like an and-node
+    # the label, read like an and-node
+    parts = sorted_concepts(label) if len(label) > 1 else list(label)
     work = None
     trail: list[Concept] = []
     members: set[Concept] = set()

@@ -161,7 +161,8 @@ class NogoodStore:
     unconditional or equals the query context.
 
     Bodies are kept per context (cut, edge), in insertion order; the
-    unconditional triples are those of the empty context."""
+    unconditional triples are those of the empty context; `size` counts
+    the stored triples."""
 
     def __init__(self, capacity: int = 100_000):
         self.capacity = capacity
@@ -170,10 +171,10 @@ class NogoodStore:
         self._bodies: dict[tuple[CutSet, Role | None], dict[frozenset, None]] = {
             (EMPTY_CUT_SET, None): self._wildcard
         }
-        self._size = 0
+        self.size = 0
 
     def __len__(self) -> int:
-        return self._size
+        return self.size
 
     def __iter__(self):
         for (cut, edge), bodies in self._bodies.items():
@@ -185,10 +186,10 @@ class NogoodStore:
         bodies = self._bodies.setdefault((triple.cut, triple.edge), {})
         if triple.body in bodies:
             return False
-        if self._size >= self.capacity:
+        if self.size >= self.capacity:
             raise ResourceLimitError(f"nogood store exceeded {self.capacity} triples")
         bodies[triple.body] = None
-        self._size += 1
+        self.size += 1
         return True
 
     def hit_wildcard(self, body: frozenset) -> NogoodTriple | None:
@@ -271,13 +272,11 @@ class Tableau:
         self.nogoods = NogoodStore(self.limits.nogood_capacity)
         self.witnesses: dict = {}
         self.stats = RunStats()
-        core = set(problem.cut_concepts)
-        if problem.axiom != TOP:
-            core.add(problem.axiom)
         # the axiom and the cut formulas label every node; stored bodies
         # leave them out, so a stored body is a subset of a label exactly
         # when it is one of the label without them
-        self._core_label = frozenset(core)
+        cuts = problem.cut_concepts
+        self._core_label = cuts if problem.axiom is TOP else cuts.union((problem.axiom,))
 
     # -- helpers ----------------------------------------------------------
 
@@ -289,14 +288,14 @@ class Tableau:
         is stored, and every stored triple is new."""
         body -= self._core_label
         nogoods = self.nogoods
-        if nogoods:
+        if nogoods.size:
             hit = nogoods.hit(cut, edge, body)
             if hit is not None:
                 return hit
         triple = NogoodTriple(cut, edge, body)
         if not nogoods.add(triple):
             raise AssertionError(f"nogood already stored: {triple}")
-        self.stats.nogoods = len(nogoods)
+        self.stats.nogoods = nogoods.size
         if self.trace is not None:
             self.trace(
                 f"NOGOOD cut={_fmt_cut(cut, edge)} edge={_fmt_edge(edge)} body={_fmt_set(body)}"
@@ -317,12 +316,12 @@ class Tableau:
         level the keys share: sorting two restrictions whose fillers are
         3,000-deep chains that differ only in their leaf raises one under
         the default limit (`closed_form` sorts a role's restrictions)."""
-        root_label = frozenset({self.problem.goal}) | self._core_label
+        root_label = self._core_label.union((self.problem.goal,))
         try:
             # the root's own label test is this one; a store seeded
             # before the run may cover the root label
             nogoods = self.nogoods
-            if nogoods and nogoods.hit(EMPTY_CUT_SET, None, root_label):
+            if nogoods.size and nogoods.hit(EMPTY_CUT_SET, None, root_label):
                 return Verdict(satisfiable=False, stats=self.stats)
             open_nodes = [self._expand(root_label, EMPTY_CUT_SET, None).send]
             failed = None
@@ -345,16 +344,11 @@ class Tableau:
 
     # -- expansion ---------------------------------------------------------
 
-    def _new_node(self) -> int:
-        """Count a new node against the run's budget; its id is the number
-        of nodes the run expanded before it."""
-        node_id = self.stats.nodes
-        self.stats.nodes += 1
-        if node_id >= self.limits.node_budget:
-            raise ResourceLimitError(
-                f"node budget of {self.limits.node_budget} exceeded in one tree"
-            )
-        return node_id
+    def _over_budget(self) -> ResourceLimitError:
+        """The error of a node past the run's budget.  A new node counts
+        itself in `stats.nodes`, whose value before is its id, and raises
+        this when that id reaches the budget."""
+        return ResourceLimitError(f"node budget of {self.limits.node_budget} exceeded in one tree")
 
     def _expand(self, label: frozenset, cut: CutSet, edge: Role | None) -> Generator:
         """Expand a new node with the label, reached over edge with the
@@ -373,9 +367,12 @@ class Tableau:
         witness registered since: a subtree of an earlier role may have
         completed only because the branch blocked one of its nodes.  A
         node that fails has dropped every witness it registered."""
-        node_id = self._new_node()
+        node_id = self.stats.nodes
+        self.stats.nodes += 1
+        if node_id >= self.limits.node_budget:
+            raise self._over_budget()
         nogoods = self.nogoods
-        if edge is not None and nogoods:  # decide's entry test is the root's
+        if edge is not None and nogoods.size:  # decide's entry test is the root's
             hit = nogoods.hit(cut, edge, label)
             if hit is not None:
                 return hit
@@ -389,15 +386,15 @@ class Tableau:
             sole = sole_branch(label)
             branches = () if sole is None else (sole,)
         for index, branch in enumerate(branches):
-            tuned = fine_tune(branch, cut, edge)
+            tuned = branch if edge is None else fine_tune(branch, cut, edge)
             # the walk yields clash-free sets, fine_tune returns the branch
             # itself when it changes nothing, and hit reads the wildcards
             # on the branch: only a changed set is tested on its own.  The
             # store grows during the walk, so it is asked whenever it holds
             # a triple
             if tuned is not branch and (
-                primitive_clash(tuned) or nogoods and nogoods.hit_wildcard(tuned)
-            ) or nogoods and nogoods.hit(cut, edge, branch):
+                primitive_clash(tuned) or nogoods.size and nogoods.hit_wildcard(tuned)
+            ) or nogoods.size and nogoods.hit(cut, edge, branch):
                 continue
             if self.trace is not None:
                 self.trace(f"PB node={node_id} branch={index}")
@@ -438,8 +435,11 @@ class Tableau:
         label tests would repeat the first: the node asks a non-empty store
         about its label once, then prints its branch 0 and is blocked by, or
         registered as, the witness with key (label, label)."""
-        node_id = self._new_node()
-        if self.nogoods:
+        node_id = self.stats.nodes
+        self.stats.nodes += 1
+        if node_id >= self.limits.node_budget:
+            raise self._over_budget()
+        if self.nogoods.size:
             hit = self.nogoods.hit(cut, edge, label)
             if hit is not None:
                 return hit
@@ -489,7 +489,7 @@ class Tableau:
             # rules the branch out; the walk's checks only saw the literals
             choices = choice_literals(child_cut)
             if (
-                self.nogoods
+                self.nogoods.size
                 and not choices <= tuned
                 and self.nogoods.hit_wildcard(tuned | choices) is not None
             ):

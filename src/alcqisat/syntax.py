@@ -558,17 +558,34 @@ def to_nnf(c: Concept) -> Concept:
 
 def internalize(axioms: list[tuple[Concept, Concept]]) -> Concept:
     """Fold inclusion axioms lhs => rhs into one conjunction of clausal forms
-    (not lhs or rhs), each in NNF.  Empty input gives top; a bottom/top
-    disjunct from a top-shaped lhs is simplified away."""
-    clauses: list[Concept] = []
+    (not lhs or rhs), each in NNF, without bottom disjuncts (the negation
+    of a top lhs).  Each conjunct, read as the set of its disjuncts (one
+    that is not an or-node as a set of one), is dropped when it is valid,
+    holding top or a disjunct beside that disjunct's negation (`_neg`),
+    or when its set strictly contains another conjunct's, which implies
+    it.  Empty input, or input whose conjuncts all go, gives top."""
+    sets: dict[Concept, frozenset[Concept]] = {}
     for lhs, rhs in axioms:
         clause = to_nnf(disj((Not(lhs), rhs)))
         if isinstance(clause, Or):
             clause = disj(p for p in clause.parts if not isinstance(p, Bottom))
-        if isinstance(clause, Top):
-            continue
-        clauses.append(clause)
-    return conj(clauses)
+        for c in clause.parts if type(clause) is And else (clause,):
+            parts = frozenset(c.parts) if type(c) is Or else frozenset((c,))
+            if TOP not in parts and parts.isdisjoint([p._neg for p in parts]):
+                sets[c] = parts
+    # a conjunct that implies c has all its disjuncts in c: file each
+    # under its rarest disjunct, and look for c's among those filed under
+    # c's disjuncts, not among all
+    counts: dict[Concept, int] = {}
+    for parts in sets.values():
+        for p in parts:
+            counts[p] = counts.get(p, 0) + 1
+    filed: dict[Concept, list[frozenset[Concept]]] = {}
+    for parts in sets.values():
+        filed.setdefault(min(parts, key=counts.__getitem__), []).append(parts)
+    return conj(
+        [c for c, parts in sets.items() if not any(d < parts for p in parts for d in filed.get(p, ()))]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -695,11 +712,12 @@ def sorted_signature(*concepts: Concept) -> tuple[tuple[str, ...], tuple[str, ..
 
 
 class Problem(NamedTuple):
-    """A satisfiability problem: goal concept, internalized axiom, the
-    (role, filler) pairs of its cut formulas (those whose inverse role a
-    number restriction names and which a node other than the root can
-    hold, see `cut_table`) and the formulas themselves (all in NNF), but
-    for the pairs with filler top, whose formula is a tautology."""
+    """A satisfiability problem: goal concept, internalized axiom (less its
+    valid and subsumed clauses, see `internalize`), the (role, filler)
+    pairs of its cut formulas (those whose inverse role a number
+    restriction names and which a node other than the root can hold, see
+    `cut_table`) and the formulas themselves (all in NNF), but for the
+    pairs with filler top, whose formula is a tautology."""
 
     goal: Concept
     axiom: Concept
@@ -709,15 +727,17 @@ class Problem(NamedTuple):
 
 def build_problem(goal: Concept, axioms: Iterable[tuple[Concept, Concept]] = ()) -> Problem:
     """The problem of the goal under the axioms: both in NNF, the axioms
-    internalized into one concept, and a cut formula for each pair of
-    `cut_table`: none for an ALCQ input, nor for one whose restrictions
-    only the root holds.  A pair (R, top) stays in `cuts`, since a node's
-    decision on it is read off any branch (`cut_set_for_child`) and
-    `fine_tune` reads it, but gets no formula: `(or top bottom (atmost 0
-    (inv R) top))` holds in every node, so a label gains nothing by it,
-    and a walk that tried its guard disjunct after top failed would only
-    forbid more.  The sorted names of goal and axiom are read here, once
-    (`sorted_signature`)."""
+    internalized into one concept less the clauses that always hold or
+    that another implies (`internalize`), and a cut formula for each pair
+    of `cut_table` on that axiom: none for an ALCQ input, nor for one
+    whose restrictions only the root holds.  A pair (R, top) stays in
+    `cuts`, since a node's decision on it is read off any branch
+    (`cut_set_for_child`) and `fine_tune` reads it, but gets no formula:
+    `(or top bottom (atmost 0 (inv R) top))` holds in every node, so a
+    label gains nothing by it, and a walk that tried its guard disjunct
+    after top failed would only forbid more.  The sorted names of goal and axiom are read here, once
+    (`sorted_signature`), so a name only a dropped clause held is not
+    among them."""
     e = to_nnf(goal)
     g = internalize(list(axioms))
     sorted_signature(e, g)

@@ -17,9 +17,12 @@ and under every relation:
 - mirror: every role replaced by its inverse, which reads each role as its
   converse;
 - rename: atoms and roles renamed so that their order flips;
-- tautology: `gci X X` added for the first atom and for the first number
-  restriction, in canonical order, so that every label carries
-  `(or (not X) X)` and the walk's clash tests meet restrictions;
+- tautology: `gci X X` and `gci (and top X) (and top X)` added for the
+  first atom and for the first number restriction, in canonical order.
+  `internalize` drops the clause `(or (not X) X)` of the first, a
+  disjunct beside its negation, before the engine sees it; it keeps the
+  second's, `(or (not X) (and top X))`, so every label carries a
+  tautology and the walk's clash tests meet restrictions;
 - split: each `gci C (and D E ...)` written as one GCI per conjunct,
   `gci C D`, `gci C E`, ..., so the axiom holds one clause per conjunct
   where it held one clause over their conjunction.
@@ -62,6 +65,7 @@ from alcqisat import (
     ResourceLimitError,
     Role,
     SolverLimitError,
+    TOP,
     Tableau,
     build_problem,
     conj,
@@ -143,9 +147,9 @@ def renamed(pf: ProblemFile) -> ProblemFile:
 
 
 def with_tautologies(pf: ProblemFile) -> ProblemFile:
-    """The problem file with `gci X X` added for X its first atom and its
-    first number restriction in NNF, in canonical order, where it has
-    them."""
+    """The problem file with `gci X X` and `gci (and top X) (and top X)`
+    added for X its first atom and its first number restriction in NNF,
+    in canonical order, where it has them."""
     problem = build_problem(pf.query, pf.tbox)
     concepts = list(walk_concepts(problem.goal, problem.axiom))
     atoms = [c for c in concepts if type(c) is Atom or type(c) is NegAtom]
@@ -153,7 +157,8 @@ def with_tautologies(pf: ProblemFile) -> ProblemFile:
     firsts = [Atom(min(atoms, key=concept_key).name)] if atoms else []
     if restrictions:
         firsts.append(min(restrictions, key=concept_key))
-    return ProblemFile(pf.tbox + tuple((x, x) for x in firsts), pf.query)
+    wrapped = [conj((TOP, x)) for x in firsts]
+    return ProblemFile(pf.tbox + tuple((x, x) for x in firsts + wrapped), pf.query)
 
 
 def split(pf: ProblemFile) -> ProblemFile:

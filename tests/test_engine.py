@@ -932,7 +932,7 @@ def test_every_label_holds_the_axiom_and_the_cut_formulas(monkeypatch):
     corpora = bench_module("corpora")
     deep = [build_problem(pf.query, pf.tbox) for pf in corpora.generate("deep")]
     problems = [p for p in deep if p.cuts]
-    assert len(problems) == 20
+    assert len(problems) == 19  # #59's one pair was read off a valid clause
     for text in HAND_MADE:
         pf = parse_problem_text(text)
         problems.append(build_problem(pf.query, pf.tbox))

@@ -21,12 +21,17 @@ from alcqisat import (
     ConceptSyntaxError,
     CorpusProfile,
     Interpretation,
+    Limits,
     NegAtom,
     Not,
     Or,
     OracleLimitError,
+    Problem,
+    ResourceLimitError,
     Role,
+    SolverLimitError,
     TOP,
+    Tableau,
     build_problem,
     conj,
     cut_formula,
@@ -324,6 +329,106 @@ def test_internalize_top_lhs_drops_disjunct():
 def test_internalize_two_axioms():
     g = internalize([(A, B), (B, C)])
     assert g == conj([disj([NegAtom("A"), B]), disj([NegAtom("B"), C])])
+
+
+def built(text: str):
+    """The problem of a problem text."""
+    pf = parse_problem_text(text)
+    return build_problem(pf.query, pf.tbox)
+
+
+def unsimplified(goal, tbox) -> Problem:
+    """The problem of the goal under the GCIs with every clause kept, as
+    build_problem built it before internalize dropped valid and subsumed
+    ones: the clauses' conjunction, its own cut table and its own cut
+    formulas."""
+    clauses = []
+    for lhs, rhs in tbox:
+        clause = to_nnf(disj((Not(lhs), rhs)))
+        if type(clause) is Or:
+            clause = disj(p for p in clause.parts if p is not BOTTOM)
+        if clause is not TOP:
+            clauses.append(clause)
+    goal, axiom = to_nnf(goal), conj(clauses)
+    cuts = cut_table(goal, axiom)
+    return Problem(goal, axiom, cuts, frozenset(cut_formula(r, f) for r, f in cuts if f is not TOP))
+
+
+def test_internalize_drops_valid_clauses():
+    # a top disjunct, and a disjunct beside its negation, literal or
+    # restriction; the restriction's clause held the only (R, B) restriction
+    # a node other than the root could hold, so its cut pair goes with it
+    assert built("gci A top\nsat A\n").axiom is TOP
+    assert built("gci A A\nsat A\n").axiom is TOP
+    text = "gci (atleast 2 R B) (atleast 2 R B)\nsat (atleast 1 (inv R) A)\n"
+    pf = parse_problem_text(text)
+    assert unsimplified(pf.query, pf.tbox).axiom == disj([AtMost(1, R, B), AtLeast(2, R, B)])
+    assert unsimplified(pf.query, pf.tbox).cuts == ((R, B),)
+    problem = built(text)
+    assert problem.axiom is TOP and problem.cuts == () and problem.cut_concepts == frozenset()
+
+
+def test_internalize_drops_subsumed_clauses():
+    # (or (not A) B C) holds wherever (or (not A) B) does
+    assert built("gci A (or B C)\ngci A B\nsat A\n").axiom == disj([NegAtom("A"), B])
+    # a literal clause subsumes the clauses it is a disjunct of
+    assert internalize([(TOP, A), (B, A), (C, B)]) == conj([A, disj([NegAtom("C"), B])])
+    # the clauses share (not A), their commonest disjunct; each subsumed
+    # one is still found, whichever disjunct its subsumer is filed under
+    bs = [Atom(f"B{i}") for i in range(50)]
+    tbox = [(A, b) for b in bs] + [(A, disj([b, C])) for b in bs] + [(A, disj([C, Atom("D")]))]
+    kept = [disj([NegAtom("A"), x]) for x in bs] + [disj([NegAtom("A"), C, Atom("D")])]
+    assert internalize(tbox) == conj(kept)
+
+
+def test_internalize_keeps_what_no_test_drops():
+    # (or (not A) (and top A)) is a tautology, but no disjunct of it is
+    # beside its own negation, so it stays, as ordinary clauses do
+    kept = disj([NegAtom("A"), conj([TOP, A])])
+    assert built("gci (and top A) (and top A)\nsat A\n").axiom == kept
+    assert built("gci (and top A) (and top A)\ngci B C\nsat A\n").axiom == conj(
+        [kept, disj([NegAtom("B"), C])]
+    )
+
+
+def test_internalize_gives_top_when_every_clause_drops():
+    assert built("gci A top\ngci B B\ngci (atmost 1 R C) (atmost 1 R C)\nsat A\n").axiom is TOP
+    assert internalize([(A, TOP), (A, A), (BOTTOM, B)]) is TOP
+
+
+def test_simplified_problems_decide_as_the_unsimplified_ones():
+    # off against on, over the three bench corpora (the oracle workload's
+    # is the acceptance corpus) and generated seeds 1-10 in the default
+    # and the deep profile: the problem with every clause kept decides as
+    # build_problem's, and every model found for build_problem's, whose
+    # signature may be smaller, is one of the unsimplified axiom
+    corpora = bench_module("corpora")
+    inputs = [(w, i, pf) for w in ("oracle", "deep", "counting") for i, pf in enumerate(corpora.generate(w))]
+    for seed in range(1, 11):
+        for profile in (None, corpora.DEEP_PROFILE):
+            inputs += [(seed, i, pf) for i, pf in enumerate(generate_corpus(seed=seed, count=150, profile=profile))]
+
+    def outcome(problem):
+        try:
+            return Tableau(problem, Limits(nogood_capacity=250)).decide().satisfiable
+        except (ResourceLimitError, SolverLimitError):
+            return "limit"
+
+    smaller = models = 0
+    for name, index, pf in inputs:
+        problem, raw = build_problem(pf.query, pf.tbox), unsimplified(pf.query, pf.tbox)
+        smaller += problem.axiom is not raw.axiom
+        assert outcome(problem) == outcome(raw), (name, index)
+        try:
+            model = find_model(problem.goal, problem.axiom, max_domain=3)
+        except OracleLimitError:
+            continue
+        if isinstance(model, Interpretation):
+            models += 1
+            n = model.domain_size
+            assert all(evaluate(model, raw.axiom, x) for x in range(n)), (name, index)
+            assert any(evaluate(model, raw.goal, x) for x in range(n)), (name, index)
+    assert smaller == 474 and models >= 2500, (smaller, models)
 
 
 def test_cut_table_nested():
