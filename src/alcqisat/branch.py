@@ -242,7 +242,7 @@ def cut_set_for_child(
     return frozenset(choices)
 
 
-def fine_tune(branch: Branch, cut: CutSet, edge_role: Role | None) -> Branch:
+def fine_tune(branch: Branch, cut: CutSet, edge_role: Role) -> Branch:
     """Discount the tree parent from the child's number restrictions.
 
     For every restriction over the inverse of the incoming edge whose filler
@@ -252,8 +252,6 @@ def fine_tune(branch: Branch, cut: CutSet, edge_role: Role | None) -> Branch:
     bound to lower is returned itself, not an equal copy, so the caller can
     tell by identity that nothing changed.
     """
-    if edge_role is None:
-        return branch
     back = edge_role.inverse()
     held = {f for f, holds in cut if holds}
     if not held:

@@ -11,13 +11,15 @@ int; there a number restriction counts the element's self-loop alone, so
 the first model is the lowest candidate whose bit goal and axiom both
 set.  For sizes 2 and 3 the search compiles goal and axiom into bitmask
 ops in one recursive pass, folding every number restriction whose value
-n decides (an at-least above n, an at-most of n or more) to a constant; equal subterms are one hash-consed node and
-get one slot.  Both passes read a raw negation through its NNF, which has
-the same extension.  The candidate loops are grouped into blocks of at
-most SLICE_BITS bits, and a block evaluates each op once for all its
-candidates, bit-sliced: an extension is one int whose bit c*n + x holds
-element x under the block's candidate c, so a junction or a negated atom
-is one bitwise operation.  A block's passing candidates are entered in
+n decides (an at-least above n, an at-most of n or more) to a constant;
+equal subterms are one hash-consed node and get one slot.  Both passes
+read NNF only: `find_model` reads the names off its arguments as given
+and then hands the passes their NNF, which has the same extension, so a
+raw negation never reaches them.  The candidate loops are grouped into
+blocks of at most SLICE_BITS bits, and a block evaluates each op once for
+all its candidates, bit-sliced: an extension is one int whose bit
+c*n + x holds element x under the block's candidate c, so a junction or
+a negated atom is one bitwise operation.  A block's passing candidates are entered in
 ascending order, and every candidate below one that already fails is
 skipped.  A folded op has the value the restriction has on every size-n
 candidate, a skipped candidate fails a check it cannot change, and a
@@ -228,7 +230,7 @@ def _fold(c: Concept, n: int, atom_list: list[str], role_list: list[str], block_
           stages: list[list[tuple]], depths: list[int], seen: dict[Concept, int]) -> int:
     """The slot of c, emitting its op and depth on the first visit (see
     `_compile`); `seen` is keyed by the hash-consed node, so equal subterms
-    share one slot.  A raw negation is folded as its NNF.
+    share one slot.  c is in NNF.
 
     A subterm whose extension is the same on every size-n candidate folds
     to slot 1 (top) or slot 0 (bottom), at depth 0: an at-least above n or
@@ -286,8 +288,6 @@ def _fold(c: Concept, n: int, atom_list: list[str], role_list: list[str], block_
         stages[block_of[0]].append((_ATOM if kind is Atom else _NEG_ATOM, slot, atom_list.index(c.name)))
     elif kind is Top or kind is Bottom:
         slot = 1 if kind is Top else 0
-    elif kind is Not:
-        slot = _fold(to_nnf(c), n, atom_list, role_list, block_of, stages, depths, seen)
     else:
         raise TypeError(f"unknown concept node: {c!r}")
     seen[c] = slot
@@ -312,8 +312,8 @@ def _one_element(atom_list: list[str], role_list: list[str]) -> Callable[[Concep
     as one int, memoized per hash-consed node: bit c is set when the
     concept holds at element 0 under candidate c (see `_planes`).  A number
     restriction counts the element's self-loop alone, so it holds wherever
-    its bound, the loop and the filler say; a raw negation is read as its
-    NNF, and a junction stops at a part that decides it."""
+    its bound, the loop and the filler say, and a junction stops at a part
+    that decides it.  The concepts given are in NNF."""
     full, atoms, loops = _planes(len(atom_list), len(role_list))
     seen: dict[Concept, int] = {}
 
@@ -349,8 +349,6 @@ def _one_element(atom_list: list[str], role_list: list[str]) -> Callable[[Concep
             ext = full ^ atoms[atom_list.index(c.name)]
         elif kind is Top or kind is Bottom:
             ext = full if kind is Top else 0
-        elif kind is Not:
-            ext = extension(to_nnf(c))
         else:
             raise TypeError(f"unknown concept node: {c!r}")
         seen[c] = ext
@@ -465,7 +463,10 @@ def find_model(
 
     The signature is the union of the goal's and the axiom's, read by one
     walk the first time the pair is searched (`sorted_signature`); on a
-    problem's goal and axiom `build_problem` has read it.  Size 1 is one
+    problem's goal and axiom `build_problem` has read it.  It is read off
+    the arguments as given, so a name that only their NNF drops, as in
+    `(atleast 0 R A)`, is still interpreted; the passes then read the NNF
+    of each (`to_nnf`), the same object on a built problem.  Size 1 is one
     pass of `_one_element` over goal and axiom, and the lowest candidate
     whose bit both extensions set is the first model.  For sizes 2 and 3,
     one pass of `_compile` turns goal and axiom into bitmask ops, with
@@ -486,6 +487,7 @@ def find_model(
     if max_domain > 3:
         raise OracleLimitError(f"max_domain {max_domain} exceeds the search guard of 3")
 
+    goal, axiom = to_nnf(goal), to_nnf(axiom)
     spent = 0
     for n in range(1, max_domain + 1):
         spent += 1 << (n * len(atom_list) + n * n * len(role_list))

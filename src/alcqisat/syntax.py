@@ -17,7 +17,10 @@ fields in constructor order; `Problem` is a named tuple.
 The parser reads the tokens of a text, taken from one regular-expression
 `findall`; it works out a token's character offset only when it raises a
 ConceptSyntaxError.  `to_nnf` reads the NNF a node was built with, so a
-concept already in NNF comes back as the same object.  `walk_concepts`
+concept already in NNF comes back as the same object; it converts a raw
+negation where input enters (`build_problem`, `internalize`, and the
+model search), and `internalize` builds each clause from its sides' NNF,
+so no code past the parser builds a Not node.  `walk_concepts`
 visits each distinct node once, so a subterm shared by many parents costs
 one visit, not one per occurrence.  The parser, `walk_concepts`, `negate`
 and `str` are loops over an explicit stack, and the parser reads nested
@@ -60,7 +63,21 @@ _ROLES: dict[str, "Role"] = {}
 _INTERN = threading.Lock()
 
 
-class Role:
+class _Frozen:
+    """The base of roles and concept nodes: assigning or deleting an
+    attribute raises AttributeError, so only `object.__setattr__` sets
+    one, where a role or node is built."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
+
+
+class Role(_Frozen):
     """A role name with an inversion marker.  inverse() is an involution.
 
     Roles are interned like concepts: constructing one returns the object
@@ -84,12 +101,6 @@ class Role:
                 role = _ROLES.setdefault(base, forward)
         return role._inv if inverted else role
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field '{name}'")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field '{name}'")
-
     def inverse(self) -> "Role":
         return self._inv
 
@@ -104,7 +115,7 @@ class Role:
 _NODES: dict[tuple, "Concept"] = {}
 
 
-class Concept:
+class Concept(_Frozen):
     """Base class for all concept nodes.  Fields are given positionally, in
     the order of the class's `_fields`, which are also its slots.  Nodes are
     frozen: assigning or deleting an attribute raises AttributeError.
@@ -155,12 +166,6 @@ class Concept:
                             object.__setattr__(neg, "_neg", new)
                     node = _NODES[key] = new
         return node
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field '{name}'")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field '{name}'")
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -552,23 +557,31 @@ def to_nnf(c: Concept) -> Concept:
     none of whose children changes is returned itself: an And/Or node is
     already flat, deduplicated and sorted, so rebuilding it would give back
     the same object.  Each node's NNF is built with the node, from its
-    children's (`_nnf`), so this reads a slot, whatever the depth."""
+    children's (`_nnf`), so this reads a slot, whatever the depth.
+
+    The one converter of a raw `not`, called where input enters the
+    library: `build_problem`, `internalize` and `find_model`.  Past them,
+    no code reads a Not node but `evaluate`, the reference semantics."""
     return c._nnf
 
 
 def internalize(axioms: list[tuple[Concept, Concept]]) -> Concept:
     """Fold inclusion axioms lhs => rhs into one conjunction of clausal forms
-    (not lhs or rhs), each in NNF, without bottom disjuncts (the negation
-    of a top lhs).  Each conjunct, read as the set of its disjuncts (one
-    that is not an or-node as a set of one), is dropped when it is valid,
-    holding top or a disjunct beside that disjunct's negation (`_neg`),
-    or when its set strictly contains another conjunct's, which implies
-    it.  Empty input, or input whose conjuncts all go, gives top."""
+    (not lhs or rhs) in NNF: each clause is one disj over the disjuncts of
+    lhs's NNF negated and of rhs's NNF, less bottom (the negation of a top
+    lhs), so no Not node is built, and no or-node holding bottom but the
+    negation of an lhs with a top conjunct.  Each
+    conjunct, read as the set of its disjuncts (one that is not an or-node
+    as a set of one), is dropped when it is valid, holding top or a
+    disjunct beside that disjunct's negation (`_neg`), or when its set
+    strictly contains another conjunct's, which implies it.  Empty input,
+    or input whose conjuncts all go, gives top."""
     sets: dict[Concept, frozenset[Concept]] = {}
     for lhs, rhs in axioms:
-        clause = to_nnf(disj((Not(lhs), rhs)))
-        if isinstance(clause, Or):
-            clause = disj(p for p in clause.parts if not isinstance(p, Bottom))
+        disjuncts = []
+        for side in negate(to_nnf(lhs)), to_nnf(rhs):
+            disjuncts += side.parts if type(side) is Or else (side,)
+        clause = disj([p for p in disjuncts if p is not BOTTOM])
         for c in clause.parts if type(clause) is And else (clause,):
             parts = frozenset(c.parts) if type(c) is Or else frozenset((c,))
             if TOP not in parts and parts.isdisjoint([p._neg for p in parts]):

@@ -317,7 +317,8 @@ def test_fine_tune_can_go_negative():
 def test_fine_tune_identity_without_cut():
     b = frozenset({AtMost(0, R, C), A})
     assert fine_tune(b, EMPTY_CUT_SET, R_INV) == b
-    assert fine_tune(b, frozenset({(C, True)}), None) == b
+    # over an R edge only (inv R) restrictions are discounted, and b has none
+    assert fine_tune(b, frozenset({(C, True)}), R) is b
 
 
 def test_fine_tune_returns_the_branch_when_it_lowers_no_bound():

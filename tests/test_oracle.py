@@ -346,7 +346,8 @@ def test_block_extensions_match_evaluate():
         cases.append((random_bounded_concept(rng, rng.randint(1, 3), n, atoms, roles), n, atoms, roles))
     blocks = Counter()
     for goal, n, atoms, roles in cases:
-        program = _compile(goal, TOP, list(atoms), list(roles), n)
+        # the passes read NNF; evaluate reads the raw goal
+        program = _compile(to_nnf(goal), TOP, list(atoms), list(roles), n)
         chunk = (1 << n) - 1
         ext, index, meet = [0] * len(program.depths), 0, chunk
         for b, (offset, _, full, _, _) in enumerate(program.shapes):
@@ -383,7 +384,7 @@ def test_size_one_extensions_match_evaluate():
         extension = _one_element(atoms, roles)
         models = [_materialize(1, atoms, roles, c) for c in range(1 << len(atoms) + len(roles))]
         for concept in walk_concepts(*concepts):
-            ext = extension(concept)
+            ext = extension(to_nnf(concept))
             assert ext >> len(models) == 0
             for c, model in enumerate(models):
                 assert (ext >> c) & 1 == evaluate(model, concept, 0), (concept, c)

@@ -240,14 +240,18 @@ def test_role_inverse_involution():
 
 
 def test_role_fields_cannot_be_deleted_or_assigned():
-    # roles are interned, so a lost field would be lost for every later use
+    # roles are interned, so a lost field would be lost for every later use;
+    # concept nodes share their frozen base, and so its messages
     role = Role("Frozen")
-    for name in ("base", "inverted", "_inv"):
-        with pytest.raises(AttributeError):
-            delattr(role, name)
-        with pytest.raises(AttributeError):
-            setattr(role, name, None)
-    assert Role("Frozen") is role
+    node = AtLeast(1, role, Atom("Frozen"))
+    for obj, names in (role, ("base", "inverted", "_inv")), (node, ("bound", "filler", "_key", "_neg")):
+        for name in names:
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                delattr(obj, name)
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                setattr(obj, name, None)
+    assert Role("Frozen") is role and AtLeast(1, role, Atom("Frozen")) is node
+    assert node.bound == 1
     assert repr(role) == "Role(base='Frozen', inverted=False)"
     assert (str(role), str(role.inverse())) == ("Frozen", "(inv Frozen)")
     assert role.inverse().inverse() is role
@@ -337,6 +341,62 @@ def built(text: str):
     return build_problem(pf.query, pf.tbox)
 
 
+def reference_clause(lhs, rhs):
+    """The clause of the GCI lhs => rhs as internalize built it through a
+    raw negation: the NNF of `(or (not lhs) rhs)`, less its bottom
+    disjuncts."""
+    clause = to_nnf(disj((Not(lhs), rhs)))
+    if type(clause) is Or:
+        clause = disj(p for p in clause.parts if p is not BOTTOM)
+    return clause
+
+
+def test_internalize_builds_no_raw_negation():
+    # each clause is built from the NNF of its two sides: building a
+    # problem over fresh names interns no Not node and no or-node that
+    # holds bottom, where the conversion through a raw negation built
+    # both.  (An lhs with a top conjunct is left out: its negation is an
+    # or-node holding bottom whichever way the clause is built.)
+    goal = parse_concept("(and Nf0 (atleast 1 Nr0 (not (and Nf1 Nf2))))")
+    tbox = [
+        (parse_concept(lhs), parse_concept(rhs))
+        for lhs, rhs in (
+            ("Nf3", "(or Nf4 (not (or Nf5 Nf6)))"),
+            ("top", "(atmost 1 Nr0 Nf7)"),
+            ("(not (atleast 2 (inv Nr0) Nf8))", "bottom"),
+            ("(or Nf9 (not Nf10))", "(and Nf11 (not (atmost 0 Nr0 Nf12)))"),
+        )
+    ]
+    known = len(syntax._NODES)
+    problem = build_problem(goal, tbox)
+    new = list(syntax._NODES.values())[known:]
+    assert problem.axiom is not TOP and new
+    assert [c for c in new if type(c) is Not or (type(c) is Or and BOTTOM in c.parts)] == []
+
+
+def test_internalize_gives_the_clause_of_the_raw_negation():
+    # on every GCI of the bench corpora and of generated seeds 1-10 in both
+    # profiles, internalize gives what it gives on the reference clause
+    # under a top lhs, whose negation, bottom, it drops: the same clause
+    # before the simplifier, so the same object after it; and so on each
+    # whole TBox
+    corpora = bench_module("corpora")
+    tboxes = [pf.tbox for workload in ("deep", "counting", "oracle") for pf in corpora.generate(workload)]
+    for seed in range(1, 11):
+        for profile in (None, corpora.DEEP_PROFILE):
+            tboxes += [pf.tbox for pf in generate_corpus(seed=seed, count=100, profile=profile)]
+    gcis = kept = 0
+    for tbox in tboxes:
+        for gci in tbox:
+            clause = reference_clause(*gci)
+            got = internalize([gci])
+            assert got is internalize([(TOP, clause)]), gci
+            gcis += 1
+            kept += got is clause
+        assert internalize(tbox) is internalize([(TOP, reference_clause(*gci)) for gci in tbox]), tbox
+    assert gcis > 1000 and kept > gcis // 2, (gcis, kept)
+
+
 def unsimplified(goal, tbox) -> Problem:
     """The problem of the goal under the GCIs with every clause kept, as
     build_problem built it before internalize dropped valid and subsumed
@@ -344,9 +404,7 @@ def unsimplified(goal, tbox) -> Problem:
     formulas."""
     clauses = []
     for lhs, rhs in tbox:
-        clause = to_nnf(disj((Not(lhs), rhs)))
-        if type(clause) is Or:
-            clause = disj(p for p in clause.parts if p is not BOTTOM)
+        clause = reference_clause(lhs, rhs)
         if clause is not TOP:
             clauses.append(clause)
     goal, axiom = to_nnf(goal), conj(clauses)
